@@ -116,122 +116,5 @@ fn bench_lulesh_dispatch(c: &mut Criterion) {
     g.finish();
 }
 
-/// The async-compile ablation (EXPERIMENTS.md E17): mini-LULESH cold
-/// start under the full recording tool with `--compile-threads` 0
-/// (synchronous), 1 and 4. A single solver iteration keeps translation
-/// a large fraction of the run — the regime the background pool exists
-/// for. Structural assertions pin the pipeline's shape on any machine;
-/// the ≥20% wall-clock claim is asserted only when the host actually
-/// has cores to compile on, and the sweep is emitted as
-/// `BENCH_compile_pipeline.json` at the workspace root so the perf
-/// trajectory stays machine-readable.
-fn bench_compile_pipeline(c: &mut Criterion) {
-    let module = guest_rt::build_single("lulesh.c", LULESH_MC).unwrap();
-    let args = ["-s", "4", "-tel", "2", "-tnl", "2", "-i", "1"];
-
-    let cold_run = |compile_threads: usize| {
-        let tool = TaskgrindTool::new(RecordOptions::default());
-        let cfg = VmConfig { compile_threads, ..Default::default() };
-        let m = module.clone();
-        let t0 = std::time::Instant::now();
-        let r = Vm::new(m, Box::new(tool), cfg).run(ExecMode::Dbi, &args);
-        let dt = t0.elapsed().as_secs_f64();
-        assert!(r.ok());
-        (dt, r.metrics)
-    };
-    // Min of three cold runs per setting: cold-start benches are noisy
-    // and the minimum is the least contaminated estimate.
-    let measure = |compile_threads: usize| {
-        let (mut best, mut metrics) = cold_run(compile_threads);
-        for _ in 0..2 {
-            let (dt, m) = cold_run(compile_threads);
-            if dt < best {
-                best = dt;
-                metrics = m;
-            }
-        }
-        (best, metrics)
-    };
-    let (s0, m0) = measure(0);
-    let (s1, m1) = measure(1);
-    let (s4, m4) = measure(4);
-
-    // Structural claims, valid on any host: the synchronous run spawns
-    // no workers; the async runs route every translation through the
-    // pool (or the queue-full inline path), actually execute cold
-    // blocks on the tree-walk fallback, and promote worker results.
-    assert_eq!(m0.compile.workers, 0, "t0 must stay synchronous");
-    for (label, m) in [("t1", &m1), ("t4", &m4)] {
-        assert!(m.compile.workers > 0, "{label}: workers must spawn");
-        assert_eq!(
-            m.compile.queued + m.compile.inline_compiles,
-            m.translations,
-            "{label}: every translation goes through the pool or inline"
-        );
-        assert!(
-            m.compile.fallback_executions > 0,
-            "{label}: cold blocks must execute on the tree-walk fallback"
-        );
-        assert!(m.compile.installed > 0, "{label}: workers must promote blocks");
-        // Bit-identical guest behavior across the sweep.
-        assert_eq!(m.instrs, m0.instrs, "{label}: instruction count");
-        assert_eq!(m.sched_digest, m0.sched_digest, "{label}: schedule");
-    }
-
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let speedup = s0 / s4;
-    // The wall-clock claim needs real parallelism: on a single-core
-    // host the workers just time-slice against dispatch.
-    let asserted = cores >= 2;
-    println!(
-        "compile pipeline cold start: t0 {s0:.3}s, t1 {s1:.3}s, t4 {s4:.3}s \
-         ({speedup:.2}x at t4, {cores} core(s), wall-clock assertion {})",
-        if asserted { "on" } else { "off" }
-    );
-    if asserted {
-        assert!(
-            s4 <= 0.8 * s0,
-            "t4 cold start must improve >=20% over synchronous: {s4:.3}s vs {s0:.3}s"
-        );
-    }
-
-    let compile_json = |m: &grindcore::Metrics| {
-        format!(
-            "{{\"queued\": {}, \"inline\": {}, \"fallback_executions\": {}, \
-             \"installed\": {}, \"stale\": {}, \"queue_depth_peak\": {}}}",
-            m.compile.queued,
-            m.compile.inline_compiles,
-            m.compile.fallback_executions,
-            m.compile.installed,
-            m.compile.stale,
-            m.compile.queue_depth_peak,
-        )
-    };
-    let json = format!(
-        "{{\n  \"bench\": \"compile_pipeline\",\n  \"workload\": \"lulesh {}\",\n  \
-         \"cores\": {cores},\n  \"t0_secs\": {s0:.6},\n  \"t1_secs\": {s1:.6},\n  \
-         \"t4_secs\": {s4:.6},\n  \"speedup_t4\": {speedup:.4},\n  \
-         \"wallclock_asserted\": {asserted},\n  \"t1\": {},\n  \"t4\": {}\n}}\n",
-        args.join(" "),
-        compile_json(&m1),
-        compile_json(&m4),
-    );
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_compile_pipeline.json");
-    if let Err(e) = std::fs::write(&out, json) {
-        eprintln!("cannot write {}: {e}", out.display());
-    }
-
-    let mut g = c.benchmark_group("compile_pipeline");
-    g.sample_size(10);
-    for threads in [0usize, 1, 4] {
-        g.bench_function(format!("lulesh_coldstart/t{threads}"), |b| {
-            b.iter(|| std::hint::black_box(cold_run(threads).1.instrs))
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_dbi, bench_lulesh_dispatch, bench_compile_pipeline);
+criterion_group!(benches, bench_dbi, bench_lulesh_dispatch);
 criterion_main!(benches);

@@ -1,13 +1,15 @@
 //! E8: the paper's future-work item — "the determinacy race
 //! post-processing analysis is an embarrassingly parallel algorithm,
-//! but it is currently run sequentially". Sequential Algorithm 1 versus
-//! the crossbeam fan-out, on a segment graph with many unordered pairs.
+//! but it is currently run sequentially". Sequential Algorithm 1 on a
+//! segment graph with many unordered pairs. (The crossbeam fan-out of
+//! the all-pairs loop it was once compared against measured slower and
+//! is gone; the sweep below is the parallel engine.)
 //!
 //! E12 extends this with the two hot-path rewrites: the sweep-based
-//! candidate generator versus the all-pairs loop at equal thread
-//! counts (a many-segment workload with mostly-disjoint footprints,
-//! where all-pairs burns its time proving segments never touch), and
-//! bulk access ingestion versus per-access interval-tree inserts.
+//! candidate generator versus the all-pairs loop (a many-segment
+//! workload with mostly-disjoint footprints, where all-pairs burns its
+//! time proving segments never touch), and bulk access ingestion versus
+//! per-access interval-tree inserts.
 //!
 //! E13 adds the streaming retirement engine: full `check_module` runs
 //! on mini-LULESH, batch versus streaming, asserting the streaming
@@ -15,7 +17,7 @@
 //! before timing anything.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use taskgrind::analysis::{run, run_parallel, run_sweep, SuppressOptions};
+use taskgrind::analysis::{run, run_sweep, SuppressOptions};
 use taskgrind::graph::{GraphBuilder, SegmentGraph, ThreadMeta};
 use taskgrind::reach::Reachability;
 use taskgrind::{check_module, TaskgrindConfig};
@@ -97,17 +99,10 @@ fn bench_parallel(c: &mut Criterion) {
     g.bench_function("sequential", |b| {
         b.iter(|| std::hint::black_box(run(&graph, &reach, &opts).candidates.len()))
     });
-    for threads in [2usize, 4, 8] {
-        g.bench_function(format!("parallel_{threads}"), |b| {
-            b.iter(|| {
-                std::hint::black_box(run_parallel(&graph, &reach, &opts, threads).candidates.len())
-            })
-        });
-    }
     g.finish();
 }
 
-/// E12a: sweep vs all-pairs at equal thread counts.
+/// E12a: sweep vs the sequential all-pairs loop.
 fn bench_sweep(c: &mut Criterion) {
     let mut g = c.benchmark_group("sweep_vs_allpairs");
     g.sample_size(10);
@@ -127,11 +122,6 @@ fn bench_sweep(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(run_sweep(&graph, &reach, &opts, 1).candidates.len()))
     });
     let threads = 4usize;
-    g.bench_function(format!("allpairs_{threads}"), |b| {
-        b.iter(|| {
-            std::hint::black_box(run_parallel(&graph, &reach, &opts, threads).candidates.len())
-        })
-    });
     g.bench_function(format!("sweep_{threads}"), |b| {
         b.iter(|| std::hint::black_box(run_sweep(&graph, &reach, &opts, threads).candidates.len()))
     });

@@ -38,10 +38,6 @@ pub struct Opts {
     pub cache_blocks: Option<usize>,
     pub no_suppress: bool,
     pub analysis_threads: usize,
-    /// `--compile-threads=N`, already resolved through
-    /// [`parse_thread_count`]; `None` when the flag was absent (the
-    /// environment variable may still enable the pool at resolve time).
-    pub compile_threads: Option<usize>,
     pub no_sweep: bool,
     pub no_bulk: bool,
     pub no_fuse: bool,
@@ -74,7 +70,6 @@ impl Opts {
             no_sweep: self.no_sweep,
             no_bulk: self.no_bulk,
             no_fuse: self.no_fuse,
-            compile_threads: self.compile_threads,
             code_cache: self.code_cache.clone(),
             no_code_cache: self.no_code_cache,
             no_static_filter: self.no_static_filter,
@@ -130,7 +125,7 @@ pub fn usage() -> ! {
     );
     eprintln!("              [--no-static-concurrency]");
     eprintln!("              [--no-chaining] [--cache-blocks=N] [--no-suppress]");
-    eprintln!("              [--analysis-threads=N] [--compile-threads=N] [--no-sweep]");
+    eprintln!("              [--analysis-threads=N] [--no-sweep]");
     eprintln!("              [--no-bulk] [--no-fuse]");
     eprintln!("              [--confirm-races] [--confirm-budget=N]");
     eprintln!("              [--code-cache=DIR] [--no-code-cache]");
@@ -143,7 +138,7 @@ pub fn usage() -> ! {
     eprintln!("       tgrind serve --socket=PATH [--serve-workers=N] [--serve-queue=N]");
     eprintln!("                    (persistent analysis daemon; line-delimited JSON protocol)");
     eprintln!("       tgrind submit --socket=PATH [run options] <program.c> [-- args...]");
-    eprintln!("       env: TG_NO_BULK, TG_NO_FUSE, TG_COMPILE_THREADS, TG_CODE_CACHE,");
+    eprintln!("       env: TG_NO_BULK, TG_NO_FUSE, TG_CODE_CACHE,");
     eprintln!("            TG_STREAMING, TG_TRACE_OUT, TG_METRICS_JSON, TG_SELF_PROFILE");
     eprintln!("            (flags win over env)");
     std::process::exit(2)
@@ -172,7 +167,6 @@ pub fn parse_args(args: impl Iterator<Item = String>) -> Opts {
         cache_blocks: None,
         no_suppress: false,
         analysis_threads: 0,
-        compile_threads: None,
         no_sweep: false,
         no_bulk: false,
         no_fuse: false,
@@ -225,8 +219,6 @@ pub fn parse_args(args: impl Iterator<Item = String>) -> Opts {
             a.strip_prefix("--analysis-threads=").or_else(|| a.strip_prefix("--parallel-analysis="))
         {
             o.analysis_threads = parse_thread_count(v);
-        } else if let Some(v) = a.strip_prefix("--compile-threads=") {
-            o.compile_threads = Some(parse_thread_count(v));
         } else if a == "--no-sweep" {
             o.no_sweep = true;
         } else if a == "--no-bulk" {
@@ -381,12 +373,6 @@ mod tests {
             streaming.translation_fingerprint(&[]),
             "analysis-side knobs must not invalidate cached code"
         );
-        let pooled = resolve(&["--compile-threads=4", "p.c"]);
-        assert_eq!(
-            fp,
-            pooled.translation_fingerprint(&[]),
-            "compile scheduling must not invalidate cached code (output is identical)"
-        );
         assert_ne!(fp, base.translation_fingerprint(&["tool=archer".into()]));
         assert_ne!(
             base.translation_fingerprint(&["ab".into()]),
@@ -396,21 +382,8 @@ mod tests {
     }
 
     #[test]
-    fn compile_threads_parse_and_resolve() {
-        // Flag absent: synchronous engine, regardless of core count.
-        let eng = resolve(&["p.c"]);
-        assert!(
-            eng.compile_threads == 0 || std::env::var_os("TG_COMPILE_THREADS").is_some(),
-            "no flag, no env: stay synchronous"
-        );
-        // Explicit count passes through.
-        let eng = resolve(&["--compile-threads=4", "p.c"]);
-        assert_eq!(eng.compile_threads, 4);
-        // Explicit 0 means auto: one worker per available core.
-        let eng = resolve(&["--compile-threads=0", "p.c"]);
-        assert_eq!(eng.compile_threads, resolve_thread_count(0));
-        assert!(eng.compile_threads >= 1);
-        // The shared helper backs --analysis-threads too.
+    fn analysis_threads_parse_and_resolve() {
+        // 0 means auto: one worker per available core.
         let o = opts(&["--analysis-threads=0", "p.c"]);
         assert_eq!(o.analysis_threads, resolve_thread_count(0));
         let o = opts(&["--analysis-threads=3", "p.c"]);

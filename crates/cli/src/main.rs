@@ -154,8 +154,8 @@ fn submit_request(o: &Opts, eng: &EngineConfig, name: &str, text: &str) -> Strin
         eng.chaining, eng.sweep, eng.bulk, eng.static_filter, eng.static_concurrency
     ));
     req.push_str(&format!(
-        ",\"streaming\":{},\"self_profile\":{},\"compile_threads\":{},\"max_live_segments\":{}",
-        eng.streaming, eng.self_profile, eng.compile_threads, eng.max_live_segments
+        ",\"streaming\":{},\"self_profile\":{},\"max_live_segments\":{}",
+        eng.streaming, eng.self_profile, eng.max_live_segments
     ));
     if let Some(n) = o.cache_blocks {
         req.push_str(&format!(",\"cache_blocks\":{n}"));

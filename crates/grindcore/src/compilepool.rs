@@ -1,53 +1,28 @@
-//! The background compile pool: a bounded job queue served by N worker
-//! threads, used to move host compilation (superblock fuse + flat
-//! compile) off the dispatch thread.
+//! A bounded job queue served by N worker threads.
 //!
-//! "Parallel Binary Code Analysis" (Meng et al.) shows per-block code
-//! construction parallelizes across host cores with near-linear
-//! speedup; Valgrind never exploits this because its dispatcher owns
-//! translation. Here the dispatch thread stays the only *producer* and
-//! the only *authority* over the translation cache's contents (insert,
-//! evict, discard); workers are pure functions from job to result that
-//! additionally *promote* already-inserted cache entries
-//! ([`crate::tcache::TransCache::install_compiled`]). That split is what
-//! keeps the tool-event stream and scheduler digest bit-identical to
-//! the synchronous engine: nothing a worker does is observable to the
-//! guest or the tool, only *when* dispatch switches a block from the
-//! tree-walk fallback to the compiled form — and the two engines are
-//! proven equivalent by the differential suite.
+//! Two users share it: `tgrind warm` fans its ahead-of-time precompile
+//! of a module's static CFG across the workers, and `tgrind serve` runs
+//! analysis jobs on them, using the queue bound as admission control.
+//! Run-time translation does not use it: the dispatch loop translates
+//! every block itself, Valgrind's pipeline, because moving the flat
+//! compile onto workers made cold start slower on a 2-core host
+//! (EXPERIMENTS.md E17, DESIGN.md §14).
 //!
-//! The pool is generic over job and result so `tgrind warm` can reuse
-//! it with a per-worker tool instance. The worker state is built *on*
-//! the worker thread by the `make_worker` factory, so it may be `!Send`
-//! (e.g. hold `Rc` internally) — only the factory itself crosses
-//! threads.
+//! The pool is generic over job and result. The worker state is built
+//! *on* the worker thread by the `make_worker` factory, so it may be
+//! `!Send` (e.g. a tool holding `Rc` internally) — only the factory
+//! itself crosses threads. Each worker names its thread and, when
+//! tracing is on, its timeline track `<name>.worker<i>`.
 //!
 //! Backpressure: the job queue is bounded. [`CompilePool::try_send`]
-//! returns the job back when the queue is full and the caller compiles
-//! inline — guest progress never blocks on a full queue either.
+//! returns the job back when the queue is full, so the caller decides
+//! what to do instead of blocking.
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-
-/// Queue-depth telemetry shared between the senders and the workers.
-struct Depth {
-    cur: AtomicU64,
-    peak: AtomicU64,
-}
-
-impl Depth {
-    fn push(&self) {
-        let d = self.cur.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak.fetch_max(d, Ordering::Relaxed);
-    }
-
-    fn pop(&self) {
-        self.cur.fetch_sub(1, Ordering::Relaxed);
-    }
-}
 
 /// A fixed set of worker threads draining a bounded job queue into an
 /// unbounded result queue. See the module docs for the role split.
@@ -56,7 +31,8 @@ pub struct CompilePool<J: Send + 'static, R: Send + 'static> {
     tx: Option<SyncSender<J>>,
     results: Receiver<R>,
     workers: Vec<JoinHandle<()>>,
-    depth: Arc<Depth>,
+    /// Jobs queued and not yet pulled by a worker.
+    depth: Arc<AtomicU64>,
 }
 
 impl<J: Send + 'static, R: Send + 'static> CompilePool<J, R> {
@@ -72,7 +48,7 @@ impl<J: Send + 'static, R: Send + 'static> CompilePool<J, R> {
         let (tx, jobs) = std::sync::mpsc::sync_channel::<J>(queue_cap.max(1));
         let (out, results) = std::sync::mpsc::channel::<R>();
         let jobs = Arc::new(Mutex::new(jobs));
-        let depth = Arc::new(Depth { cur: AtomicU64::new(0), peak: AtomicU64::new(0) });
+        let depth = Arc::new(AtomicU64::new(0));
         let make_worker = Arc::new(make_worker);
         let workers = (0..n)
             .map(|i| {
@@ -100,13 +76,13 @@ impl<J: Send + 'static, R: Send + 'static> CompilePool<J, R> {
                                 Ok(j) => j,
                                 Err(_) => break, // sender dropped: shutdown
                             };
-                            depth.pop();
+                            depth.fetch_sub(1, Ordering::Relaxed);
                             if out.send(work(job)).is_err() {
                                 break; // pool dropped mid-run
                             }
                         }
                     })
-                    .expect("spawn compile worker")
+                    .expect("spawn pool worker")
             })
             .collect();
         CompilePool { tx: Some(tx), results, workers, depth }
@@ -117,33 +93,19 @@ impl<J: Send + 'static, R: Send + 'static> CompilePool<J, R> {
     pub fn try_send(&self, job: J) -> Result<(), J> {
         // Count the job before it becomes visible to workers, so the
         // worker's decrement can never race ahead of the increment.
-        self.depth.push();
+        self.depth.fetch_add(1, Ordering::Relaxed);
         match self.tx.as_ref().expect("pool already shut down").try_send(job) {
             Ok(()) => Ok(()),
             Err(TrySendError::Full(j)) | Err(TrySendError::Disconnected(j)) => {
-                self.depth.pop();
+                self.depth.fetch_sub(1, Ordering::Relaxed);
                 Err(j)
             }
         }
     }
 
-    /// Results completed so far, without blocking.
-    pub fn try_drain(&self) -> Vec<R> {
-        let mut v = Vec::new();
-        while let Ok(r) = self.results.try_recv() {
-            v.push(r);
-        }
-        v
-    }
-
     /// Jobs currently queued (excluding jobs being worked on).
     pub fn queue_depth(&self) -> u64 {
-        self.depth.cur.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of the job queue over the pool's lifetime.
-    pub fn queue_depth_peak(&self) -> u64 {
-        self.depth.peak.load(Ordering::Relaxed)
+        self.depth.load(Ordering::Relaxed)
     }
 
     /// Stop accepting jobs, wait for the workers to finish everything
@@ -219,7 +181,6 @@ mod tests {
             }
         }
         assert!(rejected, "a bounded queue with a parked worker must fill");
-        assert!(pool.queue_depth_peak() >= 1);
         gate.store(1, Ordering::SeqCst);
         let got = pool.shutdown();
         assert!(!got.is_empty());

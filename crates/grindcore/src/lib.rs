@@ -44,6 +44,6 @@ pub use compilepool::CompilePool;
 pub use snapshot::{round_robin_next, ScheduleDirector, Snapshot};
 pub use tool::{BlockMeta, FnReplacement, SyncKind, Tool};
 pub use vm::{
-    AddrClass, CompileStats, ExecMode, Metrics, RunResult, SchedPolicy, ThreadStatus, Tid, Vm,
-    VmConfig, VmCore, VmError, VmStats,
+    translate, AddrClass, ExecMode, Metrics, RunResult, SchedPolicy, ThreadStatus, Tid,
+    Translation, Vm, VmConfig, VmCore, VmError, VmStats,
 };

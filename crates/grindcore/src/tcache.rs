@@ -1,4 +1,4 @@
-//! The bounded, sharded translation cache and superblock-chaining state.
+//! The bounded translation cache and superblock-chaining state.
 //!
 //! Valgrind keeps translated superblocks in a fixed-size code cache and
 //! *chains* them: once a block's exit has resolved to another cached
@@ -8,8 +8,8 @@
 //! machinery for the IR interpreter:
 //!
 //! * translations live in a slab of capacity-bounded **slots**; a
-//!   [`CacheRef`] (shard + slot + generation) names one and can be
-//!   validated in O(1) even after the slot was recycled;
+//!   [`CacheRef`] (slot + generation) names one and can be validated in
+//!   O(1) even after the slot was recycled;
 //! * each cached block carries one **chain-link** per exit (side exits
 //!   in order, fallthrough last) plus the reverse *pred* edges needed to
 //!   **unchain** it when either endpoint dies;
@@ -17,54 +17,36 @@
 //!   direct-mapped **indirect-branch target cache** keyed on
 //!   `(site, target)`, validated by generation so stale entries miss
 //!   instead of dangling;
-//! * eviction is **LRU-clock per shard**: every dispatch sets the
-//!   block's reference bit, the clock hand sweeps bits clear and evicts
-//!   the first unreferenced block, unchaining it from all neighbours;
+//! * eviction is **LRU-clock**: every dispatch sets the block's
+//!   reference bit, the clock hand sweeps bits clear and evicts the
+//!   first unreferenced block, unchaining it from all neighbours;
 //! * [`TransCache::discard_range`] invalidates every translation
 //!   overlapping a guest address range — the self-modifying-code /
-//!   `DISCARD_TRANSLATIONS` client-request path. Invalidation walks
-//!   every shard.
+//!   `DISCARD_TRANSLATIONS` client-request path.
 //!
-//! # Sharding and the compile pool
-//!
-//! The cache is split into N **shards** by a multiplicative hash of the
-//! block's base pc, each shard behind its own mutex with its own slot
-//! slab, clock hand, and IBTC. The dispatch thread probes and the
-//! background compile workers ([`crate::compilepool`]) install finished
-//! flat forms concurrently, each touching exactly one shard lock at a
-//! time. Lock discipline: **no path ever holds two shard locks**.
-//! Cross-shard operations (following a chain link, severing edges of an
-//! evicted block) lock shards strictly one after another and re-validate
-//! generations after every re-acquisition, so a block that died between
-//! two steps simply misses. Workers never insert or evict — they only
-//! *promote* an existing IR-only entry to its compiled form via
-//! [`TransCache::install_compiled`], and only when the entry still holds
-//! the exact `Arc<IrBlock>` the job was compiled from (pointer identity),
-//! so a block discarded and re-lifted in the meantime can never be
-//! served a stale compile.
+//! The cache belongs to one [`crate::vm::Vm`] and is only touched by its
+//! dispatch loop, so it is a plain struct: reads take `&self`, anything
+//! that inserts, evicts, links or marks a block recently used takes
+//! `&mut self`, and no path takes a lock.
 //!
 //! The invariant the chaining protocol maintains: **a link, pred edge,
 //! or IBTC entry never outlives its target unvalidated.** Links and pred
-//! edges are eagerly cleared on eviction (deferred shard-by-shard for
-//! cross-shard edges, with generation re-validation); IBTC entries are
-//! lazily invalidated by the generation check.
+//! edges are eagerly cleared on eviction; IBTC entries are lazily
+//! invalidated by the generation check.
 
 use crate::flat::FlatBlock;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use vex_ir::IrBlock;
 
-/// Number of entries in each shard's indirect-branch target cache
-/// (power of two).
+/// Number of entries in the indirect-branch target cache (power of two).
 const IBTC_ENTRIES: usize = 1024;
 
-/// A validated handle to a cached translation: shard + slot index plus
-/// the generation the slot had when the handle was issued. A handle is
-/// live iff the slot is occupied and the generations match.
+/// A validated handle to a cached translation: slot index plus the
+/// generation the slot had when the handle was issued. A handle is live
+/// iff the slot is occupied and the generations match.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheRef {
-    pub shard: u32,
     pub slot: u32,
     pub gen: u32,
 }
@@ -81,32 +63,19 @@ pub struct EvictStats {
     pub bytes: u64,
 }
 
-/// The form a probe found for a pc: the flat compiled block (chained
-/// dispatch), or — while a background compile is still in flight — the
-/// instrumented IR for the tree-walk fallback.
-pub enum CachedForm {
-    /// Compiled flat form: executable by the chained engine.
-    Flat(Arc<FlatBlock>),
-    /// IR only: the compile worker has not promoted this block yet (or
-    /// the reference engine inserted it). Run it through the tree-walk.
-    Ir(Arc<IrBlock>),
-}
-
 struct CachedBlock {
     /// The instrumented IR, absent only for blocks installed straight
     /// from the persistent code cache (which stores the flat form only;
     /// the chained engine never consults the IR).
     ir: Option<Arc<IrBlock>>,
-    /// Flat compiled form. Present from birth under the synchronous
-    /// chained engine; filled in later by [`TransCache::install_compiled`]
-    /// under the async compile pool; never present under the reference
-    /// engine.
+    /// Flat compiled form: present under the chained engine, absent
+    /// under the reference engine.
     flat: Option<Arc<FlatBlock>>,
     base: u64,
     /// One past the last guest byte the block's instructions cover.
     end: u64,
     /// Per-exit successor links: side exits in statement order, the
-    /// fallthrough exit last. Targets may live in any shard.
+    /// fallthrough exit last.
     links: Box<[Option<CacheRef>]>,
     /// Reverse edges: (pred handle, pred exit ordinal) of every link
     /// that points at this block. Needed to unchain on eviction; the
@@ -126,8 +95,8 @@ struct IbtcEntry {
     dst: CacheRef,
 }
 
-/// One shard: an independent slot slab with its own clock and IBTC.
-struct Shard {
+/// The translation cache: a slot slab with an LRU clock and an IBTC.
+pub struct TransCache {
     slots: Vec<Option<CachedBlock>>,
     /// Per-slot generation, bumped on eviction; survives slot recycling.
     gens: Vec<u32>,
@@ -136,164 +105,72 @@ struct Shard {
     free: Vec<u32>,
     len: usize,
     hand: usize,
+    /// Slot capacity (at least 2, so the clock always has a victim).
+    capacity: usize,
     ibtc: Vec<Option<IbtcEntry>>,
 }
 
-impl Shard {
-    fn new() -> Shard {
-        Shard {
+impl TransCache {
+    /// A cache holding at most `capacity` blocks (min 2).
+    pub fn new(capacity: usize) -> TransCache {
+        TransCache {
             slots: Vec::new(),
             gens: Vec::new(),
             map: HashMap::new(),
             free: Vec::new(),
             len: 0,
             hand: 0,
+            capacity: capacity.max(2),
             ibtc: vec![None; IBTC_ENTRIES],
         }
     }
 
-    fn is_live(&self, r: CacheRef) -> bool {
-        let i = r.slot as usize;
-        i < self.slots.len() && self.gens[i] == r.gen && self.slots[i].is_some()
-    }
-
-    fn alloc_slot(&mut self) -> u32 {
-        self.free.pop().unwrap_or_else(|| {
-            self.slots.push(None);
-            self.gens.push(0);
-            (self.slots.len() - 1) as u32
-        })
-    }
-}
-
-/// Cross-shard edge fixups collected while a shard lock was held,
-/// applied one shard lock at a time after release.
-#[derive(Default)]
-struct Deferred {
-    /// `(pred, exit, victim)`: clear `pred.links[exit]` if it still
-    /// points at `victim`.
-    preds: Vec<(CacheRef, u32, CacheRef)>,
-    /// `(target, victim)`: drop `victim`'s pred edges from `target`.
-    succs: Vec<(CacheRef, CacheRef)>,
-}
-
-/// The sharded translation cache. All methods take `&self`; each shard
-/// is independently locked, so the dispatch thread and the compile
-/// workers operate concurrently without a global lock.
-pub struct TransCache {
-    shards: Box<[Mutex<Shard>]>,
-    /// Per-shard slot capacity (total capacity divided up, min 2).
-    shard_capacity: usize,
-}
-
-impl TransCache {
-    /// A single-shard cache holding at most `capacity` blocks — the
-    /// synchronous engine's configuration, byte-for-byte the historical
-    /// eviction behavior.
-    pub fn new(capacity: usize) -> TransCache {
-        TransCache::with_shards(capacity, 1)
-    }
-
-    /// A cache of `n_shards` shards (min 1) sharing `capacity` slots as
-    /// evenly as the ceiling division allows (each shard keeps at least
-    /// 2 so the per-shard clock always has a victim).
-    pub fn with_shards(capacity: usize, n_shards: usize) -> TransCache {
-        let n = n_shards.max(1);
-        let shard_capacity = (capacity.max(2)).div_ceil(n).max(2);
-        TransCache { shards: (0..n).map(|_| Mutex::new(Shard::new())).collect(), shard_capacity }
-    }
-
-    /// Which shard `pc` lives in.
-    #[inline]
-    fn shard_of(&self, pc: u64) -> u32 {
-        if self.shards.len() == 1 {
-            return 0;
-        }
-        let h = pc.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        (h % self.shards.len() as u64) as u32
-    }
-
-    /// Number of shards.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Resident blocks across all shards.
+    /// Resident blocks.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len).sum()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
-    /// Total slot capacity (sum of per-shard capacities).
-    pub fn capacity(&self) -> usize {
-        self.shard_capacity * self.shards.len()
+    /// The block `r` names, if the handle is still valid.
+    fn block(&self, r: CacheRef) -> Option<&CachedBlock> {
+        let i = r.slot as usize;
+        if self.gens.get(i) != Some(&r.gen) {
+            return None;
+        }
+        self.slots[i].as_ref()
+    }
+
+    fn block_mut(&mut self, r: CacheRef) -> Option<&mut CachedBlock> {
+        let i = r.slot as usize;
+        if self.gens.get(i) != Some(&r.gen) {
+            return None;
+        }
+        self.slots[i].as_mut()
     }
 
     /// Is the handle still valid (occupied slot, matching generation)?
     pub fn is_live(&self, r: CacheRef) -> bool {
-        match self.shards.get(r.shard as usize) {
-            Some(s) => s.lock().is_live(r),
-            None => false,
-        }
+        self.block(r).is_some()
     }
 
     /// Dispatcher probe: find the translation for `pc` and mark it
     /// recently used.
-    pub fn lookup(&self, pc: u64) -> Option<CacheRef> {
-        let shard = self.shard_of(pc);
-        let mut s = self.shards[shard as usize].lock();
-        let slot = *s.map.get(&pc)?;
-        let gen = s.gens[slot as usize];
-        let b = s.slots[slot as usize].as_mut().expect("map points at empty slot");
+    pub fn lookup(&mut self, pc: u64) -> Option<CacheRef> {
+        let slot = *self.map.get(&pc)?;
+        let b = self.slots[slot as usize].as_mut()?;
         b.referenced = true;
-        Some(CacheRef { shard, slot, gen })
+        Some(CacheRef { slot, gen: self.gens[slot as usize] })
     }
 
-    /// Probe returning the executable form too: the flat block when the
-    /// translation is compiled, the IR when a background compile is
-    /// still pending (or the reference engine inserted it). Marks the
-    /// block recently used.
-    pub fn probe(&self, pc: u64) -> Option<(CacheRef, CachedForm)> {
-        let shard = self.shard_of(pc);
-        let mut s = self.shards[shard as usize].lock();
-        let slot = *s.map.get(&pc)?;
-        let gen = s.gens[slot as usize];
-        let b = s.slots[slot as usize].as_mut().expect("map points at empty slot");
-        b.referenced = true;
-        let form = match &b.flat {
-            Some(f) => CachedForm::Flat(f.clone()),
-            None => CachedForm::Ir(b.ir.clone().expect("cached block with neither IR nor flat")),
-        };
-        Some((CacheRef { shard, slot, gen }, form))
-    }
-
-    /// Chain-hit path: validate `r` against `pc` and hand out the IR
-    /// without touching the hash map. Returns `None` when the handle is
-    /// stale (evicted/discarded) or resolves to a different block.
-    pub fn take_for(&self, r: CacheRef, pc: u64) -> Option<Arc<IrBlock>> {
-        let mut s = self.shards.get(r.shard as usize)?.lock();
-        if !s.is_live(r) {
-            return None;
-        }
-        let b = s.slots[r.slot as usize].as_mut().unwrap();
-        if b.base != pc {
-            return None;
-        }
-        b.referenced = true;
-        b.ir.clone()
-    }
-
-    /// [`Self::take_for`] for the chained engine: hands out the flat
-    /// compiled form instead of the IR.
-    pub fn take_flat_for(&self, r: CacheRef, pc: u64) -> Option<Arc<FlatBlock>> {
-        let mut s = self.shards.get(r.shard as usize)?.lock();
-        if !s.is_live(r) {
-            return None;
-        }
-        let b = s.slots[r.slot as usize].as_mut().unwrap();
+    /// Validate `r` against `pc`, mark the block recently used and hand
+    /// out its flat compiled form. Returns `None` when the handle is
+    /// stale (evicted/discarded), resolves to a different block, or the
+    /// block has no flat form (reference engine).
+    pub fn take_flat_for(&mut self, r: CacheRef, pc: u64) -> Option<Arc<FlatBlock>> {
+        let b = self.block_mut(r)?;
         if b.base != pc {
             return None;
         }
@@ -306,40 +183,18 @@ impl TransCache {
     /// carry no IR — only the reference engine calls this, and the code
     /// cache is chaining-gated, so the two never meet.
     pub fn ir_of(&self, r: CacheRef) -> Arc<IrBlock> {
-        self.shards[r.shard as usize].lock().slots[r.slot as usize]
-            .as_ref()
+        self.block(r)
             .expect("stale CacheRef")
             .ir
             .clone()
             .expect("block installed from the code cache has no IR")
     }
 
-    /// The flat form of a live handle; panics if the block was inserted
-    /// without one (i.e. by the reference engine).
-    pub fn flat_of(&self, r: CacheRef) -> Arc<FlatBlock> {
-        self.shards[r.shard as usize].lock().slots[r.slot as usize]
-            .as_ref()
-            .expect("stale CacheRef")
-            .flat
-            .clone()
-            .expect("block cached without a flat form")
-    }
-
-    /// Number of link slots (side exits + fallthrough) of a live block.
-    pub fn n_exits(&self, r: CacheRef) -> u32 {
-        self.shards[r.shard as usize].lock().slots[r.slot as usize]
-            .as_ref()
-            .expect("stale CacheRef")
-            .links
-            .len() as u32
-    }
-
-    /// Insert a fresh translation, evicting one block of its shard if
-    /// that shard is at capacity. `flat` carries the chained engine's
-    /// compiled form (None under the reference engine, and under the
-    /// async compile pool until the worker promotes the block).
+    /// Insert a fresh translation, evicting one block if the cache is at
+    /// capacity. `flat` carries the chained engine's compiled form (None
+    /// under the reference engine).
     pub fn insert(
-        &self,
+        &mut self,
         ir: Arc<IrBlock>,
         flat: Option<Arc<FlatBlock>>,
         bytes: u64,
@@ -364,7 +219,7 @@ impl TransCache {
     /// link count mirrors `insert`'s `side_exit_count() + 1` via the
     /// flat block's exit table.
     pub fn insert_flat(
-        &self,
+        &mut self,
         flat: Arc<FlatBlock>,
         end: u64,
         bytes: u64,
@@ -383,126 +238,64 @@ impl TransCache {
         })
     }
 
-    fn insert_block(&self, b: CachedBlock) -> (CacheRef, EvictStats) {
-        let shard = self.shard_of(b.base);
+    fn insert_block(&mut self, b: CachedBlock) -> (CacheRef, EvictStats) {
         let mut ev = EvictStats::default();
-        let mut deferred = Deferred::default();
-        let r = {
-            let mut s = self.shards[shard as usize].lock();
-            if s.len >= self.shard_capacity {
-                Self::evict_one(shard, &mut s, &mut ev, &mut deferred);
-            }
-            let slot = s.alloc_slot();
-            s.map.insert(b.base, slot);
-            s.slots[slot as usize] = Some(b);
-            s.len += 1;
-            CacheRef { shard, slot, gen: s.gens[slot as usize] }
-        };
-        self.apply_deferred(deferred, &mut ev);
-        (r, ev)
-    }
-
-    /// Promote an IR-only entry to its compiled flat form — the compile
-    /// worker's install path. Succeeds only when the entry for the IR's
-    /// base pc still holds *this exact* `Arc<IrBlock>` (pointer
-    /// identity): a block discarded (SMC) and re-lifted in the meantime
-    /// holds a different allocation, so the stale compile is dropped.
-    /// Returns whether the flat form was installed.
-    pub fn install_compiled(&self, ir: &Arc<IrBlock>, flat: Arc<FlatBlock>) -> bool {
-        let base = ir.extent().0;
-        let shard = self.shard_of(base);
-        let mut s = self.shards[shard as usize].lock();
-        let Some(&slot) = s.map.get(&base) else { return false };
-        let b = s.slots[slot as usize].as_mut().expect("map points at empty slot");
-        match &b.ir {
-            Some(cur) if Arc::ptr_eq(cur, ir) && b.flat.is_none() => {
-                b.flat = Some(flat);
-                true
-            }
-            _ => false,
+        if self.len >= self.capacity {
+            self.evict_one(&mut ev);
         }
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            self.gens.push(0);
+            (self.slots.len() - 1) as u32
+        });
+        self.map.insert(b.base, slot);
+        self.slots[slot as usize] = Some(b);
+        self.len += 1;
+        (CacheRef { slot, gen: self.gens[slot as usize] }, ev)
     }
 
     /// The whole chain-hit fast path in one pass: follow the link for
     /// exit `exit` of `from` to a live block based at `pc`, marking it
     /// recently used. Hands out the flat form (chained engine only).
-    /// Two shard locks taken strictly in sequence, never together; the
-    /// target's generation re-validates after the handoff.
     #[inline]
-    pub fn follow(&self, from: CacheRef, exit: u32, pc: u64) -> Option<(CacheRef, Arc<FlatBlock>)> {
-        let l = {
-            let s = self.shards.get(from.shard as usize)?.lock();
-            let fi = from.slot as usize;
-            if fi >= s.slots.len() || s.gens[fi] != from.gen {
-                return None;
-            }
-            (*s.slots[fi].as_ref()?.links.get(exit as usize)?)?
-        };
-        let mut s = self.shards.get(l.shard as usize)?.lock();
-        if !s.is_live(l) {
-            return None;
-        }
-        let b = s.slots[l.slot as usize].as_mut().unwrap();
-        if b.base != pc {
-            return None;
-        }
-        b.referenced = true;
-        Some((l, b.flat.clone()?))
+    pub fn follow(
+        &mut self,
+        from: CacheRef,
+        exit: u32,
+        pc: u64,
+    ) -> Option<(CacheRef, Arc<FlatBlock>)> {
+        let l = (*self.block(from)?.links.get(exit as usize)?)?;
+        Some((l, self.take_flat_for(l, pc)?))
     }
 
     /// The existing chain link for exit `exit` of `from`, if both ends
     /// are still live.
     pub fn link_of(&self, from: CacheRef, exit: u32) -> Option<CacheRef> {
-        let l = {
-            let s = self.shards.get(from.shard as usize)?.lock();
-            if !s.is_live(from) {
-                return None;
-            }
-            (*s.slots[from.slot as usize].as_ref().unwrap().links.get(exit as usize)?)?
-        };
-        if self.is_live(l) {
-            Some(l)
-        } else {
-            None
-        }
+        let l = (*self.block(from)?.links.get(exit as usize)?)?;
+        self.is_live(l).then_some(l)
     }
 
     /// Patch exit `exit` of `from` to jump directly to `to`. Returns
     /// `false` when either handle is stale or the link already exists.
-    pub fn link(&self, from: CacheRef, exit: u32, to: CacheRef) -> bool {
-        // Only the dispatch thread links (workers just promote), so the
-        // sequence of single-shard critical sections below cannot
-        // interleave with an eviction; generations are still checked at
-        // every step so a stale handle simply fails.
+    pub fn link(&mut self, from: CacheRef, exit: u32, to: CacheRef) -> bool {
         if !self.is_live(to) {
             return false;
         }
-        let old = {
-            let mut s = self.shards[from.shard as usize].lock();
-            if !s.is_live(from) {
-                return false;
-            }
-            let fb = s.slots[from.slot as usize].as_mut().unwrap();
-            let Some(slot_ref) = fb.links.get_mut(exit as usize) else { return false };
-            match *slot_ref {
-                Some(old) if old == to => return false,
-                old => {
-                    *slot_ref = Some(to);
-                    old
-                }
+        let Some(fb) = self.block_mut(from) else { return false };
+        let Some(slot_ref) = fb.links.get_mut(exit as usize) else { return false };
+        let old = match *slot_ref {
+            Some(old) if old == to => return false,
+            old => {
+                *slot_ref = Some(to);
+                old
             }
         };
         // Re-link: drop the stale pred edge from the old target.
-        if let Some(old) = old {
-            let mut s = self.shards[old.shard as usize].lock();
-            if s.is_live(old) {
-                let ob = s.slots[old.slot as usize].as_mut().unwrap();
-                ob.preds.retain(|&(p, e)| !(p == from && e == exit));
-            }
+        if let Some(ob) = old.and_then(|old| self.block_mut(old)) {
+            ob.preds.retain(|&(p, e)| !(p == from && e == exit));
         }
-        let mut s = self.shards[to.shard as usize].lock();
-        if s.is_live(to) {
-            s.slots[to.slot as usize].as_mut().unwrap().preds.push((from, exit));
+        if let Some(tb) = self.block_mut(to) {
+            tb.preds.push((from, exit));
         }
         true
     }
@@ -513,31 +306,22 @@ impl TransCache {
     }
 
     /// Look up an indirect transfer `(site, target)`; stale entries miss.
-    /// The entry lives in the *target's* shard, so its destination block
-    /// validates under the same lock.
     pub fn ibtc_lookup(&self, site: u64, target: u64) -> Option<CacheRef> {
-        let shard = self.shard_of(target);
-        let s = self.shards[shard as usize].lock();
-        let e = s.ibtc[Self::ibtc_index(site, target)]?;
-        if e.site != site || e.target != target || e.dst.shard != shard || !s.is_live(e.dst) {
-            return None;
-        }
-        if s.slots[e.dst.slot as usize].as_ref().unwrap().base != target {
+        let e = self.ibtc[Self::ibtc_index(site, target)]?;
+        if e.site != site || e.target != target || self.block(e.dst)?.base != target {
             return None;
         }
         Some(e.dst)
     }
 
     /// Fill (or overwrite) the IBTC entry for `(site, target)`.
-    pub fn ibtc_insert(&self, site: u64, target: u64, dst: CacheRef) {
-        let shard = self.shard_of(target);
-        let mut s = self.shards[shard as usize].lock();
-        s.ibtc[Self::ibtc_index(site, target)] = Some(IbtcEntry { site, target, dst });
+    pub fn ibtc_insert(&mut self, site: u64, target: u64, dst: CacheRef) {
+        self.ibtc[Self::ibtc_index(site, target)] = Some(IbtcEntry { site, target, dst });
     }
 
-    /// Clock sweep of one shard (its lock held by the caller).
-    fn evict_one(shard: u32, s: &mut Shard, ev: &mut EvictStats, deferred: &mut Deferred) {
-        let n = s.slots.len();
+    /// Clock sweep: evict the first unreferenced block.
+    fn evict_one(&mut self, ev: &mut EvictStats) {
+        let n = self.slots.len();
         if n == 0 {
             return;
         }
@@ -546,14 +330,14 @@ impl TransCache {
         // unreferenced victim must exist.
         let mut steps = 0;
         while steps <= 2 * n {
-            let i = s.hand;
-            s.hand = (s.hand + 1) % n;
+            let i = self.hand;
+            self.hand = (self.hand + 1) % n;
             steps += 1;
-            if let Some(b) = s.slots[i].as_mut() {
+            if let Some(b) = self.slots[i].as_mut() {
                 if b.referenced {
                     b.referenced = false;
                 } else {
-                    Self::evict_slot(shard, s, i as u32, ev, deferred);
+                    self.evict_slot(i as u32, ev);
                     return;
                 }
             }
@@ -562,74 +346,37 @@ impl TransCache {
         unreachable!("clock sweep found no victim");
     }
 
-    /// Remove one block of `s` (lock held), severing same-shard chain
-    /// links inline and queueing cross-shard ones on `deferred`.
-    fn evict_slot(shard: u32, s: &mut Shard, slot: u32, ev: &mut EvictStats, d: &mut Deferred) {
-        let b = s.slots[slot as usize].take().expect("evicting empty slot");
+    /// Remove one occupied slot, severing its chain links in both
+    /// directions.
+    fn evict_slot(&mut self, slot: u32, ev: &mut EvictStats) {
+        let Some(b) = self.slots[slot as usize].take() else { return };
         if tg_obs::trace::enabled() {
             tg_obs::trace::instant(
                 "evict",
                 tg_obs::trace::PID_HOST,
                 tg_obs::trace::host_tid(),
-                vec![("base", b.base), ("resident", s.len as u64 - 1)],
+                vec![("base", b.base), ("resident", self.len as u64 - 1)],
             );
         }
-        s.map.remove(&b.base);
-        let gen = s.gens[slot as usize].wrapping_add(1);
-        s.gens[slot as usize] = gen;
-        s.free.push(slot);
-        s.len -= 1;
+        self.map.remove(&b.base);
+        let victim = CacheRef { slot, gen: self.gens[slot as usize] };
+        self.gens[slot as usize] = victim.gen.wrapping_add(1);
+        self.free.push(slot);
+        self.len -= 1;
         ev.evicted += 1;
         ev.bytes += b.bytes;
-        let victim = CacheRef { shard, slot, gen: gen.wrapping_sub(1) };
         // Incoming links: predecessors must stop jumping here.
         for &(p, exit) in &b.preds {
-            if p.shard == shard {
-                if s.is_live(p) {
-                    let pb = s.slots[p.slot as usize].as_mut().unwrap();
-                    if let Some(l) = pb.links.get_mut(exit as usize) {
-                        if matches!(*l, Some(r) if r == victim) {
-                            *l = None;
-                            ev.unchained += 1;
-                        }
-                    }
+            if let Some(l) = self.block_mut(p).and_then(|pb| pb.links.get_mut(exit as usize)) {
+                if *l == Some(victim) {
+                    *l = None;
+                    ev.unchained += 1;
                 }
-            } else {
-                d.preds.push((p, exit, victim));
             }
         }
         // Outgoing links: targets must forget this predecessor.
-        for l in b.links.iter().flatten() {
-            if l.shard == shard {
-                if s.is_live(*l) {
-                    let tb = s.slots[l.slot as usize].as_mut().unwrap();
-                    tb.preds.retain(|&(p, _)| p != victim);
-                    ev.unchained += 1;
-                }
-            } else {
-                d.succs.push((*l, victim));
-            }
-        }
-    }
-
-    /// Apply cross-shard edge fixups, one shard lock at a time.
-    fn apply_deferred(&self, d: Deferred, ev: &mut EvictStats) {
-        for (p, exit, victim) in d.preds {
-            let mut s = self.shards[p.shard as usize].lock();
-            if s.is_live(p) {
-                let pb = s.slots[p.slot as usize].as_mut().unwrap();
-                if let Some(l) = pb.links.get_mut(exit as usize) {
-                    if matches!(*l, Some(r) if r == victim) {
-                        *l = None;
-                        ev.unchained += 1;
-                    }
-                }
-            }
-        }
-        for (t, victim) in d.succs {
-            let mut s = self.shards[t.shard as usize].lock();
-            if s.is_live(t) {
-                let tb = s.slots[t.slot as usize].as_mut().unwrap();
+        for &l in b.links.iter().flatten() {
+            if let Some(tb) = self.block_mut(l) {
                 tb.preds.retain(|&(p, _)| p != victim);
                 ev.unchained += 1;
             }
@@ -637,54 +384,34 @@ impl TransCache {
     }
 
     /// Invalidate every translation overlapping `[lo, hi)` — the
-    /// self-modifying-code / `DISCARD_TRANSLATIONS` path. Walks every
-    /// shard; each shard's victims are evicted under its own lock, with
-    /// cross-shard unchaining applied between shards.
-    pub fn discard_range(&self, lo: u64, hi: u64) -> EvictStats {
+    /// self-modifying-code / `DISCARD_TRANSLATIONS` path.
+    pub fn discard_range(&mut self, lo: u64, hi: u64) -> EvictStats {
         let mut ev = EvictStats::default();
         if lo >= hi {
             return ev;
         }
-        for shard in 0..self.shards.len() as u32 {
-            let mut deferred = Deferred::default();
-            {
-                let mut s = self.shards[shard as usize].lock();
-                let victims: Vec<u32> = s
-                    .slots
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, sl)| {
-                        let b = sl.as_ref()?;
-                        (b.base < hi && b.end > lo).then_some(i as u32)
-                    })
-                    .collect();
-                for v in victims {
-                    Self::evict_slot(shard, &mut s, v, &mut ev, &mut deferred);
-                }
-            }
-            self.apply_deferred(deferred, &mut ev);
+        let victims: Vec<u32> = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, sl)| {
+                let b = sl.as_ref()?;
+                (b.base < hi && b.end > lo).then_some(i as u32)
+            })
+            .collect();
+        for v in victims {
+            self.evict_slot(v, &mut ev);
         }
         ev
     }
 
     /// Drop everything (used by tests; keeps generations monotonic).
-    pub fn clear(&self) -> EvictStats {
+    pub fn clear(&mut self) -> EvictStats {
         let mut ev = EvictStats::default();
-        for shard in 0..self.shards.len() as u32 {
-            let mut deferred = Deferred::default();
-            {
-                let mut s = self.shards[shard as usize].lock();
-                let victims: Vec<u32> =
-                    (0..s.slots.len() as u32).filter(|&i| s.slots[i as usize].is_some()).collect();
-                for v in victims {
-                    Self::evict_slot(shard, &mut s, v, &mut ev, &mut deferred);
-                }
-                for e in s.ibtc.iter_mut() {
-                    *e = None;
-                }
-            }
-            self.apply_deferred(deferred, &mut ev);
+        for v in 0..self.slots.len() as u32 {
+            self.evict_slot(v, &mut ev);
         }
+        self.ibtc.fill(None);
         ev
     }
 }
@@ -710,19 +437,21 @@ mod tests {
 
     #[test]
     fn insert_lookup_and_generation_validation() {
-        let c = TransCache::new(4);
-        let (r, _) = c.insert(block(0x1000, 0), None, 64);
+        let mut c = TransCache::new(4);
+        let ir = block(0x1000, 0);
+        let flat = Arc::new(crate::flat::compile(&ir));
+        let (r, _) = c.insert(ir, Some(flat), 64);
         assert_eq!(c.lookup(0x1000), Some(r));
         assert_eq!(c.lookup(0x2000), None);
-        assert!(c.take_for(r, 0x1000).is_some());
-        assert!(c.take_for(r, 0x1010).is_none(), "wrong pc must miss");
+        assert!(c.take_flat_for(r, 0x1000).is_some());
+        assert!(c.take_flat_for(r, 0x1010).is_none(), "wrong pc must miss");
         let stale = CacheRef { gen: r.gen.wrapping_add(1), ..r };
-        assert!(c.take_for(stale, 0x1000).is_none(), "wrong generation must miss");
+        assert!(c.take_flat_for(stale, 0x1000).is_none(), "wrong generation must miss");
     }
 
     #[test]
     fn capacity_bound_holds_and_eviction_unchains() {
-        let c = TransCache::new(2);
+        let mut c = TransCache::new(2);
         let (a, _) = c.insert(block(0x1000, 0), None, 64);
         let (b, _) = c.insert(block(0x2000, 0), None, 64);
         assert!(c.link(a, 0, b), "fallthrough link a→b");
@@ -738,7 +467,7 @@ mod tests {
 
     #[test]
     fn relink_replaces_pred_edge() {
-        let c = TransCache::new(8);
+        let mut c = TransCache::new(8);
         let (a, _) = c.insert(block(0x1000, 1), None, 64);
         let (b, _) = c.insert(block(0x2000, 0), None, 64);
         let (d, _) = c.insert(block(0x3000, 0), None, 64);
@@ -754,7 +483,7 @@ mod tests {
 
     #[test]
     fn self_link_survives_and_dies_with_the_block() {
-        let c = TransCache::new(4);
+        let mut c = TransCache::new(4);
         let (a, _) = c.insert(block(0x1000, 0), None, 64);
         assert!(c.link(a, 0, a), "tight loop: block chains to itself");
         assert_eq!(c.link_of(a, 0), Some(a));
@@ -765,7 +494,7 @@ mod tests {
 
     #[test]
     fn discard_range_hits_overlapping_blocks_only() {
-        let c = TransCache::new(8);
+        let mut c = TransCache::new(8);
         let (a, _) = c.insert(block(0x1000, 0), None, 64);
         let (b, _) = c.insert(block(0x2000, 0), None, 64);
         let ev = c.discard_range(0x1008, 0x1009);
@@ -777,7 +506,7 @@ mod tests {
 
     #[test]
     fn ibtc_round_trip_and_staleness() {
-        let c = TransCache::new(4);
+        let mut c = TransCache::new(4);
         let (a, _) = c.insert(block(0x1000, 0), None, 64);
         c.ibtc_insert(0x5000, 0x1000, a);
         assert_eq!(c.ibtc_lookup(0x5000, 0x1000), Some(a));
@@ -791,7 +520,7 @@ mod tests {
 
     #[test]
     fn clock_eviction_prefers_unreferenced_blocks() {
-        let c = TransCache::new(3);
+        let mut c = TransCache::new(3);
         let (a, _) = c.insert(block(0x1000, 0), None, 64);
         let (_b, _) = c.insert(block(0x2000, 0), None, 64);
         let (_d, _) = c.insert(block(0x3000, 0), None, 64);
@@ -805,72 +534,5 @@ mod tests {
             let (_g, _) = c.insert(block(0x6000, 0), None, 64);
             assert!(c.len() <= 3);
         }
-    }
-
-    /// Drive enough distinct bases through a 4-shard cache that at
-    /// least two shards are populated, then check cross-shard links
-    /// sever correctly on eviction from either end.
-    #[test]
-    fn cross_shard_links_unchain_from_both_ends() {
-        let c = TransCache::with_shards(64, 4);
-        // Find two bases living in different shards.
-        let refs: Vec<(u64, CacheRef)> = (0..32u64)
-            .map(|i| {
-                let base = 0x1000 + i * 0x100;
-                (base, c.insert(block(base, 0), None, 64).0)
-            })
-            .collect();
-        let (&(ba, a), &(bb, b)) = {
-            let first = &refs[0];
-            let other = refs
-                .iter()
-                .find(|(_, r)| r.shard != first.1.shard)
-                .expect("32 bases must span >1 of 4 shards");
-            (first, other)
-        };
-        assert_ne!(a.shard, b.shard);
-        assert!(c.link(a, 0, b), "cross-shard link installs");
-        assert_eq!(c.link_of(a, 0), Some(b));
-
-        // Evict the target: the pred's link must be severed.
-        let ev = c.discard_range(bb, bb + 1);
-        assert_eq!(ev.evicted, 1);
-        assert!(ev.unchained >= 1, "cross-shard unchain on target death");
-        assert_eq!(c.link_of(a, 0), None);
-
-        // Rebuild the target, link the other way, kill the *source*.
-        let (b2, _) = c.insert(block(bb, 0), None, 64);
-        assert!(c.link(b2, 0, a));
-        let ev = c.discard_range(bb, bb + 1);
-        assert_eq!(ev.evicted, 1);
-        // `a` must no longer carry a pred edge from the dead source: a
-        // fresh block recycling the source slot must not be able to
-        // sever links it never made. (Exercised indirectly: discarding
-        // `a` now must not try to unchain a stale pred.)
-        let ev = c.discard_range(ba, ba + 1);
-        assert_eq!(ev.evicted, 1);
-    }
-
-    /// The worker install path: promotion fills the flat form exactly
-    /// once, and only while the entry still holds the same IR Arc.
-    #[test]
-    fn install_compiled_promotes_only_matching_ir() {
-        let c = TransCache::with_shards(16, 2);
-        let ir = block(0x1000, 0);
-        let (r, _) = c.insert(ir.clone(), None, 64);
-        assert!(c.take_flat_for(r, 0x1000).is_none(), "not compiled yet");
-
-        let flat = Arc::new(crate::flat::compile(&ir));
-        assert!(c.install_compiled(&ir, flat.clone()), "first install succeeds");
-        assert!(!c.install_compiled(&ir, flat.clone()), "second install is a no-op");
-        assert!(c.take_flat_for(r, 0x1000).is_some(), "promoted block serves its flat form");
-
-        // Discard + re-lift: the old job's IR is a different allocation,
-        // so its (now stale) compile must be dropped.
-        c.discard_range(0x1000, 0x1010);
-        let ir2 = block(0x1000, 0);
-        let (r2, _) = c.insert(ir2.clone(), None, 64);
-        assert!(!c.install_compiled(&ir, flat), "stale IR must not promote");
-        assert!(c.take_flat_for(r2, 0x1000).is_none());
     }
 }

@@ -11,9 +11,8 @@
 //! native scheduling, and the runtime's own scheduling state is guest
 //! memory like any other.
 
-use crate::compilepool::CompilePool;
 use crate::flat::{FDirty, FMemCb, FOp, FlatBlock, TMP_BIT};
-use crate::lift::lift_superblock;
+use crate::lift::{lift_superblock, LiftError};
 use crate::mem::GuestMemory;
 use crate::syscalls;
 use crate::tcache::{CacheRef, TransCache};
@@ -84,22 +83,10 @@ pub struct VmConfig {
     /// Capacity of the bounded translation cache, in superblocks.
     /// Evictions use an LRU-clock sweep and unchain the victim.
     pub cache_blocks: usize,
-    /// Background compile workers (chained engine only). 0 = compile
-    /// synchronously on the dispatch thread, the classic Valgrind
-    /// pipeline. With N > 0, translation-cache misses enqueue the
-    /// instrumented IR on a bounded queue and dispatch immediately runs
-    /// the block through the tree-walk reference engine until the
-    /// worker promotes it to the compiled flat form — guest progress
-    /// never blocks on host compilation. Results are bit-identical
-    /// either way (the differential suite proves it): compilation is a
-    /// pure function of guest code, and the two engines are themselves
-    /// proven equivalent.
+    /// Unread: translation always runs on the dispatch thread. Kept
+    /// only because `tgbench` names this field.
+    #[doc(hidden)]
     pub compile_threads: usize,
-    /// Translation-cache shards. 0 = auto: 1 shard when compiling
-    /// synchronously (exactly the historical single-lock behavior), 8
-    /// when a compile pool is active so workers install blocks while
-    /// dispatch probes without contention.
-    pub cache_shards: usize,
     /// Sample executed-op budget per guest function (the tg-obs
     /// self-profiler); results land in [`Metrics::profile`]. One
     /// `Option` check per superblock when off.
@@ -119,7 +106,6 @@ impl Default for VmConfig {
             chaining: true,
             cache_blocks: 4096,
             compile_threads: 0,
-            cache_shards: 0,
             self_profile: false,
         }
     }
@@ -203,43 +189,6 @@ pub struct VmStats {
     pub discard_requests: u64,
 }
 
-/// Background compile-pool telemetry (all zero when compiling
-/// synchronously, i.e. [`VmConfig::compile_threads`] = 0).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CompileStats {
-    /// Worker threads the pool ran with (0 = synchronous engine).
-    pub workers: u64,
-    /// Superblocks handed to the background queue.
-    pub queued: u64,
-    /// Compiles run inline on the dispatch thread because the queue
-    /// was full (backpressure never blocks the guest).
-    pub inline_compiles: u64,
-    /// Blocks executed through the tree-walk fallback while their
-    /// compile was still in flight — the measure of how much guest
-    /// progress overlapped host compilation.
-    pub fallback_executions: u64,
-    /// High-water mark of the compile queue.
-    pub queue_depth_peak: u64,
-    /// Worker compiles promoted into the translation cache.
-    pub installed: u64,
-    /// Worker compiles dropped because the block was evicted or
-    /// discarded (SMC) before the result landed.
-    pub stale: u64,
-}
-
-impl CompileStats {
-    /// Publish every compile-pool counter into `reg` under `compile.*`.
-    pub fn publish(&self, reg: &mut tg_obs::Registry) {
-        reg.set_u64("compile.workers", self.workers);
-        reg.set_u64("compile.queued", self.queued);
-        reg.set_u64("compile.inline", self.inline_compiles);
-        reg.set_u64("compile.fallback_executions", self.fallback_executions);
-        reg.set_u64("compile.queue_depth", self.queue_depth_peak);
-        reg.set_u64("compile.installed", self.installed);
-        reg.set_u64("compile.stale", self.stale);
-    }
-}
-
 /// Execution counters, reported in every [`RunResult`].
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
@@ -263,8 +212,6 @@ pub struct Metrics {
     pub tool_bytes: u64,
     /// Dispatch-loop telemetry (chaining, probes, evictions).
     pub dispatch: VmStats,
-    /// Background compile-pool telemetry (zeros when synchronous).
-    pub compile: CompileStats,
     /// FNV-1a digest folded over every scheduler slice grant — two runs
     /// scheduled identically have equal digests. Used by the chaining
     /// determinism tests.
@@ -310,7 +257,6 @@ impl Metrics {
         reg.set_u64("vm.tool_bytes", self.tool_bytes);
         reg.set_u64("vm.sched_digest", self.sched_digest);
         self.dispatch.publish(reg);
-        self.compile.publish(reg);
         reg.set_bool("cache.enabled", self.cache.enabled);
         reg.set_u64("cache.hits", self.cache.hits);
         reg.set_u64("cache.misses", self.cache.misses);
@@ -558,37 +504,62 @@ enum Pending {
     Ibtc { site: u64 },
 }
 
-/// A unit of work for the background compile pool: the instrumented IR
-/// of one superblock, already inserted into the translation cache as an
-/// IR-only entry (insert-before-send: the worker's promotion must find
-/// it). `epoch` stamps the discard counter at enqueue time so stale
-/// results never reach the persistent code cache.
-struct CompileJob {
-    ir: Arc<IrBlock>,
-    end: u64,
-    bytes: u64,
-    epoch: u64,
+/// One superblock through the translation pipeline.
+pub struct Translation {
+    /// The instrumented IR.
+    pub ir: IrBlock,
+    /// The flat compiled form, when [`translate`] was asked for it.
+    pub flat: Option<Arc<FlatBlock>>,
+    /// One past the last guest byte the block covers.
+    pub end: u64,
+    /// Approximate host bytes the translation occupies.
+    pub bytes: u64,
 }
 
-/// A finished background compile, drained by the dispatch thread.
-struct CompileDone {
-    base: u64,
-    end: u64,
-    bytes: u64,
-    flat: Arc<FlatBlock>,
-    /// Whether the worker promoted the block into the translation
-    /// cache (false when eviction or a discard beat it there).
-    installed: bool,
-    epoch: u64,
+/// Translate the superblock at `pc`: lift, `iropt` when `optimize_ir`,
+/// `tool` instrumentation and, when `compile`, the flat compile. The
+/// dispatch slow path and `tgrind warm`'s ahead-of-time precompiler both
+/// call this, so a block compiled ahead of time is byte-identical to
+/// the one a cold run produces at the same pc.
+pub fn translate(
+    module: &Module,
+    pc: u64,
+    tool: &mut dyn Tool,
+    optimize_ir: bool,
+    compile: bool,
+) -> Result<Translation, LiftError> {
+    let block = {
+        let _s = tg_obs::trace::host_span("lift");
+        lift_superblock(module, pc)?
+    };
+    let block = if optimize_ir {
+        let _s = tg_obs::trace::host_span("iropt");
+        crate::opt::optimize(block)
+    } else {
+        block
+    };
+    let meta = BlockMeta { base: pc, fn_symbol: module.find_func(pc).map(|s| s.name.clone()) };
+    let ir = {
+        let _s = tg_obs::trace::host_span("instrument");
+        tool.instrument(block, &meta)
+    };
+    if cfg!(debug_assertions) {
+        vex_ir::sanity::assert_sane(&ir, tool.name());
+    }
+    let flat = compile.then(|| {
+        let _s = tg_obs::trace::host_span("compile");
+        Arc::new(crate::flat::compile(&ir))
+    });
+    let bytes = 64 + ir.stmts.len() as u64 * 48;
+    let (_, end) = ir.extent();
+    Ok(Translation { ir, flat, end, bytes })
 }
 
 /// The full VM: core state + the active tool + the translation cache.
 pub struct Vm {
     pub core: VmCore,
     pub tool: Box<dyn Tool>,
-    /// Shared with the compile workers, which promote IR-only entries
-    /// to their compiled form concurrently with dispatch probes.
-    tcache: Arc<TransCache>,
+    tcache: TransCache,
     redirects: HashMap<u64, u32>,
     tmp_buf: Vec<u64>,
     yield_requested: bool,
@@ -600,15 +571,6 @@ pub struct Vm {
     /// Persistent compiled-code cache, consulted on translation-cache
     /// misses (chained engine only). See [`crate::codecache`].
     code_cache: Option<crate::codecache::CodeCacheHandle>,
-    /// Background compile pool ([`VmConfig::compile_threads`] > 0 and
-    /// chaining on); taken and drained at the end of the run.
-    compile_pool: Option<CompilePool<CompileJob, CompileDone>>,
-    /// Monotonic discard counter plus the ranges discarded under an
-    /// active pool: a worker result whose enqueue epoch predates an
-    /// overlapping discard must not be persisted to the code cache
-    /// (it would resurrect dead code on the next warm run).
-    discard_epoch: u64,
-    discard_log: Vec<(u64, u64, u64)>,
     /// Replay hook consulted at every slice boundary before the
     /// scheduling policy (see [`crate::snapshot::ScheduleDirector`]).
     /// `None` on the default path — the loop below is then bit-identical
@@ -630,43 +592,10 @@ impl Vm {
         let code_lo = module.code_base;
         let code_hi = module.code_end();
         let profiler = config.self_profile.then(crate::profile::SelfProfiler::new);
-        // The pool only helps the chained engine (the reference engine
-        // never compiles flat blocks); 0 workers = synchronous.
-        let n_workers = if config.chaining { config.compile_threads } else { 0 };
-        let n_shards = match config.cache_shards {
-            0 if n_workers > 0 => 8,
-            0 => 1,
-            n => n,
-        };
-        let tcache = Arc::new(TransCache::with_shards(config.cache_blocks, n_shards));
-        let compile_pool = (n_workers > 0).then(|| {
-            let tc = tcache.clone();
-            CompilePool::new(n_workers, n_workers * 8, "compile", move |_i| {
-                let tc = tc.clone();
-                move |job: CompileJob| {
-                    let base = job.ir.base;
-                    let _s = if tg_obs::trace::enabled() {
-                        tg_obs::trace::host_span_args("compile", vec![("pc", base)])
-                    } else {
-                        tg_obs::trace::SpanGuard::inactive()
-                    };
-                    let flat = Arc::new(crate::flat::compile(&job.ir));
-                    let installed = tc.install_compiled(&job.ir, flat.clone());
-                    CompileDone {
-                        base,
-                        end: job.end,
-                        bytes: job.bytes,
-                        flat,
-                        installed,
-                        epoch: job.epoch,
-                    }
-                }
-            })
-        });
-        let mut vm = Vm {
+        Vm {
+            tcache: TransCache::new(config.cache_blocks),
             core: VmCore::new(module, config),
             tool,
-            tcache,
             redirects,
             tmp_buf: Vec::new(),
             yield_requested: false,
@@ -674,13 +603,8 @@ impl Vm {
             code_hi,
             profiler,
             code_cache: None,
-            compile_pool,
-            discard_epoch: 0,
-            discard_log: Vec::new(),
             director: None,
-        };
-        vm.core.metrics.compile.workers = n_workers as u64;
-        vm
+        }
     }
 
     /// Attach a persistent compiled-code cache. Only the chained engine
@@ -754,14 +678,6 @@ impl Vm {
             }
         }
 
-        // Retire the compile pool before snapshotting the code-cache
-        // stats: in-flight results may still be persisted below.
-        if let Some(pool) = self.compile_pool.take() {
-            self.core.metrics.compile.queue_depth_peak = pool.queue_depth_peak();
-            for d in pool.shutdown() {
-                self.finish_compile(d);
-            }
-        }
         self.core.metrics.guest_footprint = self.core.mem.footprint();
         if let Some(c) = &self.code_cache {
             self.core.metrics.cache = c.stats();
@@ -832,10 +748,7 @@ impl Vm {
                 break;
             }
 
-            // Chain-hit fast path. Only promoted (compiled) blocks can
-            // be served here: `follow` and the IBTC hand out the flat
-            // form or miss, so a link never *serves* a block whose
-            // background compile is still in flight.
+            // Chain-hit fast path.
             let dispatched: Option<(CacheRef, Arc<FlatBlock>)> = match pending {
                 Pending::Link { from, exit } => self.tcache.follow(from, exit, pc),
                 Pending::Ibtc { site } => {
@@ -877,20 +790,16 @@ impl Vm {
                         }
                         Pending::None => {}
                     }
-                    match self.tcache.take_flat_for(cur, pc) {
-                        Some(block) => pending = self.exec_flat(tid, cur, &block)?,
-                        None => {
-                            // Compile still in flight: tree-walk the
-                            // instrumented IR instead of waiting. The
-                            // reference engine is bit-identical to the
-                            // flat engine, so which one runs the block
-                            // is unobservable to tool and guest.
-                            self.core.metrics.compile.fallback_executions += 1;
-                            let ir = self.tcache.ir_of(cur);
-                            self.exec_block(tid, &ir)?;
-                            pending = Pending::None;
-                        }
-                    }
+                    // Every block the chained engine caches carries its
+                    // flat form; a miss here would be a cache bug.
+                    let Some(block) = self.tcache.take_flat_for(cur, pc) else {
+                        return Err(VmError {
+                            tid,
+                            pc,
+                            msg: "translation has no flat form".into(),
+                        });
+                    };
+                    pending = self.exec_flat(tid, cur, &block)?;
                 }
             }
             if self.yield_requested {
@@ -1014,9 +923,6 @@ impl Vm {
     /// per translation.
     fn lookup_or_translate(&mut self, pc: u64) -> Result<CacheRef, VmError> {
         self.core.metrics.dispatch.probes += 1;
-        if self.compile_pool.is_some() {
-            self.drain_completions();
-        }
         if let Some(r) = self.tcache.lookup(pc) {
             return Ok(r);
         }
@@ -1043,116 +949,31 @@ impl Vm {
         } else {
             tg_obs::trace::SpanGuard::inactive()
         };
-        let block = {
-            let _s = tg_obs::trace::host_span("lift");
-            lift_superblock(&self.core.module, pc).map_err(|e| VmError {
-                tid: 0,
-                pc,
-                msg: e.to_string(),
-            })?
-        };
-        let block = if self.core.config.optimize_ir {
-            let _s = tg_obs::trace::host_span("iropt");
-            crate::opt::optimize(block)
-        } else {
-            block
-        };
-        let meta = BlockMeta {
-            base: pc,
-            fn_symbol: self.core.module.find_func(pc).map(|s| s.name.clone()),
-        };
-        let block = {
-            let _s = tg_obs::trace::host_span("instrument");
-            self.tool.instrument(block, &meta)
-        };
-        if cfg!(debug_assertions) {
-            vex_ir::sanity::assert_sane(&block, self.tool.name());
-        }
-        // Synchronous chained engine: compile here, on the dispatch
-        // thread. Async engine: insert the IR-only entry first, then
-        // enqueue — the worker's promotion must find the entry.
-        let asynchronous = self.compile_pool.is_some();
-        let flat = (self.core.config.chaining && !asynchronous).then(|| {
-            let _s = tg_obs::trace::host_span("compile");
-            Arc::new(crate::flat::compile(&block))
-        });
-        let bytes = 64 + block.stmts.len() as u64 * 48;
-        let (_, end) = block.extent();
-        if let (Some(cache), Some(fb)) = (&self.code_cache, &flat) {
-            cache.borrow_mut().store(pc, end, bytes, fb);
+        let t = translate(
+            &self.core.module,
+            pc,
+            &mut *self.tool,
+            self.core.config.optimize_ir,
+            self.core.config.chaining,
+        )
+        .map_err(|e| VmError { tid: 0, pc, msg: e.to_string() })?;
+        if let (Some(cache), Some(fb)) = (&self.code_cache, &t.flat) {
+            cache.borrow_mut().store(pc, t.end, t.bytes, fb);
         }
         self.core.metrics.translations += 1;
-        self.core.metrics.translation_bytes += bytes;
-        let ir = Arc::new(block);
-        let (r, ev) = self.tcache.insert(ir.clone(), flat, bytes);
+        self.core.metrics.translation_bytes += t.bytes;
+        let (r, ev) = self.tcache.insert(Arc::new(t.ir), t.flat, t.bytes);
         self.core.metrics.dispatch.evictions += ev.evicted;
         self.core.metrics.dispatch.unchains += ev.unchained;
         self.core.metrics.translation_bytes =
             self.core.metrics.translation_bytes.saturating_sub(ev.bytes);
-        if self.core.config.chaining && asynchronous {
-            let job = CompileJob { ir, end, bytes, epoch: self.discard_epoch };
-            match self.compile_pool.as_ref().expect("pool checked above").try_send(job) {
-                Ok(()) => self.core.metrics.compile.queued += 1,
-                Err(job) => {
-                    // Queue full: compile inline, exactly like the
-                    // synchronous engine — backpressure never stalls
-                    // the guest behind a channel.
-                    self.core.metrics.compile.inline_compiles += 1;
-                    let fb = Arc::new(crate::flat::compile(&job.ir));
-                    if self.tcache.install_compiled(&job.ir, fb.clone()) {
-                        self.core.metrics.compile.installed += 1;
-                        if let Some(cache) = &self.code_cache {
-                            cache.borrow_mut().store(pc, end, bytes, &fb);
-                        }
-                    }
-                }
-            }
-        }
         Ok(r)
     }
 
-    /// Fold finished background compiles into the metrics and the
-    /// persistent code cache. Called on the slow dispatch path (cheap:
-    /// one `try_recv` when nothing is pending) and at end of run.
-    fn drain_completions(&mut self) {
-        let done = match &self.compile_pool {
-            Some(pool) => pool.try_drain(),
-            None => return,
-        };
-        for d in done {
-            self.finish_compile(d);
-        }
-    }
-
-    fn finish_compile(&mut self, d: CompileDone) {
-        if !d.installed {
-            self.core.metrics.compile.stale += 1;
-            return;
-        }
-        self.core.metrics.compile.installed += 1;
-        // Persist only when no discard overlapped this block after the
-        // job was enqueued: a later store would resurrect invalidated
-        // code on the next warm run.
-        let discarded =
-            self.discard_log.iter().any(|&(lo, hi, e)| e > d.epoch && lo < d.end && hi > d.base);
-        if !discarded {
-            if let Some(cache) = &self.code_cache {
-                cache.borrow_mut().store(d.base, d.end, d.bytes, &d.flat);
-            }
-        }
-    }
-
     /// Invalidate every translation overlapping `[lo, hi)`, unchaining
-    /// the victims across every shard. Safe mid-block: execution holds
-    /// its own `Arc` and every later chain patch is generation-
-    /// validated. In-flight background compiles of discarded blocks are
-    /// dropped on arrival: promotion requires the exact pre-discard
-    /// `Arc<IrBlock>`, and the epoch log blocks their disk store.
+    /// the victims. Safe mid-block: execution holds its own `Arc` and
+    /// every later chain patch is generation-validated.
     pub fn discard_translations(&mut self, lo: u64, hi: u64) {
-        self.discard_epoch += 1;
-        if self.compile_pool.is_some() && self.code_cache.is_some() {
-            self.discard_log.push((lo, hi, self.discard_epoch));
-        }
         if let Some(cache) = &self.code_cache {
             cache.borrow_mut().invalidate_range(lo, hi);
         }

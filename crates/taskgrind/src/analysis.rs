@@ -19,12 +19,8 @@
 //!   a *parent's* frame are deliberately not suppressed — the residual
 //!   false positive the paper reports on TMB stack tests at 4 threads.
 //!
-//! The paper notes the pass is embarrassingly parallel but ran
-//! sequentially inside Valgrind; [`run`] implements both (the
-//! parallel variant is the paper's future-work item, used by bench E8).
-//!
-//! Pair generation comes in two shapes. The reference engines ([`run`],
-//! [`run_parallel`]) iterate all O(S²) segment pairs — faithful to
+//! Pair generation comes in two shapes. The reference engine ([`run`])
+//! iterates all O(S²) segment pairs sequentially — faithful to
 //! Algorithm 1 but quadratic even when footprints are disjoint. The
 //! default engine ([`run_sweep`]) is address-indexed: a global endpoint
 //! sweep over every interesting segment's intervals emits exactly the
@@ -348,57 +344,6 @@ pub fn run(g: &SegmentGraph, reach: &Reachability, opts: &SuppressOptions) -> An
     out
 }
 
-/// Run Algorithm 1 with the all-pairs loop fanned out over `threads`
-/// host threads in a strided partition (the reference parallelization;
-/// [`run_sweep`] is the address-indexed default).
-pub fn run_parallel(
-    g: &SegmentGraph,
-    reach: &Reachability,
-    opts: &SuppressOptions,
-    threads: usize,
-) -> AnalysisOutput {
-    let threads = threads.max(1);
-    let ids: Vec<SegId> = interesting_segments(g);
-    let n = ids.len();
-    let mut partials: Vec<AnalysisOutput> = Vec::new();
-    crossbeam::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let ids = &ids;
-            let handle = scope.spawn(move |_| {
-                let mut out = AnalysisOutput::default();
-                // strided partition of the outer loop balances the
-                // triangular iteration space
-                let mut i = t;
-                while i < n {
-                    let s1 = ids[i];
-                    for &s2 in &ids[i + 1..] {
-                        out.pairs_checked += 1;
-                        if reach.ordered(s1, s2) {
-                            continue;
-                        }
-                        out.unordered_pairs += 1;
-                        analyze_pair(g, opts, s1, s2, &mut out);
-                    }
-                    i += threads;
-                }
-                out
-            });
-            handles.push(handle);
-        }
-        for h in handles {
-            partials.push(h.join().unwrap());
-        }
-    })
-    .unwrap();
-    let mut out = AnalysisOutput::default();
-    for p in partials {
-        merge_partial(&mut out, p);
-    }
-    sort_candidates(&mut out.candidates);
-    out
-}
-
 /// Resolve a requested analysis thread count: 0 means "auto", i.e.
 /// `std::thread::available_parallelism()`.
 pub fn resolve_threads(threads: usize) -> usize {
@@ -434,8 +379,8 @@ pub(crate) fn flatten_intervals(
 }
 
 /// Canonical order for the merged candidate list. Every engine sorts
-/// with this key before the list reaches report generation, so batch,
-/// parallel, sweep and per-epoch streaming merges all render
+/// with this key before the list reaches report generation, so
+/// all-pairs, sweep and per-epoch streaming merges all render
 /// bit-identically.
 pub(crate) fn sort_candidates(v: &mut [Candidate]) {
     v.sort_unstable_by_key(|c| (c.seg1, c.seg2, c.lo, c.hi));
@@ -919,29 +864,6 @@ mod tests {
         }
         let out = analyze(b);
         assert_eq!(out.candidates.len(), 1);
-    }
-
-    #[test]
-    fn parallel_analysis_matches_sequential() {
-        let mut b = GraphBuilder::new();
-        let m = meta(0);
-        for i in 0..12u64 {
-            let t = b.task_create(&m, 0, 0x100 + i);
-            b.task_spawn(&m, t);
-            b.task_begin(&m, t);
-            b.record_access(&m, 0xA000 + (i % 3) * 8, 8, true);
-            b.record_access(&m, 0x9000, 8, false);
-            b.task_end(&m, t);
-        }
-        let g = b.finalize();
-        let r = Reachability::compute(&g);
-        let seq = run(&g, &r, &SuppressOptions::default());
-        for threads in [1, 2, 4] {
-            let par = run_parallel(&g, &r, &SuppressOptions::default(), threads);
-            assert_eq!(seq.candidates, par.candidates, "threads={threads}");
-            assert_eq!(seq.raw_ranges, par.raw_ranges);
-            assert_eq!(seq.unordered_pairs, par.unordered_pairs);
-        }
     }
 
     /// Verdict-bearing fields must be bit-identical across engines;

@@ -568,11 +568,9 @@ pub fn confirm_candidates(
     // The replay VM: same module, args, thread count and seed — the
     // policy reproduces the recorded schedule. No code cache (cached
     // blocks were instrumented under the recording tool's filters, not
-    // the replay watch) and no background compilation.
-    let mut vmcfg = cfg.vm.clone();
-    vmcfg.compile_threads = 0;
+    // the replay watch).
     let tool = ReplayTool { ctl: Rc::clone(&ctl) };
-    let mut vm = Vm::new(module.clone(), Box::new(tool), vmcfg);
+    let mut vm = Vm::new(module.clone(), Box::new(tool), cfg.vm.clone());
     vm.set_director(Box::new(ReplayDirector { ctl: Rc::clone(&ctl) }));
     {
         let _sp = tg_obs::trace::host_span("confirm replay");

@@ -77,12 +77,12 @@ pub struct TaskgrindConfig {
     pub record: RecordOptions,
     /// Suppression toggles for the analysis pass.
     pub suppress: SuppressOptions,
-    /// Host threads for the analysis pass; 0 = auto
-    /// (`std::thread::available_parallelism`), 1 = the paper's
-    /// sequential pass.
+    /// Host threads for the sweep and streaming analysis; 0 = auto
+    /// (`std::thread::available_parallelism`).
     pub analysis_threads: usize,
     /// Use the sweep-based candidate generator (address-indexed pair
-    /// generation). `--no-sweep` restores the all-pairs reference loop.
+    /// generation). `--no-sweep` restores the all-pairs reference loop,
+    /// the paper's sequential Algorithm 1.
     pub sweep: bool,
     /// Streaming segment retirement: analyze online, per retirement
     /// epoch, on a background pool, freeing each segment's interval
@@ -279,8 +279,6 @@ pub fn check_module(module: &Module, args: &[&str], cfg: &TaskgrindConfig) -> Ta
             let reach = Reachability::compute(&graph);
             if cfg.sweep {
                 analysis::run_sweep(&graph, &reach, &cfg.suppress, threads)
-            } else if threads > 1 {
-                analysis::run_parallel(&graph, &reach, &cfg.suppress, threads)
             } else {
                 analysis::run(&graph, &reach, &cfg.suppress)
             }
@@ -342,7 +340,8 @@ pub fn check_module(module: &Module, args: &[&str], cfg: &TaskgrindConfig) -> Ta
         } else {
             "all-pairs"
         },
-        analysis_threads_used: threads,
+        // The all-pairs reference is sequential.
+        analysis_threads_used: if cfg.streaming || cfg.sweep { threads } else { 1 },
         peak_live_segments: mem_stats.peak_live_segments,
         peak_tool_bytes: mem_stats.peak_tool_bytes,
         analysis_epochs: mem_stats.epochs,

@@ -110,21 +110,6 @@ pub fn render_summary(reg: &Registry) -> String {
         reg.u64("dispatch.evictions"),
         reg.u64("dispatch.discarded_blocks"),
     ));
-    // Rendered only when background compile workers ran, so synchronous
-    // runs keep the historical four-line summary shape (the differential
-    // suite asserts on it).
-    if reg.u64("compile.workers") > 0 {
-        out.push_str(&format!(
-            "== compile: {} worker(s) | {} queued, {} inline, {} stale | {} promoted, {} fallback execution(s) | peak queue {}\n",
-            reg.u64("compile.workers"),
-            reg.u64("compile.queued"),
-            reg.u64("compile.inline"),
-            reg.u64("compile.stale"),
-            reg.u64("compile.installed"),
-            reg.u64("compile.fallback_executions"),
-            reg.u64("compile.queue_depth"),
-        ));
-    }
     // Rendered only when a persistent code cache was attached, so
     // cache-less runs keep the historical four-line summary shape (the
     // differential suite asserts on it).
@@ -217,21 +202,5 @@ int main(void) {
         ] {
             assert!(json.contains(&format!("\"{key}\"")), "metrics json missing {key}");
         }
-    }
-
-    #[test]
-    fn compile_line_appears_only_with_workers() {
-        let mut reg = Registry::new();
-        // A synchronous run: no workers, no compile line.
-        assert_eq!(render_summary(&reg).matches("== compile:").count(), 0);
-        reg.set_u64("compile.workers", 2);
-        reg.set_u64("compile.queued", 7);
-        reg.set_u64("compile.installed", 6);
-        reg.set_u64("compile.fallback_executions", 11);
-        let s = render_summary(&reg);
-        assert_eq!(s.matches("== compile:").count(), 1, "{s}");
-        assert!(s.contains("2 worker(s)"), "{s}");
-        assert!(s.contains("7 queued"), "{s}");
-        assert!(s.contains("11 fallback execution(s)"), "{s}");
     }
 }

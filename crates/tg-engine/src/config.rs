@@ -22,10 +22,6 @@ pub struct ConfigOverrides {
     pub no_bulk: bool,
     /// `--no-fuse`: disable peephole fusion in the lifter.
     pub no_fuse: bool,
-    /// `--compile-threads=N`, already resolved through
-    /// [`resolve_thread_count`]; `None` when absent (the environment
-    /// variable may still enable the pool at resolve time).
-    pub compile_threads: Option<usize>,
     /// `--code-cache=DIR`: persistent compiled-code cache directory.
     pub code_cache: Option<String>,
     /// `--no-code-cache`: ignore both the flag and `TG_CODE_CACHE`.
@@ -99,14 +95,6 @@ pub const FLAGS: &[FlagSpec] = &[
         default: "on",
         subsystem: "translation",
         effect: "peephole fusion of flat-compiled blocks",
-    },
-    FlagSpec {
-        knob: "compile_threads",
-        flag: "`--compile-threads=N`",
-        env: Some("`TG_COMPILE_THREADS`"),
-        default: "0 (synchronous)",
-        subsystem: "translation",
-        effect: "background compile workers; dispatch tree-walks blocks until they promote (N=0 means auto)",
     },
     FlagSpec {
         knob: "code_cache",
@@ -207,10 +195,9 @@ pub struct EngineConfig {
     pub bulk: bool,
     /// Peephole fusion of flat-compiled blocks.
     pub fuse: bool,
-    /// Background compile workers (`--compile-threads`,
-    /// `TG_COMPILE_THREADS`); 0 compiles synchronously on the dispatch
-    /// thread. The flag/env value 0 means auto (one per host core) and
-    /// is resolved before it lands here.
+    /// Unread: translation always runs on the dispatch thread. Kept
+    /// only because `tgbench` reads this field.
+    #[doc(hidden)]
     pub compile_threads: usize,
     /// Directory of the persistent compiled-code cache (`--code-cache`,
     /// `TG_CODE_CACHE`); `None` runs cold.
@@ -236,8 +223,8 @@ fn env_path(var: &str) -> Option<String> {
 }
 
 /// Resolve a thread-count knob value: 0 means auto — one worker per
-/// available host core. Shared convention of `--analysis-threads` and
-/// `--compile-threads`.
+/// available host core. The convention of `--analysis-threads` and of
+/// `tgrind warm`'s worker count.
 pub fn resolve_thread_count(n: usize) -> usize {
     if n == 0 {
         std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
@@ -261,12 +248,7 @@ impl EngineConfig {
             sweep: !o.no_sweep,
             bulk: !o.no_bulk && std::env::var_os("TG_NO_BULK").is_none(),
             fuse: !o.no_fuse && std::env::var_os("TG_NO_FUSE").is_none(),
-            compile_threads: o.compile_threads.unwrap_or_else(|| {
-                env_path("TG_COMPILE_THREADS")
-                    .and_then(|v| v.parse().ok())
-                    .map(resolve_thread_count)
-                    .unwrap_or(0)
-            }),
+            compile_threads: 0,
             code_cache: if o.no_code_cache {
                 None
             } else {
@@ -308,7 +290,6 @@ impl EngineConfig {
             ("sweep", onoff(self.sweep)),
             ("bulk", onoff(self.bulk)),
             ("fuse", onoff(self.fuse)),
-            ("compile_threads", self.compile_threads.to_string()),
             ("code_cache", self.code_cache.clone().unwrap_or_else(|| "off".into())),
             ("static_filter", onoff(self.static_filter)),
             ("static_concurrency", onoff(self.static_concurrency)),
@@ -354,7 +335,6 @@ impl EngineConfig {
         reg.set_bool("engine.sweep", self.sweep);
         reg.set_bool("engine.bulk", self.bulk);
         reg.set_bool("engine.fuse", self.fuse);
-        reg.set_u64("engine.compile_threads", self.compile_threads as u64);
         reg.set_str("engine.code_cache", self.code_cache.as_deref().unwrap_or("off"));
         reg.set_bool("engine.static_filter", self.static_filter);
         reg.set_bool("engine.static_concurrency", self.static_concurrency);
@@ -384,14 +364,12 @@ mod tests {
         let o = ConfigOverrides {
             no_chaining: true,
             streaming: Some(true),
-            compile_threads: Some(3),
             code_cache: Some("/tmp/tgc".into()),
             ..Default::default()
         };
         let eng = EngineConfig::resolve(&o);
         assert!(!eng.chaining);
         assert!(eng.streaming);
-        assert_eq!(eng.compile_threads, 3);
         assert_eq!(eng.code_cache.as_deref(), Some("/tmp/tgc"));
         // --no-code-cache wins over the directory override and the env.
         let o = ConfigOverrides { code_cache: Some("/tmp/tgc".into()), no_code_cache: true, ..o };

@@ -7,7 +7,7 @@
 //! admission-control rule: when the queue is full, `try_send` hands the
 //! job back and the client receives a structured `queue_full` error
 //! instead of unbounded latency — the same backpressure contract the
-//! streaming engine and the compile pipeline already use.
+//! streaming engine already uses.
 //!
 //! Protocol (one request per connection, newline-terminated JSON):
 //!
@@ -105,7 +105,13 @@ enum Op {
 /// `write_all` per line plus the mutex keeps concurrently-written lines
 /// (acceptor ack vs. worker status) from interleaving mid-line.
 fn send(stream: &Mutex<UnixStream>, line: &str) {
-    let Ok(mut s) = stream.lock() else { return };
+    if let Ok(mut s) = stream.lock() {
+        write_line(&mut s, line);
+    }
+}
+
+/// [`send`] on a stream whose lock the caller already holds.
+fn write_line(s: &mut UnixStream, line: &str) {
     let mut buf = String::with_capacity(line.len() + 1);
     buf.push_str(line);
     buf.push('\n');
@@ -241,7 +247,6 @@ fn parse_request(line: &str, defaults: &EngineConfig) -> Result<Op, String> {
             "static_concurrency" => req.engine.static_concurrency = need_bool(key, value)?,
             "streaming" => req.engine.streaming = need_bool(key, value)?,
             "self_profile" => req.engine.self_profile = need_bool(key, value)?,
-            "compile_threads" => req.engine.compile_threads = need_u64(key, value)? as usize,
             "max_live_segments" => req.engine.max_live_segments = need_u64(key, value)? as usize,
             "code_cache" => req.engine.code_cache = Some(need_str(key, value)?),
             "no_code_cache" => {
@@ -337,20 +342,23 @@ fn handle_conn(
             *next_id += 1;
             shared.submitted.fetch_add(1, Ordering::Relaxed);
             // The stream stays shared with the worker; the `queued` ack
-            // goes out only after successful admission.
+            // goes out only after successful admission. Holding the
+            // stream lock from before `try_send` until the ack is written
+            // keeps a fast worker's `running` line from overtaking it.
+            let Ok(mut stream) = out.lock() else { return };
             let job = Job { id, stream: Arc::clone(&out), req: *req };
             match pool.try_send(job) {
-                Ok(()) => send(
-                    &out,
+                Ok(()) => write_line(
+                    &mut stream,
                     &format!(
                         "{{\"type\":\"status\",\"job\":{id},\"state\":\"queued\",\"queue_depth\":{}}}",
                         pool.queue_depth()
                     ),
                 ),
-                Err(job) => {
+                Err(_) => {
                     shared.rejected.fetch_add(1, Ordering::Relaxed);
-                    send(
-                        &job.stream,
+                    write_line(
+                        &mut stream,
                         &error_line(Some(id), "queue_full", "admission queue is full; retry later"),
                     );
                 }

@@ -534,7 +534,6 @@ impl Session {
             sched: if req.random_sched { SchedPolicy::Random } else { SchedPolicy::RoundRobin },
             chaining: eng.chaining,
             cache_blocks: req.cache_blocks.unwrap_or_else(|| VmConfig::default().cache_blocks),
-            compile_threads: eng.compile_threads,
             self_profile: eng.self_profile,
             ..Default::default()
         };
@@ -723,7 +722,8 @@ impl Session {
     }
 
     /// Precompile the whole statically recoverable CFG of the request's
-    /// program into the shared persistent cache (`tgrind warm`).
+    /// program into the shared persistent cache (`tgrind warm`), with
+    /// one compile worker per host core.
     pub fn warm(&self, req: &RunRequest) -> Result<WarmOutcome, EngineError> {
         let dir = req.engine.code_cache.clone().ok_or_else(|| EngineError::CacheOpen {
             dir: String::new(),
@@ -740,7 +740,7 @@ impl Session {
             module_hash,
             record_options(req),
             &mut cache,
-            req.engine.compile_threads,
+            crate::config::resolve_thread_count(0),
         );
         if let Err(e) = cache.flush() {
             return Err(EngineError::CacheFlush {

@@ -1,12 +1,12 @@
 //! `tgrind warm`: populate the persistent code cache ahead of time.
 //!
 //! Recovers the module's CFG statically ([`tga_analysis::cfg::block_starts`]),
-//! then runs every block start through the exact translation pipeline the
-//! VM uses at run time — lift, iropt, tool instrumentation, flat
-//! compilation — and stores the result in a [`DiskCodeCache`]. A later
-//! `tgrind --code-cache=DIR` run on the same binary and engine
-//! configuration then installs these blocks straight into its translation
-//! cache instead of recompiling them.
+//! then runs every block start through [`grindcore::translate`], the
+//! translation function the VM calls at run time — lift, iropt, tool
+//! instrumentation, flat compilation — and stores the result in a
+//! [`DiskCodeCache`]. A later `tgrind --code-cache=DIR` run on the same
+//! binary and engine configuration then installs these blocks straight
+//! into its translation cache instead of recompiling them.
 //!
 //! Static-facts resolution lives in the session
 //! ([`crate::Session::warm_module_with`]), which shares one memoized
@@ -14,16 +14,14 @@
 //! module only precompiles blocks. `record.static_facts` is expected to
 //! be resolved already when the filter is on.
 //!
-//! The compile loop fans out across a [`grindcore::CompilePool`]
-//! (`--compile-threads`, same knob as the runtime pipeline): each worker
-//! owns a private [`TaskgrindTool`] built *on* the worker thread (the
-//! tool is `!Send`), and results are sorted by pc before they are stored
-//! so the cache file is byte-identical for any thread count. Stores go
-//! into the in-memory container; the caller flushes the file exactly
-//! once at the end.
+//! The compile loop fans out across a [`grindcore::CompilePool`]: each
+//! worker owns a private [`TaskgrindTool`] built *on* the worker thread
+//! (the tool is `!Send`), and results are sorted by pc before they are
+//! stored so the cache file is byte-identical for any thread count.
+//! Stores go into the in-memory container; the caller flushes the file
+//! exactly once at the end.
 //!
-//! Determinism: `lift_superblock`, `opt::optimize`, the Taskgrind
-//! instrumenter and `flat::compile` are all pure functions of
+//! Determinism: translation is a pure function of
 //! `(module, pc, RecordOptions)`, so a block precompiled here is
 //! byte-identical to the one a cold run would produce at the same pc —
 //! on any worker thread. Block starts the static CFG cannot see (e.g.
@@ -32,8 +30,7 @@
 //! execution.
 
 use grindcore::flat::FlatBlock;
-use grindcore::tool::BlockMeta;
-use grindcore::{CodeCache, CompilePool, Tool};
+use grindcore::{CodeCache, CompilePool, Translation, VmConfig};
 use std::sync::Arc;
 use taskgrind::tool::{RecordOptions, TaskgrindTool};
 use tg_cache::DiskCodeCache;
@@ -59,7 +56,7 @@ pub struct WarmStats {
 
 /// One precompiled block coming back from a warm worker. `None` body
 /// means the lifter rejected the pc.
-type WarmDone = (u64, Option<(u64, u64, FlatBlock)>);
+type WarmDone = (u64, Option<(u64, u64, Arc<FlatBlock>)>);
 
 /// Precompile every statically recoverable block of `module` into
 /// `cache`, fanning the per-block pipeline across `threads` workers
@@ -95,22 +92,14 @@ pub fn warm_module(
             // The tool is `!Send`; the pool's factory runs on the worker
             // thread, so each worker owns a private instance.
             let mut tool = TaskgrindTool::new(record.clone());
-            move |pc: u64| {
-                let block = match grindcore::lift::lift_superblock(&module, pc) {
-                    Ok(b) => b,
-                    Err(_) => return (pc, None),
-                };
-                // `VmConfig::default().optimize_ir` is true and the CLI
-                // never clears it, so the runtime pipeline always runs
-                // iropt.
-                let block = grindcore::opt::optimize(block);
-                let meta =
-                    BlockMeta { base: pc, fn_symbol: module.find_func(pc).map(|s| s.name.clone()) };
-                let block = tool.instrument(block, &meta);
-                let flat = grindcore::flat::compile(&block);
-                let bytes = 64 + block.stmts.len() as u64 * 48;
-                let (_, end) = block.extent();
-                (pc, Some((end, bytes, flat)))
+            // Runs share the VM's default iropt setting: no engine knob
+            // changes it.
+            let optimize_ir = VmConfig::default().optimize_ir;
+            move |pc: u64| match grindcore::translate(&module, pc, &mut tool, optimize_ir, true) {
+                Ok(Translation { flat: Some(flat), end, bytes, .. }) => {
+                    (pc, Some((end, bytes, flat)))
+                }
+                _ => (pc, None),
             }
         });
     // The queue is sized to hold every job, so these sends cannot fail.

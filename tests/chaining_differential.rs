@@ -79,19 +79,12 @@ fn cfg(nthreads: u64, chaining: bool, cache_blocks: usize) -> VmConfig {
     VmConfig { nthreads, chaining, cache_blocks, ..Default::default() }
 }
 
-fn cfg_async(nthreads: u64, cache_blocks: usize, compile_threads: usize) -> VmConfig {
-    VmConfig { compile_threads, ..cfg(nthreads, true, cache_blocks) }
-}
-
-/// Chaining, tiny-cache eviction churn, and the background compile pool
-/// must not change a single architectural or observable bit across the
-/// whole Table I corpus.
+/// Chaining and tiny-cache eviction churn must not change a single
+/// architectural or observable bit across the whole Table I corpus.
 #[test]
 fn chaining_is_invisible_to_the_guest() {
     let mut total_chain_hits = 0u64;
     let mut total_evictions = 0u64;
-    let mut total_fallbacks = 0u64;
-    let mut total_promoted = 0u64;
     for p in corpus() {
         let Ok(m) = guest_rt::build_single(p.name, p.source) else {
             continue;
@@ -103,15 +96,10 @@ fn chaining_is_invisible_to_the_guest() {
         let (on, acc_on, arch_on) = stream_run(&m, cfg(nt, true, 4096));
         let (off, acc_off, arch_off) = stream_run(&m, cfg(nt, false, 4096));
         let (tiny, acc_tiny, arch_tiny) = stream_run(&m, cfg(nt, true, 8));
-        let (a1, acc_a1, arch_a1) = stream_run(&m, cfg_async(nt, 4096, 1));
-        let (a4, acc_a4, arch_a4) = stream_run(&m, cfg_async(nt, 4096, 4));
 
-        for (label, other, acc, arch) in [
-            ("no-chaining", &off, acc_off, arch_off),
-            ("tiny-cache", &tiny, acc_tiny, arch_tiny),
-            ("async-compile t1", &a1, acc_a1, arch_a1),
-            ("async-compile t4", &a4, acc_a4, arch_a4),
-        ] {
+        for (label, other, acc, arch) in
+            [("no-chaining", &off, acc_off, arch_off), ("tiny-cache", &tiny, acc_tiny, arch_tiny)]
+        {
             assert_eq!(on.exit_code, other.exit_code, "{}: exit code vs {label}", p.name);
             assert_eq!(on.stdout, other.stdout, "{}: stdout vs {label}", p.name);
             assert_eq!(on.deadlock, other.deadlock, "{}: deadlock vs {label}", p.name);
@@ -128,42 +116,21 @@ fn chaining_is_invisible_to_the_guest() {
             assert_eq!(acc_on, acc, "{}: access stream diverged vs {label}", p.name);
             assert_eq!(arch_on, arch, "{}: architectural state diverged vs {label}", p.name);
         }
-        // Same scheduler decisions chaining on/off (the tiny cache and
-        // async-compile runs also may not disturb the schedule).
+        // Same scheduler decisions chaining on/off (the tiny cache also
+        // may not disturb the schedule).
         assert_eq!(on.metrics.sched_digest, off.metrics.sched_digest, "{}: schedule", p.name);
         assert_eq!(on.metrics.sched_digest, tiny.metrics.sched_digest, "{}: schedule", p.name);
-        assert_eq!(on.metrics.sched_digest, a1.metrics.sched_digest, "{}: schedule", p.name);
-        assert_eq!(on.metrics.sched_digest, a4.metrics.sched_digest, "{}: schedule", p.name);
 
         assert_eq!(off.metrics.dispatch.chain_hits, 0, "{}: --no-chaining must not chain", p.name);
-        assert_eq!(on.metrics.compile.workers, 0, "{}: sync run must not spawn workers", p.name);
-        for (label, a) in [("t1", &a1), ("t4", &a4)] {
-            assert!(
-                a.metrics.compile.workers > 0,
-                "{}: async {label} must run compile workers",
-                p.name
-            );
-            assert_eq!(
-                a.metrics.compile.queued + a.metrics.compile.inline_compiles,
-                a.metrics.translations,
-                "{}: async {label} must route every translation through the pool or inline",
-                p.name
-            );
-        }
         total_chain_hits += on.metrics.dispatch.chain_hits;
         total_evictions += tiny.metrics.dispatch.evictions;
-        total_fallbacks += a4.metrics.compile.fallback_executions;
-        total_promoted += a1.metrics.compile.installed + a4.metrics.compile.installed;
     }
     assert!(total_chain_hits > 0, "chaining must actually serve dispatches somewhere");
     assert!(total_evictions > 0, "the tiny cache must actually evict somewhere");
-    assert!(total_fallbacks > 0, "async compile must actually tree-walk cold blocks somewhere");
-    assert!(total_promoted > 0, "compile workers must actually promote blocks somewhere");
 }
 
-/// The end-to-end contract: `--no-chaining` and every
-/// `--compile-threads` setting yield the same Table I race/deadlock
-/// verdicts under the full Taskgrind tool.
+/// The end-to-end contract: `--no-chaining` yields the same Table I
+/// race/deadlock verdicts under the full Taskgrind tool.
 #[test]
 fn chaining_preserves_table1_verdicts() {
     for p in corpus() {
@@ -175,51 +142,46 @@ fn chaining_preserves_table1_verdicts() {
             Suite::Tmb => &[1, 4],
         };
         for &nt in threads {
-            let run = |chaining: bool, compile_threads: usize| {
+            let run = |chaining: bool| {
                 let cfg = TaskgrindConfig {
-                    vm: VmConfig { nthreads: nt, chaining, compile_threads, ..Default::default() },
+                    vm: VmConfig { nthreads: nt, chaining, ..Default::default() },
                     ..Default::default()
                 };
                 check_module(&m, &[], &cfg)
             };
-            let on = run(true, 0);
-            for (label, other) in [
-                ("chaining off", run(false, 0)),
-                ("async compile t1", run(true, 1)),
-                ("async compile t4", run(true, 4)),
-            ] {
-                assert_eq!(
-                    on.run.deadlock, other.run.deadlock,
-                    "{} ({} threads): deadlock outcome changed by {label}",
-                    p.name, nt
-                );
-                assert_eq!(
-                    on.n_reports(),
-                    other.n_reports(),
-                    "{} ({} threads): race verdict changed by {label}\non:\n{}\nother:\n{}",
-                    p.name,
-                    nt,
-                    on.render_all(),
-                    other.render_all()
-                );
-                assert_eq!(
-                    on.render_all(),
-                    other.render_all(),
-                    "{} ({} threads): report text changed by {label}",
-                    p.name,
-                    nt
-                );
-                assert_eq!(
-                    on.accesses_recorded, other.accesses_recorded,
-                    "{} ({} threads): recorded access count changed by {label}",
-                    p.name, nt
-                );
-                assert_eq!(
-                    on.run.metrics.sched_digest, other.run.metrics.sched_digest,
-                    "{} ({} threads): schedule changed by {label}",
-                    p.name, nt
-                );
-            }
+            let on = run(true);
+            let off = run(false);
+            assert_eq!(
+                on.run.deadlock, off.run.deadlock,
+                "{} ({} threads): deadlock outcome changed by chaining off",
+                p.name, nt
+            );
+            assert_eq!(
+                on.n_reports(),
+                off.n_reports(),
+                "{} ({} threads): race verdict changed by chaining off\non:\n{}\noff:\n{}",
+                p.name,
+                nt,
+                on.render_all(),
+                off.render_all()
+            );
+            assert_eq!(
+                on.render_all(),
+                off.render_all(),
+                "{} ({} threads): report text changed by chaining off",
+                p.name,
+                nt
+            );
+            assert_eq!(
+                on.accesses_recorded, off.accesses_recorded,
+                "{} ({} threads): recorded access count changed by chaining off",
+                p.name, nt
+            );
+            assert_eq!(
+                on.run.metrics.sched_digest, off.run.metrics.sched_digest,
+                "{} ({} threads): schedule changed by chaining off",
+                p.name, nt
+            );
         }
     }
 }

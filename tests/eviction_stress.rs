@@ -15,22 +15,8 @@ fn lulesh_args() -> Vec<&'static str> {
 }
 
 fn check_lulesh(cache_blocks: usize) -> TaskgrindResult {
-    check_lulesh_cfg(cache_blocks, 0, 0)
-}
-
-fn check_lulesh_cfg(
-    cache_blocks: usize,
-    compile_threads: usize,
-    cache_shards: usize,
-) -> TaskgrindResult {
     let cfg = TaskgrindConfig {
-        vm: VmConfig {
-            nthreads: 2,
-            cache_blocks,
-            compile_threads,
-            cache_shards,
-            ..Default::default()
-        },
+        vm: VmConfig { nthreads: 2, cache_blocks, ..Default::default() },
         ..Default::default()
     };
     let m = guest_rt::build_single("lulesh.c", LULESH_MC).expect("lulesh compiles");
@@ -85,36 +71,6 @@ fn tiny_cache_matches_default_capacity_on_lulesh() {
     );
 }
 
-/// The same eviction churn with the cache sharded 4 ways and background
-/// compile workers promoting blocks concurrently: verdicts, schedule
-/// and access counts stay identical while per-shard clocks evict.
-#[test]
-fn sharded_async_tiny_cache_matches_default_on_lulesh() {
-    let default = check_lulesh(4096);
-    let tiny = check_lulesh_cfg(32, 2, 4);
-
-    assert!(
-        tiny.dispatch.evictions > 0,
-        "a 32-block sharded cache must thrash on LULESH (got {} evictions)",
-        tiny.dispatch.evictions
-    );
-    assert!(tiny.run.metrics.compile.workers > 0, "compile workers must spawn");
-    assert_eq!(default.run.exit_code, tiny.run.exit_code);
-    assert_eq!(default.run.deadlock, tiny.run.deadlock);
-    assert_eq!(default.run.stdout, tiny.run.stdout);
-    assert_eq!(default.run.metrics.instrs, tiny.run.metrics.instrs);
-    assert_eq!(default.run.metrics.sched_digest, tiny.run.metrics.sched_digest);
-    assert_eq!(default.accesses_recorded, tiny.accesses_recorded);
-    assert_eq!(
-        default.n_reports(),
-        tiny.n_reports(),
-        "report count changed under sharded eviction pressure\ndefault:\n{}\ntiny:\n{}",
-        default.render_all(),
-        tiny.render_all()
-    );
-    assert_eq!(default.render_all(), tiny.render_all());
-}
-
 /// `tg_discard_translations` must invalidate translations (forcing
 /// retranslation) without changing what the program computes.
 #[test]
@@ -154,17 +110,6 @@ int main(void) {
     // Fast mode handles the same core request without any translations.
     assert_eq!(fast.metrics.dispatch.discard_requests, 8);
     assert_eq!(fast.metrics.dispatch.discarded_blocks, 0);
-
-    // Discards must stay correct when invalidation has to walk multiple
-    // shards while compile workers hold in-flight jobs: same results,
-    // same instruction count, and retranslation still happens.
-    let sharded = run(true, VmConfig { compile_threads: 2, cache_shards: 4, ..Default::default() });
-    assert!(sharded.ok(), "{:?}", sharded.error);
-    assert_eq!(sharded.exit_code, fast.exit_code);
-    assert_eq!(sharded.metrics.instrs, fast.metrics.instrs);
-    assert_eq!(sharded.metrics.dispatch.discard_requests, 8);
-    assert!(sharded.metrics.dispatch.discarded_blocks > 0);
-    assert_eq!(sharded.metrics.sched_digest, dbi.metrics.sched_digest);
 }
 
 /// A store into the code image (self-modifying code) must invalidate
@@ -183,36 +128,25 @@ int main(void) {
 "#;
     let m = guest_rt::build_single("smc.c", src).expect("compiles");
     assert_eq!(m.code_base, 65536, "test assumes the default code base");
-    for cfg in [
-        VmConfig::default(),
-        // Same invalidation with the cache sharded and a compile pool
-        // racing promotions against the SMC discard.
-        VmConfig { compile_threads: 2, cache_shards: 4, ..Default::default() },
-    ] {
-        let sharded = cfg.cache_shards > 1;
-        let r = Vm::new(m.clone(), Box::new(NulTool), cfg).run(ExecMode::Dbi, &[]);
-        assert!(r.ok(), "sharded={sharded}: {:?}", r.error);
-        assert_eq!(r.exit_code, Some(7), "sharded={sharded}");
-        assert!(
-            r.metrics.dispatch.discarded_blocks > 0,
-            "sharded={sharded}: the code store must discard the translation it overlaps"
-        );
-    }
+    let r = Vm::new(m, Box::new(NulTool), VmConfig::default()).run(ExecMode::Dbi, &[]);
+    assert!(r.ok(), "{:?}", r.error);
+    assert_eq!(r.exit_code, Some(7));
+    assert!(
+        r.metrics.dispatch.discarded_blocks > 0,
+        "the code store must discard the translation it overlaps"
+    );
 }
 
-mod sharded_tcache_props {
-    //! Property test for the sharded translation cache: under random
-    //! interleavings of inserts (compiled and IR-only), worker
-    //! promotions, probes and range invalidations — across shards, with
-    //! a capacity small enough to force clock eviction — the cache
-    //! never serves a stale block. "Stale" means: based at a pc whose
-    //! translation was discarded and not re-inserted, or a compile
-    //! result promoted onto an entry whose `Arc<IrBlock>` identity has
-    //! changed (SMC discard + re-lift).
+mod tcache_props {
+    //! Property test for the translation cache: under random
+    //! interleavings of inserts, probes and range invalidations — with a
+    //! capacity small enough to force clock eviction — the cache never
+    //! serves a stale block, i.e. one based at a pc whose translation
+    //! was discarded and not re-inserted.
 
-    use grindcore::tcache::{CachedForm, TransCache};
+    use grindcore::tcache::TransCache;
     use proptest::prelude::*;
-    use std::collections::{HashMap, HashSet};
+    use std::collections::HashSet;
     use std::sync::Arc;
     use vex_ir::{Atom, IrBlock, Stmt};
 
@@ -231,15 +165,8 @@ mod sharded_tcache_props {
 
     #[derive(Clone, Debug)]
     enum Op {
-        /// Insert a block with its flat form (synchronous translation).
-        InsertFlat(u8),
-        /// Insert IR-only (async translation awaiting its worker).
-        InsertIr(u8),
-        /// A worker's result lands for the pending IR at this base.
-        Promote(u8),
-        /// A worker's result lands for an Arc that was discarded or
-        /// superseded in the meantime — must never install.
-        PromoteStale,
+        /// Insert a block with its flat form (a translation miss).
+        Insert(u8),
         /// Dispatch probes this base.
         Probe(u8),
         /// SMC/client-request invalidation of a base range.
@@ -248,105 +175,49 @@ mod sharded_tcache_props {
 
     fn op_strategy() -> impl Strategy<Value = Op> {
         prop_oneof![
-            (0u8..32).prop_map(Op::InsertFlat),
-            (0u8..32).prop_map(Op::InsertIr),
-            (0u8..32).prop_map(Op::Promote),
-            Just(Op::PromoteStale),
+            (0u8..32).prop_map(Op::Insert),
             (0u8..32).prop_map(Op::Probe),
             (0u8..32, 1u8..8).prop_map(|(lo, n)| Op::Discard(lo, n)),
         ]
     }
 
-    fn run_ops(n_shards: usize, ops: &[Op]) {
+    fn run_ops(ops: &[Op]) {
         // Capacity 8 over up to 24 distinct bases: constant eviction.
-        let c = TransCache::with_shards(8, n_shards);
+        let mut c = TransCache::new(8);
         // Bases believed inserted since their last covering discard
         // (eviction may still have dropped them — that is not stale).
         let mut live: HashSet<u64> = HashSet::new();
-        // The exact Arc of the latest IR-only insert per base, while it
-        // is still legitimately promotable.
-        let mut pending: HashMap<u64, Arc<IrBlock>> = HashMap::new();
-        // Arcs whose entry was discarded or superseded: promoting these
-        // must always fail.
-        let mut stale: Vec<Arc<IrBlock>> = Vec::new();
-
-        let supersede =
-            |base: u64, pending: &mut HashMap<u64, Arc<IrBlock>>, stale: &mut Vec<Arc<IrBlock>>| {
-                if let Some(old) = pending.remove(&base) {
-                    stale.push(old);
-                }
-            };
 
         for op in ops {
             match op {
-                Op::InsertFlat(i) => {
+                Op::Insert(i) => {
                     let base = base_of(*i);
                     if c.lookup(base).is_none() {
                         let ir = block(base);
                         let flat = Arc::new(grindcore::flat::compile(&ir));
                         c.insert(ir, Some(flat), 64);
                         live.insert(base);
-                        supersede(base, &mut pending, &mut stale);
-                    }
-                }
-                Op::InsertIr(i) => {
-                    let base = base_of(*i);
-                    if c.lookup(base).is_none() {
-                        let ir = block(base);
-                        c.insert(ir.clone(), None, 64);
-                        live.insert(base);
-                        supersede(base, &mut pending, &mut stale);
-                        pending.insert(base, ir);
-                    }
-                }
-                Op::Promote(i) => {
-                    let base = base_of(*i);
-                    if let Some(ir) = pending.get(&base) {
-                        let flat = Arc::new(grindcore::flat::compile(ir));
-                        // May fail (the entry can have been evicted),
-                        // but a successful install on the current Arc is
-                        // by definition not stale.
-                        let _ = c.install_compiled(ir, flat);
-                    }
-                }
-                Op::PromoteStale => {
-                    if let Some(ir) = stale.last() {
-                        let flat = Arc::new(grindcore::flat::compile(ir));
-                        assert!(
-                            !c.install_compiled(ir, flat),
-                            "a discarded/superseded compile result must never install \
-                             (base {:#x})",
-                            ir.base
-                        );
                     }
                 }
                 Op::Probe(i) => {
                     let base = base_of(*i);
                     // A miss (or eviction) is always sound; a hit must be
                     // live, at the right pc, and never post-discard.
-                    if let Some((r, form)) = c.probe(base) {
+                    if let Some(r) = c.lookup(base) {
                         assert!(
                             live.contains(&base),
                             "served a stale block at {base:#x} after its discard"
                         );
-                        assert!(c.is_live(r), "probe returned a dead ref");
-                        let got = match &form {
-                            CachedForm::Flat(f) => f.base,
-                            CachedForm::Ir(ir) => ir.base,
-                        };
-                        assert_eq!(got, base, "probe returned a block at the wrong pc");
+                        assert!(c.is_live(r), "lookup returned a dead ref");
+                        let flat = c.take_flat_for(r, base).expect("a live ref serves its block");
+                        assert_eq!(flat.base, base, "lookup returned a block at the wrong pc");
                     }
                 }
                 Op::Discard(lo_i, n) => {
                     let lo = base_of(*lo_i);
                     let hi = lo + *n as u64 * 0x20;
                     c.discard_range(lo, hi);
-                    let victims: Vec<u64> =
-                        live.iter().copied().filter(|&b| b < hi && b + 16 > lo).collect();
-                    for b in victims {
-                        live.remove(&b);
-                        supersede(b, &mut pending, &mut stale);
-                    }
+                    live.retain(|&b| !(b < hi && b + 16 > lo));
                 }
             }
         }
@@ -354,7 +225,7 @@ mod sharded_tcache_props {
         for i in 0..N_BASES {
             let base = 0x1000 + i * 0x20;
             if !live.contains(&base) {
-                assert!(c.probe(base).is_none(), "block at {base:#x} survived its discard");
+                assert!(c.lookup(base).is_none(), "block at {base:#x} survived its discard");
             }
         }
     }
@@ -366,9 +237,7 @@ mod sharded_tcache_props {
         fn random_interleavings_never_serve_stale_blocks(
             ops in prop::collection::vec(op_strategy(), 1..80),
         ) {
-            for n_shards in [1usize, 2, 4, 8] {
-                run_ops(n_shards, &ops);
-            }
+            run_ops(&ops);
         }
     }
 }

@@ -141,28 +141,37 @@ fn traced_run_exports_host_and_guest_tracks() {
     );
 }
 
-/// A traced async-compile run names one timeline track per compile
-/// worker and carries the `compile` spans on those tracks.
+/// A traced `tgrind warm` fans its ahead-of-time compile across the
+/// pool: the trace names one timeline track per worker and carries the
+/// `compile` spans the workers emit.
 #[test]
 fn traced_async_compile_run_names_worker_tracks() {
     let _g = lock();
+    let m = guest_rt::build_single("racy_tasks.c", RACY_TASKS).expect("compiles");
+    let dir = std::env::temp_dir().join(format!("tg-obs-warm-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let hash = tg_cache::module_hash(&m);
+    let mut cache = tg_cache::DiskCodeCache::open(&dir, hash, 0).expect("cache opens");
     tg_obs::trace::shutdown();
     tg_obs::trace::init_default();
-    let m = guest_rt::build_single("racy_tasks.c", RACY_TASKS).expect("compiles");
-    let cfg = TaskgrindConfig {
-        vm: grindcore::VmConfig { nthreads: 2, compile_threads: 2, ..Default::default() },
-        ..Default::default()
-    };
-    let r = check_module(&m, &[], &cfg);
+    let stats = tg_engine::Session::new().warm_module_with(
+        &m,
+        hash,
+        taskgrind::tool::RecordOptions::default(),
+        &mut cache,
+        2,
+    );
     let trace = tg_obs::trace::export_chrome_json();
     tg_obs::trace::shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 
-    assert_eq!(r.run.metrics.compile.workers, 2, "both workers must spawn");
+    assert_eq!(stats.threads, 2, "both workers must spawn");
+    assert!(stats.precompiled > 0, "warm must precompile blocks: {stats:?}");
     let s = tg_obs::trace::validate_chrome_trace(&trace).expect("well-formed trace");
     assert!(s.names.contains("compile"), "missing compile spans: {:?}", s.names);
     // Track names arrive as thread-metadata events, which the validator
     // skips when collecting span names — assert them on the raw JSON.
-    for worker in ["compile.worker0", "compile.worker1"] {
+    for worker in ["warm.worker0", "warm.worker1"] {
         assert!(
             trace.contains(&format!("\"{worker}\"")),
             "missing worker track `{worker}` in exported trace"

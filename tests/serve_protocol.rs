@@ -115,11 +115,10 @@ fn concurrent_jobs_match_one_shot_and_bad_guests_fail_structured() {
     assert_eq!(str_field(&rres, "type"), "result");
     assert_eq!(str_field(&cres, "type"), "result");
 
-    // Every admitted job streams queued -> running (-> loaded) statuses.
+    // Every admitted job streams queued -> running -> loaded statuses,
+    // in that order, before its result.
     let states: Vec<&str> = rstat.iter().map(|s| str_field(s, "state")).collect();
-    assert!(states.contains(&"queued"), "missing queued status: {states:?}");
-    assert!(states.contains(&"running"), "missing running status: {states:?}");
-    assert!(states.contains(&"loaded"), "missing loaded status: {states:?}");
+    assert_eq!(states, ["queued", "running", "loaded"], "status order");
 
     // Byte-identical to in-process one-shot runs of the same requests.
     let session = Session::new();
@@ -326,6 +325,12 @@ fn per_job_globals_and_unknown_fields_are_rejected() {
         ("{\"op\":\"run\",\"program\":\"p.c\",\"fuse\":true}", "daemon-global"),
         ("{\"op\":\"run\",\"program\":\"p.c\",\"metrics_json\":\"m.json\"}", "daemon-global"),
         ("{\"op\":\"run\",\"program\":\"p.c\",\"wat\":1}", "unknown request field"),
+        // Not a per-job knob: an absurd worker count must be refused,
+        // not allocated.
+        (
+            "{\"op\":\"run\",\"program\":\"p.c\",\"compile_threads\":2199023255552}",
+            "unknown request field",
+        ),
         ("{\"op\":\"run\"}", "missing \\\"program\\\""),
         ("not json", "invalid JSON"),
     ] {
@@ -337,6 +342,12 @@ fn per_job_globals_and_unknown_fields_are_rejected() {
         let want_plain = want.replace("\\\"", "\"");
         assert!(msg.contains(&want_plain), "for request {line}: message {msg:?}");
     }
+
+    // The daemon survived every rejected request: a valid job still runs.
+    let mut c = submit(&path, &run_line("clean.c", CLEAN, ""));
+    let (_, res) = drive(&mut c);
+    assert_eq!(str_field(&res, "type"), "result");
+    assert_eq!(str_field(&res, "stdout"), "val=42\n");
 
     // A shutdown op answers `bye` and stops the daemon.
     let mut c = submit(&path, "{\"op\":\"shutdown\"}");

@@ -27,38 +27,18 @@ struct Engine {
     bulk: bool,
     streaming: bool,
     threads: usize,
-    /// Background compile workers (0 = synchronous translation).
-    compile_threads: usize,
 }
 
-const REFERENCE: Engine = Engine {
-    label: "reference",
-    sweep: false,
-    bulk: false,
-    streaming: false,
-    threads: 1,
-    compile_threads: 0,
-};
-
-const SYNC: Engine = Engine { label: "", ..REFERENCE };
+const REFERENCE: Engine =
+    Engine { label: "reference", sweep: false, bulk: false, streaming: false, threads: 1 };
 
 const ENGINES: &[Engine] = &[
-    Engine { label: "sweep+bulk t1", sweep: true, bulk: true, threads: 1, ..SYNC },
-    Engine { label: "sweep+bulk t4", sweep: true, bulk: true, threads: 4, ..SYNC },
-    Engine { label: "sweep only", sweep: true, bulk: false, threads: 2, ..SYNC },
-    Engine { label: "bulk only", sweep: false, bulk: true, threads: 1, ..SYNC },
-    Engine { label: "streaming t1", sweep: true, bulk: true, streaming: true, threads: 1, ..SYNC },
-    Engine { label: "streaming t4", sweep: true, bulk: true, streaming: true, threads: 4, ..SYNC },
-    Engine { label: "async-compile t1", sweep: true, bulk: true, compile_threads: 1, ..SYNC },
-    Engine { label: "async-compile t4", sweep: true, bulk: true, compile_threads: 4, ..SYNC },
-    Engine {
-        label: "async-compile t4 + streaming",
-        sweep: true,
-        bulk: true,
-        streaming: true,
-        threads: 4,
-        compile_threads: 4,
-    },
+    Engine { label: "sweep+bulk t1", sweep: true, bulk: true, ..REFERENCE },
+    Engine { label: "sweep+bulk t4", sweep: true, bulk: true, threads: 4, ..REFERENCE },
+    Engine { label: "sweep only", sweep: true, threads: 2, ..REFERENCE },
+    Engine { label: "bulk only", bulk: true, ..REFERENCE },
+    Engine { label: "streaming t1", sweep: true, bulk: true, streaming: true, threads: 1 },
+    Engine { label: "streaming t4", sweep: true, bulk: true, streaming: true, threads: 4 },
 ];
 
 fn run(
@@ -69,12 +49,7 @@ fn run(
     e: Engine,
 ) -> TaskgrindResult {
     let cfg = TaskgrindConfig {
-        vm: grindcore::VmConfig {
-            nthreads: nt,
-            chaining,
-            compile_threads: e.compile_threads,
-            ..Default::default()
-        },
+        vm: grindcore::VmConfig { nthreads: nt, chaining, ..Default::default() },
         record: RecordOptions { bulk_ingest: e.bulk, ..Default::default() },
         analysis_threads: e.threads,
         sweep: e.sweep,
@@ -99,16 +74,13 @@ fn assert_identical(a: &TaskgrindResult, b: &TaskgrindResult, ctx: &str) {
     // The registry-rendered summary block must have the merged shape for
     // every engine: exactly one `== analysis:` line (the historical
     // engine/pairs and streaming lines are one block now) and four `==`
-    // lines total — plus one `== compile:` line iff background compile
-    // workers ran.
+    // lines total.
     for r in [a, b] {
         let mut reg = tg_obs::Registry::new();
         taskgrind::metrics::publish(r, &mut reg);
         let s = taskgrind::metrics::render_summary(&reg);
         assert_eq!(s.matches("== analysis:").count(), 1, "{ctx}: merged analysis line\n{s}");
-        let compile_lines = usize::from(r.run.metrics.compile.workers > 0);
-        assert_eq!(s.matches("== compile:").count(), compile_lines, "{ctx}: compile line\n{s}");
-        assert_eq!(s.matches("== ").count(), 4 + compile_lines, "{ctx}: summary line count\n{s}");
+        assert_eq!(s.matches("== ").count(), 4, "{ctx}: summary line count\n{s}");
         assert!(
             s.contains(&format!("engine {}", r.analysis_engine)),
             "{ctx}: summary names the analysis engine\n{s}"
@@ -166,15 +138,6 @@ fn sweep_and_bulk_preserve_lulesh_output() {
             let opt = run(&m, &args, params.threads, chaining, e);
             let ctx = format!("lulesh (chaining={chaining}) under {}", e.label);
             assert_identical(&reference, &opt, &ctx);
-            if e.compile_threads > 0 && chaining {
-                let c = opt.run.metrics.compile;
-                assert!(c.workers > 0, "{ctx}: compile workers must spawn");
-                assert_eq!(
-                    c.queued + c.inline_compiles,
-                    opt.run.metrics.translations,
-                    "{ctx}: every translation goes through the pool or inline"
-                );
-            }
             if e.streaming {
                 assert!(
                     opt.retired_segments > 0,
