@@ -9,7 +9,7 @@
 //! candidate generator versus the all-pairs loop (a many-segment
 //! workload with mostly-disjoint footprints, where all-pairs burns its
 //! time proving segments never touch), and bulk access ingestion versus
-//! per-access interval-tree inserts.
+//! per-access interval-tree inserts, checked tree by tree before timing.
 //!
 //! E13 adds the streaming retirement engine: full `check_module` runs
 //! on mini-LULESH, batch versus streaming, asserting the streaming
@@ -64,10 +64,21 @@ fn sparse_graph(tasks: u64) -> SegmentGraph {
     b.finalize()
 }
 
-/// Per-access versus bulk ingestion: the same access stream recorded
-/// through `record_access` with each path, including the finalize-time
-/// drain the bulk path defers to.
-fn ingest(bulk: bool, segs: u64, accesses_per_seg: u64) -> usize {
+/// The access streams of the E12b ingestion rows.
+#[derive(Clone, Copy)]
+enum Stream {
+    /// 3/4 dense sequential (absorbed in place by the push window), 1/4
+    /// scattered (exercises the drain's sort + coalesce).
+    Mixed,
+    /// Four arrays read in lockstep, `a[i] + b[i] + c[i] + d[i]`: the
+    /// mini-LULESH kernel shape, where consecutive accesses alternate
+    /// between four dense runs.
+    Interleaved,
+}
+
+/// Record `stream` through `record_access` on the bulk or per-access
+/// path, including the finalize-time drain the bulk path defers to.
+fn ingest(bulk: bool, stream: Stream, segs: u64, accesses_per_seg: u64) -> SegmentGraph {
     let mut b = GraphBuilder::new();
     b.set_bulk_ingest(bulk);
     let m = ThreadMeta::default();
@@ -76,17 +87,34 @@ fn ingest(bulk: bool, segs: u64, accesses_per_seg: u64) -> usize {
         b.task_spawn(&m, t);
         b.task_begin(&m, t);
         for k in 0..accesses_per_seg {
-            // 3/4 dense sequential (absorbed by the last-interval fast
-            // path), 1/4 scattered (exercises the sort + coalesce)
-            if k % 4 != 3 {
-                b.record_access(&m, 0x10_0000 + i * 0x10000 + k * 8, 8, true);
-            } else {
-                b.record_access(&m, 0x80_0000 + (k * 2654435761) % 0x10000, 4, false);
+            match stream {
+                Stream::Mixed if k % 4 != 3 => {
+                    b.record_access(&m, 0x10_0000 + i * 0x10000 + k * 8, 8, true)
+                }
+                Stream::Mixed => {
+                    b.record_access(&m, 0x80_0000 + (k * 2654435761) % 0x10000, 4, false)
+                }
+                Stream::Interleaved => {
+                    let array = 0x100_0000 + i * 0x10_0000 + (k % 4) * 0x4_0000;
+                    b.record_access(&m, array + (k / 4) * 8, 8, false)
+                }
             }
         }
         b.task_end(&m, t);
     }
-    b.finalize().segments.len()
+    b.finalize()
+}
+
+/// Both ingestion paths must build identical segments: the same read
+/// and write intervals and the same raw access counts.
+fn assert_same_trees(stream: Stream) {
+    let bulk = ingest(true, stream, 4, 256);
+    let reference = ingest(false, stream, 4, 256);
+    assert_eq!(bulk.segments.len(), reference.segments.len(), "segment counts differ");
+    for (s, r) in bulk.segments.iter().zip(&reference.segments) {
+        assert_eq!(s.reads, r.reads, "read trees of segment {} differ", s.id);
+        assert_eq!(s.writes, r.writes, "write trees of segment {} differ", s.id);
+    }
 }
 
 fn bench_parallel(c: &mut Criterion) {
@@ -128,13 +156,19 @@ fn bench_sweep(c: &mut Criterion) {
     g.finish();
 }
 
-/// E12b: bulk vs per-access ingestion of the same access stream.
+/// E12b: bulk vs per-access ingestion of the same access stream, and
+/// bulk ingestion of the interleaved multi-array stream.
 fn bench_ingest(c: &mut Criterion) {
     let mut g = c.benchmark_group("access_ingestion");
     g.sample_size(10);
-    assert_eq!(ingest(true, 4, 64), ingest(false, 4, 64), "paths build different graphs");
-    g.bench_function("per_access", |b| b.iter(|| std::hint::black_box(ingest(false, 64, 4096))));
-    g.bench_function("bulk", |b| b.iter(|| std::hint::black_box(ingest(true, 64, 4096))));
+    assert_same_trees(Stream::Mixed);
+    assert_same_trees(Stream::Interleaved);
+    let run = |bulk, stream| ingest(bulk, stream, 64, 4096).segments.len();
+    g.bench_function("per_access", |b| b.iter(|| std::hint::black_box(run(false, Stream::Mixed))));
+    g.bench_function("bulk", |b| b.iter(|| std::hint::black_box(run(true, Stream::Mixed))));
+    g.bench_function("interleaved", |b| {
+        b.iter(|| std::hint::black_box(run(true, Stream::Interleaved)))
+    });
     g.finish();
 }
 

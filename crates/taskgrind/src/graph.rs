@@ -61,6 +61,9 @@ impl DepKind {
 /// false-positive suppression layers (§IV-C, §IV-D).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ThreadMeta {
+    /// VM thread index. The builder's context table is indexed by it,
+    /// so tids must be small dense indices, as `core.threads` positions
+    /// are.
     pub tid: Tid,
     /// Stack pointer at the event — the "registered stack frame".
     pub sp: u64,
@@ -246,13 +249,22 @@ impl SegmentGraph {
     }
 }
 
+/// How many of the most recently appended intervals (per direction)
+/// [`AccessBuf::push`] tries to extend before appending a new one.
+/// Loops that sweep several arrays in lockstep (mini-LULESH's element
+/// and node kernels) interleave that many dense runs; a window of 4
+/// leaves 832 intervals buffered over a Table II run where a window of
+/// 1 leaves 365,850 and 2 leaves 205,449 (16 is no better than 4).
+const PUSH_WINDOW: usize = 4;
+
 /// Append-only access buffer for the bulk-ingestion path: flat
 /// `(lo, hi)` interval triples (split by direction) appended straight
 /// from the access callback, drained into the segment's interval trees
-/// when the segment closes. A one-entry "last interval" fast path
-/// absorbs dense sequential and strided accesses in place, so a tight
-/// array sweep costs one bounds check and a compare-extend per access
-/// instead of a `BTreeMap` insert.
+/// when the segment closes. A small window over the last
+/// [`PUSH_WINDOW`] appended intervals absorbs dense sequential and
+/// strided accesses in place — also when a loop sweeps several arrays
+/// at once — so a tight sweep costs a few compares and an extend per
+/// access instead of a `BTreeMap` insert.
 #[derive(Default)]
 struct AccessBuf {
     reads: Vec<(u64, u64)>,
@@ -275,13 +287,16 @@ impl AccessBuf {
             (&mut self.reads, &mut self.n_reads)
         };
         *n += 1;
-        if let Some(last) = v.last_mut() {
-            // touching or overlapping the previously appended interval:
-            // extend it in place (any merge is sound — the drain sorts
-            // and coalesces the whole buffer anyway)
-            if lo <= last.1 && last.0 <= hi {
-                last.0 = last.0.min(lo);
-                last.1 = last.1.max(hi);
+        let window = v.len().saturating_sub(PUSH_WINDOW);
+        for e in v[window..].iter_mut().rev() {
+            // touching or overlapping a recently appended interval:
+            // extend it in place, newest first (any merge is sound — the
+            // union of two touching intervals is one interval, and the
+            // drain sorts and coalesces the whole buffer anyway, so an
+            // extended entry may freely overlap its neighbours)
+            if lo <= e.1 && e.0 <= hi {
+                e.0 = e.0.min(lo);
+                e.1 = e.1.max(hi);
                 return;
             }
         }
@@ -433,7 +448,11 @@ pub struct GraphBuilder {
     edges: Vec<(SegId, SegId)>,
     /// (task, segment): edge from the task's final segment to `segment`.
     last_to_seg: Vec<(TaskId, SegId)>,
-    ctx: HashMap<Tid, Vec<ExecCtx>>,
+    /// Execution-context stack per thread, indexed by [`Tid`] (VM
+    /// thread ids are dense indices into `core.threads`), so the access
+    /// path and every runtime event index instead of hashing, and
+    /// finalize visits the contexts in tid order.
+    ctx: Vec<Vec<ExecCtx>>,
     regions: Vec<RegionState>,
     taskgroups: Vec<TaskgroupState>,
     deps: HashMap<(Option<TaskId>, u64), DepEntry>,
@@ -475,7 +494,7 @@ impl GraphBuilder {
             tasks: Vec::new(),
             edges: Vec::new(),
             last_to_seg: Vec::new(),
-            ctx: HashMap::new(),
+            ctx: Vec::new(),
             regions: Vec::new(),
             taskgroups: Vec::new(),
             deps: HashMap::new(),
@@ -532,7 +551,7 @@ impl GraphBuilder {
 
     /// Host bytes held by not-yet-drained access buffers (bulk mode).
     pub fn pending_bytes(&self) -> u64 {
-        self.ctx.values().flatten().map(|c| c.buf.heap_bytes()).sum()
+        self.ctx.iter().flatten().map(|c| c.buf.heap_bytes()).sum()
     }
 
     /// Baseline behaviour: match dependences by address only, ignoring
@@ -550,7 +569,7 @@ impl GraphBuilder {
     /// Is the task currently executing on `tid` an explicit task?
     pub fn current_task_explicit(&self, tid: Tid) -> bool {
         self.ctx
-            .get(&tid)
+            .get(tid)
             .and_then(|s| s.last())
             .map(|c| !self.tasks[c.task as usize].implicit)
             .unwrap_or(false)
@@ -627,11 +646,18 @@ impl GraphBuilder {
         id
     }
 
+    /// The thread's context stack, growing the table for a new thread.
+    fn stack(&mut self, tid: Tid) -> &mut Vec<ExecCtx> {
+        if tid >= self.ctx.len() {
+            self.ctx.resize_with(tid + 1, Vec::new);
+        }
+        &mut self.ctx[tid]
+    }
+
     /// Root execution context for a thread (main, or anything running
     /// user code outside an implicit task).
-    fn ensure_ctx(&mut self, meta: &ThreadMeta) -> usize {
-        let stack = self.ctx.entry(meta.tid).or_default();
-        if stack.is_empty() {
+    fn ensure_ctx(&mut self, meta: &ThreadMeta) {
+        if self.stack(meta.tid).is_empty() {
             let task = self.tasks.len() as TaskId;
             self.tasks.push(TaskNode {
                 id: task,
@@ -681,7 +707,7 @@ impl GraphBuilder {
                 }
             }
             self.tasks[task as usize].first_seg = Some(seg);
-            self.ctx.get_mut(&meta.tid).unwrap().push(ExecCtx {
+            self.ctx[meta.tid].push(ExecCtx {
                 task,
                 cur_seg: seg,
                 locks: Vec::new(),
@@ -690,18 +716,17 @@ impl GraphBuilder {
                 buf: AccessBuf::default(),
             });
         }
-        self.ctx[&meta.tid].len() - 1
     }
 
     fn top(&mut self, meta: &ThreadMeta) -> &mut ExecCtx {
         self.ensure_ctx(meta);
-        self.ctx.get_mut(&meta.tid).unwrap().last_mut().unwrap()
+        self.ctx[meta.tid].last_mut().unwrap()
     }
 
     /// Drain the top context's pending accesses into its current
     /// segment. Must run before `cur_seg` changes or the context pops.
     fn flush_top(&mut self, tid: Tid) {
-        if let Some(c) = self.ctx.get_mut(&tid).and_then(|s| s.last_mut()) {
+        if let Some(c) = self.ctx.get_mut(tid).and_then(|s| s.last_mut()) {
             flush_buf(&mut self.segments, c);
         }
     }
@@ -712,13 +737,13 @@ impl GraphBuilder {
         self.ensure_ctx(meta);
         self.flush_top(meta.tid);
         let (task, old, locks, base_sp) = {
-            let c = self.ctx.get_mut(&meta.tid).unwrap().last_mut().unwrap();
+            let c = self.ctx[meta.tid].last_mut().unwrap();
             (c.task, c.cur_seg, c.locks.clone(), c.base_sp)
         };
         let meta = &ThreadMeta { sp: base_sp, ..*meta };
         let new = self.new_segment(meta, Some(task), kind, locks);
         self.edge(old, new);
-        let c = self.ctx.get_mut(&meta.tid).unwrap().last_mut().unwrap();
+        let c = self.ctx[meta.tid].last_mut().unwrap();
         c.cur_seg = new;
         self.close_segment(old);
         (old, new)
@@ -915,7 +940,7 @@ impl GraphBuilder {
                 strict.push(b);
             }
         }
-        for stack in self.ctx.values() {
+        for stack in &self.ctx {
             for c in stack {
                 if master_pre.contains(&c.cur_seg) {
                     relaxed.push(c.cur_seg);
@@ -1099,7 +1124,7 @@ impl GraphBuilder {
         if let Some(r) = self.regions.get_mut(region as usize) {
             r.implicit_begun += 1;
         }
-        self.ctx.entry(meta.tid).or_default().push(ExecCtx {
+        self.stack(meta.tid).push(ExecCtx {
             task,
             cur_seg: seg,
             locks: Vec::new(),
@@ -1112,7 +1137,7 @@ impl GraphBuilder {
     pub fn implicit_task_end(&mut self, meta: &ThreadMeta, region: u64, _index: u64) {
         let end_node = self.regions.get(region as usize).map(|r| r.end_node);
         let mut done: Option<(TaskId, SegId)> = None;
-        if let Some(stack) = self.ctx.get_mut(&meta.tid) {
+        if let Some(stack) = self.ctx.get_mut(meta.tid) {
             if let Some(mut c) = stack.pop() {
                 flush_buf(&mut self.segments, &mut c);
                 self.tasks[c.task as usize].last_seg = Some(c.cur_seg);
@@ -1138,7 +1163,7 @@ impl GraphBuilder {
             flags
         };
         let (parent, group) = {
-            let c = self.ctx.get_mut(&meta.tid).unwrap().last_mut().unwrap();
+            let c = self.ctx[meta.tid].last_mut().unwrap();
             (c.task, c.group)
         };
         let task = self.new_task(flags, fn_addr, Some(parent), false);
@@ -1247,7 +1272,7 @@ impl GraphBuilder {
                 }
             }
         }
-        self.ctx.entry(meta.tid).or_default().push(ExecCtx {
+        self.stack(meta.tid).push(ExecCtx {
             task,
             cur_seg: seg,
             locks: Vec::new(),
@@ -1267,7 +1292,7 @@ impl GraphBuilder {
     pub fn task_end(&mut self, meta: &ThreadMeta, task: u64) {
         let task = task as TaskId;
         let mut done: Option<SegId> = None;
-        if let Some(stack) = self.ctx.get_mut(&meta.tid) {
+        if let Some(stack) = self.ctx.get_mut(meta.tid) {
             if let Some(mut c) = stack.pop() {
                 flush_buf(&mut self.segments, &mut c);
                 self.tasks[c.task as usize].last_seg = Some(c.cur_seg);
@@ -1285,7 +1310,7 @@ impl GraphBuilder {
         if inline {
             let same_parent = self
                 .ctx
-                .get(&meta.tid)
+                .get(meta.tid)
                 .and_then(|s| s.last())
                 .map(|c| Some(c.task) == self.tasks[task as usize].parent)
                 .unwrap_or(false);
@@ -1437,7 +1462,7 @@ impl GraphBuilder {
     ) {
         self.ensure_ctx(meta);
         let bulk = self.bulk;
-        let c = self.ctx.get_mut(&meta.tid).unwrap().last_mut().unwrap();
+        let c = self.ctx[meta.tid].last_mut().unwrap();
         let seg = c.cur_seg;
         if bulk {
             // hot path: append to the context's flat buffer; the
@@ -1466,14 +1491,14 @@ impl GraphBuilder {
     /// sink, letting a [`crate::stream::Pipeline`] finish.
     pub fn finalize_with_stats(mut self) -> (SegmentGraph, GraphMemStats) {
         // drain every context's pending accesses (bulk-ingestion mode)
-        for stack in self.ctx.values_mut() {
+        for stack in &mut self.ctx {
             for c in stack.iter_mut() {
                 flush_buf(&mut self.segments, c);
             }
         }
         // any context still open: its current segment is the task's last
         let open: Vec<(TaskId, SegId)> =
-            self.ctx.values().flatten().map(|c| (c.task, c.cur_seg)).collect();
+            self.ctx.iter().flatten().map(|c| (c.task, c.cur_seg)).collect();
         self.ctx.clear();
         for (t, s) in open {
             if self.tasks[t as usize].last_seg.is_none() {
@@ -1738,7 +1763,7 @@ mod tests {
         b.implicit_task_begin(&m0, r1, 0);
         b.implicit_task_begin(&m1, r1, 1);
         b.record_access(&m1, 0x42, 8, true);
-        let r1_seg = b.ctx[&1].last().unwrap().cur_seg;
+        let r1_seg = b.ctx[1].last().unwrap().cur_seg;
         b.implicit_task_end(&m0, r1, 0);
         b.implicit_task_end(&m1, r1, 1);
         b.parallel_end(&m0, r1);
@@ -1746,7 +1771,7 @@ mod tests {
         let r2 = b.parallel_begin(&m0, 2);
         b.implicit_task_begin(&m0, r2, 0);
         b.implicit_task_begin(&m1, r2, 1);
-        let r2_seg = b.ctx[&1].last().unwrap().cur_seg;
+        let r2_seg = b.ctx[1].last().unwrap().cur_seg;
         b.implicit_task_end(&m0, r2, 0);
         b.implicit_task_end(&m1, r2, 1);
         b.parallel_end(&m0, r2);
@@ -1768,10 +1793,10 @@ mod tests {
         b.implicit_task_begin(&m0, r, 0);
         b.implicit_task_begin(&m1, r, 1);
         b.record_access(&m0, 0x10, 8, true);
-        let pre0 = b.ctx[&0].last().unwrap().cur_seg;
+        let pre0 = b.ctx[0].last().unwrap().cur_seg;
         b.barrier(&m0, r);
         b.barrier(&m1, r);
-        let post1 = b.ctx[&1].last().unwrap().cur_seg;
+        let post1 = b.ctx[1].last().unwrap().cur_seg;
         b.record_access(&m1, 0x10, 8, true);
         let g = b.finalize();
         let rc = Reachability::compute(&g);
@@ -1801,10 +1826,10 @@ mod tests {
         let m = meta(0);
         b.critical_enter(&m, 7);
         b.record_access(&m, 0x77, 8, true);
-        let in_crit = b.ctx[&0].last().unwrap().cur_seg;
+        let in_crit = b.ctx[0].last().unwrap().cur_seg;
         b.critical_exit(&m, 7);
         b.record_access(&m, 0x88, 8, true);
-        let after = b.ctx[&0].last().unwrap().cur_seg;
+        let after = b.ctx[0].last().unwrap().cur_seg;
         let g = b.finalize();
         assert_eq!(g.segments[in_crit as usize].locks, vec![7]);
         assert!(g.segments[after as usize].locks.is_empty());
@@ -1875,5 +1900,134 @@ mod tests {
         assert!(dot.starts_with("digraph"));
         assert!(dot.contains("->"));
         assert!(dot.contains("task"));
+    }
+
+    /// One event of the push-window property test.
+    #[derive(Clone, Debug)]
+    enum WinOp {
+        /// `len` lockstep iterations over `arrays` arrays of `size`-byte
+        /// elements read or written `stride` elements apart (bit `a` of
+        /// `writes` makes array `a` a write). The arrays start `gap * 8`
+        /// bytes apart, so one array's run grows into the next.
+        Sweep {
+            arrays: u64,
+            len: u64,
+            size: u64,
+            stride: u64,
+            gap: u64,
+            backward: bool,
+            writes: u8,
+        },
+        /// One access of 1 or 8 bytes, unaligned, anywhere in the arrays.
+        Access {
+            off: u64,
+            size: u64,
+            write: bool,
+        },
+        /// Spawn a task and start it on thread `tid` (a new context).
+        TaskBegin {
+            tid: Tid,
+        },
+        /// End the innermost open task.
+        TaskEnd,
+        /// Enter, or leave if held, the current thread's critical section.
+        Critical,
+        Taskwait,
+    }
+
+    fn win_op() -> impl proptest::Strategy<Value = WinOp> {
+        use proptest::prelude::*;
+        prop_oneof![
+            (2u64..7, 1u64..24, any::<bool>(), 1u64..3, 0u64..40, any::<bool>(), any::<u8>())
+                .prop_map(|(arrays, len, wide, stride, gap, backward, writes)| WinOp::Sweep {
+                    arrays,
+                    len,
+                    size: if wide { 8 } else { 1 },
+                    stride,
+                    gap,
+                    backward,
+                    writes,
+                }),
+            (0u64..512, any::<bool>(), any::<bool>()).prop_map(|(off, wide, write)| {
+                WinOp::Access { off, size: if wide { 8 } else { 1 }, write }
+            }),
+            (0usize..3).prop_map(|tid| WinOp::TaskBegin { tid }),
+            Just(WinOp::TaskEnd),
+            Just(WinOp::Critical),
+            Just(WinOp::Taskwait),
+        ]
+    }
+
+    /// Replay `ops` into a fresh builder with the given ingestion path.
+    fn replay_win(ops: &[WinOp], bulk: bool) -> SegmentGraph {
+        const BASE: u64 = 0x1_0000;
+        let mut b = GraphBuilder::new();
+        b.set_bulk_ingest(bulk);
+        // open tasks, innermost last; ops run on the innermost's thread
+        let mut open: Vec<(u64, Tid)> = Vec::new();
+        let mut held = [false; 3];
+        for op in ops {
+            let tid = open.last().map_or(0, |&(_, t)| t);
+            let m = meta(tid);
+            match *op {
+                WinOp::Sweep { arrays, len, size, stride, gap, backward, writes } => {
+                    for i in 0..len {
+                        let i = if backward { len - 1 - i } else { i };
+                        for a in 0..arrays {
+                            let addr = BASE + a * gap * 8 + i * stride * size;
+                            b.record_access(&m, addr, size, writes >> a & 1 == 1);
+                        }
+                    }
+                }
+                WinOp::Access { off, size, write } => b.record_access(&m, BASE + off, size, write),
+                WinOp::TaskBegin { tid: child } => {
+                    let t = spawn_task(&mut b, &m, 0x100);
+                    b.task_begin(&meta(child), t);
+                    open.push((t, child));
+                }
+                WinOp::TaskEnd => {
+                    if let Some((t, child)) = open.pop() {
+                        b.task_end(&meta(child), t);
+                    }
+                }
+                WinOp::Critical => {
+                    if held[tid] {
+                        b.critical_exit(&m, 0x40);
+                    } else {
+                        b.critical_enter(&m, 0x40);
+                    }
+                    held[tid] = !held[tid];
+                }
+                WinOp::Taskwait => b.taskwait(&m),
+            }
+        }
+        while let Some((t, child)) = open.pop() {
+            b.task_end(&meta(child), t);
+        }
+        b.finalize()
+    }
+
+    proptest::proptest! {
+        /// The bulk path's push window is invisible: on interleaved
+        /// multi-array sweeps — where an older buffer entry keeps
+        /// growing until it overlaps a newer one — plus scattered,
+        /// backward and repeated accesses across task and critical
+        /// boundaries, every segment's trees and raw access counts
+        /// equal the per-access reference path's.
+        #[test]
+        fn push_window_matches_per_access_path(
+            ops in proptest::prop::collection::vec(win_op(), 1..40),
+        ) {
+            let bulk = replay_win(&ops, true);
+            let reference = replay_win(&ops, false);
+            proptest::prop_assert_eq!(bulk.segments.len(), reference.segments.len());
+            for (s, r) in bulk.segments.iter().zip(&reference.segments) {
+                let ivs = |t: &IntervalTree| t.iter().collect::<Vec<_>>();
+                proptest::prop_assert_eq!(ivs(&s.reads), ivs(&r.reads), "reads of S{}", s.id);
+                proptest::prop_assert_eq!(ivs(&s.writes), ivs(&r.writes), "writes of S{}", s.id);
+                proptest::prop_assert_eq!(s.reads.accesses(), r.reads.accesses());
+                proptest::prop_assert_eq!(s.writes.accesses(), r.writes.accesses());
+            }
+        }
     }
 }

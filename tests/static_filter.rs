@@ -4,6 +4,7 @@
 //! soundness contract of `tga-analysis` — the filter may only drop
 //! records that Algorithm 1 would have suppressed (same-thread stack
 //! segments) or that cannot conflict at all (never-written globals).
+//! The same loop pins Taskgrind's Table I column against ground truth.
 
 use taskgrind::tool::RecordOptions;
 use taskgrind::{check_module, TaskgrindConfig, TaskgrindResult};
@@ -54,6 +55,22 @@ fn static_filter_preserves_all_table1_verdicts() {
                 "{} ({} threads): report count changed by static filter",
                 p.name,
                 nt
+            );
+            // Table I's Taskgrind column: every verdict follows ground
+            // truth except the DRB101 false positive and the DRB129
+            // false negative (a merged task no dynamic tool can see)
+            let expected = match p.name {
+                "101-task-value-orig" => true,
+                "129-mergeable-taskwait-orig" => false,
+                _ => p.racy,
+            };
+            assert_eq!(
+                with.n_reports() > 0,
+                expected,
+                "{} ({} threads): verdict differs from Table I\n{}",
+                p.name,
+                nt,
+                with.render_all()
             );
             assert_eq!(without.sites_pruned, 0, "filter off must prune nothing");
             assert!(
