@@ -3,7 +3,7 @@
 //! DBI with no tool ("nulgrind"), (c) DBI with access counting
 //! ("lackey"), and (d) the full Taskgrind recording pass — plus the
 //! dispatch ablation: nulgrind with superblock chaining on vs. the
-//! `--no-chaining` probe-every-block dispatcher, on the synthetic
+//! reference probe-every-block dispatcher, on the synthetic
 //! kernel and on the Table II mini-LULESH kernel.
 
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -1,15 +1,12 @@
 //! Command-line options for `tgrind`.
 //!
-//! This module only *parses*; resolution (precedence **explicit flag >
-//! environment variable > default**) lives in
-//! [`tg_engine::config::EngineConfig::resolve`], which consumes the
-//! [`ConfigOverrides`] produced by [`Opts::overrides`]. The engine's
-//! knob declaration [`FLAGS`] and table renderer are re-exported here
-//! so the README rot-proofing test keeps its import path.
+//! This module only *parses*: engine flags land straight in the
+//! [`EngineConfig`] of [`Opts::engine`], which the run hands to the
+//! engine unchanged. The engine's knob declaration [`FLAGS`] and table
+//! renderer are re-exported here so the README rot-proofing test keeps
+//! its import path.
 
-pub use tg_engine::config::{
-    render_flag_table, resolve_thread_count, ConfigOverrides, EngineConfig, FlagSpec, FLAGS,
-};
+pub use tg_engine::config::{render_flag_table, EngineConfig, FLAGS};
 
 /// Parsed command-line options (see `tgrind --help`).
 pub struct Opts {
@@ -31,76 +28,37 @@ pub struct Opts {
     pub random: bool,
     pub no_ignore: bool,
     pub keep_free: bool,
-    pub no_static_filter: bool,
-    pub no_static_concurrency: bool,
     pub lint_json: Option<String>,
-    pub no_chaining: bool,
     pub cache_blocks: Option<usize>,
     pub no_suppress: bool,
+    /// `--analysis-threads=N` (0 = auto; the engine caps it at the
+    /// host's core count).
     pub analysis_threads: usize,
-    pub no_sweep: bool,
-    pub no_bulk: bool,
-    pub no_fuse: bool,
     /// `--confirm-races`: replay surviving candidates under adversarial
     /// schedules and annotate reports with confirmed/unconfirmed verdicts.
     pub confirm_races: bool,
     /// `--confirm-budget=N` replay attempts per candidate pair.
     pub confirm_budget: usize,
-    pub code_cache: Option<String>,
-    pub no_code_cache: bool,
-    pub streaming: bool,
-    pub no_streaming: bool,
-    pub max_live_segments: usize,
     pub suppressions: Option<String>,
-    pub trace_out: Option<String>,
-    pub metrics_json: Option<String>,
-    pub self_profile: bool,
     pub dot: Option<String>,
     pub disasm: bool,
     pub program: String,
     pub guest_args: Vec<String>,
-}
-
-impl Opts {
-    /// Map the parsed flags onto the engine's override set — the half
-    /// of the options [`EngineConfig::resolve`] consumes.
-    pub fn overrides(&self) -> ConfigOverrides {
-        ConfigOverrides {
-            no_chaining: self.no_chaining,
-            no_sweep: self.no_sweep,
-            no_bulk: self.no_bulk,
-            no_fuse: self.no_fuse,
-            code_cache: self.code_cache.clone(),
-            no_code_cache: self.no_code_cache,
-            no_static_filter: self.no_static_filter,
-            no_static_concurrency: self.no_static_concurrency,
-            streaming: if self.streaming {
-                Some(true)
-            } else if self.no_streaming {
-                Some(false)
-            } else {
-                None
-            },
-            max_live_segments: self.max_live_segments,
-            trace_out: self.trace_out.clone(),
-            metrics_json: self.metrics_json.clone(),
-            self_profile: self.self_profile,
-        }
-    }
+    /// The engine knobs declared in [`FLAGS`].
+    pub engine: EngineConfig,
 }
 
 /// Flags the one-shot CLI accepts but `tgrind submit` cannot forward to
-/// a daemon: tracing/metrics destinations and `fuse` are daemon-global
-/// (the serve whitelist rejects them per-job), and suppression/DOT
-/// output are client-side file surfaces. Returns the offending flag
-/// names so `submit` can reject the invocation with a structured
-/// `bad_request` echo instead of silently changing run semantics.
-pub fn unforwardable_flags(o: &Opts, eng: &EngineConfig) -> Vec<&'static str> {
+/// a daemon: tracing/metrics destinations are daemon-global (the serve
+/// whitelist rejects them per-job), and suppression/DOT output are
+/// client-side file surfaces. Returns the offending flag names so
+/// `submit` can reject the invocation with a structured `bad_request`
+/// echo instead of silently changing run semantics.
+pub fn unforwardable_flags(o: &Opts) -> Vec<&'static str> {
     let mut bad = Vec::new();
     for (flag, set) in [
-        ("--trace-out", eng.trace_out.is_some()),
-        ("--metrics-json", eng.metrics_json.is_some()),
-        ("--no-fuse", !eng.fuse),
+        ("--trace-out", o.engine.trace_out.is_some()),
+        ("--metrics-json", o.engine.metrics_json.is_some()),
         ("--suppressions", o.suppressions.is_some()),
         ("--dot", o.dot.is_some()),
     ] {
@@ -111,12 +69,6 @@ pub fn unforwardable_flags(o: &Opts, eng: &EngineConfig) -> Vec<&'static str> {
     bad
 }
 
-/// Parse a `--*-threads=N` flag value and resolve the 0=auto
-/// convention; exits with usage on a malformed count.
-pub fn parse_thread_count(v: &str) -> usize {
-    resolve_thread_count(v.parse().unwrap_or_else(|_| usage()))
-}
-
 /// Print the usage banner and exit with status 2.
 pub fn usage() -> ! {
     eprintln!("usage: tgrind [--tool=taskgrind|archer|tasksan|romp|none] [--threads=N] [--seed=N]");
@@ -124,12 +76,9 @@ pub fn usage() -> ! {
         "              [--random-sched] [--no-ignore-list] [--keep-free] [--no-static-filter]"
     );
     eprintln!("              [--no-static-concurrency]");
-    eprintln!("              [--no-chaining] [--cache-blocks=N] [--no-suppress]");
-    eprintln!("              [--analysis-threads=N] [--no-sweep]");
-    eprintln!("              [--no-bulk] [--no-fuse]");
-    eprintln!("              [--confirm-races] [--confirm-budget=N]");
-    eprintln!("              [--code-cache=DIR] [--no-code-cache]");
-    eprintln!("              [--streaming|--no-streaming] [--max-live-segments=N]");
+    eprintln!("              [--cache-blocks=N] [--no-suppress] [--analysis-threads=N]");
+    eprintln!("              [--confirm-races] [--confirm-budget=N] [--code-cache=DIR]");
+    eprintln!("              [--streaming] [--max-live-segments=N]");
     eprintln!("              [--trace-out=FILE] [--metrics-json=FILE] [--self-profile]");
     eprintln!("              [--dot=FILE] [--disasm]");
     eprintln!("              <program.c> [-- args...]");
@@ -138,9 +87,6 @@ pub fn usage() -> ! {
     eprintln!("       tgrind serve --socket=PATH [--serve-workers=N] [--serve-queue=N]");
     eprintln!("                    (persistent analysis daemon; line-delimited JSON protocol)");
     eprintln!("       tgrind submit --socket=PATH [run options] <program.c> [-- args...]");
-    eprintln!("       env: TG_NO_BULK, TG_NO_FUSE, TG_CODE_CACHE,");
-    eprintln!("            TG_STREAMING, TG_TRACE_OUT, TG_METRICS_JSON, TG_SELF_PROFILE");
-    eprintln!("            (flags win over env)");
     std::process::exit(2)
 }
 
@@ -160,31 +106,18 @@ pub fn parse_args(args: impl Iterator<Item = String>) -> Opts {
         random: false,
         no_ignore: false,
         keep_free: false,
-        no_static_filter: false,
-        no_static_concurrency: false,
         lint_json: None,
-        no_chaining: false,
         cache_blocks: None,
         no_suppress: false,
         analysis_threads: 0,
-        no_sweep: false,
-        no_bulk: false,
-        no_fuse: false,
         confirm_races: false,
         confirm_budget: 16,
-        code_cache: None,
-        no_code_cache: false,
-        streaming: false,
-        no_streaming: false,
-        max_live_segments: 0,
         suppressions: None,
-        trace_out: None,
-        metrics_json: None,
-        self_profile: false,
         dot: None,
         disasm: false,
         program: String::new(),
         guest_args: Vec::new(),
+        engine: EngineConfig::default(),
     };
     let mut args = args.peekable();
     while let Some(a) = args.next() {
@@ -204,49 +137,35 @@ pub fn parse_args(args: impl Iterator<Item = String>) -> Opts {
         } else if a == "--keep-free" {
             o.keep_free = true;
         } else if a == "--no-static-filter" {
-            o.no_static_filter = true;
+            o.engine.static_filter = false;
         } else if a == "--no-static-concurrency" {
-            o.no_static_concurrency = true;
+            o.engine.static_concurrency = false;
         } else if let Some(v) = a.strip_prefix("--lint-json=") {
             o.lint_json = Some(v.to_string());
-        } else if a == "--no-chaining" {
-            o.no_chaining = true;
         } else if let Some(v) = a.strip_prefix("--cache-blocks=") {
             o.cache_blocks = Some(v.parse().unwrap_or_else(|_| usage()));
         } else if a == "--no-suppress" {
             o.no_suppress = true;
-        } else if let Some(v) =
-            a.strip_prefix("--analysis-threads=").or_else(|| a.strip_prefix("--parallel-analysis="))
-        {
-            o.analysis_threads = parse_thread_count(v);
-        } else if a == "--no-sweep" {
-            o.no_sweep = true;
-        } else if a == "--no-bulk" {
-            o.no_bulk = true;
-        } else if a == "--no-fuse" {
-            o.no_fuse = true;
+        } else if let Some(v) = a.strip_prefix("--analysis-threads=") {
+            o.analysis_threads = v.parse().unwrap_or_else(|_| usage());
         } else if a == "--confirm-races" {
             o.confirm_races = true;
         } else if let Some(v) = a.strip_prefix("--confirm-budget=") {
             o.confirm_budget = v.parse().unwrap_or_else(|_| usage());
         } else if let Some(v) = a.strip_prefix("--code-cache=") {
-            o.code_cache = Some(v.to_string());
-        } else if a == "--no-code-cache" {
-            o.no_code_cache = true;
+            o.engine.code_cache = Some(v.to_string());
         } else if a == "--streaming" {
-            o.streaming = true;
-        } else if a == "--no-streaming" {
-            o.no_streaming = true;
+            o.engine.streaming = true;
         } else if let Some(v) = a.strip_prefix("--max-live-segments=") {
-            o.max_live_segments = v.parse().unwrap_or_else(|_| usage());
+            o.engine.max_live_segments = v.parse().unwrap_or_else(|_| usage());
         } else if let Some(v) = a.strip_prefix("--suppressions=") {
             o.suppressions = Some(v.to_string());
         } else if let Some(v) = a.strip_prefix("--trace-out=") {
-            o.trace_out = Some(v.to_string());
+            o.engine.trace_out = Some(v.to_string());
         } else if let Some(v) = a.strip_prefix("--metrics-json=") {
-            o.metrics_json = Some(v.to_string());
+            o.engine.metrics_json = Some(v.to_string());
         } else if a == "--self-profile" {
-            o.self_profile = true;
+            o.engine.self_profile = true;
         } else if let Some(v) = a.strip_prefix("--socket=") {
             o.socket = Some(v.to_string());
         } else if let Some(v) = a.strip_prefix("--serve-workers=") {
@@ -302,44 +221,42 @@ mod tests {
         parse_args(args.iter().map(|s| s.to_string()))
     }
 
-    fn resolve(args: &[&str]) -> EngineConfig {
-        EngineConfig::resolve(&opts(args).overrides())
+    #[test]
+    fn engine_flags_parse_into_engine_config() {
+        let eng = opts(&["p.c"]).engine;
+        assert_eq!(eng.describe(), EngineConfig::default().describe(), "no flag, no change");
+        let eng = opts(&[
+            "--no-static-filter",
+            "--no-static-concurrency",
+            "--streaming",
+            "--max-live-segments=5",
+            "p.c",
+        ])
+        .engine;
+        assert!(!eng.static_filter);
+        assert!(!eng.static_concurrency);
+        assert!(eng.streaming);
+        assert_eq!(eng.max_live_segments, 5);
     }
 
     #[test]
-    fn declared_flags_match_engine_config_knobs() {
-        let eng = resolve(&["p.c"]);
-        let declared: Vec<&str> = FLAGS.iter().map(|f| f.knob).collect();
-        let described: Vec<&str> = eng.describe().iter().map(|(k, _)| *k).collect();
-        assert_eq!(
-            declared, described,
-            "FLAGS and EngineConfig::describe must list the same knobs in the same order"
-        );
-    }
-
-    #[test]
-    fn observability_flags_parse_and_resolve() {
-        let eng = resolve(&[
+    fn observability_flags_parse() {
+        let eng = opts(&[
             "--trace-out=/tmp/t.json",
             "--metrics-json=/tmp/m.json",
             "--self-profile",
             "p.c",
-        ]);
+        ])
+        .engine;
         assert_eq!(eng.trace_out.as_deref(), Some("/tmp/t.json"));
         assert_eq!(eng.metrics_json.as_deref(), Some("/tmp/m.json"));
         assert!(eng.self_profile);
-        let eng = resolve(&["p.c"]);
-        assert!(eng.trace_out.is_none() || std::env::var_os("TG_TRACE_OUT").is_some());
-        assert!(!eng.self_profile || std::env::var_os("TG_SELF_PROFILE").is_some());
     }
 
     #[test]
-    fn code_cache_flags_parse_and_resolve() {
-        let eng = resolve(&["--code-cache=/tmp/tgc", "p.c"]);
-        assert_eq!(eng.code_cache.as_deref(), Some("/tmp/tgc"));
-        // --no-code-cache wins over the directory flag and the env var.
-        let eng = resolve(&["--code-cache=/tmp/tgc", "--no-code-cache", "p.c"]);
-        assert!(eng.code_cache.is_none());
+    fn code_cache_flags_parse() {
+        let o = opts(&["--code-cache=/tmp/tgc", "p.c"]);
+        assert_eq!(o.engine.code_cache.as_deref(), Some("/tmp/tgc"));
         let o = opts(&["warm", "p.c"]);
         assert!(o.warm);
         assert_eq!(o.program, "p.c");
@@ -360,34 +277,10 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_tracks_translation_knobs_only() {
-        let base = resolve(&["p.c"]);
-        let fp = base.translation_fingerprint(&[]);
-        let nofuse = resolve(&["--no-fuse", "p.c"]);
-        assert_ne!(fp, nofuse.translation_fingerprint(&[]), "fuse must be keyed");
-        let noconc = resolve(&["--no-static-concurrency", "p.c"]);
-        assert_ne!(fp, noconc.translation_fingerprint(&[]), "static_concurrency must be keyed");
-        let streaming = resolve(&["--streaming", "p.c"]);
-        assert_eq!(
-            fp,
-            streaming.translation_fingerprint(&[]),
-            "analysis-side knobs must not invalidate cached code"
-        );
-        assert_ne!(fp, base.translation_fingerprint(&["tool=archer".into()]));
-        assert_ne!(
-            base.translation_fingerprint(&["ab".into()]),
-            base.translation_fingerprint(&["a".into(), "b".into()]),
-            "extra parts must be delimited"
-        );
-    }
-
-    #[test]
-    fn analysis_threads_parse_and_resolve() {
-        // 0 means auto: one worker per available core.
-        let o = opts(&["--analysis-threads=0", "p.c"]);
-        assert_eq!(o.analysis_threads, resolve_thread_count(0));
-        let o = opts(&["--analysis-threads=3", "p.c"]);
-        assert_eq!(o.analysis_threads, 3);
+    fn analysis_threads_parse() {
+        // 0 means auto; the engine resolves and caps the count.
+        assert_eq!(opts(&["--analysis-threads=0", "p.c"]).analysis_threads, 0);
+        assert_eq!(opts(&["--analysis-threads=3", "p.c"]).analysis_threads, 3);
     }
 
     #[test]
@@ -403,24 +296,11 @@ mod tests {
     #[test]
     fn unforwardable_submit_flags_are_detected() {
         let o = opts(&["submit", "--socket=/tmp/s", "p.c"]);
-        let eng = EngineConfig::resolve(&o.overrides());
-        assert!(unforwardable_flags(&o, &eng).is_empty());
-        let o = opts(&["submit", "--socket=/tmp/s", "--dot=g.dot", "--no-fuse", "p.c"]);
-        let eng = EngineConfig::resolve(&o.overrides());
-        let bad = unforwardable_flags(&o, &eng);
-        assert!(bad.contains(&"--dot") && bad.contains(&"--no-fuse"), "{bad:?}");
+        assert!(unforwardable_flags(&o).is_empty());
+        let o = opts(&["submit", "--socket=/tmp/s", "--dot=g.dot", "--metrics-json=m", "p.c"]);
+        assert_eq!(unforwardable_flags(&o), ["--metrics-json", "--dot"]);
         // Confirmation flags, by contrast, forward fine.
         let o = opts(&["submit", "--socket=/tmp/s", "--confirm-races", "p.c"]);
-        let eng = EngineConfig::resolve(&o.overrides());
-        assert!(unforwardable_flags(&o, &eng).is_empty());
-    }
-
-    #[test]
-    fn flag_table_renders_every_declared_knob() {
-        let table = render_flag_table();
-        for f in FLAGS {
-            assert!(table.contains(f.knob), "table missing knob {}", f.knob);
-            assert!(table.contains(f.flag), "table missing flag {}", f.flag);
-        }
+        assert!(unforwardable_flags(&o).is_empty());
     }
 }

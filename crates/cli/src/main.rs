@@ -29,48 +29,36 @@
 //!                        lock findings in lint and no statically-proven
 //!                        guard masks in the sweep (verdicts unchanged)
 //!   --lint-json=<file>   (lint mode) dump the lint registry as JSON
-//!   --no-chaining        disable superblock chaining (slow dispatch)
 //!   --cache-blocks=<n>   translation-cache capacity in superblocks
 //!   --no-suppress        disable all analysis-time suppression
 //!   --suppressions=<f>   Valgrind-style report suppression file
 //!   --analysis-threads=<n>   analysis host threads (default: 0 = auto,
-//!                        std::thread::available_parallelism)
-//!   --parallel-analysis=<n>  alias for --analysis-threads
-//!   --no-sweep           all-pairs reference pair generation instead of
-//!                        the address-indexed sweep
-//!   --no-bulk            per-access interval-tree inserts instead of
-//!                        bulk ingestion (TG_NO_BULK=1 equivalent)
-//!   --no-fuse            disable peephole fusion in the lifter
-//!                        (TG_NO_FUSE=1 equivalent)
+//!                        std::thread::available_parallelism; larger
+//!                        counts are capped at the host's core count)
 //!   --confirm-races      replay each surviving candidate race under
 //!                        adversarial schedules from a CoW snapshot and
 //!                        annotate reports confirmed/unconfirmed
 //!   --confirm-budget=<n> replay attempts per candidate pair (default 16)
 //!   --code-cache=<dir>   persistent on-disk cache of compiled blocks
-//!                        and static facts (TG_CODE_CACHE equivalent)
-//!   --no-code-cache      ignore --code-cache / TG_CODE_CACHE
+//!                        and static facts
 //!   --streaming          online bounded-memory analysis: retire segments
 //!                        as the happens-before frontier passes them and
 //!                        analyze per epoch on a background pool
-//!                        (TG_STREAMING=1 equivalent)
-//!   --no-streaming       force the batch reference engine
 //!   --max-live-segments=<n>  streaming backpressure: block the guest
 //!                        when more closed segments are resident (0 = off)
 //!   --trace-out=<file>   write a Chrome-trace/Perfetto JSON timeline
-//!                        (TG_TRACE_OUT equivalent)
 //!   --metrics-json=<file>    dump the metrics registry as JSON
-//!                        (TG_METRICS_JSON equivalent)
 //!   --self-profile       sample executed-op budget per guest function
-//!                        (TG_SELF_PROFILE equivalent)
 //!   --dot=<file>         write the segment graph as Graphviz DOT
 //!   --disasm             dump the compiled guest binary and exit
 //! ```
 //!
 //! This binary is a thin adapter: every engine decision lives in
-//! [`tg_engine`] (config resolution, guest load, run lifecycle, serve
-//! daemon). The CLI parses flags, reads the program file, hands a
-//! [`RunRequest`] to a [`Session`], and writes the outcome's strings to
-//! the historical destinations with the historical exit codes.
+//! [`tg_engine`] (guest load, run lifecycle, serve daemon). The CLI
+//! parses flags straight into an [`EngineConfig`], reads the program
+//! file, hands a [`RunRequest`] to a [`Session`], and writes the
+//! outcome's strings to the historical destinations with the historical
+//! exit codes.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -106,7 +94,7 @@ fn fail(e: &EngineError) -> ExitCode {
 }
 
 /// `tgrind serve`: run the daemon until a client sends `shutdown`.
-fn serve_main(o: &Opts, eng: EngineConfig) -> ExitCode {
+fn serve_main(o: &Opts) -> ExitCode {
     let Some(sock) = &o.socket else {
         eprintln!("tgrind serve: --socket=PATH required");
         return ExitCode::from(2);
@@ -114,7 +102,7 @@ fn serve_main(o: &Opts, eng: EngineConfig) -> ExitCode {
     let opts = ServeOptions {
         workers: o.serve_workers.max(1),
         queue_cap: o.serve_queue.max(1),
-        engine: eng,
+        engine: o.engine.clone(),
     };
     let (workers, queue) = (opts.workers, opts.queue_cap);
     match Server::start(Path::new(sock), opts) {
@@ -133,7 +121,8 @@ fn serve_main(o: &Opts, eng: EngineConfig) -> ExitCode {
 
 /// Serialize the run flags into one protocol request line. The source
 /// text ships inline so the daemon never depends on client-side paths.
-fn submit_request(o: &Opts, eng: &EngineConfig, name: &str, text: &str) -> String {
+fn submit_request(o: &Opts, name: &str, text: &str) -> String {
+    let eng = &o.engine;
     let mut req = format!(
         "{{\"op\":\"run\",\"source\":{{\"name\":\"{}\",\"text\":\"{}\"}},\"tool\":\"{}\"",
         escape(name),
@@ -150,8 +139,8 @@ fn submit_request(o: &Opts, eng: &EngineConfig, name: &str, text: &str) -> Strin
         req.push_str(&format!(",\"confirm_races\":true,\"confirm_budget\":{}", o.confirm_budget));
     }
     req.push_str(&format!(
-        ",\"chaining\":{},\"sweep\":{},\"bulk\":{},\"static_filter\":{},\"static_concurrency\":{}",
-        eng.chaining, eng.sweep, eng.bulk, eng.static_filter, eng.static_concurrency
+        ",\"static_filter\":{},\"static_concurrency\":{}",
+        eng.static_filter, eng.static_concurrency
     ));
     req.push_str(&format!(
         ",\"streaming\":{},\"self_profile\":{},\"max_live_segments\":{}",
@@ -183,7 +172,7 @@ fn json_bool(v: Option<&JsonValue>) -> bool {
 
 /// `tgrind submit`: one job against a running daemon, rendered like a
 /// local run (status lines go to stderr with a `== serve:` prefix).
-fn submit_main(o: &Opts, eng: &EngineConfig, name: &str, text: &str) -> ExitCode {
+fn submit_main(o: &Opts, name: &str, text: &str) -> ExitCode {
     let Some(sock) = &o.socket else {
         eprintln!("tgrind submit: --socket=PATH required");
         return ExitCode::from(2);
@@ -191,7 +180,7 @@ fn submit_main(o: &Opts, eng: &EngineConfig, name: &str, text: &str) -> ExitCode
     // Flags the daemon cannot honor per-job are a hard error, echoed in
     // the daemon's own structured format: silently dropping them would
     // change run semantics behind the user's back.
-    let bad = tg_cli::engine::unforwardable_flags(o, eng);
+    let bad = tg_cli::engine::unforwardable_flags(o);
     if !bad.is_empty() {
         for flag in &bad {
             eprintln!(
@@ -212,7 +201,7 @@ fn submit_main(o: &Opts, eng: &EngineConfig, name: &str, text: &str) -> ExitCode
             return ExitCode::from(2);
         }
     };
-    if let Err(e) = client.send(&submit_request(o, eng, name, text)) {
+    if let Err(e) = client.send(&submit_request(o, name, text)) {
         eprintln!("tgrind submit: cannot send request: {e}");
         return ExitCode::from(2);
     }
@@ -261,9 +250,9 @@ fn submit_main(o: &Opts, eng: &EngineConfig, name: &str, text: &str) -> ExitCode
 
 fn main() -> ExitCode {
     let o = parse_args(std::env::args().skip(1));
-    let eng = EngineConfig::resolve(&o.overrides());
+    let eng = &o.engine;
     if o.serve {
-        return serve_main(&o, eng);
+        return serve_main(&o);
     }
     // Read the program up front: a missing file beats every later
     // diagnostic (historical CLI ordering), and the engine then builds
@@ -276,7 +265,7 @@ fn main() -> ExitCode {
         }
     };
     if o.submit {
-        return submit_main(&o, &eng, &o.program, &text);
+        return submit_main(&o, &o.program, &text);
     }
     let program = Program::Source { name: o.program.clone(), text };
     let session = Session::new();
@@ -346,12 +335,10 @@ fn main() -> ExitCode {
     };
 
     if o.warm {
-        let Some(_) = eng.code_cache else {
-            eprintln!(
-                "tgrind warm: no cache directory (pass --code-cache=DIR or set TG_CODE_CACHE)"
-            );
+        if eng.code_cache.is_none() {
+            eprintln!("tgrind warm: no cache directory (pass --code-cache=DIR)");
             return ExitCode::from(2);
-        };
+        }
         if o.tool != "taskgrind" {
             eprintln!("tgrind warm: only the taskgrind tool is cacheable (got `{}`)", o.tool);
             return ExitCode::from(2);
@@ -392,7 +379,7 @@ fn main() -> ExitCode {
             eprint!("{}", out.report);
             eprint!("{}", out.summary);
             if out.metrics_wired {
-                write_observability(&eng, &out);
+                write_observability(eng, &out);
             }
             for w in &out.warnings {
                 eprintln!("{w}");

@@ -1,10 +1,11 @@
 //! Pre-flattened superblock form for the chained dispatcher.
 //!
-//! The reference engine (`--no-chaining`) walks the instrumented
-//! [`IrBlock`] statement list directly: every guest instruction pays an
-//! `IMark` dispatch and every operand pays a nested `Rhs` match. Since a
-//! chained block is by definition steady-state hot, the chaining engine
-//! compiles it once — at translation time — into this flat form:
+//! The reference engine (`VmConfig::chaining = false`) walks the
+//! instrumented [`IrBlock`] statement list directly: every guest
+//! instruction pays an `IMark` dispatch and every operand pays a nested
+//! `Rhs` match. Since a chained block is by definition steady-state
+//! hot, the chaining engine compiles it once — at translation time —
+//! into this flat form:
 //!
 //! * `IMark`s disappear: the instruction counts a block contributes at
 //!   every observable point (each dirty call, each exit) are computed
@@ -459,19 +460,10 @@ pub fn compile(ir: &IrBlock) -> FlatBlock {
     }
 
     let next = operand(&mut consts, &ir.next);
-    // `TG_NO_FUSE` bypasses peephole fusion for differential debugging
-    // (compare against the unfused flat form, like `--no-chaining` does
-    // for dispatch); `TG_FLAT_DEBUG` prints per-block op counts.
-    let pre = ops.len();
-    let ops = if std::env::var_os("TG_NO_FUSE").is_some() {
-        ops
-    } else {
+    let ops = {
         let _s = tg_obs::trace::host_span("fuse");
         fuse(ops, &mut consts, &dirties, &memcbs, next, ir.n_temps)
     };
-    if std::env::var_os("TG_FLAT_DEBUG").is_some() {
-        eprintln!("flat {:#x}: {} -> {} ops", ir.base, pre, ops.len());
-    }
     let zero_temps = reads_undefined_temp(&ops, &dirties, &memcbs, next, ir.n_temps);
     FlatBlock {
         base: ir.base,

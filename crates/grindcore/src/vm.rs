@@ -76,9 +76,10 @@ pub struct VmConfig {
     /// instrumentation (Valgrind's pipeline order).
     pub optimize_ir: bool,
     /// Chain translated superblocks so steady-state dispatch skips the
-    /// translation-cache hash probe (Valgrind's block chaining). The
-    /// `--no-chaining` escape hatch clears this; results must be
-    /// bit-identical either way.
+    /// translation-cache hash probe (Valgrind's block chaining). Every
+    /// shipping run chains; `false` selects the tree-walk reference
+    /// engine the differential tests compare against, and results must
+    /// be bit-identical either way.
     pub chaining: bool,
     /// Capacity of the bounded translation cache, in superblocks.
     /// Evictions use an LRU-clock sweep and unchain the victim.
@@ -810,7 +811,7 @@ impl Vm {
         Ok(())
     }
 
-    /// The reference dispatch loop (`--no-chaining`): redirect probe and
+    /// The reference dispatch loop (`chaining = false`): redirect probe and
     /// translation-cache hash probe on every block, tree-walk execution
     /// of the instrumented IR. This is the engine the differential tests
     /// trust; the chained engine must match it bit for bit.

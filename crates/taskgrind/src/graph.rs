@@ -469,7 +469,7 @@ pub struct GraphBuilder {
     cur_seq: u64,
     /// Bulk ingestion: buffer accesses per context and drain at segment
     /// close (default). `false` is the per-access reference path
-    /// (`TG_NO_BULK` / `RecordOptions::bulk_ingest`).
+    /// (`RecordOptions::bulk_ingest`).
     bulk: bool,
     /// Streaming retirement (`None` = batch mode).
     stream: Option<StreamState>,
@@ -543,8 +543,8 @@ impl GraphBuilder {
     }
 
     /// Toggle bulk access ingestion (see [`Self::record_access`]). The
-    /// reference per-access path is kept for the differential tests and
-    /// the `TG_NO_BULK` escape hatch; call before recording starts.
+    /// reference per-access path is kept as the differential tests'
+    /// oracle; call before recording starts.
     pub fn set_bulk_ingest(&mut self, v: bool) {
         self.bulk = v;
     }

@@ -81,8 +81,9 @@ pub struct TaskgrindConfig {
     /// (`std::thread::available_parallelism`).
     pub analysis_threads: usize,
     /// Use the sweep-based candidate generator (address-indexed pair
-    /// generation). `--no-sweep` restores the all-pairs reference loop,
-    /// the paper's sequential Algorithm 1.
+    /// generation). `false` runs the all-pairs reference loop, the
+    /// paper's sequential Algorithm 1, which the differential tests
+    /// compare against.
     pub sweep: bool,
     /// Streaming segment retirement: analyze online, per retirement
     /// epoch, on a background pool, freeing each segment's interval

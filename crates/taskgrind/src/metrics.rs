@@ -101,8 +101,7 @@ pub fn render_summary(reg: &Registry) -> String {
         reg.u64("filter.accesses_recorded"),
     ));
     out.push_str(&format!(
-        "== dispatch: chaining {} | {} chain hit(s) ({} ibtc), {} probe(s), {} translation(s), {} eviction(s), {} discard(s)\n",
-        if reg.bool("engine.chaining") { "on" } else { "off" },
+        "== dispatch: {} chain hit(s) ({} ibtc), {} probe(s), {} translation(s), {} eviction(s), {} discard(s)\n",
         reg.u64("dispatch.chain_hits"),
         reg.u64("dispatch.ibtc_hits"),
         reg.u64("dispatch.probes"),
@@ -177,7 +176,6 @@ int main(void) {
         let r = check_module(&m, &[], &cfg);
         let mut reg = Registry::new();
         publish(&r, &mut reg);
-        reg.set_bool("engine.chaining", true);
         let s = render_summary(&reg);
         // exactly one merged analysis line
         assert_eq!(s.matches("== analysis:").count(), 1, "{s}");

@@ -97,7 +97,8 @@ pub struct RecordOptions {
     pub static_facts: Option<Arc<StaticFacts>>,
     /// Buffer accesses per execution context and bulk-build the interval
     /// trees at segment close instead of one BTreeMap insert per access.
-    /// `TG_NO_BULK=1` restores the per-access reference path.
+    /// `false` is the per-access reference path the differential tests
+    /// compare against.
     pub bulk_ingest: bool,
 }
 
@@ -111,7 +112,7 @@ impl Default for RecordOptions {
             static_filter: true,
             static_concurrency: true,
             static_facts: None,
-            bulk_ingest: std::env::var_os("TG_NO_BULK").is_none(),
+            bulk_ingest: true,
         }
     }
 }

@@ -1,12 +1,12 @@
 //! tg-engine — the Taskgrind engine as an embeddable library.
 //!
 //! Everything the `tgrind` CLI does between parsing flags and writing
-//! bytes to the terminal lives here: configuration resolution
-//! ([`EngineConfig`], precedence override > env > default), guest load
-//! and memoized compilation, VM construction, tool attach, the run
-//! itself, and result/registry extraction — all callable in-process
-//! through a [`Session`]. No function in this crate writes to
-//! stdout/stderr or exits the process (a CI grep gate enforces this);
+//! bytes to the terminal lives here: the plain-data run configuration
+//! ([`EngineConfig`]), guest load and memoized compilation, VM
+//! construction, tool attach, the run itself, and result/registry
+//! extraction — all callable in-process through a [`Session`]. No
+//! function in this crate writes to stdout/stderr, exits the process or
+//! touches the process environment (CI grep gates enforce this);
 //! outcomes carry the exact strings and exit codes the CLI renders, so
 //! the one-shot `tgrind` output is byte-identical to what it was when
 //! this logic lived in `main.rs`.
@@ -27,9 +27,7 @@ pub mod serve;
 pub mod session;
 pub mod warm;
 
-pub use config::{
-    render_flag_table, resolve_thread_count, ConfigOverrides, EngineConfig, FlagSpec, FLAGS,
-};
+pub use config::{render_flag_table, EngineConfig, FlagSpec, FLAGS};
 pub use session::{
     render_profile, EngineError, LintOutcome, Program, RunOutcome, RunRequest, Session, WarmOutcome,
 };

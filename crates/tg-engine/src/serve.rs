@@ -26,12 +26,12 @@
 //! returns daemon statistics; `{"op":"shutdown"}` stops the daemon
 //! after in-flight jobs finish.
 //!
-//! Per-job knobs are a whitelist of the CLI's run flags. Process-global
-//! configuration is deliberately *not* per-job: `fuse` is exported into
-//! the environment at translation time, and `trace_out`/`metrics_json`
-//! are file destinations owned by the daemon process — requests naming
-//! any of them are rejected as `bad_request` rather than silently
-//! racing other jobs.
+//! Per-job knobs are a whitelist of the CLI's run flags, each
+//! overriding one field of the daemon's baseline [`EngineConfig`].
+//! `trace_out`/`metrics_json` are deliberately *not* per-job: they are
+//! file destinations owned by the daemon process, so requests naming
+//! them are rejected as `bad_request` rather than silently racing other
+//! jobs. Any other field is rejected as unknown.
 
 use crate::config::EngineConfig;
 use crate::session::{EngineError, Program, RunOutcome, RunRequest, Session};
@@ -240,9 +240,6 @@ fn parse_request(line: &str, defaults: &EngineConfig) -> Result<Op, String> {
                     .collect::<Option<Vec<_>>>()
                     .ok_or("\"guest_args\" must be an array of strings")?;
             }
-            "chaining" => req.engine.chaining = need_bool(key, value)?,
-            "sweep" => req.engine.sweep = need_bool(key, value)?,
-            "bulk" => req.engine.bulk = need_bool(key, value)?,
             "static_filter" => req.engine.static_filter = need_bool(key, value)?,
             "static_concurrency" => req.engine.static_concurrency = need_bool(key, value)?,
             "streaming" => req.engine.streaming = need_bool(key, value)?,
@@ -254,7 +251,7 @@ fn parse_request(line: &str, defaults: &EngineConfig) -> Result<Op, String> {
                     req.engine.code_cache = None;
                 }
             }
-            "fuse" | "trace_out" | "metrics_json" => {
+            "trace_out" | "metrics_json" => {
                 return Err(format!("field \"{key}\" is daemon-global, not per-job"));
             }
             other => return Err(format!("unknown request field \"{other}\"")),
@@ -502,11 +499,19 @@ mod tests {
     #[test]
     fn request_whitelist_rejects_global_and_unknown_fields() {
         let eng = EngineConfig::default();
-        let r =
-            parse_request(r#"{"op":"run","source":{"name":"a.c","text":"x"},"fuse":true}"#, &eng);
-        assert!(r.is_err(), "fuse is daemon-global");
-        let r = parse_request(r#"{"op":"run","source":{"name":"a.c","text":"x"},"wat":1}"#, &eng);
-        assert!(r.is_err(), "unknown fields must be rejected");
+        let r = parse_request(
+            r#"{"op":"run","source":{"name":"a.c","text":"x"},"trace_out":"t.json"}"#,
+            &eng,
+        );
+        assert!(r.is_err(), "trace_out is daemon-global");
+        for field in ["wat", "chaining", "sweep", "bulk", "fuse"] {
+            let line =
+                format!(r#"{{"op":"run","source":{{"name":"a.c","text":"x"}},"{field}":true}}"#);
+            match parse_request(&line, &eng) {
+                Err(msg) => assert!(msg.contains("unknown request field"), "{field}: {msg}"),
+                Ok(_) => panic!("unknown field {field} must be rejected"),
+            }
+        }
         let r = parse_request(r#"{"op":"run","tool":"taskgrind"}"#, &eng);
         assert!(r.is_err(), "a program is required");
         let r = parse_request(

@@ -35,7 +35,7 @@ use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use taskgrind::analysis::SuppressOptions;
+use taskgrind::analysis::{resolve_threads, SuppressOptions};
 use taskgrind::suppressions::Suppressions;
 use taskgrind::tool::RecordOptions;
 use taskgrind::{check_module, TaskgrindConfig};
@@ -124,9 +124,7 @@ impl EngineError {
     }
 }
 
-/// Everything one analysis run needs, fully resolved — no environment
-/// reads happen past this point except the `TG_NO_FUSE` export the
-/// lifter requires.
+/// Everything one analysis run needs, as plain data.
 #[derive(Clone, Debug)]
 pub struct RunRequest {
     /// The guest program.
@@ -147,7 +145,8 @@ pub struct RunRequest {
     pub cache_blocks: Option<usize>,
     /// Disable all analysis-time suppression (`--no-suppress`).
     pub no_suppress: bool,
-    /// Analysis host threads (already resolved; 0 = auto).
+    /// Analysis host threads (0 = auto). [`Session::run`] caps the
+    /// count at the host's available parallelism.
     pub analysis_threads: usize,
     /// Pre-parsed report suppressions (`--suppressions`).
     pub suppressions: Suppressions,
@@ -161,7 +160,7 @@ pub struct RunRequest {
     pub confirm_budget: usize,
     /// Guest argv.
     pub guest_args: Vec<String>,
-    /// The resolved engine configuration.
+    /// The engine configuration.
     pub engine: EngineConfig,
 }
 
@@ -352,7 +351,6 @@ fn record_options(req: &RunRequest) -> RecordOptions {
         replace_allocator: !req.keep_free,
         static_filter: req.engine.static_filter,
         static_concurrency: req.engine.static_concurrency,
-        bulk_ingest: req.engine.bulk,
         ..Default::default()
     }
 }
@@ -512,7 +510,6 @@ impl Session {
         if !matches!(tool, "taskgrind" | "none" | "archer" | "tasksan" | "romp") {
             return Err(EngineError::UnknownTool(req.tool.clone()));
         }
-        eng.export_fuse();
         let traced = eng.trace_out.is_some();
         if traced {
             // `init_default` discards any prior ring contents, so a
@@ -532,7 +529,6 @@ impl Session {
             nthreads: req.threads,
             seed: req.seed,
             sched: if req.random_sched { SchedPolicy::Random } else { SchedPolicy::RoundRobin },
-            chaining: eng.chaining,
             cache_blocks: req.cache_blocks.unwrap_or_else(|| VmConfig::default().cache_blocks),
             self_profile: eng.self_profile,
             ..Default::default()
@@ -647,6 +643,15 @@ impl Session {
                     };
                     record.static_facts = Some(fo.facts);
                 }
+                // 0 means one analysis thread per core. Each thread is an
+                // OS thread (streaming) or a shard (sweep): more than the
+                // host's cores buys nothing, and a huge request would
+                // exhaust the host.
+                let cores = resolve_threads(0);
+                let analysis_threads = match req.analysis_threads {
+                    0 => cores,
+                    n => n.min(cores),
+                };
                 let cfg = TaskgrindConfig {
                     vm,
                     record,
@@ -665,8 +670,8 @@ impl Session {
                             ..Default::default()
                         }
                     },
-                    analysis_threads: req.analysis_threads,
-                    sweep: eng.sweep,
+                    analysis_threads,
+                    sweep: true,
                     streaming: eng.streaming,
                     max_live_segments: eng.max_live_segments,
                     suppressions: req.suppressions.clone(),
@@ -740,7 +745,7 @@ impl Session {
             module_hash,
             record_options(req),
             &mut cache,
-            crate::config::resolve_thread_count(0),
+            resolve_threads(0),
         );
         if let Err(e) = cache.flush() {
             return Err(EngineError::CacheFlush {

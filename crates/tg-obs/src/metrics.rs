@@ -168,15 +168,15 @@ mod tests {
         r.set_u64("vm.instrs", 10);
         r.set_str("analysis.engine", "sweep");
         r.set_u64("vm.instrs", 42);
-        r.set_bool("engine.chaining", true);
+        r.set_bool("engine.streaming", true);
         r.set_f64("analysis.secs", 0.5);
         assert_eq!(r.u64("vm.instrs"), 42);
         assert_eq!(r.str("analysis.engine"), "sweep");
-        assert!(r.bool("engine.chaining"));
+        assert!(r.bool("engine.streaming"));
         assert_eq!(r.f64("analysis.secs"), 0.5);
         assert_eq!(r.u64("missing"), 0);
         let names: Vec<&str> = r.iter().map(|(n, _)| n).collect();
-        assert_eq!(names, ["vm.instrs", "analysis.engine", "engine.chaining", "analysis.secs"]);
+        assert_eq!(names, ["vm.instrs", "analysis.engine", "engine.streaming", "analysis.secs"]);
     }
 
     #[test]

@@ -2,16 +2,24 @@
 //! translation cache: the dispatch optimizations must be *invisible* to
 //! the guest. Chaining on, chaining off, and a pathologically tiny
 //! cache must produce bit-identical architectural state, identical
-//! memory-access streams, identical schedules, and identical Table I
-//! race/deadlock verdicts — the contract that lets the Table II
-//! overhead numbers be compared against the unoptimized dispatcher.
+//! tool-event streams, identical schedules, and identical Table I and
+//! mini-LULESH race/deadlock verdicts — the contract that lets the
+//! Table II overhead numbers be compared against the unoptimized
+//! dispatcher.
+//!
+//! This suite owns dispatcher equivalence: every shipping run chains,
+//! and the tree-walk reference engine (`VmConfig::chaining = false`)
+//! exists only as the oracle these tests compare against. The other
+//! differential suites run the chained engine only.
 
 use grindcore::tool::{instrument_mem_accesses, BlockMeta, Tool};
-use grindcore::{ExecMode, RunResult, Tid, Vm, VmConfig, VmCore};
+use grindcore::{ExecMode, RunResult, SyncKind, Tid, Vm, VmConfig, VmCore};
 use std::cell::Cell;
 use std::rc::Rc;
 use taskgrind::{check_module, TaskgrindConfig};
 use tg_drb::corpus::{corpus, Suite};
+use tg_lulesh::harness::LuleshParams;
+use tg_lulesh::LULESH_MC;
 use vex_ir::IrBlock;
 
 /// FNV-1a fold, same shape as the VM's scheduler digest.
@@ -23,11 +31,22 @@ fn fold(digest: u64, v: u64) -> u64 {
     d
 }
 
-/// A tool that digests every memory-access callback in order: two runs
-/// with equal digests saw the same accesses by the same threads at the
-/// same pcs, in the same order.
+/// A tool that digests every memory-access callback, client request and
+/// sync point in order: two runs with equal digests saw the same
+/// accesses by the same threads at the same pcs, and the same runtime
+/// events with the same arguments, in the same order.
 struct StreamHashTool {
     digest: Rc<Cell<u64>>,
+}
+
+impl StreamHashTool {
+    fn fold_all(&self, values: impl IntoIterator<Item = u64>) {
+        let mut d = self.digest.get();
+        for v in values {
+            d = fold(d, v);
+        }
+        self.digest.set(d);
+    }
 }
 
 impl Tool for StreamHashTool {
@@ -48,11 +67,16 @@ impl Tool for StreamHashTool {
         write: bool,
         pc: u64,
     ) {
-        let mut d = self.digest.get();
-        for v in [tid as u64, addr, size, write as u64, pc] {
-            d = fold(d, v);
-        }
-        self.digest.set(d);
+        self.fold_all([tid as u64, addr, size, write as u64, pc]);
+    }
+
+    fn client_request(&mut self, _core: &mut VmCore, tid: Tid, code: u64, args: [u64; 5]) -> u64 {
+        self.fold_all([tid as u64, code].into_iter().chain(args));
+        0
+    }
+
+    fn sync_point(&mut self, _core: &mut VmCore, tid: Tid, kind: SyncKind, seq: u64) {
+        self.fold_all([tid as u64, kind as u64, seq]);
     }
 }
 
@@ -98,7 +122,7 @@ fn chaining_is_invisible_to_the_guest() {
         let (tiny, acc_tiny, arch_tiny) = stream_run(&m, cfg(nt, true, 8));
 
         for (label, other, acc, arch) in
-            [("no-chaining", &off, acc_off, arch_off), ("tiny-cache", &tiny, acc_tiny, arch_tiny)]
+            [("reference", &off, acc_off, arch_off), ("tiny-cache", &tiny, acc_tiny, arch_tiny)]
         {
             assert_eq!(on.exit_code, other.exit_code, "{}: exit code vs {label}", p.name);
             assert_eq!(on.stdout, other.stdout, "{}: stdout vs {label}", p.name);
@@ -121,7 +145,7 @@ fn chaining_is_invisible_to_the_guest() {
         assert_eq!(on.metrics.sched_digest, off.metrics.sched_digest, "{}: schedule", p.name);
         assert_eq!(on.metrics.sched_digest, tiny.metrics.sched_digest, "{}: schedule", p.name);
 
-        assert_eq!(off.metrics.dispatch.chain_hits, 0, "{}: --no-chaining must not chain", p.name);
+        assert_eq!(off.metrics.dispatch.chain_hits, 0, "{}: the reference must not chain", p.name);
         total_chain_hits += on.metrics.dispatch.chain_hits;
         total_evictions += tiny.metrics.dispatch.evictions;
     }
@@ -129,8 +153,46 @@ fn chaining_is_invisible_to_the_guest() {
     assert!(total_evictions > 0, "the tiny cache must actually evict somewhere");
 }
 
-/// The end-to-end contract: `--no-chaining` yields the same Table I
-/// race/deadlock verdicts under the full Taskgrind tool.
+/// Run `m` under the full Taskgrind tool with chaining on and off and
+/// require every verdict-bearing output to match bit for bit.
+fn assert_chaining_preserves_verdicts(m: &tga::module::Module, args: &[&str], nt: u64, name: &str) {
+    let run = |chaining: bool| {
+        let cfg = TaskgrindConfig {
+            vm: VmConfig { nthreads: nt, chaining, ..Default::default() },
+            ..Default::default()
+        };
+        check_module(m, args, &cfg)
+    };
+    let on = run(true);
+    let off = run(false);
+    let ctx = format!("{name} ({nt} threads)");
+    assert_eq!(
+        on.run.deadlock, off.run.deadlock,
+        "{ctx}: deadlock outcome changed by chaining off"
+    );
+    assert_eq!(
+        on.n_reports(),
+        off.n_reports(),
+        "{ctx}: race verdict changed by chaining off\non:\n{}\noff:\n{}",
+        on.render_all(),
+        off.render_all()
+    );
+    assert_eq!(on.render_all(), off.render_all(), "{ctx}: report text changed by chaining off");
+    assert_eq!(on.analysis.candidates, off.analysis.candidates, "{ctx}: candidates");
+    assert_eq!(on.analysis.raw_ranges, off.analysis.raw_ranges, "{ctx}: raw ranges");
+    assert_eq!(
+        on.accesses_recorded, off.accesses_recorded,
+        "{ctx}: recorded access count changed by chaining off"
+    );
+    assert_eq!(
+        on.run.metrics.sched_digest, off.run.metrics.sched_digest,
+        "{ctx}: schedule changed by chaining off"
+    );
+}
+
+/// The end-to-end contract: the reference dispatcher yields the same
+/// Table I race/deadlock verdicts under the full Taskgrind tool, and
+/// the same mini-LULESH output.
 #[test]
 fn chaining_preserves_table1_verdicts() {
     for p in corpus() {
@@ -142,46 +204,13 @@ fn chaining_preserves_table1_verdicts() {
             Suite::Tmb => &[1, 4],
         };
         for &nt in threads {
-            let run = |chaining: bool| {
-                let cfg = TaskgrindConfig {
-                    vm: VmConfig { nthreads: nt, chaining, ..Default::default() },
-                    ..Default::default()
-                };
-                check_module(&m, &[], &cfg)
-            };
-            let on = run(true);
-            let off = run(false);
-            assert_eq!(
-                on.run.deadlock, off.run.deadlock,
-                "{} ({} threads): deadlock outcome changed by chaining off",
-                p.name, nt
-            );
-            assert_eq!(
-                on.n_reports(),
-                off.n_reports(),
-                "{} ({} threads): race verdict changed by chaining off\non:\n{}\noff:\n{}",
-                p.name,
-                nt,
-                on.render_all(),
-                off.render_all()
-            );
-            assert_eq!(
-                on.render_all(),
-                off.render_all(),
-                "{} ({} threads): report text changed by chaining off",
-                p.name,
-                nt
-            );
-            assert_eq!(
-                on.accesses_recorded, off.accesses_recorded,
-                "{} ({} threads): recorded access count changed by chaining off",
-                p.name, nt
-            );
-            assert_eq!(
-                on.run.metrics.sched_digest, off.run.metrics.sched_digest,
-                "{} ({} threads): schedule changed by chaining off",
-                p.name, nt
-            );
+            assert_chaining_preserves_verdicts(&m, &[], nt, p.name);
         }
     }
+    let m = guest_rt::build_single("lulesh.c", LULESH_MC).expect("compiles");
+    let params =
+        LuleshParams { s: 4, tel: 2, tnl: 2, iters: 2, progress: false, racy: false, threads: 2 };
+    let args: Vec<String> = params.args();
+    let args: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
+    assert_chaining_preserves_verdicts(&m, &args, params.threads, "lulesh");
 }

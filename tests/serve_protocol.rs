@@ -293,8 +293,7 @@ fn confirm_races_forwards_per_job() {
 fn submit_rejects_unforwardable_flags_with_structured_echo() {
     let args = ["submit", "--socket=/tmp/x.sock", "--dot=g.dot", "--trace-out=t.json", "p.c"];
     let o = tg_cli::engine::parse_args(args.iter().map(|s| s.to_string()));
-    let eng = tg_cli::engine::EngineConfig::resolve(&o.overrides());
-    let bad = tg_cli::engine::unforwardable_flags(&o, &eng);
+    let bad = tg_cli::engine::unforwardable_flags(&o);
     assert_eq!(bad, ["--trace-out", "--dot"]);
     // The echo reuses the daemon's error_line renderer, so it parses as
     // the same structured error a serve-side rejection produces.
@@ -312,8 +311,7 @@ fn submit_rejects_unforwardable_flags_with_structured_echo() {
     // Forwardable requests (confirm included) stay clean.
     let args = ["submit", "--socket=/tmp/x.sock", "--confirm-races", "p.c"];
     let o = tg_cli::engine::parse_args(args.iter().map(|s| s.to_string()));
-    let eng = tg_cli::engine::EngineConfig::resolve(&o.overrides());
-    assert!(tg_cli::engine::unforwardable_flags(&o, &eng).is_empty());
+    assert!(tg_cli::engine::unforwardable_flags(&o).is_empty());
 }
 
 #[test]
@@ -322,9 +320,13 @@ fn per_job_globals_and_unknown_fields_are_rejected() {
     let server = Server::start(&path, ServeOptions::default()).expect("start server");
 
     for (line, want) in [
-        ("{\"op\":\"run\",\"program\":\"p.c\",\"fuse\":true}", "daemon-global"),
         ("{\"op\":\"run\",\"program\":\"p.c\",\"metrics_json\":\"m.json\"}", "daemon-global"),
         ("{\"op\":\"run\",\"program\":\"p.c\",\"wat\":1}", "unknown request field"),
+        // The reference engines are test oracles, not per-job knobs.
+        ("{\"op\":\"run\",\"program\":\"p.c\",\"chaining\":false}", "unknown request field"),
+        ("{\"op\":\"run\",\"program\":\"p.c\",\"sweep\":false}", "unknown request field"),
+        ("{\"op\":\"run\",\"program\":\"p.c\",\"bulk\":false}", "unknown request field"),
+        ("{\"op\":\"run\",\"program\":\"p.c\",\"fuse\":true}", "unknown request field"),
         // Not a per-job knob: an absurd worker count must be refused,
         // not allocated.
         (

@@ -1,12 +1,15 @@
 //! Differential tests for the tool-side hot-path rewrites: the
-//! sweep-based candidate generator (`--no-sweep` reference: the
-//! all-pairs loop), bulk access ingestion (`TG_NO_BULK` reference:
-//! one interval-tree insert per access), and the streaming segment-
-//! retirement engine (`--streaming`; reference: the batch pipeline).
-//! All of them must be invisible in every verdict-bearing output:
-//! candidate list, raw-range and suppression counters, and the rendered
-//! report text must be bit-identical across the Table I corpus and
-//! mini-LULESH, under both dispatch engines (`--no-chaining` included).
+//! sweep-based candidate generator (reference: the all-pairs loop,
+//! `TaskgrindConfig::sweep = false`), bulk access ingestion (reference:
+//! one interval-tree insert per access, `RecordOptions::bulk_ingest =
+//! false`), and the streaming segment-retirement engine (`--streaming`;
+//! reference: the batch pipeline). All of them must be invisible in
+//! every verdict-bearing output: candidate list, raw-range and
+//! suppression counters, and the rendered report text must be
+//! bit-identical across the Table I corpus and mini-LULESH. Each
+//! engine row is compared with the reference once, on the chained
+//! dispatcher; `tests/chaining_differential.rs` owns dispatcher
+//! equivalence.
 //!
 //! `pairs_checked` / `unordered_pairs` are deliberately NOT compared:
 //! they are work metrics of the pair generator (the sweep's whole point
@@ -41,15 +44,9 @@ const ENGINES: &[Engine] = &[
     Engine { label: "streaming t4", sweep: true, bulk: true, streaming: true, threads: 4 },
 ];
 
-fn run(
-    m: &tga::module::Module,
-    args: &[&str],
-    nt: u64,
-    chaining: bool,
-    e: Engine,
-) -> TaskgrindResult {
+fn run(m: &tga::module::Module, args: &[&str], nt: u64, e: Engine) -> TaskgrindResult {
     let cfg = TaskgrindConfig {
-        vm: grindcore::VmConfig { nthreads: nt, chaining, ..Default::default() },
+        vm: grindcore::VmConfig { nthreads: nt, ..Default::default() },
         record: RecordOptions { bulk_ingest: e.bulk, ..Default::default() },
         analysis_threads: e.threads,
         sweep: e.sweep,
@@ -89,7 +86,7 @@ fn assert_identical(a: &TaskgrindResult, b: &TaskgrindResult, ctx: &str) {
 }
 
 /// Sweep, bulk ingestion and streaming retirement preserve every
-/// Table I verdict and counter, chaining on and off.
+/// Table I verdict and counter.
 #[test]
 fn sweep_and_bulk_preserve_table1_verdicts() {
     let mut any_candidates = false;
@@ -102,15 +99,12 @@ fn sweep_and_bulk_preserve_table1_verdicts() {
             Suite::Tmb => &[1, 4],
         };
         for &nt in threads {
-            for chaining in [true, false] {
-                let reference = run(&m, &[], nt, chaining, REFERENCE);
-                any_candidates |= !reference.analysis.candidates.is_empty();
-                for &e in ENGINES {
-                    let opt = run(&m, &[], nt, chaining, e);
-                    let ctx =
-                        format!("{} ({nt} threads, chaining={chaining}) under {}", p.name, e.label);
-                    assert_identical(&reference, &opt, &ctx);
-                }
+            let reference = run(&m, &[], nt, REFERENCE);
+            any_candidates |= !reference.analysis.candidates.is_empty();
+            for &e in ENGINES {
+                let opt = run(&m, &[], nt, e);
+                let ctx = format!("{} ({nt} threads) under {}", p.name, e.label);
+                assert_identical(&reference, &opt, &ctx);
             }
         }
     }
@@ -128,28 +122,26 @@ fn sweep_and_bulk_preserve_lulesh_output() {
         LuleshParams { s: 4, tel: 2, tnl: 2, iters: 2, progress: false, racy: false, threads: 2 };
     let args: Vec<String> = params.args();
     let args: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
-    for chaining in [true, false] {
-        let reference = run(&m, &args, params.threads, chaining, REFERENCE);
-        assert!(
-            reference.analysis.raw_ranges > 0 || reference.analysis.pairs_checked > 0,
-            "mini-LULESH must exercise the analysis"
-        );
-        for &e in ENGINES {
-            let opt = run(&m, &args, params.threads, chaining, e);
-            let ctx = format!("lulesh (chaining={chaining}) under {}", e.label);
-            assert_identical(&reference, &opt, &ctx);
-            if e.streaming {
-                assert!(
-                    opt.retired_segments > 0,
-                    "{ctx}: streaming must retire segments before finalize"
-                );
-                assert!(
-                    opt.peak_tool_bytes < reference.peak_tool_bytes,
-                    "{ctx}: streaming high-water {} must stay below batch {}",
-                    opt.peak_tool_bytes,
-                    reference.peak_tool_bytes,
-                );
-            }
+    let reference = run(&m, &args, params.threads, REFERENCE);
+    assert!(
+        reference.analysis.raw_ranges > 0 || reference.analysis.pairs_checked > 0,
+        "mini-LULESH must exercise the analysis"
+    );
+    for &e in ENGINES {
+        let opt = run(&m, &args, params.threads, e);
+        let ctx = format!("lulesh under {}", e.label);
+        assert_identical(&reference, &opt, &ctx);
+        if e.streaming {
+            assert!(
+                opt.retired_segments > 0,
+                "{ctx}: streaming must retire segments before finalize"
+            );
+            assert!(
+                opt.peak_tool_bytes < reference.peak_tool_bytes,
+                "{ctx}: streaming high-water {} must stay below batch {}",
+                opt.peak_tool_bytes,
+                reference.peak_tool_bytes,
+            );
         }
     }
 }
@@ -160,12 +152,11 @@ fn run_concurrency(
     m: &tga::module::Module,
     args: &[&str],
     nt: u64,
-    chaining: bool,
     streaming: bool,
     concurrency: bool,
 ) -> TaskgrindResult {
     let cfg = TaskgrindConfig {
-        vm: grindcore::VmConfig { nthreads: nt, chaining, ..Default::default() },
+        vm: grindcore::VmConfig { nthreads: nt, ..Default::default() },
         record: RecordOptions { static_concurrency: concurrency, ..Default::default() },
         suppress: taskgrind::analysis::SuppressOptions {
             static_proof: concurrency,
@@ -183,28 +174,23 @@ fn run_concurrency(
 /// static guard proof only tags accesses that run under a dynamic
 /// critical section, so the locks layer claims every such pair first
 /// and all Table I verdicts, counters, and report text stay
-/// bit-identical with the pass on and off — across batch/streaming and
-/// both dispatch engines.
+/// bit-identical with the pass on and off — in batch and streaming
+/// analysis.
 #[test]
 fn static_concurrency_is_verdict_invisible_on_table1() {
     for p in corpus() {
         let Ok(m) = guest_rt::build_single(p.name, p.source) else {
             continue;
         };
-        for chaining in [true, false] {
-            for streaming in [false, true] {
-                let on = run_concurrency(&m, &[], 4, chaining, streaming, true);
-                let off = run_concurrency(&m, &[], 4, chaining, streaming, false);
-                let ctx = format!(
-                    "{} (chaining={chaining}, streaming={streaming}) concurrency on vs off",
-                    p.name
-                );
-                assert_identical(&on, &off, &ctx);
-                assert_eq!(
-                    on.analysis.suppressed_static, 0,
-                    "{ctx}: dynamic lock tracking must subsume every static proof"
-                );
-            }
+        for streaming in [false, true] {
+            let on = run_concurrency(&m, &[], 4, streaming, true);
+            let off = run_concurrency(&m, &[], 4, streaming, false);
+            let ctx = format!("{} (streaming={streaming}) concurrency on vs off", p.name);
+            assert_identical(&on, &off, &ctx);
+            assert_eq!(
+                on.analysis.suppressed_static, 0,
+                "{ctx}: dynamic lock tracking must subsume every static proof"
+            );
         }
     }
 }
@@ -217,17 +203,15 @@ fn static_concurrency_is_verdict_invisible_on_lulesh() {
         LuleshParams { s: 4, tel: 2, tnl: 2, iters: 1, progress: false, racy: false, threads: 2 };
     let args: Vec<String> = params.args();
     let args: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
-    for chaining in [true, false] {
-        for streaming in [false, true] {
-            let on = run_concurrency(&m, &args, params.threads, chaining, streaming, true);
-            let off = run_concurrency(&m, &args, params.threads, chaining, streaming, false);
-            let ctx = format!("lulesh (chaining={chaining}, streaming={streaming})");
-            assert_identical(&on, &off, &ctx);
-            // the toggle gates only tagging, never pruning: the
-            // instrumented-site counts stay identical too
-            assert_eq!(on.sites_pruned, off.sites_pruned, "{ctx}: sites pruned");
-            assert_eq!(on.sites_instrumented, off.sites_instrumented, "{ctx}: sites kept");
-        }
+    for streaming in [false, true] {
+        let on = run_concurrency(&m, &args, params.threads, streaming, true);
+        let off = run_concurrency(&m, &args, params.threads, streaming, false);
+        let ctx = format!("lulesh (streaming={streaming})");
+        assert_identical(&on, &off, &ctx);
+        // the toggle gates only tagging, never pruning: the
+        // instrumented-site counts stay identical too
+        assert_eq!(on.sites_pruned, off.sites_pruned, "{ctx}: sites pruned");
+        assert_eq!(on.sites_instrumented, off.sites_instrumented, "{ctx}: sites kept");
     }
 }
 
@@ -240,7 +224,7 @@ fn streaming_backpressure_preserves_verdicts() {
         LuleshParams { s: 4, tel: 2, tnl: 2, iters: 1, progress: false, racy: false, threads: 2 };
     let args: Vec<String> = params.args();
     let args: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
-    let reference = run(&m, &args, params.threads, true, REFERENCE);
+    let reference = run(&m, &args, params.threads, REFERENCE);
     let cfg = TaskgrindConfig {
         vm: grindcore::VmConfig { nthreads: params.threads, ..Default::default() },
         analysis_threads: 2,
