@@ -38,14 +38,6 @@ fn bench_dbi(c: &mut Criterion) {
             std::hint::black_box(r.metrics.instrs)
         })
     });
-    g.bench_function("dbi_nulgrind_no_iropt", |b| {
-        b.iter(|| {
-            let cfg = VmConfig { optimize_ir: false, ..Default::default() };
-            let r = Vm::new(module.clone(), Box::new(NulTool), cfg).run(ExecMode::Dbi, &[]);
-            assert!(r.ok());
-            std::hint::black_box(r.metrics.instrs)
-        })
-    });
     g.bench_function("dbi_nulgrind", |b| {
         b.iter(|| {
             let r = Vm::new(module.clone(), Box::new(NulTool), VmConfig::default())

@@ -50,8 +50,6 @@ pub struct CachedTranslation {
     /// One past the last guest byte the block covers (the IR extent at
     /// compile time) — needed for SMC range invalidation in the tcache.
     pub end: u64,
-    /// The tcache accounting size of the original translation.
-    pub bytes: u64,
 }
 
 /// The VM-facing cache interface. One instance serves one run; the
@@ -63,9 +61,10 @@ pub trait CodeCache {
     /// valid. Implementations count a hit or miss per call.
     fn load(&mut self, pc: u64) -> Option<CachedTranslation>;
 
-    /// Record a freshly compiled block for future runs. `end` and
-    /// `bytes` are echoed back by [`CodeCache::load`].
-    fn store(&mut self, pc: u64, end: u64, bytes: u64, flat: &FlatBlock);
+    /// Record a freshly compiled block for future runs. `end` is echoed
+    /// back by [`CodeCache::load`]; the tcache measures the block's bytes
+    /// itself, so they are not stored.
+    fn store(&mut self, pc: u64, end: u64, flat: &FlatBlock);
 
     /// Guest code in `[lo, hi)` was overwritten or discarded; entries
     /// overlapping the range must not be served again and should be

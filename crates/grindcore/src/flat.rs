@@ -212,44 +212,11 @@ pub enum FOp {
         vr: u8,
         ic: u32,
     },
-
-    // Operand-based fused forms. After `iropt`'s register forwarding a
-    // block reads each guest register once and every later use is a
-    // shared temp, so the register-based forms above rarely apply; these
-    // fuse the remaining `Bin`/`Ld`/`St`/`Put` chains over generic
-    // operands instead.
-    /// `regs[rd] = op(a, b)` (Bin+Put).
-    BinP {
-        rd: u8,
-        op: BinOp,
-        a: u32,
-        b: u32,
-    },
-    /// `tmps[dst] = load(base + off)` (Add+Ld8).
-    LdO {
-        dst: u32,
-        base: u32,
-        off: u32,
-        ic: u32,
-    },
-    /// `regs[rd] = load(base + off)` (LdO+Put).
-    LdOP {
-        rd: u8,
-        base: u32,
-        off: u32,
-        ic: u32,
-    },
-    /// `regs[rd] = load(addr)` (Ld8+Put).
+    /// `regs[rd] = load(addr)` (Ld8+Put); a `Get` or `BinRI` address
+    /// then folds in to make an `LdRP`.
     LdP {
         rd: u8,
         addr: u32,
-        ic: u32,
-    },
-    /// `store(base + off, val)` (Add+St8).
-    StO {
-        base: u32,
-        off: u32,
-        val: u32,
         ic: u32,
     },
 }
@@ -332,6 +299,20 @@ impl FlatBlock {
     /// (chains through a link slot rather than the IBTC).
     pub fn next_is_const(&self) -> bool {
         self.next & TMP_BIT == 0
+    }
+
+    /// Host bytes the block owns on the heap: its op array and side
+    /// tables (every one an exact-length boxed slice).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(&*self.ops)
+            + size_of_val(&*self.consts)
+            + size_of_val(&*self.dirties)
+            + self.dirties.iter().map(|d| size_of_val(&*d.args)).sum::<usize>()
+            + size_of_val(&*self.memcbs)
+            + size_of_val(&*self.exits)
+            + size_of_val(&*self.traps)
+            + size_of_val(&*self.ics)
     }
 }
 
@@ -546,20 +527,7 @@ fn use_counts(
             FOp::BinTR { a, .. } => read(a),
             FOp::StV { addr, .. } => read(addr),
             FOp::StRV { val, .. } => read(val),
-            FOp::BinP { a, b, .. } => {
-                read(a);
-                read(b);
-            }
-            FOp::LdO { base, off, .. } | FOp::LdOP { base, off, .. } => {
-                read(base);
-                read(off);
-            }
             FOp::LdP { addr, .. } => read(addr),
-            FOp::StO { base, off, val, .. } => {
-                read(base);
-                read(off);
-                read(val);
-            }
         }
     }
     for d in dirties {
@@ -684,36 +652,10 @@ fn fuse(
                     {
                         Some(FOp::LdRP { rd, rs, c, ic })
                     }
-                    (&FOp::Bin { dst, op, a, b }, x) if once(dst) => match *x {
-                        FOp::Put { reg: rd, src } if src == tm(dst) => {
-                            Some(FOp::BinP { rd, op, a, b })
-                        }
-                        FOp::Ld8 { dst: d2, addr, ic }
-                            if addr == tm(dst) && matches!(op, BinOp::Add) =>
-                        {
-                            Some(FOp::LdO { dst: d2, base: a, off: b, ic })
-                        }
-                        FOp::LdP { rd, addr, ic }
-                            if addr == tm(dst) && matches!(op, BinOp::Add) =>
-                        {
-                            Some(FOp::LdOP { rd, base: a, off: b, ic })
-                        }
-                        FOp::St8 { addr, val, ic }
-                            if addr == tm(dst) && val != tm(dst) && matches!(op, BinOp::Add) =>
-                        {
-                            Some(FOp::StO { base: a, off: b, val, ic })
-                        }
-                        _ => None,
-                    },
                     (&FOp::Ld8 { dst, addr, ic }, &FOp::Put { reg: rd, src })
                         if once(dst) && src == tm(dst) =>
                     {
                         Some(FOp::LdP { rd, addr, ic })
-                    }
-                    (&FOp::LdO { dst, base, off, ic }, &FOp::Put { reg: rd, src })
-                        if once(dst) && src == tm(dst) =>
-                    {
-                        Some(FOp::LdOP { rd, base, off, ic })
                     }
                     _ => None,
                 }
@@ -858,29 +800,8 @@ fn reads_undefined_temp(
                     return true;
                 }
             }
-            FOp::BinP { a, b, .. } => {
-                if undef(a, &defined) || undef(b, &defined) {
-                    return true;
-                }
-            }
-            FOp::LdO { dst, base, off, .. } => {
-                if undef(base, &defined) || undef(off, &defined) {
-                    return true;
-                }
-                def(dst, &mut defined);
-            }
-            FOp::LdOP { base, off, .. } => {
-                if undef(base, &defined) || undef(off, &defined) {
-                    return true;
-                }
-            }
             FOp::LdP { addr, .. } => {
                 if undef(addr, &defined) {
-                    return true;
-                }
-            }
-            FOp::StO { base, off, val, .. } => {
-                if undef(base, &defined) || undef(off, &defined) || undef(val, &defined) {
                     return true;
                 }
             }
@@ -1015,45 +936,5 @@ mod tests {
             "the address def must NOT fuse past the callback: {:?}",
             f.ops
         );
-    }
-
-    #[test]
-    fn fusion_handles_shared_base_temps() {
-        // Post-`iropt` shape: one Get per register, the base temp shared
-        // by a load and a store. The Get survives (two readers) but each
-        // Add/Ld/Put and Add/St chain still fuses.
-        let mut b = IrBlock::new(0x1000);
-        b.n_temps = 4;
-        b.stmts.push(Stmt::IMark { addr: 0x1000, len: 16 });
-        b.stmts.push(Stmt::WrTmp { dst: Temp(0), rhs: Rhs::Get { reg: 3 } });
-        b.stmts.push(Stmt::WrTmp {
-            dst: Temp(1),
-            rhs: Rhs::Binop {
-                op: BinOp::Add,
-                lhs: Atom::Tmp(Temp(0)),
-                rhs: Atom::Const(-16i64 as u64),
-            },
-        });
-        b.stmts.push(Stmt::WrTmp {
-            dst: Temp(2),
-            rhs: Rhs::Load { ty: Ty::I64, addr: Atom::Tmp(Temp(1)) },
-        });
-        b.stmts.push(Stmt::Put { reg: 13, src: Atom::Tmp(Temp(2)) });
-        b.stmts.push(Stmt::IMark { addr: 0x1010, len: 16 });
-        b.stmts.push(Stmt::WrTmp {
-            dst: Temp(3),
-            rhs: Rhs::Binop {
-                op: BinOp::Add,
-                lhs: Atom::Tmp(Temp(0)),
-                rhs: Atom::Const(-24i64 as u64),
-            },
-        });
-        b.stmts.push(Stmt::Store { ty: Ty::I64, addr: Atom::Tmp(Temp(3)), val: Atom::Const(7) });
-        b.next = Atom::imm(0x1020);
-        let f = compile(&b);
-        assert_eq!(f.ops.len(), 3, "Get survives, both chains fuse: {:?}", f.ops);
-        assert!(matches!(f.ops[0], FOp::Get { reg: 3, .. }));
-        assert!(matches!(f.ops[1], FOp::LdOP { rd: 13, .. }), "got {:?}", f.ops[1]);
-        assert!(matches!(f.ops[2], FOp::StO { .. }), "got {:?}", f.ops[2]);
     }
 }

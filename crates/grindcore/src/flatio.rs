@@ -1,10 +1,11 @@
 //! Hand-rolled binary (de)serialization for compiled flat superblocks.
 //!
 //! The encoding is positional little-endian over [`crate::wire`]: every
-//! [`FOp`] is a one-byte tag (numbered in declaration order, append-only)
-//! followed by its fields, the side tables are length-prefixed, and the
-//! per-site inline caches are stored as a bare count — [`PageIc`] state
-//! is purely dynamic, so decoding recreates fresh (empty) caches.
+//! [`FOp`] is a one-byte tag (numbered in declaration order; renumbering
+//! bumps the disk cache's format version) followed by its fields, the
+//! side tables are length-prefixed, and the per-site inline caches are
+//! stored as a bare count — [`PageIc`] state is purely dynamic, so
+//! decoding recreates fresh (empty) caches.
 //!
 //! Decoding is total: any byte sequence either yields a structurally
 //! valid [`FlatBlock`] or a [`WireError`]. Callers (the disk cache)
@@ -240,38 +241,10 @@ fn enc_op(e: &mut Enc, op: &FOp) {
             e.u8(vr);
             e.u32(ic);
         }
-        FOp::BinP { rd, op, a, b } => {
+        FOp::LdP { rd, addr, ic } => {
             e.u8(27);
             e.u8(rd);
-            e.u8(op.wire_tag());
-            e.u32(a);
-            e.u32(b);
-        }
-        FOp::LdO { dst, base, off, ic } => {
-            e.u8(28);
-            e.u32(dst);
-            e.u32(base);
-            e.u32(off);
-            e.u32(ic);
-        }
-        FOp::LdOP { rd, base, off, ic } => {
-            e.u8(29);
-            e.u8(rd);
-            e.u32(base);
-            e.u32(off);
-            e.u32(ic);
-        }
-        FOp::LdP { rd, addr, ic } => {
-            e.u8(30);
-            e.u8(rd);
             e.u32(addr);
-            e.u32(ic);
-        }
-        FOp::StO { base, off, val, ic } => {
-            e.u8(31);
-            e.u32(base);
-            e.u32(off);
-            e.u32(val);
             e.u32(ic);
         }
     }
@@ -372,31 +345,7 @@ fn dec_op(d: &mut Dec) -> WireResult<FOp> {
             vr: d.u8("strr vr")?,
             ic: d.u32("strr ic")?,
         },
-        27 => FOp::BinP {
-            rd: d.u8("binp rd")?,
-            op: dec_binop(d)?,
-            a: d.u32("binp a")?,
-            b: d.u32("binp b")?,
-        },
-        28 => FOp::LdO {
-            dst: d.u32("ldo dst")?,
-            base: d.u32("ldo base")?,
-            off: d.u32("ldo off")?,
-            ic: d.u32("ldo ic")?,
-        },
-        29 => FOp::LdOP {
-            rd: d.u8("ldop rd")?,
-            base: d.u32("ldop base")?,
-            off: d.u32("ldop off")?,
-            ic: d.u32("ldop ic")?,
-        },
-        30 => FOp::LdP { rd: d.u8("ldp rd")?, addr: d.u32("ldp addr")?, ic: d.u32("ldp ic")? },
-        31 => FOp::StO {
-            base: d.u32("sto base")?,
-            off: d.u32("sto off")?,
-            val: d.u32("sto val")?,
-            ic: d.u32("sto ic")?,
-        },
+        27 => FOp::LdP { rd: d.u8("ldp rd")?, addr: d.u32("ldp addr")?, ic: d.u32("ldp ic")? },
         _ => return Err(WireError { what: "fop tag" }),
     })
 }

@@ -30,7 +30,6 @@ pub mod flat;
 pub mod flatio;
 pub mod lift;
 pub mod mem;
-pub mod opt;
 pub mod profile;
 pub mod snapshot;
 pub mod syscalls;
@@ -42,6 +41,7 @@ pub mod wire;
 pub use codecache::{CachedTranslation, CodeCache, CodeCacheHandle, CodeCacheStats};
 pub use compilepool::CompilePool;
 pub use snapshot::{round_robin_next, ScheduleDirector, Snapshot};
+pub use tcache::BlockCode;
 pub use tool::{BlockMeta, FnReplacement, SyncKind, Tool};
 pub use vm::{
     translate, AddrClass, ExecMode, Metrics, RunResult, SchedPolicy, ThreadStatus, Tid,

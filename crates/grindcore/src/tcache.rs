@@ -24,6 +24,13 @@
 //!   overlapping a guest address range — the self-modifying-code /
 //!   `DISCARD_TRANSLATIONS` client-request path.
 //!
+//! Each block keeps exactly one code form ([`BlockCode`]): flat code
+//! under the chained engine, instrumented IR under the tree-walk
+//! reference engine. An insert charges the measured host bytes of that
+//! form plus the entry's own slot, map and link storage, and eviction
+//! releases the same figure, so `vm.translation_bytes` is what the
+//! cache holds.
+//!
 //! The cache belongs to one [`crate::vm::Vm`] and is only touched by its
 //! dispatch loop, so it is a plain struct: reads take `&self`, anything
 //! that inserts, evicts, links or marks a block recently used takes
@@ -36,6 +43,7 @@
 
 use crate::flat::FlatBlock;
 use std::collections::HashMap;
+use std::mem::size_of;
 use std::sync::Arc;
 use vex_ir::IrBlock;
 
@@ -59,18 +67,61 @@ pub struct EvictStats {
     pub evicted: u64,
     /// Chain links (incoming or outgoing) severed.
     pub unchained: u64,
-    /// Approximate bytes released.
+    /// Measured host bytes released: what the evicted blocks were
+    /// charged on insert.
     pub bytes: u64,
 }
 
+/// The one code form a cached block keeps.
+#[derive(Clone, Debug)]
+pub enum BlockCode {
+    /// Flat compiled code, which the chained engine runs.
+    Flat(Arc<FlatBlock>),
+    /// Instrumented IR, which only the tree-walk reference engine
+    /// (`VmConfig::chaining = false`) runs.
+    Ir(Arc<IrBlock>),
+}
+
+impl BlockCode {
+    fn base(&self) -> u64 {
+        match self {
+            BlockCode::Flat(f) => f.base,
+            BlockCode::Ir(ir) => ir.base,
+        }
+    }
+
+    /// Chain-link slots: one per side exit plus the fallthrough.
+    fn n_links(&self) -> usize {
+        match self {
+            BlockCode::Flat(f) => f.exits.len() + 1,
+            BlockCode::Ir(ir) => ir.side_exit_count() + 1,
+        }
+    }
+
+    /// Host bytes of the code: its `Arc` allocation (two reference
+    /// counts and the block) plus everything the block owns.
+    fn bytes(&self) -> usize {
+        let counts = 2 * size_of::<usize>();
+        match self {
+            BlockCode::Flat(f) => counts + size_of::<FlatBlock>() + f.heap_bytes(),
+            BlockCode::Ir(ir) => counts + size_of::<IrBlock>() + ir.heap_bytes(),
+        }
+    }
+}
+
+/// Host bytes a resident block costs beside its code: its slot, its
+/// generation, its dispatcher-map entry (key, value and one control
+/// byte) and its chain-link table.
+fn entry_bytes(n_links: usize) -> usize {
+    size_of::<Option<CachedBlock>>()
+        + size_of::<u32>()
+        + size_of::<(u64, u32)>()
+        + 1
+        + n_links * size_of::<Option<CacheRef>>()
+}
+
 struct CachedBlock {
-    /// The instrumented IR, absent only for blocks installed straight
-    /// from the persistent code cache (which stores the flat form only;
-    /// the chained engine never consults the IR).
-    ir: Option<Arc<IrBlock>>,
-    /// Flat compiled form: present under the chained engine, absent
-    /// under the reference engine.
-    flat: Option<Arc<FlatBlock>>,
+    code: BlockCode,
     base: u64,
     /// One past the last guest byte the block's instructions cover.
     end: u64,
@@ -84,7 +135,7 @@ struct CachedBlock {
     preds: Vec<(CacheRef, u32)>,
     /// LRU-clock reference bit, set on every dispatch to this block.
     referenced: bool,
-    /// Approximate host bytes of the translation.
+    /// Host bytes charged on insert and released on eviction.
     bytes: u64,
 }
 
@@ -168,77 +219,37 @@ impl TransCache {
     /// Validate `r` against `pc`, mark the block recently used and hand
     /// out its flat compiled form. Returns `None` when the handle is
     /// stale (evicted/discarded), resolves to a different block, or the
-    /// block has no flat form (reference engine).
+    /// block keeps IR (reference engine).
     pub fn take_flat_for(&mut self, r: CacheRef, pc: u64) -> Option<Arc<FlatBlock>> {
         let b = self.block_mut(r)?;
         if b.base != pc {
             return None;
         }
         b.referenced = true;
-        b.flat.clone()
+        match &b.code {
+            BlockCode::Flat(f) => Some(f.clone()),
+            BlockCode::Ir(_) => None,
+        }
     }
 
-    /// The IR of a handle known to be live (fresh from `lookup`/`insert`).
-    /// Panics for blocks installed from the persistent code cache, which
-    /// carry no IR — only the reference engine calls this, and the code
-    /// cache is chaining-gated, so the two never meet.
-    pub fn ir_of(&self, r: CacheRef) -> Arc<IrBlock> {
-        self.block(r)
-            .expect("stale CacheRef")
-            .ir
-            .clone()
-            .expect("block installed from the code cache has no IR")
+    /// The IR of a live handle; `None` when the handle is stale or the
+    /// block keeps flat code (chained engine).
+    pub fn ir_of(&self, r: CacheRef) -> Option<Arc<IrBlock>> {
+        match &self.block(r)?.code {
+            BlockCode::Ir(ir) => Some(ir.clone()),
+            BlockCode::Flat(_) => None,
+        }
     }
 
-    /// Insert a fresh translation, evicting one block if the cache is at
-    /// capacity. `flat` carries the chained engine's compiled form (None
-    /// under the reference engine).
-    pub fn insert(
-        &mut self,
-        ir: Arc<IrBlock>,
-        flat: Option<Arc<FlatBlock>>,
-        bytes: u64,
-    ) -> (CacheRef, EvictStats) {
-        let n_links = ir.side_exit_count() + 1;
-        let (base, end) = ir.extent();
-        self.insert_block(CachedBlock {
-            ir: Some(ir),
-            flat,
-            base,
-            end,
-            links: vec![None; n_links].into_boxed_slice(),
-            preds: Vec::new(),
-            referenced: true,
-            bytes,
-        })
-    }
-
-    /// Insert a translation loaded from the persistent code cache: only
-    /// the flat compiled form exists (no IR). Chain links start empty
-    /// and are re-resolved by the normal runtime chaining protocol; the
-    /// link count mirrors `insert`'s `side_exit_count() + 1` via the
-    /// flat block's exit table.
-    pub fn insert_flat(
-        &mut self,
-        flat: Arc<FlatBlock>,
-        end: u64,
-        bytes: u64,
-    ) -> (CacheRef, EvictStats) {
-        let n_links = flat.exits.len() + 1;
-        let base = flat.base;
-        self.insert_block(CachedBlock {
-            ir: None,
-            flat: Some(flat),
-            base,
-            end,
-            links: vec![None; n_links].into_boxed_slice(),
-            preds: Vec::new(),
-            referenced: true,
-            bytes,
-        })
-    }
-
-    fn insert_block(&mut self, b: CachedBlock) -> (CacheRef, EvictStats) {
+    /// Insert a translation whose instructions end before guest byte
+    /// `end`, evicting one block if the cache is at capacity. Chain
+    /// links start empty and resolve through the runtime chaining
+    /// protocol. Returns the handle, the host bytes the entry holds (its
+    /// code plus its slot, map entry and link table), and what the
+    /// eviction released.
+    pub fn insert(&mut self, code: BlockCode, end: u64) -> (CacheRef, u64, EvictStats) {
+        let n_links = code.n_links();
+        let bytes = (code.bytes() + entry_bytes(n_links)) as u64;
         let mut ev = EvictStats::default();
         if self.len >= self.capacity {
             self.evict_one(&mut ev);
@@ -248,10 +259,19 @@ impl TransCache {
             self.gens.push(0);
             (self.slots.len() - 1) as u32
         });
-        self.map.insert(b.base, slot);
-        self.slots[slot as usize] = Some(b);
+        let base = code.base();
+        self.map.insert(base, slot);
+        self.slots[slot as usize] = Some(CachedBlock {
+            code,
+            base,
+            end,
+            links: vec![None; n_links].into_boxed_slice(),
+            preds: Vec::new(),
+            referenced: true,
+            bytes,
+        });
         self.len += 1;
-        (CacheRef { slot, gen: self.gens[slot as usize] }, ev)
+        (CacheRef { slot, gen: self.gens[slot as usize] }, bytes, ev)
     }
 
     /// The whole chain-hit fast path in one pass: follow the link for
@@ -421,7 +441,7 @@ mod tests {
     use super::*;
     use vex_ir::{Atom, IrBlock, JumpKind, Stmt};
 
-    fn block(base: u64, n_side: usize) -> Arc<IrBlock> {
+    fn ir(base: u64, n_side: usize) -> IrBlock {
         let mut b = IrBlock::new(base);
         b.stmts.push(Stmt::IMark { addr: base, len: 16 });
         for i in 0..n_side {
@@ -432,15 +452,18 @@ mod tests {
             });
         }
         b.next = Atom::imm(base + 16);
-        Arc::new(b)
+        b
+    }
+
+    fn block(base: u64, n_side: usize) -> BlockCode {
+        BlockCode::Ir(Arc::new(ir(base, n_side)))
     }
 
     #[test]
     fn insert_lookup_and_generation_validation() {
         let mut c = TransCache::new(4);
-        let ir = block(0x1000, 0);
-        let flat = Arc::new(crate::flat::compile(&ir));
-        let (r, _) = c.insert(ir, Some(flat), 64);
+        let flat = Arc::new(crate::flat::compile(&ir(0x1000, 0)));
+        let (r, _, _) = c.insert(BlockCode::Flat(flat), 0x1010);
         assert_eq!(c.lookup(0x1000), Some(r));
         assert_eq!(c.lookup(0x2000), None);
         assert!(c.take_flat_for(r, 0x1000).is_some());
@@ -450,14 +473,27 @@ mod tests {
     }
 
     #[test]
+    fn each_block_keeps_one_form_and_releases_its_charge() {
+        let mut c = TransCache::new(4);
+        let flat = Arc::new(crate::flat::compile(&ir(0x1000, 1)));
+        let (f, charged, _) = c.insert(BlockCode::Flat(flat.clone()), 0x1010);
+        assert!(charged as usize > flat.heap_bytes(), "the entry costs more than its code");
+        assert!(c.ir_of(f).is_none(), "a flat block keeps no IR");
+        let (i, _, _) = c.insert(block(0x2000, 0), 0x2010);
+        assert!(c.ir_of(i).is_some());
+        assert!(c.take_flat_for(i, 0x2000).is_none(), "an IR block has no flat form");
+        assert_eq!(c.discard_range(0x1000, 0x1010).bytes, charged);
+    }
+
+    #[test]
     fn capacity_bound_holds_and_eviction_unchains() {
         let mut c = TransCache::new(2);
-        let (a, _) = c.insert(block(0x1000, 0), None, 64);
-        let (b, _) = c.insert(block(0x2000, 0), None, 64);
+        let (a, _, _) = c.insert(block(0x1000, 0), 0x1010);
+        let (b, _, _) = c.insert(block(0x2000, 0), 0x2010);
         assert!(c.link(a, 0, b), "fallthrough link a→b");
         assert_eq!(c.link_of(a, 0), Some(b));
         // Third insert evicts one of a/b (clock order) and must unchain.
-        let (_d, ev) = c.insert(block(0x3000, 0), None, 64);
+        let (_d, _, ev) = c.insert(block(0x3000, 0), 0x3010);
         assert_eq!(c.len(), 2);
         assert_eq!(ev.evicted, 1);
         assert!(ev.unchained >= 1, "the a→b link had to be severed");
@@ -468,9 +504,9 @@ mod tests {
     #[test]
     fn relink_replaces_pred_edge() {
         let mut c = TransCache::new(8);
-        let (a, _) = c.insert(block(0x1000, 1), None, 64);
-        let (b, _) = c.insert(block(0x2000, 0), None, 64);
-        let (d, _) = c.insert(block(0x3000, 0), None, 64);
+        let (a, _, _) = c.insert(block(0x1000, 1), 0x1010);
+        let (b, _, _) = c.insert(block(0x2000, 0), 0x2010);
+        let (d, _, _) = c.insert(block(0x3000, 0), 0x3010);
         assert!(c.link(a, 1, b));
         assert!(c.link(a, 1, d), "re-link to a new target");
         assert!(!c.link(a, 1, d), "idempotent");
@@ -484,7 +520,7 @@ mod tests {
     #[test]
     fn self_link_survives_and_dies_with_the_block() {
         let mut c = TransCache::new(4);
-        let (a, _) = c.insert(block(0x1000, 0), None, 64);
+        let (a, _, _) = c.insert(block(0x1000, 0), 0x1010);
         assert!(c.link(a, 0, a), "tight loop: block chains to itself");
         assert_eq!(c.link_of(a, 0), Some(a));
         let ev = c.discard_range(0x1000, 0x1010);
@@ -495,8 +531,8 @@ mod tests {
     #[test]
     fn discard_range_hits_overlapping_blocks_only() {
         let mut c = TransCache::new(8);
-        let (a, _) = c.insert(block(0x1000, 0), None, 64);
-        let (b, _) = c.insert(block(0x2000, 0), None, 64);
+        let (a, _, _) = c.insert(block(0x1000, 0), 0x1010);
+        let (b, _, _) = c.insert(block(0x2000, 0), 0x2010);
         let ev = c.discard_range(0x1008, 0x1009);
         assert_eq!(ev.evicted, 1);
         assert!(!c.is_live(a));
@@ -507,31 +543,31 @@ mod tests {
     #[test]
     fn ibtc_round_trip_and_staleness() {
         let mut c = TransCache::new(4);
-        let (a, _) = c.insert(block(0x1000, 0), None, 64);
+        let (a, _, _) = c.insert(block(0x1000, 0), 0x1010);
         c.ibtc_insert(0x5000, 0x1000, a);
         assert_eq!(c.ibtc_lookup(0x5000, 0x1000), Some(a));
         assert_eq!(c.ibtc_lookup(0x5000, 0x1010), None);
         c.clear();
         assert_eq!(c.ibtc_lookup(0x5000, 0x1000), None, "stale entry must miss");
         // Slot recycled by a different block: the old entry still misses.
-        let (_b, _) = c.insert(block(0x9000, 0), None, 64);
+        let (_b, _, _) = c.insert(block(0x9000, 0), 0x9010);
         assert_eq!(c.ibtc_lookup(0x5000, 0x1000), None);
     }
 
     #[test]
     fn clock_eviction_prefers_unreferenced_blocks() {
         let mut c = TransCache::new(3);
-        let (a, _) = c.insert(block(0x1000, 0), None, 64);
-        let (_b, _) = c.insert(block(0x2000, 0), None, 64);
-        let (_d, _) = c.insert(block(0x3000, 0), None, 64);
+        let (a, _, _) = c.insert(block(0x1000, 0), 0x1010);
+        let (_b, _, _) = c.insert(block(0x2000, 0), 0x2010);
+        let (_d, _, _) = c.insert(block(0x3000, 0), 0x3010);
         // Sweep 1 clears all bits; touch `a` again so it survives.
-        let (_e, ev) = c.insert(block(0x4000, 0), None, 64);
+        let (_e, _, ev) = c.insert(block(0x4000, 0), 0x4010);
         assert_eq!(ev.evicted, 1);
         assert!(c.is_live(a) || c.lookup(0x1000).is_none());
         // Re-touch a; everyone else untouched → next eviction spares a.
         if c.lookup(0x1000).is_some() {
-            let (_f, _) = c.insert(block(0x5000, 0), None, 64);
-            let (_g, _) = c.insert(block(0x6000, 0), None, 64);
+            let (_f, _, _) = c.insert(block(0x5000, 0), 0x5010);
+            let (_g, _, _) = c.insert(block(0x6000, 0), 0x6010);
             assert!(c.len() <= 3);
         }
     }

@@ -15,7 +15,7 @@ use crate::flat::{FDirty, FMemCb, FOp, FlatBlock, TMP_BIT};
 use crate::lift::{lift_superblock, LiftError};
 use crate::mem::GuestMemory;
 use crate::syscalls;
-use crate::tcache::{CacheRef, TransCache};
+use crate::tcache::{BlockCode, CacheRef, TransCache};
 use crate::tool::{pattern_matches, BlockMeta, Tool};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -72,9 +72,6 @@ pub struct VmConfig {
     /// Per-thread stack size in bytes.
     pub stack_size: u64,
     pub sched: SchedPolicy,
-    /// Run the `iropt`-style optimization pass on lifted blocks before
-    /// instrumentation (Valgrind's pipeline order).
-    pub optimize_ir: bool,
     /// Chain translated superblocks so steady-state dispatch skips the
     /// translation-cache hash probe (Valgrind's block chaining). Every
     /// shipping run chains; `false` selects the tree-walk reference
@@ -103,7 +100,6 @@ impl Default for VmConfig {
             max_instrs: 2_000_000_000,
             stack_size: 1 << 20,
             sched: SchedPolicy::RoundRobin,
-            optimize_ir: true,
             chaining: true,
             cache_blocks: 4096,
             compile_threads: 0,
@@ -199,7 +195,8 @@ pub struct Metrics {
     pub blocks: u64,
     /// Superblocks translated (cache misses).
     pub translations: u64,
-    /// Approximate bytes held by the translation cache (instrumented IR).
+    /// Measured host bytes held by the translation cache: each resident
+    /// block's code plus its slot, map entry and link table.
     pub translation_bytes: u64,
     /// Scheduler slices granted.
     pub switches: u64,
@@ -408,6 +405,14 @@ impl VmCore {
         addr
     }
 
+    /// The most bytes the guest can own: its resident pages plus its
+    /// bss and stack reservations, which read as zeros until touched.
+    /// The heap break is excluded, since `sbrk` moves it by any amount.
+    fn owned_bytes(&self) -> u64 {
+        let stacks = (self.threads.len() as u64).saturating_mul(self.config.stack_size);
+        self.mem.footprint().saturating_add(self.module.bss_size).saturating_add(stacks)
+    }
+
     /// Grow the heap break by `delta`, returning the old break.
     pub fn sbrk(&mut self, delta: u64) -> u64 {
         let old = self.brk;
@@ -507,37 +512,26 @@ enum Pending {
 
 /// One superblock through the translation pipeline.
 pub struct Translation {
-    /// The instrumented IR.
-    pub ir: IrBlock,
-    /// The flat compiled form, when [`translate`] was asked for it.
-    pub flat: Option<Arc<FlatBlock>>,
+    /// The one form the translation cache keeps.
+    pub code: BlockCode,
     /// One past the last guest byte the block covers.
     pub end: u64,
-    /// Approximate host bytes the translation occupies.
-    pub bytes: u64,
 }
 
-/// Translate the superblock at `pc`: lift, `iropt` when `optimize_ir`,
-/// `tool` instrumentation and, when `compile`, the flat compile. The
-/// dispatch slow path and `tgrind warm`'s ahead-of-time precompiler both
-/// call this, so a block compiled ahead of time is byte-identical to
-/// the one a cold run produces at the same pc.
+/// Translate the superblock at `pc`: lift, `tool` instrumentation and,
+/// when `compile`, the flat compile, which replaces the IR. The dispatch
+/// slow path and `tgrind warm`'s ahead-of-time precompiler both call
+/// this, so a block compiled ahead of time is byte-identical to the one
+/// a cold run produces at the same pc.
 pub fn translate(
     module: &Module,
     pc: u64,
     tool: &mut dyn Tool,
-    optimize_ir: bool,
     compile: bool,
 ) -> Result<Translation, LiftError> {
     let block = {
         let _s = tg_obs::trace::host_span("lift");
         lift_superblock(module, pc)?
-    };
-    let block = if optimize_ir {
-        let _s = tg_obs::trace::host_span("iropt");
-        crate::opt::optimize(block)
-    } else {
-        block
     };
     let meta = BlockMeta { base: pc, fn_symbol: module.find_func(pc).map(|s| s.name.clone()) };
     let ir = {
@@ -547,13 +541,14 @@ pub fn translate(
     if cfg!(debug_assertions) {
         vex_ir::sanity::assert_sane(&ir, tool.name());
     }
-    let flat = compile.then(|| {
-        let _s = tg_obs::trace::host_span("compile");
-        Arc::new(crate::flat::compile(&ir))
-    });
-    let bytes = 64 + ir.stmts.len() as u64 * 48;
     let (_, end) = ir.extent();
-    Ok(Translation { ir, flat, end, bytes })
+    let code = if compile {
+        let _s = tg_obs::trace::host_span("compile");
+        BlockCode::Flat(Arc::new(crate::flat::compile(&ir)))
+    } else {
+        BlockCode::Ir(Arc::new(ir))
+    };
+    Ok(Translation { code, end })
 }
 
 /// The full VM: core state + the active tool + the translation cache.
@@ -836,7 +831,9 @@ impl Vm {
                 continue;
             }
             let cur = self.lookup_or_translate(pc)?;
-            let block = self.tcache.ir_of(cur);
+            let Some(block) = self.tcache.ir_of(cur) else {
+                return Err(VmError { tid, pc, msg: "translation has no IR form".into() });
+            };
             self.exec_block(tid, &block)?;
             if self.yield_requested {
                 self.yield_requested = false;
@@ -933,16 +930,9 @@ impl Vm {
         // runtime chaining protocol. Chained engine only: the reference
         // engine executes IR, which the cache does not store.
         if self.core.config.chaining {
-            if let Some(cache) = &self.code_cache {
-                if let Some(ct) = cache.borrow_mut().load(pc) {
-                    self.core.metrics.translation_bytes += ct.bytes;
-                    let (r, ev) = self.tcache.insert_flat(Arc::new(ct.flat), ct.end, ct.bytes);
-                    self.core.metrics.dispatch.evictions += ev.evicted;
-                    self.core.metrics.dispatch.unchains += ev.unchained;
-                    self.core.metrics.translation_bytes =
-                        self.core.metrics.translation_bytes.saturating_sub(ev.bytes);
-                    return Ok(r);
-                }
+            let loaded = self.code_cache.as_ref().and_then(|c| c.borrow_mut().load(pc));
+            if let Some(ct) = loaded {
+                return Ok(self.install(BlockCode::Flat(Arc::new(ct.flat)), ct.end));
             }
         }
         let _translate_span = if tg_obs::trace::enabled() {
@@ -950,25 +940,24 @@ impl Vm {
         } else {
             tg_obs::trace::SpanGuard::inactive()
         };
-        let t = translate(
-            &self.core.module,
-            pc,
-            &mut *self.tool,
-            self.core.config.optimize_ir,
-            self.core.config.chaining,
-        )
-        .map_err(|e| VmError { tid: 0, pc, msg: e.to_string() })?;
-        if let (Some(cache), Some(fb)) = (&self.code_cache, &t.flat) {
-            cache.borrow_mut().store(pc, t.end, t.bytes, fb);
+        let t = translate(&self.core.module, pc, &mut *self.tool, self.core.config.chaining)
+            .map_err(|e| VmError { tid: 0, pc, msg: e.to_string() })?;
+        if let (Some(cache), BlockCode::Flat(fb)) = (&self.code_cache, &t.code) {
+            cache.borrow_mut().store(pc, t.end, fb);
         }
         self.core.metrics.translations += 1;
-        self.core.metrics.translation_bytes += t.bytes;
-        let (r, ev) = self.tcache.insert(Arc::new(t.ir), t.flat, t.bytes);
-        self.core.metrics.dispatch.evictions += ev.evicted;
-        self.core.metrics.dispatch.unchains += ev.unchained;
-        self.core.metrics.translation_bytes =
-            self.core.metrics.translation_bytes.saturating_sub(ev.bytes);
-        Ok(r)
+        Ok(self.install(t.code, t.end))
+    }
+
+    /// Insert a translation into the tcache and charge the bytes it
+    /// holds, net of whatever the insert evicted.
+    fn install(&mut self, code: BlockCode, end: u64) -> CacheRef {
+        let (r, bytes, ev) = self.tcache.insert(code, end);
+        let m = &mut self.core.metrics;
+        m.dispatch.evictions += ev.evicted;
+        m.dispatch.unchains += ev.unchained;
+        m.translation_bytes = (m.translation_bytes + bytes).saturating_sub(ev.bytes);
+        r
     }
 
     /// Invalidate every translation overlapping `[lo, hi)`, unchaining
@@ -1228,32 +1217,10 @@ impl Vm {
                         self.discard_translations(a, a.saturating_add(8));
                     }
                 }
-                FOp::BinP { rd, op, a, b } => {
-                    let (a, b) = (fv!(a), fv!(b));
-                    self.core.threads[tid].regs[rd as usize] =
-                        eval_binop(op, a, b).expect("non-trapping binop trapped");
-                }
-                FOp::LdO { dst, base, off, ic } => {
-                    let a = fv!(base).wrapping_add(fv!(off));
-                    tmps[dst as usize] = self.core.mem.read_u64_ic(a, &fb.ics[ic as usize]);
-                }
-                FOp::LdOP { rd, base, off, ic } => {
-                    let a = fv!(base).wrapping_add(fv!(off));
-                    let v = self.core.mem.read_u64_ic(a, &fb.ics[ic as usize]);
-                    self.core.threads[tid].regs[rd as usize] = v;
-                }
                 FOp::LdP { rd, addr, ic } => {
                     let a = fv!(addr);
                     let v = self.core.mem.read_u64_ic(a, &fb.ics[ic as usize]);
                     self.core.threads[tid].regs[rd as usize] = v;
-                }
-                FOp::StO { base, off, val, ic } => {
-                    let a = fv!(base).wrapping_add(fv!(off));
-                    let v = fv!(val);
-                    self.core.mem.write_u64_ic(a, v, &fb.ics[ic as usize]);
-                    if a < self.code_hi && a.saturating_add(8) > self.code_lo {
-                        self.discard_translations(a, a.saturating_add(8));
-                    }
                 }
             }
         }
@@ -1634,6 +1601,15 @@ impl Vm {
             syscalls::WRITE => {
                 let (fd, buf, len) = (args[0], args[1], args[2]);
                 if fd == 1 || fd == 2 {
+                    // The buffer is host-allocated at the guest's length,
+                    // so a length no guest buffer can have is a fault,
+                    // not an allocation that aborts the host.
+                    let owned = self.core.owned_bytes();
+                    if len > owned {
+                        let msg =
+                            format!("write of {len} bytes exceeds the {owned} the guest owns");
+                        return Err(VmError { tid, pc, msg });
+                    }
                     let mut bytes = vec![0u8; len as usize];
                     self.core.mem.read(buf, &mut bytes);
                     self.core.stdout.extend_from_slice(&bytes);
@@ -1753,6 +1729,36 @@ mod tests {
         assert_eq!(dbi.stdout_str(), "guest");
         assert!(fast.ok() && dbi.ok());
         assert_eq!(fast.metrics.instrs, dbi.metrics.instrs);
+    }
+
+    #[test]
+    fn oversized_write_is_a_guest_fault_in_both_modes() {
+        // write(1, argv, 2^62): allocating the length would abort the
+        // host, so both modes must stop the guest with a VmError.
+        let src = "
+            _start:
+                li  a0, 1
+                li  a1, 0x600000000000
+                li  a2, 0x4000000000000000
+                sys zero, 1
+                li  a0, 7
+                sys zero, 0
+                halt
+        ";
+        let (fast, dbi) = run_both(src, &[]);
+        for r in [&fast, &dbi] {
+            let e = r.error.as_ref().expect("an oversized write faults");
+            assert!(e.msg.contains("exceeds"), "{}", e.msg);
+            assert_eq!(r.exit_code, None);
+            assert!(r.stdout.is_empty());
+        }
+        // A write the guest can own still goes through: 4 KiB from the
+        // argv page, which reads as zeros past the strings.
+        let (fast, dbi) = run_both(&src.replace("0x4000000000000000", "4096"), &[]);
+        for r in [&fast, &dbi] {
+            assert!(r.ok(), "{:?}", r.error);
+            assert_eq!((r.exit_code, r.stdout.len()), (Some(7), 4096));
+        }
     }
 
     #[test]

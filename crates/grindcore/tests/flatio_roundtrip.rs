@@ -39,10 +39,10 @@ fn dirtycall() -> impl Strategy<Value = DirtyCall> {
 }
 
 /// Build one `FOp` from a variant selector plus a pool of random
-/// operands — a single flat constructor keeps all 32 variants covered
-/// without a 32-arm `prop_oneof!`.
-fn make_fop(tag: usize, x: (u32, u32, u32, u32, u32), r: (u8, u8), bop: BinOp, uop: UnOp) -> FOp {
-    let (a, b, c, d, e) = x;
+/// operands — a single flat constructor keeps all 28 variants covered
+/// without a 28-arm `prop_oneof!`.
+fn make_fop(tag: usize, x: (u32, u32, u32, u32), r: (u8, u8), bop: BinOp, uop: UnOp) -> FOp {
+    let (a, b, c, d) = x;
     let (r1, r2) = r;
     match tag {
         0 => FOp::Get { dst: a, reg: r1 },
@@ -72,18 +72,14 @@ fn make_fop(tag: usize, x: (u32, u32, u32, u32, u32), r: (u8, u8), bop: BinOp, u
         24 => FOp::StV { addr: a, vr: r1, ic: b },
         25 => FOp::StRV { rs: r1, c: a, val: b, ic: c },
         26 => FOp::StRR { rs: r1, c: a, vr: r2, ic: b },
-        27 => FOp::BinP { rd: r1, op: bop, a, b },
-        28 => FOp::LdO { dst: a, base: b, off: c, ic: d },
-        29 => FOp::LdOP { rd: r1, base: a, off: b, ic: c },
-        30 => FOp::LdP { rd: r1, addr: a, ic: b },
-        _ => FOp::StO { base: a, off: b, val: c, ic: e },
+        _ => FOp::LdP { rd: r1, addr: a, ic: b },
     }
 }
 
 fn fop() -> impl Strategy<Value = FOp> {
     (
-        0usize..32,
-        (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
+        0usize..28,
+        (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
         (any::<u8>(), any::<u8>()),
         binop(),
         unop(),

@@ -8,7 +8,7 @@
 //! **(binary content hash, engine-config fingerprint)** — change either
 //! and the cache reads as empty, so stale code can never be executed.
 //!
-//! # On-disk format (version 1)
+//! # On-disk format (version 2)
 //!
 //! One file per key, named `tgc-<bin_hash>-<fingerprint>.tgc` inside the
 //! cache directory. Little-endian throughout, laid out for sequential
@@ -23,7 +23,7 @@
 //!          len     u32        payload byte count
 //!          checksum u32       FNV-1a-32 over the payload
 //!          payload [u8; len]
-//! block payload   pc u64 | end u64 | bytes u64 | flatio-encoded FlatBlock
+//! block payload   pc u64 | end u64 | flatio-encoded FlatBlock
 //! facts payload   opaque bytes (tga-analysis factsio encoding)
 //! ```
 //!
@@ -62,7 +62,9 @@ use tga::module::{Module, SymKind};
 /// Version written into (and required of) every container header.
 /// Bumped whenever the record layout or the flat-block/facts encodings
 /// change shape; a mismatch empties the cache rather than misreading it.
-pub const FORMAT_VERSION: u32 = 1;
+/// Version 2 dropped the per-block accounting size (the tcache measures
+/// a loaded block itself) and the four operand-based fused ops.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Container magic: identifies the file type before any parsing.
 pub const MAGIC: [u8; 8] = *b"TGCACHE\0";
@@ -114,8 +116,6 @@ struct DiskEntry {
     /// One past the last guest byte the block covers (for range
     /// invalidation).
     end: u64,
-    /// tcache accounting size of the original translation.
-    bytes: u64,
     /// `flatio` encoding of the compiled block.
     flat_bytes: Vec<u8>,
 }
@@ -221,16 +221,14 @@ impl DiskCodeCache {
                         let mut pd = Dec::new(&payload);
                         let pc = pd.u64("entry pc").ok()?;
                         let end = pd.u64("entry end").ok()?;
-                        let bytes = pd.u64("entry bytes").ok()?;
-                        let rest = &payload[24..];
+                        let rest = &payload[16..];
                         // Validate decodability now so load() can trust
                         // the entry later.
                         if flatio::flat_from_bytes(rest).is_err() {
                             self.dirty = true;
                             return Some(());
                         }
-                        self.entries
-                            .insert(pc, DiskEntry { end, bytes, flat_bytes: rest.to_vec() });
+                        self.entries.insert(pc, DiskEntry { end, flat_bytes: rest.to_vec() });
                     }
                     _ => self.facts = Some(payload),
                 }
@@ -299,7 +297,6 @@ impl DiskCodeCache {
             let mut payload = Enc::new();
             payload.u64(*pc);
             payload.u64(e.end);
-            payload.u64(e.bytes);
             payload.raw(&e.flat_bytes);
             Self::append_record(&mut out, REC_BLOCK, &payload.into_inner());
         }
@@ -317,14 +314,14 @@ impl CodeCache for DiskCodeCache {
         let t0 = Instant::now();
         let out = self.entries.get(&pc).and_then(|e| {
             let flat = flatio::flat_from_bytes(&e.flat_bytes).ok()?;
-            Some((flat, e.end, e.bytes, e.flat_bytes.len() as u64))
+            Some((flat, e.end, e.flat_bytes.len() as u64))
         });
         self.stats.load_nanos += t0.elapsed().as_nanos() as u64;
         match out {
-            Some((flat, end, bytes, encoded_len)) => {
+            Some((flat, end, encoded_len)) => {
                 self.stats.hits += 1;
                 self.stats.bytes_loaded += encoded_len;
-                Some(CachedTranslation { flat, end, bytes })
+                Some(CachedTranslation { flat, end })
             }
             None => {
                 self.stats.misses += 1;
@@ -333,11 +330,11 @@ impl CodeCache for DiskCodeCache {
         }
     }
 
-    fn store(&mut self, pc: u64, end: u64, bytes: u64, flat: &FlatBlock) {
+    fn store(&mut self, pc: u64, end: u64, flat: &FlatBlock) {
         let t0 = Instant::now();
         let flat_bytes = flatio::flat_to_bytes(flat);
         self.stats.bytes_stored += flat_bytes.len() as u64;
-        self.entries.insert(pc, DiskEntry { end, bytes, flat_bytes });
+        self.entries.insert(pc, DiskEntry { end, flat_bytes });
         self.dirty = true;
         self.stats.store_nanos += t0.elapsed().as_nanos() as u64;
     }
@@ -409,7 +406,7 @@ mod tests {
         let mut c = DiskCodeCache::open(&dir, 7, 9).unwrap();
         assert!(c.is_empty());
         let fb = sample_flat(0x1000);
-        c.store(0x1000, 0x1010, 64, &fb);
+        c.store(0x1000, 0x1010, &fb);
         c.store_facts(b"facts-bytes");
         c.flush().unwrap();
 
@@ -418,7 +415,6 @@ mod tests {
         let hit = c2.load(0x1000).expect("stored block must load");
         assert_eq!(hit.flat.base, 0x1000);
         assert_eq!(hit.end, 0x1010);
-        assert_eq!(hit.bytes, 64);
         assert_eq!(c2.load_facts().as_deref(), Some(&b"facts-bytes"[..]));
         assert!(c2.load(0x2000).is_none());
         let s = c2.stats();
@@ -431,7 +427,7 @@ mod tests {
     fn wrong_key_reads_as_empty() {
         let dir = temp_dir("wrongkey");
         let mut c = DiskCodeCache::open(&dir, 1, 2).unwrap();
-        c.store(0x1000, 0x1010, 64, &sample_flat(0x1000));
+        c.store(0x1000, 0x1010, &sample_flat(0x1000));
         c.flush().unwrap();
         let stale = c.path().to_path_buf();
         // Same file contents, opened under a different key (simulates a
@@ -447,8 +443,8 @@ mod tests {
     fn invalidate_range_evicts_from_disk_on_flush() {
         let dir = temp_dir("invalidate");
         let mut c = DiskCodeCache::open(&dir, 5, 5).unwrap();
-        c.store(0x1000, 0x1010, 64, &sample_flat(0x1000));
-        c.store(0x2000, 0x2010, 64, &sample_flat(0x2000));
+        c.store(0x1000, 0x1010, &sample_flat(0x1000));
+        c.store(0x2000, 0x2010, &sample_flat(0x2000));
         c.flush().unwrap();
 
         let mut c2 = DiskCodeCache::open(&dir, 5, 5).unwrap();
@@ -468,7 +464,7 @@ mod tests {
     fn flush_is_noop_when_clean() {
         let dir = temp_dir("noop");
         let mut c = DiskCodeCache::open(&dir, 1, 1).unwrap();
-        c.store(0x1000, 0x1010, 64, &sample_flat(0x1000));
+        c.store(0x1000, 0x1010, &sample_flat(0x1000));
         c.flush().unwrap();
         let mtime = fs::metadata(c.path()).unwrap().modified().unwrap();
         let mut c2 = DiskCodeCache::open(&dir, 1, 1).unwrap();

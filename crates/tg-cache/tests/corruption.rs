@@ -46,7 +46,7 @@ fn reference_file(dir: &Path, bin: u64, fp: u64) -> (Vec<u8>, Vec<(u64, Vec<u8>)
     let mut expected = Vec::new();
     for (i, &base) in BASES.iter().enumerate() {
         let fb = sample_flat(base, 1 + i as u64);
-        c.store(base, base + 16 * (1 + i as u64), 64, &fb);
+        c.store(base, base + 16 * (1 + i as u64), &fb);
         expected.push((base, flat_to_bytes(&fb)));
     }
     c.store_facts(FACTS);
@@ -128,7 +128,7 @@ fn stale_format_version_reads_as_empty_and_rewrites() {
     let mut c = DiskCodeCache::open(&dir, 55, 66).unwrap();
     assert!(c.is_empty());
     let fb = sample_flat(0x2_0000, 1);
-    c.store(0x2_0000, 0x2_0010, 64, &fb);
+    c.store(0x2_0000, 0x2_0010, &fb);
     c.flush().unwrap();
     let mut c2 = DiskCodeCache::open(&dir, 55, 66).unwrap();
     assert_eq!(c2.len(), 1);

@@ -276,8 +276,8 @@ impl CodeCache for SharedDiskCache {
         self.inner.lock().unwrap().load(pc)
     }
 
-    fn store(&mut self, pc: u64, end: u64, bytes: u64, block: &grindcore::flat::FlatBlock) {
-        self.inner.lock().unwrap().store(pc, end, bytes, block)
+    fn store(&mut self, pc: u64, end: u64, block: &grindcore::flat::FlatBlock) {
+        self.inner.lock().unwrap().store(pc, end, block)
     }
 
     fn invalidate_range(&mut self, lo: u64, hi: u64) {

@@ -2,7 +2,7 @@
 //!
 //! Recovers the module's CFG statically ([`tga_analysis::cfg::block_starts`]),
 //! then runs every block start through [`grindcore::translate`], the
-//! translation function the VM calls at run time — lift, iropt, tool
+//! translation function the VM calls at run time — lift, tool
 //! instrumentation, flat compilation — and stores the result in a
 //! [`DiskCodeCache`]. A later `tgrind --code-cache=DIR` run on the same
 //! binary and engine configuration then installs these blocks straight
@@ -30,7 +30,7 @@
 //! execution.
 
 use grindcore::flat::FlatBlock;
-use grindcore::{CodeCache, CompilePool, Translation, VmConfig};
+use grindcore::{BlockCode, CodeCache, CompilePool, Translation};
 use std::sync::Arc;
 use taskgrind::tool::{RecordOptions, TaskgrindTool};
 use tg_cache::DiskCodeCache;
@@ -54,9 +54,9 @@ pub struct WarmStats {
     pub blocks_per_sec: f64,
 }
 
-/// One precompiled block coming back from a warm worker. `None` body
-/// means the lifter rejected the pc.
-type WarmDone = (u64, Option<(u64, u64, Arc<FlatBlock>)>);
+/// One precompiled block coming back from a warm worker: its pc, then
+/// its end and flat code. `None` body means the lifter rejected the pc.
+type WarmDone = (u64, Option<(u64, Arc<FlatBlock>)>);
 
 /// Precompile every statically recoverable block of `module` into
 /// `cache`, fanning the per-block pipeline across `threads` workers
@@ -92,13 +92,8 @@ pub fn warm_module(
             // The tool is `!Send`; the pool's factory runs on the worker
             // thread, so each worker owns a private instance.
             let mut tool = TaskgrindTool::new(record.clone());
-            // Runs share the VM's default iropt setting: no engine knob
-            // changes it.
-            let optimize_ir = VmConfig::default().optimize_ir;
-            move |pc: u64| match grindcore::translate(&module, pc, &mut tool, optimize_ir, true) {
-                Ok(Translation { flat: Some(flat), end, bytes, .. }) => {
-                    (pc, Some((end, bytes, flat)))
-                }
+            move |pc: u64| match grindcore::translate(&module, pc, &mut tool, true) {
+                Ok(Translation { code: BlockCode::Flat(flat), end }) => (pc, Some((end, flat))),
                 _ => (pc, None),
             }
         });
@@ -112,8 +107,8 @@ pub fn warm_module(
     done.sort_unstable_by_key(|(pc, _)| *pc);
     for (pc, body) in done {
         match body {
-            Some((end, bytes, flat)) => {
-                cache.store(pc, end, bytes, &flat);
+            Some((end, flat)) => {
+                cache.store(pc, end, &flat);
                 stats.precompiled += 1;
             }
             None => stats.skipped += 1,

@@ -12,7 +12,7 @@
 //! Two tracks are modelled as Chrome-trace *processes*:
 //!
 //! * [`PID_HOST`] — the DBI engine itself: translation sub-phases
-//!   (lift/iropt/instrument/compile), dispatch slices, tool callbacks,
+//!   (lift/instrument/compile/fuse), dispatch slices, tool callbacks,
 //!   analysis epochs, report generation.
 //! * [`PID_GUEST`] — the guest's task-segment timeline: one Chrome *thread*
 //!   per guest thread carrying begin/end spans for parallel regions,

@@ -501,6 +501,20 @@ impl IrBlock {
             .unwrap_or(self.base);
         (self.base, end.max(self.base))
     }
+
+    /// Host bytes the block owns on the heap: its statement buffer and
+    /// the argument lists of its dirty calls.
+    pub fn heap_bytes(&self) -> usize {
+        let args: usize = self
+            .stmts
+            .iter()
+            .map(|s| match s {
+                Stmt::Dirty { args, .. } => args.capacity() * std::mem::size_of::<Atom>(),
+                _ => 0,
+            })
+            .sum();
+        self.stmts.capacity() * std::mem::size_of::<Stmt>() + args
+    }
 }
 
 /// Evaluate a binary op on raw 64-bit values. Returns `None` on division

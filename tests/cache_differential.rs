@@ -93,6 +93,10 @@ fn assert_identical(a: &TaskgrindResult, b: &TaskgrindResult, ctx: &str) {
     assert_eq!(a.analysis.suppressed_static, b.analysis.suppressed_static, "{ctx}: static");
     assert_eq!(a.accesses_recorded, b.accesses_recorded, "{ctx}: accesses recorded");
     assert_eq!(a.run.metrics.instrs, b.run.metrics.instrs, "{ctx}: guest instrs");
+    assert_eq!(
+        a.run.metrics.translation_bytes, b.run.metrics.translation_bytes,
+        "{ctx}: translation bytes"
+    );
     assert_eq!(a.run.exit_code, b.run.exit_code, "{ctx}: exit code");
     assert_eq!(a.n_reports(), b.n_reports(), "{ctx}: report count");
     assert_eq!(a.render_all(), b.render_all(), "{ctx}: report text");

@@ -81,21 +81,3 @@ proptest! {
         prop_assert_eq!(a.to_bytes(), b.to_bytes());
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The iropt-style optimization pass is semantics-preserving.
-    #[test]
-    fn ir_optimizer_is_transparent(seed in 0u64..10_000, n in 4usize..40) {
-        let src = gen_program(seed, n);
-        let module = guest_rt::build_single("rand.c", &src).unwrap();
-        let cfg_on = VmConfig { optimize_ir: true, ..Default::default() };
-        let cfg_off = VmConfig { optimize_ir: false, ..Default::default() };
-        let on = Vm::new(module.clone(), Box::new(NulTool), cfg_on).run(ExecMode::Dbi, &[]);
-        let off = Vm::new(module, Box::new(NulTool), cfg_off).run(ExecMode::Dbi, &[]);
-        prop_assert!(on.ok() && off.ok());
-        prop_assert_eq!(on.exit_code, off.exit_code, "{}", src);
-        prop_assert_eq!(on.metrics.instrs, off.metrics.instrs);
-    }
-}

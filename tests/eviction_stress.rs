@@ -144,7 +144,7 @@ mod tcache_props {
     //! serves a stale block, i.e. one based at a pc whose translation
     //! was discarded and not re-inserted.
 
-    use grindcore::tcache::TransCache;
+    use grindcore::tcache::{BlockCode, TransCache};
     use proptest::prelude::*;
     use std::collections::HashSet;
     use std::sync::Arc;
@@ -156,11 +156,11 @@ mod tcache_props {
         0x1000 + (idx as u64 % N_BASES) * 0x20
     }
 
-    fn block(base: u64) -> Arc<IrBlock> {
+    fn block(base: u64) -> IrBlock {
         let mut b = IrBlock::new(base);
         b.stmts.push(Stmt::IMark { addr: base, len: 16 });
         b.next = Atom::imm(base + 16);
-        Arc::new(b)
+        b
     }
 
     #[derive(Clone, Debug)]
@@ -193,9 +193,8 @@ mod tcache_props {
                 Op::Insert(i) => {
                     let base = base_of(*i);
                     if c.lookup(base).is_none() {
-                        let ir = block(base);
-                        let flat = Arc::new(grindcore::flat::compile(&ir));
-                        c.insert(ir, Some(flat), 64);
+                        let flat = Arc::new(grindcore::flat::compile(&block(base)));
+                        c.insert(BlockCode::Flat(flat), base + 16);
                         live.insert(base);
                     }
                 }

@@ -46,6 +46,18 @@ int main(void) {
 }
 "#;
 
+/// A guest write of 2^62 bytes, which once aborted the whole daemon on
+/// the host allocation.
+const OVERSIZED_WRITE: &str = r#"
+int main(void) {
+    char *s = "x";
+    __sys(1, 1, s, 4611686018427387904);
+    return 0;
+}
+"#;
+
+const DIVIDE_BY_ZERO: &str = "int main(void) { int z = 0; return 5 / z; }";
+
 /// A short socket path under the workspace `target/` directory (Unix
 /// socket paths are length-limited, so no deep tempdirs).
 fn sock(name: &str) -> PathBuf {
@@ -154,6 +166,43 @@ fn concurrent_jobs_match_one_shot_and_bad_guests_fail_structured() {
 
     server.stop();
     assert!(!path.exists(), "socket file must be removed on shutdown");
+}
+
+/// A guest fault ends only its own job: the oversized write comes back
+/// as a result with the exit status of any other faulting guest, and the
+/// same daemon then completes the next job.
+#[test]
+fn faulting_guest_write_leaves_the_daemon_serving() {
+    let path = sock("fault.sock");
+    let server = Server::start(&path, ServeOptions::default()).expect("start server");
+    let session = Session::new();
+    let one_shot = |name: &str, text: &str| {
+        session
+            .run(&RunRequest {
+                program: Program::Source { name: name.into(), text: text.into() },
+                threads: 2,
+                ..RunRequest::default()
+            })
+            .expect("one-shot run")
+    };
+
+    let mut c = submit(&path, &run_line("write.c", OVERSIZED_WRITE, ""));
+    let (_, res) = drive(&mut c);
+    assert_eq!(str_field(&res, "type"), "result", "{res:?}");
+    assert_eq!(str_field(&res, "stdout"), "");
+    let faulted = one_shot("div.c", DIVIDE_BY_ZERO);
+    assert_eq!(u64_field(&res, "exit"), u64::from(faulted.exit));
+    assert_eq!(u64_field(&res, "exit"), u64::from(one_shot("write.c", OVERSIZED_WRITE).exit));
+
+    let mut c = submit(&path, &run_line("clean.c", CLEAN, ""));
+    let (_, res) = drive(&mut c);
+    assert_eq!(str_field(&res, "type"), "result");
+    assert_eq!(str_field(&res, "stdout"), "val=42\n");
+
+    let mut ping = submit(&path, "{\"op\":\"ping\"}");
+    let (_, pong) = drive(&mut ping);
+    assert_eq!(u64_field(&pong, "completed"), 2);
+    server.stop();
 }
 
 #[test]
