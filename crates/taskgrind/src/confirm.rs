@@ -25,8 +25,8 @@
 //!    re-run the epoch under adversarial schedules: *prefer-second*
 //!    forces the thread of the later segment whenever runnable;
 //!    *starve-first* runs anyone but the thread of the earlier segment.
-//!    Every 8th slice falls back to the policy so spin-waits in the
-//!    guest runtime still make progress.
+//!    Every 8th slice escapes to the next runnable thread in rotation,
+//!    so whichever thread a forced one spin-waits on still progresses.
 //! 3. If the later segment's thread touches the candidate's byte range
 //!    before the earlier one does, the recorded order flipped: the pair
 //!    is [`Verdict::Confirmed`] (the conflict itself was already
@@ -98,16 +98,22 @@ pub struct ConfirmStats {
     pub restores: u64,
     /// Peak pages preserved by the copy-on-write journal.
     pub peak_pages: u64,
+    /// Guest instructions the attempts ran past their snapshots, summed
+    /// (restores rewind `vm.instrs`, so only this shows what they cost).
+    pub attempt_instrs: u64,
     /// Wall-clock seconds of the whole confirmation pass.
     pub secs: f64,
 }
 
-/// Slices between forced picks before one policy slice is allowed
-/// through, so starved threads' spin-wait partners still progress.
+/// Every `ESCAPE_PERIOD`-th slice of an attempt is an escape slice: it
+/// goes to the next runnable thread after the previous escape pick
+/// instead of the forced one. Rotating, rather than deferring to the
+/// policy (which would pick the forced thread's successor every time),
+/// reaches whichever thread a forced one spin-waits on.
 const ESCAPE_PERIOD: u64 = 8;
 /// Guest instructions one attempt may burn past the snapshot before it
 /// is declared livelocked and abandoned.
-const ATTEMPT_INSTR_CAP: u64 = 2_000_000;
+pub const ATTEMPT_INSTR_CAP: u64 = 2_000_000;
 const STRATEGIES: &[&str] = &["prefer-second", "starve-first"];
 
 /// One replayable segment pair (its candidates grouped).
@@ -155,6 +161,9 @@ struct Ctl {
     flip: bool,
     start_instrs: u64,
     force_count: u64,
+    /// The previous escape slice's thread; an attempt starts it at the
+    /// snapshot's `current`.
+    escape_cursor: grindcore::Tid,
     budget: u64,
     tried_for_pair: u32,
     verdicts: Vec<Option<Verdict>>,
@@ -219,6 +228,7 @@ impl Ctl {
         self.flip = false;
         self.start_instrs = core.metrics.instrs;
         self.force_count = 0;
+        self.escape_cursor = self.saved.as_ref().expect("attempt after a snapshot").current;
         if tg_obs::trace::enabled() {
             tg_obs::trace::instant(
                 "replay attempt",
@@ -234,8 +244,14 @@ impl Ctl {
         self.attempt_pick(core)
     }
 
+    /// Charge the attempt that ends here before a restore rewinds it.
+    fn end_attempt(&mut self, core: &VmCore) {
+        self.stats.attempt_instrs += core.metrics.instrs.saturating_sub(self.start_instrs);
+    }
+
     fn attempt_boundary(&mut self, core: &mut VmCore) -> Option<grindcore::Tid> {
         if self.flip {
+            self.end_attempt(core);
             let p = &self.pairs[self.cur_pair];
             let schedule = format!(
                 "epoch@seq{}: thread {} overtakes thread {} ({})",
@@ -246,6 +262,7 @@ impl Ctl {
         let livelocked = core.metrics.instrs.saturating_sub(self.start_instrs) > ATTEMPT_INSTR_CAP;
         let runnable = core.threads.iter().any(|t| t.status == grindcore::ThreadStatus::Runnable);
         if self.ta_seen || livelocked || !runnable || core.exited().is_some() {
+            self.end_attempt(core);
             self.strategy += 1;
             if self.strategy < STRATEGIES.len() && self.budget > 0 {
                 return self.start_strategy(core);
@@ -258,7 +275,9 @@ impl Ctl {
     fn attempt_pick(&mut self, core: &VmCore) -> Option<grindcore::Tid> {
         self.force_count += 1;
         if self.force_count.is_multiple_of(ESCAPE_PERIOD) {
-            return None; // escape slice: let the policy make progress
+            let t = round_robin_next(core, self.escape_cursor)?;
+            self.escape_cursor = t;
+            return Some(t);
         }
         let p = &self.pairs[self.cur_pair];
         let runnable = |t: grindcore::Tid| {
@@ -547,6 +566,7 @@ pub fn confirm_candidates(
         flip: false,
         start_instrs: 0,
         force_count: 0,
+        escape_cursor: 0,
         budget: cfg.confirm_budget as u64,
         tried_for_pair: 0,
         verdicts,
@@ -572,10 +592,10 @@ pub fn confirm_candidates(
     let tool = ReplayTool { ctl: Rc::clone(&ctl) };
     let mut vm = Vm::new(module.clone(), Box::new(tool), cfg.vm.clone());
     vm.set_director(Box::new(ReplayDirector { ctl: Rc::clone(&ctl) }));
-    {
+    let run = {
         let _sp = tg_obs::trace::host_span("confirm replay");
-        vm.run(ExecMode::Dbi, args);
-    }
+        vm.run(ExecMode::Dbi, args)
+    };
     drop(vm);
 
     let ctl = match Rc::try_unwrap(ctl) {
@@ -584,6 +604,10 @@ pub fn confirm_candidates(
     };
     let mut verdicts = ctl.verdicts;
     let mut stats = ctl.stats;
+    if matches!(ctl.mode, Mode::Attempt) {
+        // A VM error cut the attempt short of its next boundary.
+        stats.attempt_instrs += run.metrics.instrs.saturating_sub(ctl.start_instrs);
+    }
     // Pairs whose trigger never fired (program ended early, or a VM
     // error interrupted the follow) stay unconfirmed, untried.
     for p in &ctl.pairs {

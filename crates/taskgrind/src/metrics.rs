@@ -59,6 +59,7 @@ pub fn publish(r: &TaskgrindResult, reg: &mut Registry) {
         reg.set_u64("confirm.snapshots", c.snapshots);
         reg.set_u64("confirm.restores", c.restores);
         reg.set_u64("confirm.peak_pages", c.peak_pages);
+        reg.set_u64("confirm.attempt_instrs", c.attempt_instrs);
         reg.set_f64("confirm.secs", c.secs);
     }
 

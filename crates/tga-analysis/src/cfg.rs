@@ -88,6 +88,19 @@ impl Cfg {
     pub fn func_at(&self, addr: u64) -> Option<usize> {
         self.funcs.iter().position(|f| f.contains(addr))
     }
+
+    /// `live[i]`: function `i` may run, i.e. it is not in
+    /// [`Cfg::unreachable`]. Code runs only from the entry point, a
+    /// direct or tail call, or an address-taken function, the same
+    /// assumption [`crate::summaries::spawn_reachability`] makes, so the
+    /// dataflow and lockset passes analyze live functions only.
+    pub fn live(&self) -> Vec<bool> {
+        let mut live = vec![true; self.funcs.len()];
+        for &i in &self.unreachable {
+            live[i] = false;
+        }
+        live
+    }
 }
 
 /// Branch-target of a conditional branch or direct jump, if the

@@ -3,9 +3,10 @@
 //! classification of globals — interprocedural since the summary pass
 //! of [`crate::summaries`] landed.
 //!
-//! Every basic-block leader of every recovered function is lifted with
-//! `grindcore`'s superblock lifter and interpreted over a tiny abstract
-//! domain: a value is a known constant, a known offset from the
+//! Every basic-block leader of every live function (reachable from the
+//! entry point or an address-taken function, [`Cfg::live`]) is lifted
+//! once with `grindcore`'s superblock lifter and interpreted over a tiny
+//! abstract domain: a value is a known constant, a known offset from the
 //! block-entry `sp` or `fp`, one of the eight incoming argument
 //! registers (`AbsVal::Param` — function-entry contexts only), or
 //! unknown. Because a leader is analysed with no knowledge of its
@@ -48,16 +49,16 @@
 //! classification assumes no cross-thread use-after-return of stack
 //! addresses.
 
-use crate::cfg::Cfg;
+use crate::cfg::{Cfg, FuncCfg};
 use crate::summaries::{self, FnSummary, Summaries};
 use grindcore::lift::{lift_superblock, MAX_BLOCK_INSTS};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use tga::module::{Module, SymKind};
 use tga::{reg, INST_SIZE, NUM_REGS};
 use vex_ir::{Atom, BinOp, IrBlock, JumpKind, Rhs, Stmt, UnOp};
 
 /// Which stack anchor an abstract offset is relative to.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum BaseReg {
     /// Block-entry stack pointer.
     Sp,
@@ -137,7 +138,7 @@ struct AccessRec {
 /// Aggregated dataflow output.
 #[derive(Clone, Debug, Default)]
 pub struct Dataflow {
-    /// Parallel to `cfg.funcs`.
+    /// Parallel to `cfg.funcs`; empty for dead functions.
     pub fn_facts: Vec<FnFacts>,
     /// Globals never written and never address-taken.
     pub ro: Vec<RoRange>,
@@ -158,7 +159,8 @@ pub struct Dataflow {
     /// containing the call, `None` otherwise. Consumed by the lockset
     /// pass to resolve lock identities.
     pub call_args: BTreeMap<u64, Option<u64>>,
-    /// Per-function effect summaries (kept for diagnostics and tests).
+    /// Per-function effect summaries (kept for diagnostics and tests);
+    /// a dead function has none and reads as widened.
     pub summaries: Summaries,
 }
 
@@ -252,12 +254,16 @@ impl GlobalAcc {
     }
 }
 
+/// A tracked stack slot: its anchor and offset.
+type Slot = (BaseReg, i64);
+
 /// Abstract machine state while interpreting one lifted superblock.
 struct BlockState {
     tmps: Vec<AbsVal>,
     regs: [AbsVal; NUM_REGS],
-    /// Tracked stack slots, keyed by `(base, off)`.
-    mem: HashMap<(BaseReg, i64), AbsVal>,
+    /// Tracked stack slots in insertion order, each key at most once.
+    /// A block tracks a handful, so a linear scan beats hashing.
+    mem: Vec<(Slot, AbsVal)>,
 }
 
 impl BlockState {
@@ -271,7 +277,18 @@ impl BlockState {
                 regs[(reg::A0 + i) as usize] = Param(i);
             }
         }
-        BlockState { tmps: vec![Other; n_temps as usize], regs, mem: HashMap::new() }
+        BlockState { tmps: vec![Other; n_temps as usize], regs, mem: Vec::new() }
+    }
+
+    fn slot(&self, k: Slot) -> Option<AbsVal> {
+        self.mem.iter().find(|(s, _)| *s == k).map(|&(_, v)| v)
+    }
+
+    fn set_slot(&mut self, k: Slot, v: AbsVal) {
+        match self.mem.iter_mut().find(|(s, _)| *s == k) {
+            Some(e) => e.1 = v,
+            None => self.mem.push((k, v)),
+        }
     }
 
     fn atom(&self, a: &Atom) -> AbsVal {
@@ -309,23 +326,98 @@ struct Probe {
     wild: bool,
 }
 
-/// Interpreter for one lifted context of one function.
 /// Live tracked slots carried across a direct call, keyed by the
 /// continuation leader and re-based to its coordinates.
-type BridgeMap = BTreeMap<u64, Vec<((BaseReg, i64), AbsVal)>>;
+type BridgeMap = BTreeMap<u64, Vec<(Slot, AbsVal)>>;
 
-struct Interp<'a> {
-    st: BlockState,
-    facts: &'a mut FnFacts,
-    glob: &'a mut GlobalAcc,
-    func: usize,
-    /// Function range, for recognising tail transfers out of it.
-    flo: u64,
-    fhi: u64,
+/// One superblock of a leader's context.
+struct Lifted {
+    ir: IrBlock,
+    /// The lifter's instruction cap ended the block.
+    capped: bool,
+    /// The cap split a straight-line run: the continuation is not a
+    /// leader, so no branch can reach it and no other context
+    /// interprets it. The next block of the context carries the whole
+    /// state on instead of flushing anything.
+    chains: bool,
+}
+
+/// Everything interpreted from one leader: its superblock plus the
+/// continuations the lifter's cap split off it.
+struct Context {
+    leader: u64,
+    blocks: Vec<Lifted>,
+    /// Lifting failed at the leader or at a continuation.
+    lift_failed: bool,
+}
+
+/// What both phases read about one function, computed once: its lifted
+/// contexts (one per leader) and its control-flow shape.
+struct FnCode<'a> {
+    f: &'a FuncCfg,
+    fi: usize,
+    contexts: Vec<Context>,
     /// End of the function's entry basic block: spill-slot candidates
     /// are only accepted below it (the entry block dominates the whole
     /// function, so a trusted reload is always preceded by its spill).
     entry_block_end: u64,
+    /// Leaders with exactly one intra-procedural predecessor edge —
+    /// the only continuations a call may seed with bridged slots.
+    single_pred: BTreeSet<u64>,
+}
+
+impl<'a> FnCode<'a> {
+    fn new(module: &Module, cfg: &'a Cfg, fi: usize) -> FnCode<'a> {
+        let f = &cfg.funcs[fi];
+        let contexts = f
+            .blocks
+            .keys()
+            .map(|&leader| {
+                let mut blocks = Vec::new();
+                let mut at = leader;
+                let lift_failed = loop {
+                    let Ok(ir) = lift_superblock(module, at) else { break true };
+                    let capped = ir.guest_instrs() >= MAX_BLOCK_INSTS;
+                    let next = match (ir.jumpkind, ir.next) {
+                        (JumpKind::Boring, Atom::Const(t))
+                            if capped && f.contains(t) && !f.blocks.contains_key(&t) =>
+                        {
+                            Some(t)
+                        }
+                        _ => None,
+                    };
+                    blocks.push(Lifted { ir, capped, chains: next.is_some() });
+                    match next {
+                        Some(t) => at = t,
+                        None => break false,
+                    }
+                };
+                Context { leader, blocks, lift_failed }
+            })
+            .collect();
+        let mut preds: BTreeMap<u64, u32> = BTreeMap::new();
+        for b in f.blocks.values() {
+            for &s in &b.succs {
+                *preds.entry(s).or_insert(0) += 1;
+            }
+        }
+        FnCode {
+            f,
+            fi,
+            contexts,
+            entry_block_end: f.blocks.get(&f.lo).map(|b| b.end).unwrap_or(f.lo),
+            single_pred: preds.into_iter().filter(|&(_, n)| n == 1).map(|(s, _)| s).collect(),
+        }
+    }
+}
+
+/// Interpreter for one lifted context of one function.
+struct Interp<'a> {
+    st: BlockState,
+    facts: &'a mut FnFacts,
+    glob: &'a mut GlobalAcc,
+    /// The function being interpreted.
+    code: &'a FnCode<'a>,
     cur_pc: u64,
     /// Callee summaries (bottom-up: everything below this function's
     /// SCC is final; same-SCC entries read as widened).
@@ -341,20 +433,9 @@ struct Interp<'a> {
     /// pass finished unpoisoned, so its frame-escape set is complete.
     /// Slots in the set are never carried across a call.
     bridge_escapes: Option<&'a BTreeSet<i64>>,
-    /// Leaders with exactly one intra-procedural predecessor edge —
-    /// the only continuations a call may seed.
-    single_pred: &'a BTreeSet<u64>,
     /// Live tracked slots carried across a direct call, keyed by the
     /// continuation leader and re-based to its coordinates.
     bridge_out: &'a mut BridgeMap,
-    /// The function's basic blocks, for recognising whether a capped
-    /// lift's continuation is a real leader or plain straight-line code.
-    fblocks: &'a BTreeMap<u64, crate::cfg::Block>,
-    /// Set when the lifter's instruction cap split a straight-line run:
-    /// the caller must continue interpreting at this pc with the whole
-    /// state carried over (same runtime path, no other context covers
-    /// it).
-    chain_to: Option<u64>,
 }
 
 impl Interp<'_> {
@@ -416,9 +497,8 @@ impl Interp<'_> {
             Stack { base, off, .. } => Some((base, off)),
             _ => None,
         };
-        let entries: Vec<((BaseReg, i64), AbsVal)> =
-            self.st.mem.iter().map(|(k, v)| (*k, *v)).collect();
-        for ((base, off), v) in entries {
+        let mem = std::mem::take(&mut self.st.mem);
+        for &((base, off), v) in &mem {
             if let Some((sb, so)) = sp_now {
                 if base == sb && off < so {
                     continue; // dead: below the live stack pointer
@@ -436,6 +516,7 @@ impl Interp<'_> {
             }
             self.escape_value(v);
         }
+        self.st.mem = mem;
     }
 
     /// A store through an unknown pointer (or an atomic with an unknown
@@ -469,7 +550,10 @@ impl Interp<'_> {
     fn bridge_call(&mut self, target: u64) {
         let Some(escaped) = self.bridge_escapes else { return };
         let cont = self.cur_pc + INST_SIZE;
-        if cont <= self.flo || cont >= self.fhi || !self.single_pred.contains(&cont) {
+        if cont <= self.code.f.lo
+            || cont >= self.code.f.hi
+            || !self.code.single_pred.contains(&cont)
+        {
             return;
         }
         let s = self.summaries.for_target(target);
@@ -483,7 +567,7 @@ impl Interp<'_> {
         }
         let fp_now = self.st.regs[reg::FP as usize];
         let sp_now = self.st.regs[reg::SP as usize];
-        let rebase = |base: BaseReg, off: i64| -> Option<(BaseReg, i64)> {
+        let rebase = |base: BaseReg, off: i64| -> Option<Slot> {
             if let Stack { base: fb, off: fo, .. } = fp_now {
                 if base == fb {
                     return Some((BaseReg::Fp, off - fo));
@@ -496,40 +580,38 @@ impl Interp<'_> {
             }
             None
         };
-        let entries: Vec<((BaseReg, i64), AbsVal)> =
-            self.st.mem.iter().map(|(k, v)| (*k, *v)).collect();
-        let mut bridged: Vec<((BaseReg, i64), AbsVal)> = Vec::new();
-        for ((base, off), v) in entries {
-            if let Stack { base: sb, off: so, .. } = sp_now {
-                if base == sb && off < so {
-                    continue; // dead push slot: unreachable either way
-                }
-            }
+        let mem = std::mem::take(&mut self.st.mem);
+        let mut kept: Vec<(Slot, AbsVal)> = Vec::with_capacity(mem.len());
+        let mut bridged: Vec<(Slot, AbsVal)> = Vec::new();
+        for ((base, off), v) in mem {
+            // A dead push slot is unreachable either way.
+            let dead = matches!(sp_now, Stack { base: sb, off: so, .. } if base == sb && off < so);
             // The probe's escape set names canonical (fp-relative)
             // slots in the frame's reserved area. A slot that cannot be
             // canonicalized here is `sp`-anchored in a non-entry
             // context, i.e. an operand push/save slot below that area:
             // the codegen discipline only ever materialises such an
             // address as a transient `sp` read, so no escaped pointer
-            // can reach it and it may always be carried.
-            if let Some(c) = self.st.canonical(base, off) {
-                if escaped.contains(&c) {
-                    continue; // leave for flush_mem
-                }
-            }
-            let Some(key) = rebase(base, off) else { continue };
-            let nv = match v {
-                Const(_) => v,
-                Stack { base: vb, off: vo, .. } => match rebase(vb, vo) {
+            // can reach it and it may always be carried. An escaped
+            // slot is left for flush_mem.
+            let escaped_slot = self.st.canonical(base, off).is_some_and(|c| escaped.contains(&c));
+            let carried = if dead || escaped_slot {
+                None
+            } else {
+                rebase(base, off).and_then(|key| match v {
+                    Const(_) => Some((key, v)),
                     // Re-based values are no longer direct `sp` reads.
-                    Some((nb, no)) => Stack { base: nb, off: no, via_sp: false },
-                    None => continue,
-                },
-                Param(_) | Other => continue, // home-slot logic / no info
+                    Stack { base: vb, off: vo, .. } => rebase(vb, vo)
+                        .map(|(nb, no)| (key, Stack { base: nb, off: no, via_sp: false })),
+                    Param(_) | Other => None, // home-slot logic / no info
+                })
             };
-            self.st.mem.remove(&(base, off));
-            bridged.push((key, nv));
+            match carried {
+                Some(e) => bridged.push(e),
+                None => kept.push(((base, off), v)),
+            }
         }
+        self.st.mem = kept;
         if bridged.is_empty() {
             return;
         }
@@ -617,7 +699,7 @@ impl Interp<'_> {
         if self.glob.muted {
             return;
         }
-        self.glob.records.push(AccessRec { pc: self.cur_pc, func: self.func, kind });
+        self.glob.records.push(AccessRec { pc: self.cur_pc, func: self.code.fi, kind });
     }
 
     fn classify_addr(&self, a: AbsVal, size: u64, write: bool) -> AccessKind {
@@ -695,7 +777,7 @@ impl Interp<'_> {
     fn probe_stack_store(&mut self, base: BaseReg, off: i64, via_sp: bool, val: AbsVal) {
         let canon = self.st.canonical(base, off);
         let pc = self.cur_pc;
-        let in_entry_block = pc < self.entry_block_end;
+        let in_entry_block = pc < self.code.entry_block_end;
         let Some(p) = self.probe.as_deref_mut() else { return };
         if via_sp {
             return; // transient pushes/link saves follow the sp discipline
@@ -713,7 +795,8 @@ impl Interp<'_> {
         }
     }
 
-    fn run(&mut self, block: &IrBlock) {
+    fn run(&mut self, lifted: &Lifted) {
+        let block = &lifted.ir;
         for stmt in &block.stmts {
             match stmt {
                 Stmt::IMark { addr, .. } => self.cur_pc = *addr,
@@ -741,8 +824,8 @@ impl Interp<'_> {
                             }
                             match a {
                                 Stack { base, off, .. } => {
-                                    match self.st.mem.get(&(base, off)) {
-                                        Some(v) => *v,
+                                    match self.st.slot((base, off)) {
+                                        Some(v) => v,
                                         // A reload from a trusted spill
                                         // slot still holds the argument.
                                         None => match self
@@ -816,7 +899,7 @@ impl Interp<'_> {
                                 }
                                 self.launder_const(v);
                             }
-                            self.st.mem.insert((base, off), v);
+                            self.st.set_slot((base, off), v);
                         }
                         Const(c) => {
                             if let Stack { base: pb, off: po, .. } = v {
@@ -915,19 +998,11 @@ impl Interp<'_> {
                 }
             }
         }
-        // A lifter cap in the middle of a straight-line run (the
-        // continuation is not a leader, so no branch can reach it and
-        // no other context interprets it) is not a control transfer at
-        // all: carry the whole state instead of flushing anything.
-        if let (JumpKind::Boring, Atom::Const(t)) = (block.jumpkind, block.next) {
-            if t >= self.flo
-                && t < self.fhi
-                && block.guest_instrs() >= MAX_BLOCK_INSTS
-                && !self.fblocks.contains_key(&t)
-            {
-                self.chain_to = Some(t);
-                return;
-            }
+        // A lifter cap in the middle of a straight-line run is not a
+        // control transfer at all: the caller carries the whole state
+        // into the continuation instead of flushing anything.
+        if lifted.chains {
+            return;
         }
         // A direct call may hand live tracked slots to its continuation
         // before the remainder escapes.
@@ -965,12 +1040,12 @@ impl Interp<'_> {
             }
             JumpKind::Halt => {}
             JumpKind::Boring => match block.next {
-                Atom::Const(t) if t >= self.flo && t < self.fhi => {
+                Atom::Const(t) if self.code.f.contains(t) => {
                     // Intra-function transfer. If the lifter hit its
                     // instruction cap the continuation is plain
                     // straight-line code that may use any register the
                     // codegen assumed was still live.
-                    if block.guest_instrs() >= MAX_BLOCK_INSTS {
+                    if lifted.capped {
                         self.flush_regs(0, NUM_REGS as u8 - 1);
                     } else {
                         // A branch-free transfer only carries the
@@ -1031,12 +1106,11 @@ fn data_symbols(module: &Module) -> Vec<DataSym> {
         .collect()
 }
 
-/// Interpret every superblock of one function in one configuration.
+/// Interpret every lifted context of one function in one
+/// configuration. Returns false when some lift failed.
 #[allow(clippy::too_many_arguments)]
 fn interp_function(
-    module: &Module,
-    cfg: &Cfg,
-    fi: usize,
+    code: &FnCode,
     glob: &mut GlobalAcc,
     facts: &mut FnFacts,
     summaries: &Summaries,
@@ -1045,81 +1119,59 @@ fn interp_function(
     mut probe: Option<&mut Probe>,
     bridge_escapes: Option<&BTreeSet<i64>>,
 ) -> bool {
-    let f = &cfg.funcs[fi];
-    let entry_block_end = f.blocks.get(&f.lo).map(|b| b.end).unwrap_or(f.lo);
-    // Leaders with exactly one predecessor edge: the only ones a call
-    // may seed with bridged slots.
-    let mut preds: BTreeMap<u64, u32> = BTreeMap::new();
-    for b in f.blocks.values() {
-        for &s in &b.succs {
-            *preds.entry(s).or_insert(0) += 1;
-        }
-    }
-    let single_pred: BTreeSet<u64> =
-        preds.iter().filter(|&(_, &n)| n == 1).map(|(&s, _)| s).collect();
     let mut bridge: BridgeMap = BTreeMap::new();
     let mut all_lifted = true;
-    for &leader in f.blocks.keys() {
+    for ctx in &code.contexts {
         // One context per leader — continued across lifter caps that
-        // split a straight-line run (`chain_to`), carrying registers
-        // and tracked slots; only the per-block temporaries reset.
-        let mut at = leader;
+        // split a straight-line run, carrying registers and tracked
+        // slots; only the per-block temporaries reset.
         let mut carry: Option<BlockState> = None;
-        loop {
-            let Ok(block) = lift_superblock(module, at) else {
-                facts.poisoned = true;
-                all_lifted = false;
-                break;
-            };
-            let mut st = match carry.take() {
+        for lifted in &ctx.blocks {
+            let n_temps = lifted.ir.n_temps;
+            let st = match carry.take() {
                 Some(prev) => BlockState {
-                    tmps: vec![Other; block.n_temps as usize],
+                    tmps: vec![Other; n_temps as usize],
                     regs: prev.regs,
                     mem: prev.mem,
                 },
-                None => BlockState::new(block.n_temps, leader == f.lo),
-            };
-            if at == leader {
-                if let Some(entries) = bridge.get(&leader) {
-                    for &(k, v) in entries {
-                        st.mem.insert(k, v);
+                None => {
+                    let mut st = BlockState::new(n_temps, ctx.leader == code.f.lo);
+                    if let Some(entries) = bridge.get(&ctx.leader) {
+                        st.mem = entries.clone();
                     }
+                    st
                 }
-            }
+            };
             let mut interp = Interp {
                 st,
                 facts,
                 glob,
-                func: fi,
-                flo: f.lo,
-                fhi: f.hi,
-                entry_block_end,
-                cur_pc: at,
+                code,
+                cur_pc: lifted.ir.base,
                 summaries,
                 summary,
                 trusted,
                 probe: probe.as_deref_mut(),
                 bridge_escapes,
-                single_pred: &single_pred,
                 bridge_out: &mut bridge,
-                fblocks: &f.blocks,
-                chain_to: None,
             };
-            interp.run(&block);
-            match interp.chain_to {
-                Some(next) => {
-                    carry = Some(interp.st);
-                    at = next;
-                }
-                None => break,
+            interp.run(lifted);
+            if lifted.chains {
+                carry = Some(interp.st);
             }
+        }
+        if ctx.lift_failed {
+            facts.poisoned = true;
+            all_lifted = false;
         }
     }
     all_lifted
 }
 
-/// Run the dataflow passes over every lifted context of every function,
-/// bottom-up over the call graph.
+/// Run the dataflow passes over every lifted context of every live
+/// function, bottom-up over the call graph. A dead function gets no
+/// facts, summary, access records or global effects: no live code calls
+/// it, so no summary of it is ever read.
 pub fn run(module: &Module, cfg: &Cfg) -> Dataflow {
     let mut glob = GlobalAcc {
         data_syms: data_symbols(module),
@@ -1140,10 +1192,14 @@ pub fn run(module: &Module, cfg: &Cfg) -> Dataflow {
     let spawn = summaries::spawn_reachability(module, cfg, &cg);
     let mut sums = Summaries::new(cfg);
     let no_trust: BTreeMap<i64, u8> = BTreeMap::new();
+    let live = cfg.live();
 
-    for scc in &cg.sccs {
+    // A call-graph SCC is wholly live or wholly dead: its members reach
+    // one another.
+    for scc in cg.sccs.iter().filter(|scc| live[scc[0]]) {
         for &fi in scc {
-            let f = &cfg.funcs[fi];
+            let code = FnCode::new(module, cfg, fi);
+            let f = code.f;
             // Phase 1 (muted probe): conservative local facts that gate
             // which prologue spill slots may be trusted in phase 2.
             glob.muted = true;
@@ -1151,9 +1207,7 @@ pub fn run(module: &Module, cfg: &Cfg) -> Dataflow {
             let mut ph1 = FnFacts::default();
             let mut scratch = FnSummary::default();
             interp_function(
-                module,
-                cfg,
-                fi,
+                &code,
                 &mut glob,
                 &mut ph1,
                 &sums,
@@ -1181,9 +1235,7 @@ pub fn run(module: &Module, cfg: &Cfg) -> Dataflow {
             let mut summary = FnSummary::default();
             let bridge_ok = !probe.wild && !ph1.poisoned;
             let all_lifted = interp_function(
-                module,
-                cfg,
-                fi,
+                &code,
                 &mut glob,
                 &mut fn_facts[fi],
                 &sums,
@@ -1241,7 +1293,7 @@ pub fn run(module: &Module, cfg: &Cfg) -> Dataflow {
         .collect();
 
     // Meet across contexts: a pc is safe only if every record agrees.
-    let mut per_pc: BTreeMap<u64, bool> = BTreeMap::new();
+    let mut per_pc: Vec<(u64, bool)> = Vec::with_capacity(glob.records.len());
     for r in &glob.records {
         let safe = match r.kind {
             AccessKind::StackCanon(off) => {
@@ -1254,10 +1306,19 @@ pub fn run(module: &Module, cfg: &Cfg) -> Dataflow {
             }
             AccessKind::Unknown => false,
         };
-        per_pc.entry(r.pc).and_modify(|s| *s &= safe).or_insert(safe);
+        per_pc.push((r.pc, safe));
     }
+    per_pc.sort_unstable_by_key(|&(pc, _)| pc);
+    per_pc.dedup_by(|next, prev| {
+        if next.0 == prev.0 {
+            prev.1 &= next.1;
+            true
+        } else {
+            false
+        }
+    });
     let access_pcs = per_pc.len();
-    let all_access_pcs: Vec<u64> = per_pc.keys().copied().collect();
+    let all_access_pcs: Vec<u64> = per_pc.iter().map(|&(pc, _)| pc).collect();
     let safe_pcs: BTreeSet<u64> =
         per_pc.into_iter().filter_map(|(pc, safe)| safe.then_some(pc)).collect();
     let call_args: BTreeMap<u64, Option<u64>> = glob

@@ -681,6 +681,48 @@ int main() {
         assert!(!facts.ro.iter().any(|r| r.name == "n_items"), "written global is not read-only");
     }
 
+    /// A function nothing calls or takes the address of is named once,
+    /// as unreachable, and not analyzed: its escaping local is no
+    /// finding, and a global only it writes is read-only.
+    #[test]
+    fn dead_function_is_only_named_unreachable() {
+        const DEAD: &str = r#"
+long *sink_p;
+long counter;
+void unused() {
+  long local = 0;
+  sink_p = &local;
+  counter = 1;
+}
+int main() { return (int) counter; }
+"#;
+        let m = guest_rt::build_single("dead.c", DEAD).expect("compiles");
+        let facts = analyze(&m);
+        let about_unused: Vec<&Finding> = facts
+            .findings
+            .iter()
+            .filter(|f| match &f.kind {
+                FindingKind::UnreachableFunction { name } => name == "unused",
+                FindingKind::EscapingStackSlot { func, .. }
+                | FindingKind::FrameNotAnalyzable { func }
+                | FindingKind::SpMismatchOnReturn { func } => func == "unused",
+                _ => false,
+            })
+            .collect();
+        assert_eq!(about_unused.len(), 1, "{}", facts.render());
+        assert!(matches!(about_unused[0].kind, FindingKind::UnreachableFunction { .. }));
+        assert!(
+            facts.ro.iter().any(|r| r.name == "counter"),
+            "a global written only by dead code is read-only: {}",
+            facts.render()
+        );
+        let sym = m.symbol_by_name("unused").expect("unused symbol");
+        assert!(
+            !facts.safe_pcs.iter().any(|&pc| pc >= sym.addr && pc < sym.addr + sym.size),
+            "no site of a dead function is classified"
+        );
+    }
+
     /// Lock findings: a nested re-acquire of the same critical section
     /// is a double lock, and opposite nesting orders of two criticals
     /// form a lock-order cycle.

@@ -27,6 +27,10 @@
 //!   finding: a lock in the may-set but not the must-set at a return
 //!   was left held on some path and released on another.
 //!
+//! Only live functions ([`Cfg::live`]) are analysed: a dead function
+//! holds no lock at run time, contributes no guard range, order edge or
+//! finding, and no live caller reads its transfer.
+//!
 //! Calls to analysed (non-primitive) functions apply that callee's
 //! [`FnLocks`] transfer, computed bottom-up over the call-graph SCC
 //! condensation; callees in the same SCC (recursion) and unknown
@@ -342,11 +346,13 @@ fn analyze_fn(
 pub fn analyze(cfg: &Cfg, cg: &CallGraph, call_args: &BTreeMap<u64, Option<u64>>) -> LockFacts {
     let mut fn_locks: Vec<FnLocks> = vec![FnLocks::widened(); cfg.funcs.len()];
     let mut results: Vec<Option<FnResult>> = (0..cfg.funcs.len()).map(|_| None).collect();
+    let live = cfg.live();
 
     // Bottom-up over SCCs; same-SCC callees read as widened. A second
     // evaluation of recursive functions with their own computed summary
     // would only refine findings, not soundness — one pass suffices.
-    for scc in &cg.sccs {
+    // An SCC is wholly live or wholly dead.
+    for scc in cg.sccs.iter().filter(|scc| live[scc[0]]) {
         for &fi in scc {
             let r = analyze_fn(cfg, fi, call_args, &fn_locks);
             fn_locks[fi] = r.locks.clone();
@@ -357,7 +363,7 @@ pub fn analyze(cfg: &Cfg, cg: &CallGraph, call_args: &BTreeMap<u64, Option<u64>>
     let mut facts = LockFacts { fn_locks, ..Default::default() };
     let mut universe: BTreeSet<LockId> = BTreeSet::new();
     for (fi, f) in cfg.funcs.iter().enumerate() {
-        let r = results[fi].as_ref().unwrap();
+        let Some(r) = results[fi].as_ref() else { continue }; // dead
         let runtime = is_runtime(&f.name);
         for (&s, b) in &f.blocks {
             let ev = block_event(cfg, fi, s, call_args);

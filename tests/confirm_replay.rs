@@ -123,6 +123,28 @@ fn confirm_off_is_bit_identical() {
     }
 }
 
+/// A forced thread that spin-waits on a third thread must not livelock
+/// its attempt: escape slices rotate through the runnable threads, so
+/// every attempt on this kernel ends well before the per-attempt cap.
+#[test]
+fn escape_slices_reach_every_thread() {
+    let p = tg_drb::corpus::by_name("106-taskwaitmissing-orig").expect("corpus kernel");
+    let m = guest_rt::build_single(p.name, p.source).expect("compiles");
+    let cfg = TaskgrindConfig {
+        vm: VmConfig { nthreads: 4, ..Default::default() },
+        confirm: true,
+        ..Default::default()
+    };
+    let r = check_module(&m, &[], &cfg);
+    assert!(r.run.ok(), "{:?}", r.run.error);
+    let stats = r.confirm.as_ref().expect("confirm stats present");
+    assert_eq!(stats.replays, 4, "{stats:?}");
+    assert!(
+        stats.attempt_instrs < taskgrind::confirm::ATTEMPT_INSTR_CAP,
+        "an attempt ran into the livelock cap: {stats:?}"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Property: snapshot -> perturb -> restore -> re-execute is
 // bit-identical to an undisturbed run.

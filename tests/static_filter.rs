@@ -90,3 +90,95 @@ fn static_filter_preserves_all_table1_verdicts() {
         "pruning must reduce dynamic records overall ({recorded_on} vs {recorded_off})"
     );
 }
+
+/// Every guest the benchmark runs: the Table I and extended kernels,
+/// the BOTS workloads and mini-LULESH.
+fn run_path_guests() -> Vec<(&'static str, &'static str)> {
+    let mut v: Vec<(&str, &str)> = corpus().into_iter().map(|p| (p.name, p.source)).collect();
+    v.extend(tg_drb::extra_corpus().into_iter().map(|p| (p.name, p.source)));
+    v.extend(tg_drb::bots::bots_corpus().into_iter().map(|p| (p.name, p.source)));
+    v.push(("mini-lulesh", tg_lulesh::LULESH_MC));
+    v
+}
+
+/// What the recording run reads from the static facts: for every
+/// load, store and atomic in a function Taskgrind instruments (outside
+/// the default ignore-list) and that can run (reachable from the entry
+/// point or an address-taken function, the assumption spawn
+/// reachability already makes), whether the site may skip recording
+/// (`s`) and the lock ids behind its guard mask. One line per function,
+/// the site named by its instruction index from the function's entry.
+fn render_run_path_facts() -> String {
+    use std::fmt::Write as _;
+    use tga::module::SymKind;
+    use tga::{Op, INST_SIZE};
+    let ignore = taskgrind::tool::default_ignore_list();
+    let mut out = String::new();
+    for (name, source) in run_path_guests() {
+        let Ok(m) = guest_rt::build_single(name, source) else {
+            let _ = writeln!(out, "{name}: does-not-compile");
+            continue;
+        };
+        let facts = tga_analysis::analyze(&m);
+        let cfg = tga_analysis::cfg::recover(&m);
+        let dead: Vec<u64> = cfg.unreachable.iter().map(|&i| cfg.funcs[i].lo).collect();
+        let mut funcs: Vec<_> = m
+            .symbols
+            .iter()
+            .filter(|s| s.kind == SymKind::Func && !dead.contains(&s.addr))
+            .filter(|s| !ignore.iter().any(|p| grindcore::tool::pattern_matches(p, &s.name)))
+            .collect();
+        funcs.sort_by_key(|s| s.addr);
+        for f in funcs {
+            let _ = write!(out, "{name} {}:", f.name);
+            let mut pc = f.addr;
+            while pc < f.addr + f.size {
+                let inst = m.fetch(pc).expect("function instructions decode");
+                let write = match inst.op {
+                    Op::Ld | Op::Lb => false,
+                    Op::St | Op::Sb | Op::Cas | Op::Amoadd => true,
+                    _ => {
+                        pc += INST_SIZE;
+                        continue;
+                    }
+                };
+                let _ = write!(out, " {}", (pc - f.addr) / INST_SIZE);
+                if facts.is_safe_access(pc, write) {
+                    out.push('s');
+                }
+                let mask = facts.guard_mask(pc);
+                if mask != 0 {
+                    let locks: Vec<String> = (0..64)
+                        .filter(|b| mask & (1u64 << b) != 0)
+                        .map(|b| format!("{:#x}", facts.lock_universe[b]))
+                        .collect();
+                    let _ = write!(out, "[{}]", locks.join(","));
+                }
+                pc += INST_SIZE;
+            }
+            out.push('\n');
+        }
+    }
+    out
+}
+
+/// The static facts the recording run consumes stay fixed on every
+/// benchmark guest: a change to the analysis that moves one of them is
+/// a conscious decision, blessed with `UPDATE_GOLDEN=1 cargo test
+/// --test static_filter`.
+#[test]
+fn run_path_facts_match_golden() {
+    let got = render_run_path_facts();
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/run_path_facts.golden");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(path, &got).expect("write golden");
+        return;
+    }
+    let want = std::fs::read_to_string(path)
+        .expect("tests/golden/run_path_facts.golden missing — bless with UPDATE_GOLDEN=1");
+    assert!(
+        got == want,
+        "run-path static facts drifted from tests/golden/run_path_facts.golden; \
+         if intentional, bless with UPDATE_GOLDEN=1 cargo test --test static_filter"
+    );
+}
