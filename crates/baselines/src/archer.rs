@@ -244,8 +244,8 @@ impl Default for ArcherTool {
 }
 
 fn call_site(core: &VmCore, tid: Tid) -> u64 {
-    // stack_trace[0] is the replaced stub itself; [1] is the user call.
-    core.stack_trace(tid).get(1).copied().unwrap_or(0)
+    // frame 0 is the replaced stub itself; frame 1 is the user call.
+    core.frames(tid).nth(1).unwrap_or(0)
 }
 
 impl Tool for ArcherTool {

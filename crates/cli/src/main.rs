@@ -273,7 +273,7 @@ fn main() -> ExitCode {
     if o.disasm {
         return match session.module(&program, false) {
             Ok((m, _)) => {
-                println!("{}", tga::asm::disassemble_all(&m.code, m.code_base));
+                println!("{}", tga::asm::disassemble_all(&m.module.code, m.module.code_base));
                 ExitCode::SUCCESS
             }
             Err(e) => fail(&e),

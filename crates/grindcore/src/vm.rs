@@ -459,14 +459,12 @@ impl VmCore {
         AddrClass::Other
     }
 
-    /// The shadow call stack of a thread, innermost frame first,
-    /// with the thread's current pc prepended.
-    pub fn stack_trace(&self, tid: Tid) -> Vec<u64> {
+    /// A thread's call frames, innermost first: its current pc, then
+    /// the return addresses on its shadow call stack. Borrows the
+    /// stack, so a caller that needs one frame pays for one frame.
+    pub fn frames(&self, tid: Tid) -> impl Iterator<Item = u64> + '_ {
         let t = &self.threads[tid];
-        let mut v = Vec::with_capacity(t.shadow_stack.len() + 1);
-        v.push(t.pc);
-        v.extend(t.shadow_stack.iter().rev());
-        v
+        std::iter::once(t.pc).chain(t.shadow_stack.iter().rev().copied())
     }
 
     /// "func (file:line)" for an address, best effort.

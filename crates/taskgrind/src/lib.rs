@@ -18,7 +18,7 @@
 //!    replacement against memory recycling, TLS (TCB/DTV) records, and
 //!    segment-local stack frames;
 //! 4. renders **meaningful reports** with debug info and per-block
-//!    allocation stack traces ([`report`], Listing 6).
+//!    allocation sites ([`report`], Listing 6).
 //!
 //! The one-call entry point is [`check_module`]:
 //!

@@ -1,8 +1,8 @@
 //! Error reporting (paper §III-C, §V-C, Listings 5–6).
 //!
-//! Taskgrind overloads the memory allocator to save a stack trace on
-//! each block allocation, so conflicting accesses can be matched with
-//! source locations from the binary's debug information. A report reads:
+//! Taskgrind overloads the memory allocator to save each block's
+//! allocation site, so conflicting accesses can be matched with source
+//! locations from the binary's debug information. A report reads:
 //!
 //! ```text
 //! Segments task.1.c:8 and task.1.c:11 were declared independent while
@@ -17,17 +17,72 @@
 
 use crate::analysis::Candidate;
 use crate::graph::{SegId, SegmentGraph};
+use grindcore::tool::pattern_matches;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use tga::module::Module;
+use tga::module::{Module, SymKind};
 
 /// A heap block recorded by the allocator replacement.
 #[derive(Clone, Debug)]
 pub struct AllocBlock {
     pub base: u64,
     pub size: u64,
-    /// Guest return addresses, innermost first.
-    pub alloc_stack: Vec<u64>,
+    /// The allocation site ([`alloc_site`]); `None` when no frame of
+    /// the allocating call stack qualified.
+    pub alloc_pc: Option<u64>,
+}
+
+/// A module's function ranges, each matched against an ignore list
+/// once: the answer [`Module::find_func`] plus an ignore-pattern match
+/// would give for an address, looked up by binary search.
+pub struct FuncTable {
+    /// Disjoint `[lo, hi)` ranges sorted by `lo`, each with whether its
+    /// function is outside the ignore list.
+    ranges: Vec<(u64, u64, bool)>,
+}
+
+impl FuncTable {
+    /// Classify the functions of `module` against `ignore`.
+    pub fn new(module: &Module, ignore: &[String]) -> FuncTable {
+        // `find_func`'s answer can only change where a function starts
+        // or ends, so one lookup per piece between those cuts holds for
+        // the whole piece.
+        let mut cuts: Vec<u64> = module
+            .symbols
+            .iter()
+            .filter(|s| s.kind == SymKind::Func)
+            .flat_map(|s| [s.addr, s.addr + s.size])
+            .collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+        let ranges = cuts
+            .windows(2)
+            .filter_map(|w| {
+                let f = module.find_func(w[0])?;
+                Some((w[0], w[1], !ignore.iter().any(|p| pattern_matches(p, &f.name))))
+            })
+            .collect();
+        FuncTable { ranges }
+    }
+
+    /// `None` when no function covers `pc`, else whether the function
+    /// covering it is outside the ignore list.
+    pub fn is_user(&self, pc: u64) -> Option<bool> {
+        let idx = self.ranges.partition_point(|r| r.0 <= pc);
+        let &(_, hi, user) = self.ranges.get(idx.checked_sub(1)?)?;
+        (pc < hi).then_some(user)
+    }
+}
+
+/// The allocation site among a call stack's `frames` (innermost
+/// first): the first frame in a function outside the ignore list that
+/// has line info, which skips the allocator and runtime frames.
+pub fn alloc_site(
+    module: &Module,
+    funcs: &FuncTable,
+    mut frames: impl Iterator<Item = u64>,
+) -> Option<u64> {
+    frames.find(|&pc| funcs.is_user(pc) == Some(true) && module.line_at(pc).is_some())
 }
 
 /// Locate the block containing `addr` among blocks sorted by base.
@@ -82,29 +137,23 @@ fn seg_site(g: &SegmentGraph, module: &Module, seg: SegId) -> String {
     }
 }
 
-/// Resolve the first stack frame that falls in user code (skipping the
-/// allocator and runtime frames) to a `file:line`.
-fn alloc_site(module: &Module, stack: &[u64], ignore: &[String]) -> String {
-    for &pc in stack {
-        let Some(f) = module.find_func(pc) else { continue };
-        let ignored = ignore.iter().any(|p| grindcore::tool::pattern_matches(p, &f.name));
-        if ignored {
-            continue;
-        }
-        if let Some(loc) = module.line_for(pc) {
-            return loc.to_string();
-        }
+/// The `file:line` of a block's allocation site.
+fn site_name(module: &Module, b: &AllocBlock) -> String {
+    match b.alloc_pc.and_then(|pc| module.line_for(pc)) {
+        Some(loc) => loc.to_string(),
+        None => "<unknown>".to_string(),
     }
-    "<unknown>".to_string()
 }
 
-/// Group candidates into per-(site-pair, block) reports.
+/// Group candidates into per-(site-pair, block) reports. Allocation
+/// sites were resolved against the ignore list when each block was
+/// allocated, so `_ignore` is no longer read.
 pub fn summarize(
     g: &SegmentGraph,
     module: &Arc<Module>,
     blocks: &[AllocBlock],
     candidates: &[Candidate],
-    ignore: &[String],
+    _ignore: &[String],
 ) -> Vec<RaceReport> {
     let mut grouped: BTreeMap<(String, String, u64), RaceReport> = BTreeMap::new();
     for c in candidates {
@@ -134,7 +183,7 @@ pub fn summarize(
                 example_addr: c.lo,
                 example_bytes: c.hi - c.lo,
                 occurrences: 0,
-                block: block.map(|b| (b.base, b.size, alloc_site(module, &b.alloc_stack, ignore))),
+                block: block.map(|b| (b.base, b.size, site_name(module, b))),
                 region,
                 verdict: None,
             });
@@ -239,8 +288,8 @@ mod tests {
 
     fn blocks() -> Vec<AllocBlock> {
         vec![
-            AllocBlock { base: 0x1000, size: 16, alloc_stack: vec![] },
-            AllocBlock { base: 0x2000, size: 8, alloc_stack: vec![] },
+            AllocBlock { base: 0x1000, size: 16, alloc_pc: None },
+            AllocBlock { base: 0x2000, size: 8, alloc_pc: None },
         ]
     }
 
@@ -294,5 +343,36 @@ mod tests {
         let text = render_taskgrind(&r);
         assert!(text.contains("in stack memory"));
         assert!(text.contains("3 conflicting ranges"));
+    }
+
+    #[test]
+    fn func_table_answers_like_find_func_on_overlapping_symbols() {
+        let func = |name: &str, addr, size| tga::module::Symbol {
+            name: name.into(),
+            addr,
+            size,
+            kind: SymKind::Func,
+        };
+        // `inner` nests in `outer` and `tail` overlaps its end: the
+        // first covering symbol in table order wins, as in find_func.
+        let m = Module {
+            symbols: vec![
+                func("outer", 0x100, 0x100),
+                func("inner", 0x140, 0x40),
+                func("tail", 0x1c0, 0x80),
+                func("__kmp_x", 0x300, 0x10),
+                func("empty", 0x400, 0),
+            ],
+            ..Module::new()
+        };
+        let ignore = vec!["__kmp*".to_string()];
+        let table = FuncTable::new(&m, &ignore);
+        for pc in 0xf0..0x420 {
+            let want = m.find_func(pc).map(|f| !ignore.iter().any(|p| pattern_matches(p, &f.name)));
+            assert_eq!(table.is_user(pc), want, "at {pc:#x}");
+        }
+        assert_eq!(table.is_user(0x150), Some(true));
+        assert_eq!(table.is_user(0x305), Some(false));
+        assert_eq!(table.is_user(0x260), None);
     }
 }

@@ -7,12 +7,12 @@
 //!   translation time so suppressed code costs nothing per execution.
 //! * Client requests from the guest runtime drive the [`GraphBuilder`].
 //! * `malloc`/`calloc` are replaced with a host-side bump allocator that
-//!   never recycles and records an allocation stack trace per block;
-//!   `free` becomes a no-op — §IV-B's mechanism and §III-C's report
-//!   support, exactly as the paper describes.
+//!   never recycles and records each block's allocation site, resolved
+//!   once when the block is allocated; `free` becomes a no-op — §IV-B's
+//!   mechanism and §III-C's report support, as the paper describes.
 
 use crate::graph::{DepKind, GraphBuilder, ThreadMeta};
-use crate::report::AllocBlock;
+use crate::report::{self, AllocBlock, FuncTable};
 use grindcore::creq;
 use grindcore::tool::{
     instrument_mem_accesses_filtered, pattern_matches, BlockMeta, FnReplacement, SyncKind, Tool,
@@ -132,6 +132,9 @@ pub struct Recording {
     pub sites_pruned: u64,
     /// Access sites that did receive a callback.
     pub sites_instrumented: u64,
+    /// The module's functions against the ignore list, built at the
+    /// first allocation.
+    funcs: Option<FuncTable>,
     opts: RecordOptions,
 }
 
@@ -139,8 +142,7 @@ impl Recording {
     /// Approximate host bytes held by recording structures.
     pub fn heap_bytes(&self) -> u64 {
         let seg_bytes: u64 = self.builder.segments.iter().map(|s| s.bytes()).sum();
-        let block_bytes: u64 =
-            self.blocks.iter().map(|b| 32 + b.alloc_stack.len() as u64 * 8).sum();
+        let block_bytes = (self.blocks.len() * std::mem::size_of::<AllocBlock>()) as u64;
         seg_bytes + self.builder.pending_bytes() + block_bytes
     }
 }
@@ -166,6 +168,7 @@ impl TaskgrindTool {
                 blocks_instrumented: 0,
                 sites_pruned: 0,
                 sites_instrumented: 0,
+                funcs: None,
                 opts,
             })),
         }
@@ -400,9 +403,13 @@ impl Tool for TaskgrindTool {
                 };
                 // Never recycle: fresh addresses for every allocation.
                 let base = core.alloc_raw(size);
-                let trace = core.stack_trace(tid);
                 let mut st = self.state.borrow_mut();
-                st.blocks.push(AllocBlock { base, size, alloc_stack: trace });
+                let st = &mut *st;
+                let funcs = st
+                    .funcs
+                    .get_or_insert_with(|| FuncTable::new(&core.module, &st.opts.ignore_list));
+                let alloc_pc = report::alloc_site(&core.module, funcs, core.frames(tid));
+                st.blocks.push(AllocBlock { base, size, alloc_pc });
                 base
             }
             REPL_FREE | REPL_FAST_FREE => 0, // frees are no-ops (paper §IV-B)

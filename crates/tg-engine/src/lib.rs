@@ -29,6 +29,7 @@ pub mod warm;
 
 pub use config::{render_flag_table, EngineConfig, FlagSpec, FLAGS};
 pub use session::{
-    render_profile, EngineError, LintOutcome, Program, RunOutcome, RunRequest, Session, WarmOutcome,
+    render_profile, EngineError, LintOutcome, LoadedModule, Program, RunOutcome, RunRequest,
+    Session, WarmOutcome,
 };
 pub use warm::WarmStats;

@@ -272,8 +272,8 @@ fn serve_job(shared: &Shared, worker: usize, job: Job) -> u64 {
         ),
     );
     let tsan = matches!(job.req.tool.as_str(), "archer" | "tasksan");
-    if let Ok((module, memoized)) = shared.session.module(&job.req.program, tsan) {
-        let h = tg_cache::module_hash(&module);
+    if let Ok((loaded, memoized)) = shared.session.module(&job.req.program, tsan) {
+        let h = loaded.content_hash();
         send(
             &job.stream,
             &format!(

@@ -13,15 +13,18 @@
 //! returned.
 //!
 //! Sharing is keyed so it can never change verdicts:
-//! * compiled **modules** are memoized by a content hash of
+//! * compiled **modules** are memoized by a *source key*, a hash of
 //!   `(source name, source text, tsan)` — compilation is pure;
-//! * **static facts** are memoized by `(module hash, concurrency)` —
-//!   `analyze_with` is a pure function of those;
+//! * **static facts** are memoized by `(source key, concurrency)` —
+//!   `analyze_with` is a pure function of the module and `concurrency`;
 //! * **disk code caches** are shared by `(dir, module hash, config
 //!   fingerprint)` — the same key that already isolates incompatible
-//!   configurations on disk. Concurrent jobs see one in-memory
-//!   container behind a mutex (`SharedDiskCache`), so the second job
-//!   on a warmed module compiles ~0 blocks.
+//!   configurations on disk. The module hash ([`tg_cache::module_hash`])
+//!   re-encodes the whole module, so it is computed once per memoized
+//!   module and only when a cache or a status line needs it. Concurrent
+//!   jobs see one in-memory container behind a mutex
+//!   (`SharedDiskCache`), so the second job on a warmed module compiles
+//!   ~0 blocks.
 
 use crate::config::EngineConfig;
 use crate::warm::{self, WarmStats};
@@ -34,7 +37,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use taskgrind::analysis::{resolve_threads, SuppressOptions};
 use taskgrind::suppressions::Suppressions;
 use taskgrind::tool::RecordOptions;
@@ -359,14 +362,31 @@ fn record_options(req: &RunRequest) -> RecordOptions {
 /// fingerprint)`.
 type CacheKey = (String, u64, u64);
 
+/// A compiled module as the session memoizes it.
+#[derive(Debug)]
+pub struct LoadedModule {
+    /// The compiled module.
+    pub module: Arc<Module>,
+    /// The memo key: a hash of the source name, text and `tsan`.
+    pub source_key: u64,
+    content_hash: OnceLock<u64>,
+}
+
+impl LoadedModule {
+    /// [`tg_cache::module_hash`] of the module, computed on first use.
+    pub fn content_hash(&self) -> u64 {
+        *self.content_hash.get_or_init(|| tg_cache::module_hash(&self.module))
+    }
+}
+
 /// A long-lived engine instance: memoized modules, static facts and
 /// shared disk caches, plus the run lifecycle. Thread-safe — the serve
 /// daemon calls [`Session::run`] from many workers on one `Arc<Session>`.
 #[derive(Default)]
 pub struct Session {
-    /// Compiled modules by content hash of `(name, text, tsan)`.
-    modules: Mutex<HashMap<u64, Arc<Module>>>,
-    /// Static facts by `(module hash, concurrency)`.
+    /// Compiled modules by source key.
+    modules: Mutex<HashMap<u64, Arc<LoadedModule>>>,
+    /// Static facts by `(source key, concurrency)`.
     facts: Mutex<HashMap<(u64, bool), Arc<StaticFacts>>>,
     /// Open disk caches by [`CacheKey`].
     caches: Mutex<HashMap<CacheKey, Arc<Mutex<DiskCodeCache>>>>,
@@ -390,7 +410,7 @@ impl Session {
         &self,
         program: &Program,
         tsan: bool,
-    ) -> Result<(Arc<Module>, bool), EngineError> {
+    ) -> Result<(Arc<LoadedModule>, bool), EngineError> {
         use grindcore::wire::fold64;
         let (name, text) = match program {
             Program::Path(p) => {
@@ -412,7 +432,8 @@ impl Session {
         } else {
             guest_rt::build_program(std::slice::from_ref(&file))
         };
-        let m = Arc::new(r.map_err(|e| EngineError::Build(e.to_string()))?);
+        let module = Arc::new(r.map_err(|e| EngineError::Build(e.to_string()))?);
+        let m = Arc::new(LoadedModule { module, source_key: h, content_hash: OnceLock::new() });
         self.modules.lock().unwrap().insert(h, m.clone());
         Ok((m, false))
     }
@@ -421,15 +442,15 @@ impl Session {
     /// attached disk cache, then a fresh analysis (stored back into the
     /// cache when one is attached — and on a memo hit over a factless
     /// cache, the memoized copy is persisted so the container stays
-    /// complete for future processes).
+    /// complete for future processes). `key` names `module` in the memo.
     fn facts_for(
         &self,
         module: &Module,
-        module_hash: u64,
+        key: u64,
         concurrency: bool,
         mut cache: Option<&mut dyn CodeCache>,
     ) -> FactsOutcome {
-        let key = (module_hash, concurrency);
+        let key = (key, concurrency);
         if let Some(f) = self.facts.lock().unwrap().get(&key).cloned() {
             let mut stored = false;
             if let Some(c) = cache.as_deref_mut() {
@@ -518,13 +539,14 @@ impl Session {
             tg_obs::trace::init_default();
         }
         let tsan = matches!(tool, "archer" | "tasksan");
-        let (module, _) = match self.module(&req.program, tsan) {
+        let (loaded, _) = match self.module(&req.program, tsan) {
             Ok(v) => v,
             Err(e) => {
                 self.finish_trace(traced);
                 return Err(e);
             }
         };
+        let module = loaded.module.clone();
         let vm = VmConfig {
             nthreads: req.threads,
             seed: req.seed,
@@ -611,9 +633,8 @@ impl Session {
             _ => {
                 // taskgrind
                 let mut warnings = Vec::new();
-                let module_hash = tg_cache::module_hash(&module);
                 let shared = match &eng.code_cache {
-                    Some(dir) => match self.shared_cache(dir, module_hash, req) {
+                    Some(dir) => match self.shared_cache(dir, loaded.content_hash(), req) {
                         Ok(c) => Some(c),
                         Err(e) => {
                             warnings.push(format!("tgrind: cannot open code cache {dir}: {e}"));
@@ -632,14 +653,17 @@ impl Session {
                             let mut c = h.borrow_mut();
                             self.facts_for(
                                 &module,
-                                module_hash,
+                                loaded.source_key,
                                 record.static_concurrency,
                                 Some(&mut *c),
                             )
                         }
-                        None => {
-                            self.facts_for(&module, module_hash, record.static_concurrency, None)
-                        }
+                        None => self.facts_for(
+                            &module,
+                            loaded.source_key,
+                            record.static_concurrency,
+                            None,
+                        ),
                     };
                     record.static_facts = Some(fo.facts);
                 }
@@ -734,15 +758,14 @@ impl Session {
             dir: String::new(),
             message: "no cache directory".into(),
         })?;
-        let (module, _) = self.module(&req.program, false)?;
-        let module_hash = tg_cache::module_hash(&module);
+        let (loaded, _) = self.module(&req.program, false)?;
         let shared = self
-            .shared_cache(&dir, module_hash, req)
+            .shared_cache(&dir, loaded.content_hash(), req)
             .map_err(|e| EngineError::CacheOpen { dir: dir.clone(), message: e })?;
         let mut cache = shared.lock().unwrap();
         let stats = self.warm_module_with(
-            &module,
-            module_hash,
+            &loaded.module,
+            loaded.source_key,
             record_options(req),
             &mut cache,
             resolve_threads(0),
@@ -760,10 +783,13 @@ impl Session {
     /// the differential harness key caches their own way). Resolves the
     /// static facts through the session memo + `cache` first, exactly
     /// like the run path, then precompiles every static block start.
+    /// `key` names `module` in the session's facts memo: the
+    /// [`LoadedModule::source_key`] of a module the session loaded, or
+    /// any value unique to the module, such as its content hash.
     pub fn warm_module_with(
         &self,
         module: &Module,
-        module_hash: u64,
+        key: u64,
         record: RecordOptions,
         cache: &mut DiskCodeCache,
         threads: usize,
@@ -771,7 +797,7 @@ impl Session {
         let mut record = record;
         let mut facts_stored = false;
         if record.static_filter && record.static_facts.is_none() {
-            let fo = self.facts_for(module, module_hash, record.static_concurrency, Some(cache));
+            let fo = self.facts_for(module, key, record.static_concurrency, Some(cache));
             facts_stored = fo.stored;
             record.static_facts = Some(fo.facts);
         }
@@ -783,9 +809,8 @@ impl Session {
     /// Static analysis only (`tgrind lint`): publish the verdict table
     /// into a fresh registry and return the rendered report.
     pub fn lint(&self, program: &Program, concurrency: bool) -> Result<LintOutcome, EngineError> {
-        let (module, _) = self.module(program, false)?;
-        let module_hash = tg_cache::module_hash(&module);
-        let fo = self.facts_for(&module, module_hash, concurrency, None);
+        let (loaded, _) = self.module(program, false)?;
+        let fo = self.facts_for(&loaded.module, loaded.source_key, concurrency, None);
         let mut registry = Registry::new();
         crate::lint::publish(&fo.facts, &mut registry);
         Ok(LintOutcome {

@@ -173,6 +173,13 @@ impl Module {
     /// Source location of the instruction at `addr`: the last line-table
     /// row at or before `addr` (standard line-table semantics).
     pub fn line_for(&self, addr: u64) -> Option<SrcLoc> {
+        let (file, line) = self.line_at(addr)?;
+        Some(SrcLoc { file: file.to_string(), line })
+    }
+
+    /// [`Module::line_for`] without the allocation: the file name is
+    /// borrowed from the module.
+    pub fn line_at(&self, addr: u64) -> Option<(&str, u32)> {
         let idx = self.lines.partition_point(|l| l.addr <= addr);
         if idx == 0 {
             return None;
@@ -182,7 +189,7 @@ impl Module {
         if addr >= self.code_end() {
             return None;
         }
-        Some(SrcLoc { file: self.files.get(li.file as usize)?.clone(), line: li.line })
+        Some((self.files.get(li.file as usize)?, li.line))
     }
 
     /// Serialize to the binary container format.
