@@ -61,12 +61,14 @@ type PageMap = HashMap<u64, u32, BuildHasherDefault<PnoHasher>>;
 ///
 /// The pair is packed into one `AtomicU64` (`pno << 16 | index`, with
 /// `u64::MAX` as the empty sentinel) so the flat block that owns the
-/// site is `Send + Sync` and can be compiled off-thread and shared
-/// through the sharded translation cache. Relaxed ordering suffices:
-/// the value is a pure hint revalidated by the `pno` compare, and only
-/// the dispatch thread executes the block, so there is never a racing
-/// writer whose update we could observe half-applied (a single 64-bit
-/// store is atomic regardless).
+/// site is `Send + Sync`: `tgrind warm` compiles blocks off-thread,
+/// and serve workers share one disk cache. The entry names a page of
+/// one VM's arena, so a block never runs in two VMs: the disk cache
+/// hands each run a copy, and cloning resets the cache.
+/// Relaxed ordering suffices: the value is a pure hint revalidated by
+/// the `pno` compare, and only the dispatch thread executes the block,
+/// so there is never a racing writer whose update we could observe
+/// half-applied (a single 64-bit store is atomic regardless).
 pub struct PageIc {
     slot: AtomicU64,
 }

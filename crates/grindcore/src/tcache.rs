@@ -28,7 +28,8 @@
 //! under the chained engine, instrumented IR under the tree-walk
 //! reference engine. An insert charges the measured host bytes of that
 //! form plus the entry's own slot, map and link storage, and eviction
-//! releases the same figure, so `vm.translation_bytes` is what the
+//! releases the same figure, recomputed from the entry's code and link
+//! table rather than stored, so `vm.translation_bytes` is what the
 //! cache holds.
 //!
 //! The cache belongs to one [`crate::vm::Vm`] and is only touched by its
@@ -122,21 +123,43 @@ fn entry_bytes(n_links: usize) -> usize {
 
 struct CachedBlock {
     code: BlockCode,
-    base: u64,
-    /// One past the last guest byte the block's instructions cover.
-    end: u64,
+    /// Guest bytes the block's instructions cover from its base (a
+    /// superblock spans at most a few KiB).
+    len: u32,
     /// Per-exit successor links: side exits in statement order, the
     /// fallthrough exit last.
     links: Box<[Option<CacheRef>]>,
     /// Reverse edges: (pred handle, pred exit ordinal) of every link
     /// that points at this block. Needed to unchain on eviction; the
     /// full handle (not just a slot) so a recycled pred slot can never
-    /// have a survivor's link severed by mistake.
-    preds: Vec<(CacheRef, u32)>,
+    /// have a survivor's link severed by mistake. Exact-length: links
+    /// are made once per edge, so a rebuild per change is cheap.
+    preds: Box<[(CacheRef, u32)]>,
     /// LRU-clock reference bit, set on every dispatch to this block.
     referenced: bool,
+}
+
+impl CachedBlock {
     /// Host bytes charged on insert and released on eviction.
-    bytes: u64,
+    fn bytes(&self) -> u64 {
+        (self.code.bytes() + entry_bytes(self.links.len())) as u64
+    }
+
+    /// Does the block cover any byte of `[lo, hi)`?
+    fn overlaps(&self, lo: u64, hi: u64) -> bool {
+        let base = self.code.base();
+        base < hi && base.saturating_add(self.len as u64) > lo
+    }
+
+    fn add_pred(&mut self, pred: (CacheRef, u32)) {
+        self.preds = self.preds.iter().copied().chain([pred]).collect();
+    }
+
+    fn drop_preds(&mut self, gone: impl Fn(&(CacheRef, u32)) -> bool) {
+        if self.preds.iter().any(&gone) {
+            self.preds = self.preds.iter().copied().filter(|p| !gone(p)).collect();
+        }
+    }
 }
 
 #[derive(Clone, Copy)]
@@ -222,13 +245,12 @@ impl TransCache {
     /// block keeps IR (reference engine).
     pub fn take_flat_for(&mut self, r: CacheRef, pc: u64) -> Option<Arc<FlatBlock>> {
         let b = self.block_mut(r)?;
-        if b.base != pc {
-            return None;
-        }
-        b.referenced = true;
         match &b.code {
-            BlockCode::Flat(f) => Some(f.clone()),
-            BlockCode::Ir(_) => None,
+            BlockCode::Flat(f) if f.base == pc => {
+                b.referenced = true;
+                Some(f.clone())
+            }
+            _ => None,
         }
     }
 
@@ -249,7 +271,6 @@ impl TransCache {
     /// eviction released.
     pub fn insert(&mut self, code: BlockCode, end: u64) -> (CacheRef, u64, EvictStats) {
         let n_links = code.n_links();
-        let bytes = (code.bytes() + entry_bytes(n_links)) as u64;
         let mut ev = EvictStats::default();
         if self.len >= self.capacity {
             self.evict_one(&mut ev);
@@ -261,15 +282,15 @@ impl TransCache {
         });
         let base = code.base();
         self.map.insert(base, slot);
-        self.slots[slot as usize] = Some(CachedBlock {
+        let b = CachedBlock {
             code,
-            base,
-            end,
+            len: u32::try_from(end.saturating_sub(base)).unwrap_or(u32::MAX),
             links: vec![None; n_links].into_boxed_slice(),
-            preds: Vec::new(),
+            preds: Box::new([]),
             referenced: true,
-            bytes,
-        });
+        };
+        let bytes = b.bytes();
+        self.slots[slot as usize] = Some(b);
         self.len += 1;
         (CacheRef { slot, gen: self.gens[slot as usize] }, bytes, ev)
     }
@@ -312,10 +333,10 @@ impl TransCache {
         };
         // Re-link: drop the stale pred edge from the old target.
         if let Some(ob) = old.and_then(|old| self.block_mut(old)) {
-            ob.preds.retain(|&(p, e)| !(p == from && e == exit));
+            ob.drop_preds(|&(p, e)| p == from && e == exit);
         }
         if let Some(tb) = self.block_mut(to) {
-            tb.preds.push((from, exit));
+            tb.add_pred((from, exit));
         }
         true
     }
@@ -328,7 +349,7 @@ impl TransCache {
     /// Look up an indirect transfer `(site, target)`; stale entries miss.
     pub fn ibtc_lookup(&self, site: u64, target: u64) -> Option<CacheRef> {
         let e = self.ibtc[Self::ibtc_index(site, target)]?;
-        if e.site != site || e.target != target || self.block(e.dst)?.base != target {
+        if e.site != site || e.target != target || self.block(e.dst)?.code.base() != target {
             return None;
         }
         Some(e.dst)
@@ -375,16 +396,16 @@ impl TransCache {
                 "evict",
                 tg_obs::trace::PID_HOST,
                 tg_obs::trace::host_tid(),
-                vec![("base", b.base), ("resident", self.len as u64 - 1)],
+                vec![("base", b.code.base()), ("resident", self.len as u64 - 1)],
             );
         }
-        self.map.remove(&b.base);
+        self.map.remove(&b.code.base());
         let victim = CacheRef { slot, gen: self.gens[slot as usize] };
         self.gens[slot as usize] = victim.gen.wrapping_add(1);
         self.free.push(slot);
         self.len -= 1;
         ev.evicted += 1;
-        ev.bytes += b.bytes;
+        ev.bytes += b.bytes();
         // Incoming links: predecessors must stop jumping here.
         for &(p, exit) in &b.preds {
             if let Some(l) = self.block_mut(p).and_then(|pb| pb.links.get_mut(exit as usize)) {
@@ -397,7 +418,7 @@ impl TransCache {
         // Outgoing links: targets must forget this predecessor.
         for &l in b.links.iter().flatten() {
             if let Some(tb) = self.block_mut(l) {
-                tb.preds.retain(|&(p, _)| p != victim);
+                tb.drop_preds(|&(p, _)| p == victim);
                 ev.unchained += 1;
             }
         }
@@ -416,7 +437,7 @@ impl TransCache {
             .enumerate()
             .filter_map(|(i, sl)| {
                 let b = sl.as_ref()?;
-                (b.base < hi && b.end > lo).then_some(i as u32)
+                b.overlaps(lo, hi).then_some(i as u32)
             })
             .collect();
         for v in victims {

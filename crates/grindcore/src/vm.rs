@@ -11,7 +11,7 @@
 //! native scheduling, and the runtime's own scheduling state is guest
 //! memory like any other.
 
-use crate::flat::{FDirty, FMemCb, FOp, FlatBlock, TMP_BIT};
+use crate::flat::{FOp, FSide, FlatBlock, TMP_BIT};
 use crate::lift::{lift_superblock, LiftError};
 use crate::mem::GuestMemory;
 use crate::syscalls;
@@ -1024,7 +1024,8 @@ impl Vm {
         // per IMark as it passes; here every observable point carries
         // its precomputed count and we credit the delta, so external
         // increments (if a tool ever made any) are preserved.
-        let mut counted: u32 = 0;
+        // `FlatBlock::check` proved the counts never fall along the ops.
+        let mut counted: u16 = 0;
 
         macro_rules! fv {
             ($x:expr) => {{
@@ -1037,7 +1038,9 @@ impl Vm {
             }};
         }
 
-        let mut taken: Option<crate::flat::FExit> = None;
+        // Every index below is in range: compiled blocks are built that
+        // way and decoded ones pass `FlatBlock::check`.
+        let mut taken: Option<u16> = None;
         'body: for op in fb.ops.iter() {
             match *op {
                 FOp::Get { dst, reg } => {
@@ -1056,19 +1059,23 @@ impl Vm {
                     let (a, b) = (fv!(a), fv!(b));
                     tmps[dst as usize] = eval_binop(op, a, b).expect("non-trapping binop trapped");
                 }
-                FOp::BinTrap { dst, op, a, b, trap } => {
-                    let (a, b) = (fv!(a), fv!(b));
-                    match eval_binop(op, a, b) {
+                FOp::BinTrap { dst, op, side } => {
+                    let FSide::Trap { a, b, pc, instrs } = fb.side[side as usize] else {
+                        unreachable!("checked side entry")
+                    };
+                    match eval_binop(op, fv!(a), fv!(b)) {
                         Some(v) => tmps[dst as usize] = v,
                         None => {
-                            let t = fb.traps[trap as usize];
-                            self.core.metrics.instrs += (t.instrs - counted) as u64;
-                            return Err(VmError { tid, pc: t.pc, msg: "division by zero".into() });
+                            self.core.metrics.instrs += (instrs - counted) as u64;
+                            return Err(VmError { tid, pc, msg: "division by zero".into() });
                         }
                     }
                 }
                 FOp::Un { dst, op, x } => tmps[dst as usize] = eval_unop(op, fv!(x)),
-                FOp::Ite { dst, c, t, e } => {
+                FOp::Ite { dst, side } => {
+                    let FSide::Ite { c, t, e } = fb.side[side as usize] else {
+                        unreachable!("checked side entry")
+                    };
                     tmps[dst as usize] = if fv!(c) != 0 { fv!(t) } else { fv!(e) };
                 }
                 FOp::Put { reg, src } => {
@@ -1091,7 +1098,10 @@ impl Vm {
                         self.discard_translations(a, a.saturating_add(1));
                     }
                 }
-                FOp::Cas { dst, addr, expected, new } => {
+                FOp::Cas { dst, addr, side } => {
+                    let FSide::Cas { expected, new } = fb.side[side as usize] else {
+                        unreachable!("checked side entry")
+                    };
                     let a = fv!(addr);
                     let old = self.core.mem.read_u64(a);
                     if old == fv!(expected) {
@@ -1107,9 +1117,12 @@ impl Vm {
                     self.core.mem.write_u64(a, old.wrapping_add(v));
                     tmps[dst as usize] = old;
                 }
-                FOp::Dirty { idx } => {
-                    let FDirty { call, ref args, dst, pc, instrs } = fb.dirties[idx as usize];
-                    let vals: Vec<u64> = args.iter().map(|&a| fv!(a)).collect();
+                FOp::Dirty { side } => {
+                    let FSide::Dirty(ref d) = fb.side[side as usize] else {
+                        unreachable!("checked side entry")
+                    };
+                    let (call, dst, pc, instrs) = (d.call, d.dst, d.pc, d.instrs);
+                    let vals: Vec<u64> = d.args.iter().map(|&a| fv!(a)).collect();
                     self.core.metrics.instrs += (instrs - counted) as u64;
                     counted = instrs;
                     let ret = match call {
@@ -1135,8 +1148,11 @@ impl Vm {
                         tmps[d as usize] = ret;
                     }
                 }
-                FOp::MemCb { idx } => {
-                    let FMemCb { addr, size, write, pc, instrs } = fb.memcbs[idx as usize];
+                FOp::MemCb { side } => {
+                    let FSide::MemCb { addr, size, write, pc, instrs } = fb.side[side as usize]
+                    else {
+                        unreachable!("checked side entry")
+                    };
                     let a = fv!(addr);
                     let s = fv!(size);
                     self.core.metrics.instrs += (instrs - counted) as u64;
@@ -1145,7 +1161,7 @@ impl Vm {
                 }
                 FOp::Exit { guard, idx } => {
                     if fv!(guard) != 0 {
-                        taken = Some(fb.exits[idx as usize]);
+                        taken = Some(idx);
                         break 'body;
                     }
                 }
@@ -1227,12 +1243,13 @@ impl Vm {
         // direct (constant-target) transfers chain through the exit's
         // link slot, indirect ones through the IBTC, halts not at all.
         let (next, kind, pending) = match taken {
-            Some(e) => {
+            Some(idx) => {
+                let e = fb.exits[idx as usize];
                 self.core.metrics.instrs += (e.instrs - counted) as u64;
                 let p = if matches!(e.kind, JumpKind::Halt) {
                     Pending::None
                 } else {
-                    Pending::Link { from: cur, exit: e.ord }
+                    Pending::Link { from: cur, exit: idx as u32 }
                 };
                 (e.target, e.kind, p)
             }
@@ -1242,7 +1259,7 @@ impl Vm {
                 let p = if matches!(k, JumpKind::Halt) {
                     Pending::None
                 } else if fb.next_is_const() {
-                    Pending::Link { from: cur, exit: fb.fall_ord }
+                    Pending::Link { from: cur, exit: fb.exits.len() as u32 }
                 } else {
                     Pending::Ibtc { site: fb.base }
                 };

@@ -59,6 +59,10 @@ impl Enc {
         self.buf.push(v);
     }
 
+    pub fn u16(&mut self, v: u16) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -121,6 +125,11 @@ impl<'a> Dec<'a> {
 
     pub fn u8(&mut self, what: &'static str) -> WireResult<u8> {
         Ok(self.take(1, what)?[0])
+    }
+
+    pub fn u16(&mut self, what: &'static str) -> WireResult<u16> {
+        let b = self.take(2, what)?;
+        Ok(u16::from_le_bytes([b[0], b[1]]))
     }
 
     pub fn u32(&mut self, what: &'static str) -> WireResult<u32> {
@@ -189,6 +198,7 @@ mod tests {
     fn round_trip_all_primitives() {
         let mut e = Enc::new();
         e.u8(0xab);
+        e.u16(0xbeef);
         e.u32(0xdead_beef);
         e.u64(0x0123_4567_89ab_cdef);
         e.bool(true);
@@ -196,6 +206,7 @@ mod tests {
         let buf = e.into_inner();
         let mut d = Dec::new(&buf);
         assert_eq!(d.u8("a").unwrap(), 0xab);
+        assert_eq!(d.u16("a2").unwrap(), 0xbeef);
         assert_eq!(d.u32("b").unwrap(), 0xdead_beef);
         assert_eq!(d.u64("c").unwrap(), 0x0123_4567_89ab_cdef);
         assert!(d.bool("d").unwrap());

@@ -74,9 +74,10 @@ impl FuncTable {
     }
 }
 
-/// The allocation site among a call stack's `frames` (innermost
-/// first): the first frame in a function outside the ignore list that
-/// has line info, which skips the allocator and runtime frames.
+/// The allocation site among the allocator's callers' `frames`
+/// (innermost first, the allocator's own entry already dropped): the
+/// first frame in a function outside the ignore list that has line
+/// info, which skips the runtime frames.
 pub fn alloc_site(
     module: &Module,
     funcs: &FuncTable,

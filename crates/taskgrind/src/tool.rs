@@ -408,7 +408,9 @@ impl Tool for TaskgrindTool {
                 let funcs = st
                     .funcs
                     .get_or_insert_with(|| FuncTable::new(&core.module, &st.opts.ignore_list));
-                let alloc_pc = report::alloc_site(&core.module, funcs, core.frames(tid));
+                // Frame 0 is the replaced allocator's own entry; the walk
+                // starts at its caller.
+                let alloc_pc = report::alloc_site(&core.module, funcs, core.frames(tid).skip(1));
                 st.blocks.push(AllocBlock { base, size, alloc_pc });
                 base
             }

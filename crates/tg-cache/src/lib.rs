@@ -8,7 +8,7 @@
 //! **(binary content hash, engine-config fingerprint)** — change either
 //! and the cache reads as empty, so stale code can never be executed.
 //!
-//! # On-disk format (version 2)
+//! # On-disk format (version 3)
 //!
 //! One file per key, named `tgc-<bin_hash>-<fingerprint>.tgc` inside the
 //! cache directory. Little-endian throughout, laid out for sequential
@@ -32,10 +32,15 @@
 //! Reading is *salvage, never trust*: a bad magic, version, or key
 //! mismatch empties the whole file; a record with a bad checksum, an
 //! undecodable body, or a truncated tail is dropped individually and
-//! parsing continues (or stops at the tail). Every failure mode
-//! degrades to a cold compile — the engine's behavior is identical
-//! either way, just slower, and the corrupt bytes are rewritten on the
-//! next flush.
+//! parsing continues (or stops at the tail). A block decodes only if
+//! [`FlatBlock::check`] proves every index it holds in range and it
+//! starts at its record's pc, so even a record whose checksum was
+//! forged cannot panic the engine. Every failure mode degrades to a
+//! cold compile — the engine's behavior is identical either way, just
+//! slower, and the corrupt bytes are rewritten on the next flush.
+//!
+//! Each record is decoded once, when the file is opened; a hit hands
+//! out a copy of the decoded block, with cold inline caches.
 //!
 //! Runtime invalidation mirrors the tcache: when self-modifying code or
 //! a `DISCARD_TRANSLATIONS` client request discards translations in
@@ -63,8 +68,10 @@ use tga::module::{Module, SymKind};
 /// Bumped whenever the record layout or the flat-block/facts encodings
 /// change shape; a mismatch empties the cache rather than misreading it.
 /// Version 2 dropped the per-block accounting size (the tcache measures
-/// a loaded block itself) and the four operand-based fused ops.
-pub const FORMAT_VERSION: u32 = 2;
+/// a loaded block itself) and the four operand-based fused ops; version
+/// 3 narrowed operands and indices to 16 bits and merged the cold side
+/// tables.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Container magic: identifies the file type before any parsing.
 pub const MAGIC: [u8; 8] = *b"TGCACHE\0";
@@ -109,15 +116,15 @@ pub fn module_hash(m: &Module) -> u64 {
     h
 }
 
-/// One cached compiled block, kept encoded in memory (decoded lazily on
-/// [`CodeCache::load`], so a warm open stays cheap even for binaries
-/// whose blocks are never all executed).
+/// One cached compiled block, kept decoded: a block read from the file
+/// was decoded and checked once, when the file was opened.
 struct DiskEntry {
     /// One past the last guest byte the block covers (for range
     /// invalidation).
     end: u64,
-    /// `flatio` encoding of the compiled block.
-    flat_bytes: Vec<u8>,
+    flat: FlatBlock,
+    /// Bytes of the block's `flatio` encoding (what a hit loads).
+    encoded_len: u64,
 }
 
 /// The on-disk cache for one (binary, config) key. See the module docs
@@ -222,13 +229,15 @@ impl DiskCodeCache {
                         let pc = pd.u64("entry pc").ok()?;
                         let end = pd.u64("entry end").ok()?;
                         let rest = &payload[16..];
-                        // Validate decodability now so load() can trust
-                        // the entry later.
-                        if flatio::flat_from_bytes(rest).is_err() {
-                            self.dirty = true;
-                            return Some(());
+                        match flatio::flat_from_bytes(rest) {
+                            Ok(flat) if flat.base == pc && end > pc => {
+                                let encoded_len = rest.len() as u64;
+                                self.entries.insert(pc, DiskEntry { end, flat, encoded_len });
+                            }
+                            // Undecodable, failing its index check, or
+                            // filed under another pc: a miss.
+                            _ => self.dirty = true,
                         }
-                        self.entries.insert(pc, DiskEntry { end, flat_bytes: rest.to_vec() });
                     }
                     _ => self.facts = Some(payload),
                 }
@@ -297,7 +306,7 @@ impl DiskCodeCache {
             let mut payload = Enc::new();
             payload.u64(*pc);
             payload.u64(e.end);
-            payload.raw(&e.flat_bytes);
+            flatio::encode_flat(&e.flat, &mut payload);
             Self::append_record(&mut out, REC_BLOCK, &payload.into_inner());
         }
         let tmp = self.path.with_extension(format!("tmp{}", std::process::id()));
@@ -312,10 +321,8 @@ impl DiskCodeCache {
 impl CodeCache for DiskCodeCache {
     fn load(&mut self, pc: u64) -> Option<CachedTranslation> {
         let t0 = Instant::now();
-        let out = self.entries.get(&pc).and_then(|e| {
-            let flat = flatio::flat_from_bytes(&e.flat_bytes).ok()?;
-            Some((flat, e.end, e.flat_bytes.len() as u64))
-        });
+        // A copy: each run warms its own inline caches.
+        let out = self.entries.get(&pc).map(|e| (e.flat.clone(), e.end, e.encoded_len));
         self.stats.load_nanos += t0.elapsed().as_nanos() as u64;
         match out {
             Some((flat, end, encoded_len)) => {
@@ -332,9 +339,9 @@ impl CodeCache for DiskCodeCache {
 
     fn store(&mut self, pc: u64, end: u64, flat: &FlatBlock) {
         let t0 = Instant::now();
-        let flat_bytes = flatio::flat_to_bytes(flat);
-        self.stats.bytes_stored += flat_bytes.len() as u64;
-        self.entries.insert(pc, DiskEntry { end, flat_bytes });
+        let encoded_len = flatio::flat_to_bytes(flat).len() as u64;
+        self.stats.bytes_stored += encoded_len;
+        self.entries.insert(pc, DiskEntry { end, flat: flat.clone(), encoded_len });
         self.dirty = true;
         self.stats.store_nanos += t0.elapsed().as_nanos() as u64;
     }

@@ -1,17 +1,26 @@
 //! Corruption robustness: whatever is on disk — truncated files, flipped
-//! bytes, stale format versions, wrong-key headers — opening the cache
+//! bytes, stale format versions, wrong-key headers, or records crafted
+//! with a valid checksum around out-of-range indices — opening the cache
 //! must never panic and never serve a block that differs from what was
-//! stored. A damaged record degrades to a miss (the engine falls back to
-//! a cold compile); it must not become wrong code.
+//! stored, or one the engine cannot safely run. A damaged record
+//! degrades to a miss (the engine falls back to a cold compile); it must
+//! not become wrong code or a crash.
 
+use std::cell::RefCell;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use grindcore::flat::FlatBlock;
-use grindcore::flatio::flat_to_bytes;
-use grindcore::CodeCache;
+use grindcore::flat::{FOp, FSide, FlatBlock, TMP_BIT};
+use grindcore::flatio::{flat_from_bytes, flat_to_bytes};
+use grindcore::tool::NulTool;
+use grindcore::wire::checksum;
+use grindcore::{CodeCache, CodeCacheHandle, ExecMode, RunResult, Vm, VmConfig};
 use tg_cache::{DiskCodeCache, FORMAT_VERSION};
+use tga::asm::assemble;
+use tga::module::{Module, CODE_BASE};
+use vex_ir::BinOp;
 
 fn temp_dir(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -177,6 +186,187 @@ fn salvage_open_rewrites_clean_file() {
         if let Some(hit) = c2.load(*pc) {
             assert_eq!(&flat_to_bytes(&hit.flat), bytes);
         }
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A guest whose blocks use every table a hostile record could point
+/// past: temps, constants, inline caches (the stack traffic), a side
+/// exit (the loop branch), side entries (the division and the write
+/// syscall) and registers.
+const GUEST: &str = "
+    _start:
+        li   t0, 0
+        li   t1, 0
+    loop:
+        addi t0, t0, 1
+        add  t1, t1, t0
+        st   t1, -8(sp)
+        ld   t3, -8(sp)
+        li   t2, 200
+        blt  t0, t2, loop
+        div  t4, t3, t2
+        li   a0, 1
+        li   a1, 0x600000000000
+        ld   a1, 0(a1)
+        li   a2, 5
+        sys  zero, 1
+        add  a0, t4, zero
+        sys  zero, 0
+        halt
+";
+
+fn guest() -> Module {
+    let (code, labels) = assemble(GUEST, CODE_BASE).unwrap();
+    let mut m = Module::new();
+    let code_len = code.len() as u64 * tga::INST_SIZE;
+    m.code = code;
+    m.data_base = (CODE_BASE + code_len + 0xfff) & !0xfff;
+    m.entry = labels["_start"];
+    m.finalize();
+    m
+}
+
+fn run(m: &Module, cache: Option<&Rc<RefCell<DiskCodeCache>>>) -> RunResult {
+    let mut vm = Vm::new(m.clone(), Box::new(NulTool), VmConfig::default());
+    if let Some(c) = cache {
+        vm.set_code_cache(CodeCacheHandle::new(c.clone()));
+    }
+    vm.run(ExecMode::Dbi, &[])
+}
+
+/// Everything a run shows: its output, exit and instruction count.
+fn outcome(r: &RunResult) -> (Vec<u8>, Option<i64>, bool, u64) {
+    (r.stdout.clone(), r.exit_code, r.error.is_none(), r.metrics.instrs)
+}
+
+/// Bytes before the first record: magic, version, binary hash and
+/// fingerprint.
+const HEADER: usize = 28;
+
+/// The `(kind, payload)` records of a well-formed cache image.
+fn records(image: &[u8]) -> Vec<(u8, Vec<u8>)> {
+    let mut out = Vec::new();
+    let mut i = HEADER;
+    while i < image.len() {
+        let len = u32::from_le_bytes(image[i + 1..i + 5].try_into().unwrap()) as usize;
+        out.push((image[i], image[i + 9..i + 9 + len].to_vec()));
+        i += 9 + len;
+    }
+    out
+}
+
+/// A cache image with a valid checksum on every record.
+fn image(header: &[u8], recs: &[(u8, Vec<u8>)]) -> Vec<u8> {
+    let mut out = header.to_vec();
+    for (kind, payload) in recs {
+        out.push(*kind);
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&checksum(payload).to_le_bytes());
+        out.extend_from_slice(payload);
+    }
+    out
+}
+
+/// The fields of a block record a crafted record overrides.
+struct Rec {
+    pc: u64,
+    end: u64,
+    block: FlatBlock,
+}
+
+impl Rec {
+    fn parse(payload: &[u8]) -> Rec {
+        Rec {
+            pc: u64::from_le_bytes(payload[..8].try_into().unwrap()),
+            end: u64::from_le_bytes(payload[8..16].try_into().unwrap()),
+            block: flat_from_bytes(&payload[16..]).expect("stored blocks decode"),
+        }
+    }
+
+    fn payload(&self) -> Vec<u8> {
+        let mut p = Vec::new();
+        p.extend_from_slice(&self.pc.to_le_bytes());
+        p.extend_from_slice(&self.end.to_le_bytes());
+        p.extend_from_slice(&flat_to_bytes(&self.block));
+        p
+    }
+}
+
+type Edit = fn(&mut Rec);
+
+/// Edits that each leave some index the executor follows out of range,
+/// a count it relies on wrong, or a sound block filed under the wrong
+/// pc or extent. An edit leaves a block that has nothing to break
+/// unchanged.
+fn hostile_edits() -> Vec<(&'static str, Edit)> {
+    vec![
+        ("n_temps past what an operand can index", |r| r.block.n_temps = u16::MAX),
+        ("no temps", |r| r.block.n_temps = 0),
+        ("an empty constant pool", |r| r.block.consts = Box::new([])),
+        ("no inline caches", |r| r.block.ics = Box::new([])),
+        ("no exit descriptors", |r| r.block.exits = Box::new([])),
+        ("no side entries", |r| r.block.side = Box::new([])),
+        ("a fallthrough temp past n_temps", |r| r.block.next = TMP_BIT | 0x7fff),
+        ("a register past the file", |r| {
+            if let Some(op) = r.block.ops.first_mut() {
+                *op = FOp::Get { dst: 0, reg: 200 };
+            }
+        }),
+        ("a trapping operator outside BinTrap", |r| {
+            if let Some(op) = r.block.ops.first_mut() {
+                *op = FOp::Bin { dst: 0, op: BinOp::DivS, a: 0, b: 0 };
+            }
+        }),
+        ("a syscall without arguments", |r| {
+            for s in r.block.side.iter_mut() {
+                if let FSide::Dirty(d) = s {
+                    d.args = Box::new([]);
+                }
+            }
+        }),
+        ("a block that retires no instruction", |r| r.block.instrs_total = 0),
+        ("a block based at another pc", |r| r.block.base += 16),
+        ("an end at the block's own pc", |r| r.end = r.pc),
+    ]
+}
+
+/// Records crafted with a valid checksum but a block that fails its
+/// index check (or sits under the wrong pc) read as misses, and a run
+/// over the damaged cache matches a cold run exactly.
+#[test]
+fn checksummed_hostile_records_read_as_misses() {
+    let m = guest();
+    let cold = run(&m, None);
+    assert!(cold.error.is_none() && cold.exit_code == Some(100), "{:?}", cold.error);
+    let dir = temp_dir("hostile");
+    let cache = Rc::new(RefCell::new(DiskCodeCache::open(&dir, 3, 5).unwrap()));
+    assert_eq!(outcome(&run(&m, Some(&cache))), outcome(&cold));
+    cache.borrow_mut().flush().unwrap();
+    let file = cache.borrow().path().to_path_buf();
+    let good = fs::read(&file).unwrap();
+    let recs = records(&good);
+    let n_blocks = recs.len();
+    assert!(n_blocks >= 3, "the guest translates several blocks");
+
+    for (what, edit) in hostile_edits() {
+        let mut hits = 0;
+        for i in 0..n_blocks {
+            let mut rec = Rec::parse(&recs[i].1);
+            edit(&mut rec);
+            if rec.payload() == recs[i].1 {
+                continue; // nothing to break in this block
+            }
+            hits += 1;
+            let mut crafted = recs.clone();
+            crafted[i].1 = rec.payload();
+            fs::write(&file, image(&good[..HEADER], &crafted)).unwrap();
+            let damaged = Rc::new(RefCell::new(DiskCodeCache::open(&dir, 3, 5).unwrap()));
+            assert!(!damaged.borrow().contains(rec.pc), "{what}: block {i} must read as a miss");
+            assert_eq!(damaged.borrow().len(), n_blocks - 1, "{what}: the other blocks survive");
+            assert_eq!(outcome(&run(&m, Some(&damaged))), outcome(&cold), "{what}: block {i}");
+        }
+        assert!(hits > 0, "{what}: no block of the guest had anything to break");
     }
     let _ = fs::remove_dir_all(&dir);
 }

@@ -6,7 +6,9 @@
 //! instrumentation, translates each again, and inserts it into a fresh
 //! `TransCache` the way the VM does. The bytes the inserts charge must be
 //! within 10% of the live bytes they added, and must equal the run's own
-//! `vm.translation_bytes`.
+//! `vm.translation_bytes`. They must also stay at or below 500 bytes per
+//! translation (a block of this run averages about 470), so a change
+//! that fattens the flat code or the cache entry fails here.
 //!
 //! This file holds one test on purpose: a second test running on another
 //! thread would allocate inside the measured window.
@@ -126,6 +128,11 @@ fn charged_translation_bytes_match_what_the_cache_holds() {
 
     eprintln!("{} blocks: {charged} bytes charged, {held} bytes held", pcs.len());
     assert_eq!(charged, run.run.metrics.translation_bytes, "the VM charges the same blocks alike");
+    assert!(
+        charged <= 500 * pcs.len() as u64,
+        "{charged} bytes over {} translations is more than 500 bytes each",
+        pcs.len()
+    );
     assert!(
         charged.abs_diff(held) * 10 <= held,
         "charged {charged} bytes, but the cache holds {held} (more than 10% apart)"
