@@ -10,19 +10,11 @@
 //! workload with mostly-disjoint footprints, where all-pairs burns its
 //! time proving segments never touch), and bulk access ingestion versus
 //! per-access interval-tree inserts, checked tree by tree before timing.
-//!
-//! E13 adds the streaming retirement engine: full `check_module` runs
-//! on mini-LULESH, batch versus streaming, asserting the streaming
-//! engine's raison d'être (a ≥ 30% lower closed-tree high-water mark)
-//! before timing anything.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use taskgrind::analysis::{run, run_sweep, SuppressOptions};
 use taskgrind::graph::{GraphBuilder, SegmentGraph, ThreadMeta};
 use taskgrind::reach::Reachability;
-use taskgrind::{check_module, TaskgrindConfig};
-use tg_lulesh::harness::LuleshParams;
-use tg_lulesh::LULESH_MC;
 
 /// Many mutually-unordered tasks with overlapping access sets.
 fn wide_graph(tasks: u64) -> SegmentGraph {
@@ -172,46 +164,5 @@ fn bench_ingest(c: &mut Criterion) {
     g.finish();
 }
 
-/// E13: streaming retirement vs the batch pipeline, end to end.
-fn bench_streaming(c: &mut Criterion) {
-    let mut g = c.benchmark_group("streaming_vs_batch");
-    g.sample_size(10);
-    let m = guest_rt::build_single("lulesh.c", LULESH_MC).expect("compiles");
-    let params =
-        LuleshParams { s: 8, tel: 2, tnl: 2, iters: 2, progress: false, racy: false, threads: 1 };
-    let args_owned = params.args();
-    let args: Vec<&str> = args_owned.iter().map(|s| s.as_str()).collect();
-    let run_cfg = |streaming: bool| {
-        let cfg = TaskgrindConfig {
-            vm: grindcore::VmConfig { nthreads: params.threads, ..Default::default() },
-            streaming,
-            ..Default::default()
-        };
-        check_module(&m, &args, &cfg)
-    };
-
-    // sanity before timing: identical verdicts, and the memory win that
-    // justifies the engine (high-water ≥ 30% below batch)
-    let batch = run_cfg(false);
-    let stream = run_cfg(true);
-    assert_eq!(batch.analysis.candidates, stream.analysis.candidates, "engines disagree");
-    assert_eq!(batch.render_all(), stream.render_all(), "report text differs");
-    assert!(stream.retired_segments > 0, "streaming retired nothing");
-    assert!(
-        10 * stream.peak_tool_bytes <= 7 * batch.peak_tool_bytes,
-        "streaming high-water {} not >= 30% below batch {}",
-        stream.peak_tool_bytes,
-        batch.peak_tool_bytes,
-    );
-
-    g.bench_function("batch", |b| {
-        b.iter(|| std::hint::black_box(run_cfg(false).analysis.candidates.len()))
-    });
-    g.bench_function("streaming", |b| {
-        b.iter(|| std::hint::black_box(run_cfg(true).analysis.candidates.len()))
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_parallel, bench_sweep, bench_ingest, bench_streaming);
+criterion_group!(benches, bench_parallel, bench_sweep, bench_ingest);
 criterion_main!(benches);

@@ -78,7 +78,6 @@ pub fn usage() -> ! {
     eprintln!("              [--no-static-concurrency]");
     eprintln!("              [--cache-blocks=N] [--no-suppress] [--analysis-threads=N]");
     eprintln!("              [--confirm-races] [--confirm-budget=N] [--code-cache=DIR]");
-    eprintln!("              [--streaming] [--max-live-segments=N]");
     eprintln!("              [--trace-out=FILE] [--metrics-json=FILE] [--self-profile]");
     eprintln!("              [--dot=FILE] [--disasm]");
     eprintln!("              <program.c> [-- args...]");
@@ -154,10 +153,6 @@ pub fn parse_args(args: impl Iterator<Item = String>) -> Opts {
             o.confirm_budget = v.parse().unwrap_or_else(|_| usage());
         } else if let Some(v) = a.strip_prefix("--code-cache=") {
             o.engine.code_cache = Some(v.to_string());
-        } else if a == "--streaming" {
-            o.engine.streaming = true;
-        } else if let Some(v) = a.strip_prefix("--max-live-segments=") {
-            o.engine.max_live_segments = v.parse().unwrap_or_else(|_| usage());
         } else if let Some(v) = a.strip_prefix("--suppressions=") {
             o.suppressions = Some(v.to_string());
         } else if let Some(v) = a.strip_prefix("--trace-out=") {
@@ -225,18 +220,9 @@ mod tests {
     fn engine_flags_parse_into_engine_config() {
         let eng = opts(&["p.c"]).engine;
         assert_eq!(eng.describe(), EngineConfig::default().describe(), "no flag, no change");
-        let eng = opts(&[
-            "--no-static-filter",
-            "--no-static-concurrency",
-            "--streaming",
-            "--max-live-segments=5",
-            "p.c",
-        ])
-        .engine;
+        let eng = opts(&["--no-static-filter", "--no-static-concurrency", "p.c"]).engine;
         assert!(!eng.static_filter);
         assert!(!eng.static_concurrency);
-        assert!(eng.streaming);
-        assert_eq!(eng.max_live_segments, 5);
     }
 
     #[test]

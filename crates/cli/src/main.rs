@@ -41,11 +41,6 @@
 //!   --confirm-budget=<n> replay attempts per candidate pair (default 16)
 //!   --code-cache=<dir>   persistent on-disk cache of compiled blocks
 //!                        and static facts
-//!   --streaming          online bounded-memory analysis: retire segments
-//!                        as the happens-before frontier passes them and
-//!                        analyze per epoch on a background pool
-//!   --max-live-segments=<n>  streaming backpressure: block the guest
-//!                        when more closed segments are resident (0 = off)
 //!   --trace-out=<file>   write a Chrome-trace/Perfetto JSON timeline
 //!   --metrics-json=<file>    dump the metrics registry as JSON
 //!   --self-profile       sample executed-op budget per guest function
@@ -142,10 +137,7 @@ fn submit_request(o: &Opts, name: &str, text: &str) -> String {
         ",\"static_filter\":{},\"static_concurrency\":{}",
         eng.static_filter, eng.static_concurrency
     ));
-    req.push_str(&format!(
-        ",\"streaming\":{},\"self_profile\":{},\"max_live_segments\":{}",
-        eng.streaming, eng.self_profile, eng.max_live_segments
-    ));
+    req.push_str(&format!(",\"self_profile\":{}", eng.self_profile));
     if let Some(n) = o.cache_blocks {
         req.push_str(&format!(",\"cache_blocks\":{n}"));
     }

@@ -13,6 +13,8 @@ fn retired_engine_switches_are_usage_errors() {
         "--no-streaming",
         "--no-code-cache",
         "--parallel-analysis=2",
+        "--streaming",
+        "--max-live-segments=4",
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_tgrind"))
             .args([flag, "p.c"])

@@ -50,10 +50,9 @@ pub fn pattern_matches(pattern: &str, name: &str) -> bool {
 /// The VM is single-threaded: guest threads interleave under one
 /// deterministic scheduler, so these events arrive in a total order.
 /// Together with the monotonic sequence number passed alongside, that is
-/// enough ordering information for a tool to maintain an online
-/// happens-before frontier (e.g. to retire analysis state for program
-/// regions that can no longer race with the future) without any global
-/// state of its own.
+/// enough ordering information for a tool to track where the run is
+/// (the confirm replay uses it to place its rolling snapshots) without
+/// any global state of its own.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SyncKind {
     ParallelBegin,
@@ -121,8 +120,8 @@ impl SyncKind {
     }
 
     /// True for events after which a segment that was running can have
-    /// closed: these are the natural points to recompute a retirement
-    /// frontier.
+    /// closed: the confirm replay takes its rolling snapshot at the next
+    /// boundary after one.
     pub fn closes_segments(self) -> bool {
         matches!(
             self,
@@ -181,8 +180,7 @@ pub trait Tool {
     /// after [`Tool::client_request`] for requests whose code classifies
     /// as a [`SyncKind`]; `seq` is the global (cross-thread) client-
     /// request sequence number, monotonically increasing in the VM's
-    /// deterministic event order. Tools that analyze online use this to
-    /// advance their retirement frontier at exactly the points where
+    /// deterministic event order, so a tool sees exactly the points where
     /// happens-before edges form.
     fn sync_point(&mut self, core: &mut VmCore, tid: Tid, kind: SyncKind, seq: u64) {}
 

@@ -31,10 +31,8 @@
 //! spanning shard boundaries are deduplicated *before* analysis so
 //! suppression counters are never double-counted.
 
-use crate::graph::{SegId, SegmentGraph, TaskId};
-use crate::itree::IntervalTree;
+use crate::graph::{SegId, Segment, SegmentGraph};
 use crate::reach::Reachability;
-use grindcore::Tid;
 use std::collections::HashSet;
 
 /// Suppression toggles (all on by default, as in the paper's tool).
@@ -45,7 +43,7 @@ pub struct SuppressOptions {
     pub locks: bool,
     pub mutexinoutset: bool,
     /// Honor static guard proofs carried on segments
-    /// ([`SegView::guard_mask`]). Sound static proofs are a strict
+    /// ([`Segment::guard_mask`]). Sound static proofs are a strict
     /// subset of what dynamic lock tracking already suppresses, so the
     /// layer only fires when `locks` is off or dynamic tracking missed
     /// a critical section.
@@ -106,7 +104,7 @@ fn locks_intersect(a: &[u64], b: &[u64]) -> bool {
 }
 
 /// The suppression layer that killed a conflicting range. An enum (not
-/// a string) so `analyze_pair_views`'s match is exhaustive: adding a
+/// a string) so `analyze_pair`'s match is exhaustive: adding a
 /// layer without counting it is a compile error, not a silently dropped
 /// statistic.
 ///
@@ -154,81 +152,27 @@ pub enum Suppression {
     StaticProof,
 }
 
-/// A borrowed view of everything pair analysis needs from one segment.
-///
-/// Both engines construct these — the batch engines straight from
-/// [`SegmentGraph`] storage ([`SegView::of`]), the streaming engine
-/// from retired-epoch snapshots whose interval trees have already been
-/// detached from the graph — so the conflict-intersection and
-/// suppression pipeline is a single code path and its verdicts cannot
-/// drift between engines.
-#[derive(Clone, Copy)]
-pub struct SegView<'a> {
-    pub id: SegId,
-    pub reads: &'a IntervalTree,
-    pub writes: &'a IntervalTree,
-    /// Critical-section locks held throughout the segment (sorted).
-    pub locks: &'a [u64],
-    pub thread: Tid,
-    pub start_sp: u64,
-    pub stack_low: u64,
-    pub stack_high: u64,
-    pub tls_base: u64,
-    pub tls_size: u64,
-    pub tls_gen: u64,
-    pub task: Option<TaskId>,
-    /// `mutex_objs` of the owning task (sorted; empty when `task` is
-    /// `None`).
-    pub mutex_objs: &'a [u64],
-    /// AND-fold of the static guard masks of every access recorded into
-    /// this segment (bit *i* set ⇔ every access was statically proven
-    /// to hold lock *i* of the analysis' lock universe). `!0` while the
-    /// segment is empty; an access with no proof zeroes it.
-    pub guard_mask: u64,
-}
-
-impl<'a> SegView<'a> {
-    /// View of segment `id` inside a finalized graph.
-    pub fn of(g: &'a SegmentGraph, id: SegId) -> SegView<'a> {
-        let s = &g.segments[id as usize];
-        SegView {
-            id,
-            reads: &s.reads,
-            writes: &s.writes,
-            locks: &s.locks,
-            thread: s.thread,
-            start_sp: s.start_sp,
-            stack_low: s.stack_low,
-            stack_high: s.stack_high,
-            tls_base: s.tls_base,
-            tls_size: s.tls_size,
-            tls_gen: s.tls_gen,
-            task: s.task,
-            mutex_objs: s.task.map(|t| &g.tasks[t as usize].mutex_objs[..]).unwrap_or(&[]),
-            guard_mask: s.guard_mask,
-        }
-    }
-}
-
 /// Classify one conflicting range against the suppression layers.
 /// Returns `None` if it survives, or the suppressing layer.
 fn suppress_range(
     opts: &SuppressOptions,
-    a: &SegView,
-    b: &SegView,
+    g: &SegmentGraph,
+    a: &Segment,
+    b: &Segment,
     lo: u64,
     hi: u64,
 ) -> Option<Suppression> {
     if opts.mutexinoutset {
         if let (Some(t1), Some(t2)) = (a.task, b.task) {
-            if t1 != t2 && locks_intersect(a.mutex_objs, b.mutex_objs) {
+            let (m1, m2) = (&g.tasks[t1 as usize].mutex_objs, &g.tasks[t2 as usize].mutex_objs);
+            if t1 != t2 && locks_intersect(m1, m2) {
                 return Some(Suppression::Mutexinoutset);
             }
         }
     }
     if opts.tls && a.thread == b.thread && a.tls_gen == b.tls_gen {
         let in_tls =
-            |s: &SegView| s.tls_size > 0 && lo >= s.tls_base && hi <= s.tls_base + s.tls_size;
+            |s: &Segment| s.tls_size > 0 && lo >= s.tls_base && hi <= s.tls_base + s.tls_size;
         if in_tls(a) && in_tls(b) {
             return Some(Suppression::Tls);
         }
@@ -237,7 +181,7 @@ fn suppress_range(
         // segment-local: both segments ran on the same thread and the
         // range lies below the stack frame registered at each segment's
         // start — frames created and destroyed within the segments
-        let local_to = |s: &SegView| lo >= s.stack_low && hi <= s.stack_high && hi <= s.start_sp;
+        let local_to = |s: &Segment| lo >= s.stack_low && hi <= s.stack_high && hi <= s.start_sp;
         if local_to(a) && local_to(b) {
             return Some(Suppression::Stack);
         }
@@ -254,24 +198,26 @@ fn suppress_range(
 
 /// Conflicting byte ranges between two segments:
 /// `w1 ∩ (r2 ∪ w2)  ∪  w2 ∩ r1`.
-fn conflicts(a: &SegView, b: &SegView) -> Vec<(u64, u64)> {
-    let mut out = a.writes.intersect(b.writes);
-    out.extend(a.writes.intersect(b.reads));
-    out.extend(b.writes.intersect(a.reads));
+fn conflicts(a: &Segment, b: &Segment) -> Vec<(u64, u64)> {
+    let mut out = a.writes.intersect(&b.writes);
+    out.extend(a.writes.intersect(&b.reads));
+    out.extend(b.writes.intersect(&a.reads));
     out.sort_unstable();
     out.dedup();
     out
 }
 
 /// Analyze one unordered pair through conflict intersection and the
-/// suppression layers, accumulating into `out`. The shared engine core:
-/// batch and streaming both land here.
-pub(crate) fn analyze_pair_views(
+/// suppression layers, accumulating into `out`. Both pair generators
+/// land here.
+fn analyze_pair(
+    g: &SegmentGraph,
     opts: &SuppressOptions,
-    a: &SegView,
-    b: &SegView,
+    s1: SegId,
+    s2: SegId,
     out: &mut AnalysisOutput,
 ) {
+    let (a, b) = (&g.segments[s1 as usize], &g.segments[s2 as usize]);
     // Cheap rejection before building range lists.
     if a.writes.is_empty() && b.writes.is_empty() {
         return;
@@ -281,13 +227,13 @@ pub(crate) fn analyze_pair_views(
         return;
     }
     out.raw_ranges += ranges.len() as u64;
-    if opts.locks && locks_intersect(a.locks, b.locks) {
+    if opts.locks && locks_intersect(&a.locks, &b.locks) {
         out.suppressed_locks += ranges.len() as u64;
         return;
     }
     for (lo, hi) in ranges {
-        match suppress_range(opts, a, b, lo, hi) {
-            None => out.candidates.push(Candidate { seg1: a.id, seg2: b.id, lo, hi }),
+        match suppress_range(opts, g, a, b, lo, hi) {
+            None => out.candidates.push(Candidate { seg1: s1, seg2: s2, lo, hi }),
             Some(Suppression::Tls) => out.suppressed_tls += 1,
             Some(Suppression::Stack) => out.suppressed_stack += 1,
             Some(Suppression::Mutexinoutset) => out.suppressed_mutex += 1,
@@ -296,18 +242,8 @@ pub(crate) fn analyze_pair_views(
     }
 }
 
-fn analyze_pair(
-    g: &SegmentGraph,
-    opts: &SuppressOptions,
-    s1: SegId,
-    s2: SegId,
-    out: &mut AnalysisOutput,
-) {
-    analyze_pair_views(opts, &SegView::of(g, s1), &SegView::of(g, s2), out);
-}
-
 impl AnalysisOutput {
-    /// Fold a per-thread / per-shard / per-epoch partial into `self`.
+    /// Fold a per-thread partial into `self`.
     pub fn absorb(&mut self, p: AnalysisOutput) {
         self.candidates.extend(p.candidates);
         self.pairs_checked += p.pairs_checked;
@@ -319,11 +255,6 @@ impl AnalysisOutput {
         self.suppressed_stack += p.suppressed_stack;
         self.suppressed_static += p.suppressed_static;
     }
-}
-
-/// Fold a per-thread / per-shard partial into the aggregate output.
-fn merge_partial(out: &mut AnalysisOutput, p: AnalysisOutput) {
-    out.absorb(p);
 }
 
 /// Run Algorithm 1 sequentially.
@@ -356,33 +287,17 @@ pub fn resolve_threads(threads: usize) -> usize {
 
 /// One interval of an interesting segment, flattened for the sweep.
 #[derive(Clone, Copy)]
-pub(crate) struct SweepIv {
-    pub(crate) lo: u64,
-    pub(crate) hi: u64,
-    pub(crate) seg: SegId,
-    pub(crate) write: bool,
+struct SweepIv {
+    lo: u64,
+    hi: u64,
+    seg: SegId,
+    write: bool,
 }
 
-/// Flatten one segment's interval trees into `ivs` for the sweep.
-pub(crate) fn flatten_intervals(
-    ivs: &mut Vec<SweepIv>,
-    id: SegId,
-    reads: &IntervalTree,
-    writes: &IntervalTree,
-) {
-    for (lo, hi) in writes.iter() {
-        ivs.push(SweepIv { lo, hi, seg: id, write: true });
-    }
-    for (lo, hi) in reads.iter() {
-        ivs.push(SweepIv { lo, hi, seg: id, write: false });
-    }
-}
-
-/// Canonical order for the merged candidate list. Every engine sorts
-/// with this key before the list reaches report generation, so
-/// all-pairs, sweep and per-epoch streaming merges all render
-/// bit-identically.
-pub(crate) fn sort_candidates(v: &mut [Candidate]) {
+/// Canonical order for the merged candidate list. Both pair generators
+/// sort with this key before the list reaches report generation, so
+/// all-pairs and sweep render bit-identically.
+fn sort_candidates(v: &mut [Candidate]) {
     v.sort_unstable_by_key(|c| (c.seg1, c.seg2, c.lo, c.hi));
 }
 
@@ -391,7 +306,7 @@ pub(crate) fn sort_candidates(v: &mut [Candidate]) {
 /// pairs for which `conflicts` returns a non-empty range list.
 /// Half-open semantics: intervals touching only at an endpoint do not
 /// pair (`a.hi > iv.lo` is strict), matching `IntervalTree::intersect`.
-pub(crate) fn sweep_pairs(ivs: &[SweepIv], out: &mut HashSet<(SegId, SegId)>) {
+fn sweep_pairs(ivs: &[SweepIv], out: &mut HashSet<(SegId, SegId)>) {
     let mut active: Vec<SweepIv> = Vec::new();
     for iv in ivs {
         active.retain(|a| a.hi > iv.lo);
@@ -432,9 +347,10 @@ pub fn run_sweep(
     let threads = resolve_threads(threads);
     let ids: Vec<SegId> = interesting_segments(g);
     let mut ivs: Vec<SweepIv> = Vec::new();
-    for &id in &ids {
-        let s = &g.segments[id as usize];
-        flatten_intervals(&mut ivs, id, &s.reads, &s.writes);
+    for &seg in &ids {
+        let s = &g.segments[seg as usize];
+        ivs.extend(s.writes.iter().map(|(lo, hi)| SweepIv { lo, hi, seg, write: true }));
+        ivs.extend(s.reads.iter().map(|(lo, hi)| SweepIv { lo, hi, seg, write: false }));
     }
     ivs.sort_unstable_by_key(|iv| (iv.lo, iv.hi, iv.seg, iv.write));
 
@@ -517,7 +433,7 @@ pub fn run_sweep(
         })
         .unwrap();
         for p in partials {
-            merge_partial(&mut out, p);
+            out.absorb(p);
         }
     }
     sort_candidates(&mut out.candidates);

@@ -26,11 +26,9 @@
 //!   consumed by suppression, not by reachability.
 
 use crate::itree::IntervalTree;
-use crate::stream::{Epoch, EpochSeg, EpochSink, SegSnapshot};
 use grindcore::creq::task_flags;
 use grindcore::Tid;
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::HashMap;
 
 pub type SegId = u32;
 pub type TaskId = u32;
@@ -100,9 +98,9 @@ pub struct Segment {
     pub locks: Vec<u64>,
     pub region: Option<u32>,
     /// AND-fold of the static guard masks of every access recorded into
-    /// this segment (see [`crate::analysis::SegView::guard_mask`]).
-    /// Starts at `!0`; a single access without a static proof zeroes
-    /// it.
+    /// this segment: bit *i* set means every access was statically
+    /// proven to hold lock *i* of the analysis' lock universe. Starts at
+    /// `!0`; a single access without a static proof zeroes it.
     pub guard_mask: u64,
     /// Global client-request sequence number current when this segment
     /// opened ([`GraphBuilder::set_seq`]; 0 if the driver never stamps
@@ -367,15 +365,6 @@ struct RegionState {
     /// Explicit tasks created in this region (joined at barriers and at
     /// region end — a barrier completes all tasks generated so far).
     tasks_created: Vec<TaskId>,
-    /// Region between its `parallel_begin` and `parallel_end` events.
-    active: bool,
-    /// The master's pre-region segment: open but *dormant* for the whole
-    /// region, so the retirement frontier treats it specially (ordered
-    /// either way suffices — see [`GraphBuilder::maybe_retire`]).
-    master_pre: SegId,
-    /// Implicit tasks begun so far; until the whole team arrived, the
-    /// region begin node is a frontier node (future segments attach).
-    implicit_begun: u64,
 }
 
 #[derive(Default)]
@@ -389,56 +378,16 @@ struct DepEntry {
     set_mode: bool,
 }
 
-/// Memory and retirement statistics of one graph build, returned by
-/// [`GraphBuilder::finalize_with_stats`]. Populated for both engines:
-/// batch mode simply never retires, so its peak equals its total.
+/// Memory statistics of one graph build, returned by
+/// [`GraphBuilder::finalize_with_stats`]. Analysis runs after recording,
+/// so every segment's interval trees stay resident until finalize: each
+/// peak is the build's total.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GraphMemStats {
-    /// High-water count of real (non-sync) segments whose interval trees
-    /// were resident in the builder.
+    /// Real (non-sync) segments, each holding its interval trees.
     pub peak_live_segments: u64,
-    /// High-water bytes of closed interval trees plus pending bulk
-    /// buffers (the structures retirement frees).
+    /// Bytes of the closed segments' interval trees.
     pub peak_tool_bytes: u64,
-    /// Retirement epochs emitted (streaming only).
-    pub epochs: u64,
-    /// Segments retired before finalize (streaming only; includes
-    /// access-free segments retired at close without an epoch).
-    pub retired_segments: u64,
-    /// Times the `--max-live-segments` backpressure knob blocked the
-    /// guest on the analysis pool.
-    pub throttle_waits: u64,
-    /// Root contexts created after the first retirement. Must stay 0 for
-    /// the frontier rule to be sound (DESIGN.md §9); the modelled
-    /// runtimes only run user code inside tasks, so it always is.
-    pub late_root_ctxs: u64,
-}
-
-/// Streaming-retirement bookkeeping (see DESIGN.md §9 and
-/// [`crate::stream`]).
-struct StreamState {
-    sink: Box<dyn EpochSink>,
-    /// Detached trees of closed-but-unretired segments.
-    snapshots: HashMap<SegId, Arc<SegSnapshot>>,
-    /// Closed, access-bearing segments not yet proven retirable.
-    closed_unretired: Vec<SegId>,
-    /// Joins whose task had not completed at registration. Non-empty
-    /// pending lists block retirement: the final graph will gain edges
-    /// whose placement is not yet known.
-    pending_joins: Vec<(TaskId, SegId)>,
-    /// `(pred, succ)` dependences whose predecessor had not completed
-    /// when the successor task began.
-    pending_deps: Vec<(TaskId, TaskId)>,
-    /// Spawned tasks that have not begun: their `create_seg` is a
-    /// frontier node (the child's first segment will hang off it).
-    spawned_unbegun: HashSet<TaskId>,
-    /// `--max-live-segments` (0 = unlimited).
-    max_live: usize,
-    epoch_seq: u64,
-    retired_count: u64,
-    throttle_waits: u64,
-    late_roots: u64,
-    any_retired: bool,
 }
 
 /// Builds a [`SegmentGraph`] from runtime events.
@@ -446,7 +395,9 @@ pub struct GraphBuilder {
     pub segments: Vec<Segment>,
     pub tasks: Vec<TaskNode>,
     edges: Vec<(SegId, SegId)>,
-    /// (task, segment): edge from the task's final segment to `segment`.
+    /// Joins as (task, segment): edges from the task's final (and
+    /// fulfill) segment to `segment`, resolved at finalize once every
+    /// task's final segment is known.
     last_to_seg: Vec<(TaskId, SegId)>,
     /// Execution-context stack per thread, indexed by [`Tid`] (VM
     /// thread ids are dense indices into `core.threads`), so the access
@@ -471,14 +422,8 @@ pub struct GraphBuilder {
     /// close (default). `false` is the per-access reference path
     /// (`RecordOptions::bulk_ingest`).
     bulk: bool,
-    /// Streaming retirement (`None` = batch mode).
-    stream: Option<StreamState>,
-    /// Real segments whose interval trees are currently resident.
-    live_segments: u64,
-    peak_live_segments: u64,
-    /// Bytes of closed, still-resident interval trees.
+    /// Bytes of closed segments' interval trees.
     closed_bytes: u64,
-    peak_bytes: u64,
 }
 
 impl Default for GraphBuilder {
@@ -504,35 +449,8 @@ impl GraphBuilder {
             cur_region: None,
             cur_seq: 0,
             bulk: true,
-            stream: None,
-            live_segments: 0,
-            peak_live_segments: 0,
             closed_bytes: 0,
-            peak_bytes: 0,
         }
-    }
-
-    /// Switch the builder into streaming-retirement mode. Must be called
-    /// before any event is recorded. Closed segments detach their trees
-    /// and, once the frontier rule proves them race-free with respect to
-    /// every future segment, ship to `sink` ([`Self::maybe_retire`]).
-    /// `max_live_segments` (0 = unlimited) bounds the closed-unretired
-    /// set by draining the sink when exceeded.
-    pub fn enable_streaming(&mut self, sink: Box<dyn EpochSink>, max_live_segments: usize) {
-        self.stream = Some(StreamState {
-            sink,
-            snapshots: HashMap::new(),
-            closed_unretired: Vec::new(),
-            pending_joins: Vec::new(),
-            pending_deps: Vec::new(),
-            spawned_unbegun: HashSet::new(),
-            max_live: max_live_segments,
-            epoch_seq: 0,
-            retired_count: 0,
-            throttle_waits: 0,
-            late_roots: 0,
-            any_retired: false,
-        });
     }
 
     /// Record the VM's global client-request sequence number before the
@@ -607,10 +525,6 @@ impl GraphBuilder {
             guard_mask: !0,
             open_seq: self.cur_seq,
         });
-        if task.is_some() {
-            self.live_segments += 1;
-            self.peak_live_segments = self.peak_live_segments.max(self.live_segments);
-        }
         id
     }
 
@@ -696,16 +610,6 @@ impl GraphBuilder {
                 });
                 id
             };
-            self.live_segments += 1;
-            self.peak_live_segments = self.peak_live_segments.max(self.live_segments);
-            if let Some(st) = self.stream.as_mut() {
-                // a root context born after retirement started has no
-                // in-edges — the frontier rule cannot see it coming
-                // (DESIGN.md §9); count it so tests can assert 0
-                if st.any_retired {
-                    st.late_roots += 1;
-                }
-            }
             self.tasks[task as usize].first_seg = Some(seg);
             self.ctx[meta.tid].push(ExecCtx {
                 task,
@@ -749,51 +653,16 @@ impl GraphBuilder {
         (old, new)
     }
 
-    /// Sample the analysis-structure high-water mark: closed interval
-    /// trees resident in the tool — exactly the population streaming
-    /// retirement frees (batch mode never frees, so its peak is the
-    /// final total). Open-segment state (record buffers, growing trees)
-    /// is recording-side, identical across engines, and accounted in
-    /// the overall `tool_bytes` metric instead.
-    pub fn note_peak(&mut self) {
-        if self.closed_bytes > self.peak_bytes {
-            self.peak_bytes = self.closed_bytes;
-        }
-    }
-
-    /// A segment will receive no further accesses: account its bytes
-    /// and, in streaming mode, detach its trees for the analysis pool.
-    /// Access-free segments retire on the spot. Callers must invoke this
+    /// A segment will receive no further accesses: account its
+    /// interval trees in the closed-segment bytes. Callers invoke this
     /// *after* the owning context's `cur_seg` moved on (or the context
-    /// popped), so a retirement sweep triggered here never sees the
-    /// segment as open.
+    /// popped).
     fn close_segment(&mut self, seg: SegId) {
-        if self.segments[seg as usize].sync {
+        let s = &self.segments[seg as usize];
+        if s.sync {
             return;
         }
-        let bytes = {
-            let s = &self.segments[seg as usize];
-            s.reads.heap_bytes() + s.writes.heap_bytes()
-        };
-        self.closed_bytes += bytes;
-        let mut throttle = false;
-        if let Some(st) = self.stream.as_mut() {
-            let s = &mut self.segments[seg as usize];
-            if s.reads.is_empty() && s.writes.is_empty() {
-                // nothing to analyze against: retire without an epoch
-                st.retired_count += 1;
-                self.live_segments -= 1;
-            } else {
-                let snap = Arc::new(SegSnapshot {
-                    reads: std::mem::take(&mut s.reads),
-                    writes: std::mem::take(&mut s.writes),
-                });
-                st.snapshots.insert(seg, snap);
-                st.closed_unretired.push(seg);
-                throttle = st.max_live > 0 && st.closed_unretired.len() > st.max_live;
-            }
-        }
-        self.note_peak();
+        self.closed_bytes += s.reads.heap_bytes() + s.writes.heap_bytes();
         if tg_obs::trace::enabled() {
             tg_obs::trace::counter(
                 "closed_bytes",
@@ -802,275 +671,6 @@ impl GraphBuilder {
                 self.closed_bytes,
             );
         }
-        if throttle {
-            self.maybe_retire();
-            let st = self.stream.as_mut().unwrap();
-            if st.closed_unretired.len() > st.max_live {
-                st.throttle_waits += 1;
-                let _bp = tg_obs::trace::host_span("backpressure");
-                st.sink.wait_drained();
-            }
-        }
-    }
-
-    /// Streaming: are all of the task's join-relevant segments final?
-    /// (`last_seg` set, and for detached tasks the fulfill segment too.)
-    fn stream_task_complete(&self, t: TaskId) -> bool {
-        let task = &self.tasks[t as usize];
-        task.last_seg.is_some()
-            && (task.flags & task_flags::DETACHED == 0 || task.fulfill_seg.is_some())
-    }
-
-    /// Register a join: the task's final (and fulfill) segment is
-    /// ordered before `node`. Batch mode resolves these at finalize; the
-    /// streaming engine also adds the edges *eagerly* so the per-epoch
-    /// reachability snapshot matches the final graph. If the task is not
-    /// yet complete, the join is parked and blocks retirement until it
-    /// resolves ([`Self::stream_resolve_task`]).
-    fn join_task_to(&mut self, t: TaskId, node: SegId) {
-        self.last_to_seg.push((t, node));
-        if self.stream.is_none() {
-            return;
-        }
-        if self.stream_task_complete(t) {
-            let (l, f) = {
-                let task = &self.tasks[t as usize];
-                (task.last_seg, task.fulfill_seg)
-            };
-            if let Some(l) = l {
-                self.edge(l, node);
-            }
-            if let Some(f) = f {
-                self.edge(f, node);
-            }
-        } else {
-            self.stream.as_mut().unwrap().pending_joins.push((t, node));
-        }
-    }
-
-    /// A task completed (or fulfilled): resolve parked joins and
-    /// dependence successors now that its final segments are known.
-    fn stream_resolve_task(&mut self, t: TaskId) {
-        if self.stream.is_none() || !self.stream_task_complete(t) {
-            return;
-        }
-        let (l, f) = {
-            let task = &self.tasks[t as usize];
-            (task.last_seg, task.fulfill_seg)
-        };
-        let st = self.stream.as_mut().unwrap();
-        let mut joins: Vec<SegId> = Vec::new();
-        st.pending_joins.retain(|&(pt, node)| {
-            if pt == t {
-                joins.push(node);
-                false
-            } else {
-                true
-            }
-        });
-        let mut succs: Vec<TaskId> = Vec::new();
-        st.pending_deps.retain(|&(pred, succ)| {
-            if pred == t {
-                succs.push(succ);
-                false
-            } else {
-                true
-            }
-        });
-        for node in joins {
-            if let Some(l) = l {
-                self.edge(l, node);
-            }
-            if let Some(f) = f {
-                self.edge(f, node);
-            }
-        }
-        for sc in succs {
-            if let Some(fs) = self.tasks[sc as usize].first_seg {
-                if let Some(l) = l {
-                    self.edge(l, fs);
-                }
-                if let Some(f) = f {
-                    self.edge(f, fs);
-                }
-            }
-        }
-    }
-
-    /// Streaming: retire every closed segment that can no longer race
-    /// with any future segment, shipping them to the sink as one epoch.
-    /// No-op in batch mode. Called at segment-closing sync points
-    /// (`Tool::sync_point`) and by the backpressure throttle.
-    ///
-    /// **Frontier rule.** The frontier `F` is the set of graph nodes
-    /// future segments can attach behind: every open segment (each
-    /// context's `cur_seg`), the `create_seg` of spawned-but-unbegun
-    /// tasks, the begin node of active regions whose team has not fully
-    /// begun, and the current barrier node of active regions. A closed
-    /// segment `A` retires iff `A` reaches every node of `F` — then any
-    /// future segment `X` (which descends from some `f ∈ F`) satisfies
-    /// `A ≺ X`, so the pair can never be a race. One relaxation: the
-    /// master's pre-region segment is open but *dormant* during an
-    /// active region; since its next out-edge is the post-region split
-    /// whose target also descends from the region end node, "`A` ordered
-    /// with it either way" suffices. Retirement is blocked entirely
-    /// while a pending join/dependence is unresolved (edges with unknown
-    /// placement). Closed segments never gain in-edges, so verdicts
-    /// computed against the epoch's edge snapshot are final.
-    pub fn maybe_retire(&mut self) {
-        let Some(st) = self.stream.as_ref() else { return };
-        if st.closed_unretired.is_empty()
-            || !st.pending_joins.is_empty()
-            || !st.pending_deps.is_empty()
-        {
-            return;
-        }
-        let mut strict: Vec<SegId> = Vec::new();
-        let mut relaxed: Vec<SegId> = Vec::new();
-        let mut master_pre: HashSet<SegId> = HashSet::new();
-        for r in &self.regions {
-            if !r.active {
-                continue;
-            }
-            master_pre.insert(r.master_pre);
-            if r.implicit_begun < r.team {
-                strict.push(r.begin_node);
-            }
-            if let Some(b) = r.cur_barrier_node {
-                strict.push(b);
-            }
-        }
-        for stack in &self.ctx {
-            for c in stack {
-                if master_pre.contains(&c.cur_seg) {
-                    relaxed.push(c.cur_seg);
-                } else {
-                    strict.push(c.cur_seg);
-                }
-            }
-        }
-        for &t in &st.spawned_unbegun {
-            if let Some(cs) = self.tasks[t as usize].create_seg {
-                strict.push(cs);
-            }
-        }
-        strict.sort_unstable();
-        strict.dedup();
-        relaxed.sort_unstable();
-        relaxed.dedup();
-        relaxed.retain(|s| !strict.contains(s));
-        let total = (strict.len() + relaxed.len()) as u32;
-
-        let n = self.segments.len();
-        let mut fwd: Vec<Vec<SegId>> = vec![Vec::new(); n];
-        let mut rev: Vec<Vec<SegId>> = vec![Vec::new(); n];
-        for &(a, b) in &self.edges {
-            fwd[a as usize].push(b);
-            rev[b as usize].push(a);
-        }
-        // Per frontier node: mark the satisfying set (ancestors; for the
-        // relaxed node also descendants) and count how many frontier
-        // nodes each graph node satisfies.
-        fn mark_dir(
-            adj: &[Vec<SegId>],
-            seed: Vec<SegId>,
-            stamp: u32,
-            sat: &mut [u32],
-            mark: &mut [u32],
-        ) {
-            let mut q = seed;
-            while let Some(u) = q.pop() {
-                if mark[u as usize] == stamp {
-                    continue;
-                }
-                mark[u as usize] = stamp;
-                sat[u as usize] += 1;
-                for &v in &adj[u as usize] {
-                    if mark[v as usize] != stamp {
-                        q.push(v);
-                    }
-                }
-            }
-        }
-        let mut sat = vec![0u32; n];
-        let mut mark = vec![0u32; n];
-        let mut stamp = 0u32;
-        for &fnode in &strict {
-            stamp += 1;
-            mark_dir(&rev, vec![fnode], stamp, &mut sat, &mut mark);
-        }
-        for &fnode in &relaxed {
-            stamp += 1;
-            mark_dir(&rev, vec![fnode], stamp, &mut sat, &mut mark);
-            // descendants, seeded past the (already marked) node itself;
-            // in a DAG they are disjoint from its ancestors, so the
-            // shared stamp cannot double-count
-            mark_dir(&fwd, fwd[fnode as usize].clone(), stamp, &mut sat, &mut mark);
-        }
-
-        let st = self.stream.as_ref().unwrap();
-        let retire: Vec<SegId> =
-            st.closed_unretired.iter().copied().filter(|&s| sat[s as usize] == total).collect();
-        if retire.is_empty() {
-            return;
-        }
-        self.emit_epoch(retire);
-    }
-
-    /// Package the retire set (plus every other closed-unretired segment
-    /// as live context) into an epoch, ship it, and free the retired
-    /// trees on the builder side.
-    fn emit_epoch(&mut self, retire: Vec<SegId>) {
-        let retire_set: HashSet<SegId> = retire.iter().copied().collect();
-        let st = self.stream.as_mut().unwrap();
-        st.epoch_seq += 1;
-        let mut segs = Vec::with_capacity(st.closed_unretired.len());
-        for &id in &st.closed_unretired {
-            let s = &self.segments[id as usize];
-            segs.push(EpochSeg {
-                id,
-                retired: retire_set.contains(&id),
-                thread: s.thread,
-                start_sp: s.start_sp,
-                stack_low: s.stack_low,
-                stack_high: s.stack_high,
-                tls_base: s.tls_base,
-                tls_size: s.tls_size,
-                tls_gen: s.tls_gen,
-                locks: s.locks.clone(),
-                task: s.task,
-                mutex_objs: s
-                    .task
-                    .map(|t| self.tasks[t as usize].mutex_objs.clone())
-                    .unwrap_or_default(),
-                guard_mask: s.guard_mask,
-                trees: st.snapshots[&id].clone(),
-            });
-        }
-        let epoch = Epoch {
-            seq: st.epoch_seq,
-            n_nodes: self.segments.len() as u32,
-            edges: Arc::new(self.edges.clone()),
-            segs,
-        };
-        for &id in &retire {
-            let snap = st.snapshots.remove(&id).unwrap();
-            self.closed_bytes -= snap.heap_bytes();
-        }
-        st.closed_unretired.retain(|id| !retire_set.contains(id));
-        st.retired_count += retire.len() as u64;
-        st.any_retired = true;
-        self.live_segments -= retire.len() as u64;
-        let st = self.stream.as_mut().unwrap();
-        if tg_obs::trace::enabled() {
-            tg_obs::trace::instant(
-                format!("epoch {}", st.epoch_seq),
-                tg_obs::trace::PID_GUEST,
-                tg_obs::trace::TID_RETIRE,
-                vec![("retired", retire.len() as u64), ("live", self.live_segments)],
-            );
-        }
-        st.sink.submit(epoch);
     }
 
     // ---- events ----
@@ -1089,9 +689,6 @@ impl GraphBuilder {
             barrier_arrived: 0,
             cur_barrier_node: None,
             tasks_created: Vec::new(),
-            active: true,
-            master_pre: master_seg,
-            implicit_begun: 0,
         });
         self.cur_region = Some(rid);
         rid as u64
@@ -1104,10 +701,7 @@ impl GraphBuilder {
         };
         // the implicit barrier at region end completes every task
         for t in created {
-            self.join_task_to(t, end);
-        }
-        if let Some(r) = self.regions.get_mut(region as usize) {
-            r.active = false;
+            self.last_to_seg.push((t, end));
         }
         self.cur_region = None;
         let (_, new) = self.split(meta, "after-parallel");
@@ -1121,9 +715,6 @@ impl GraphBuilder {
         let seg = self.new_segment(meta, Some(task), "implicit", Vec::new());
         self.tasks[task as usize].first_seg = Some(seg);
         self.edge(begin, seg);
-        if let Some(r) = self.regions.get_mut(region as usize) {
-            r.implicit_begun += 1;
-        }
         self.stack(meta.tid).push(ExecCtx {
             task,
             cur_seg: seg,
@@ -1136,7 +727,7 @@ impl GraphBuilder {
 
     pub fn implicit_task_end(&mut self, meta: &ThreadMeta, region: u64, _index: u64) {
         let end_node = self.regions.get(region as usize).map(|r| r.end_node);
-        let mut done: Option<(TaskId, SegId)> = None;
+        let mut done: Option<SegId> = None;
         if let Some(stack) = self.ctx.get_mut(meta.tid) {
             if let Some(mut c) = stack.pop() {
                 flush_buf(&mut self.segments, &mut c);
@@ -1144,11 +735,10 @@ impl GraphBuilder {
                 if let Some(end) = end_node {
                     self.edge(c.cur_seg, end);
                 }
-                done = Some((c.task, c.cur_seg));
+                done = Some(c.cur_seg);
             }
         }
-        if let Some((t, s)) = done {
-            self.stream_resolve_task(t);
+        if let Some(s) = done {
             self.close_segment(s);
         }
     }
@@ -1183,9 +773,6 @@ impl GraphBuilder {
         let task = task as TaskId;
         let create_seg = self.top(meta).cur_seg;
         self.tasks[task as usize].create_seg = Some(create_seg);
-        if let Some(st) = self.stream.as_mut() {
-            st.spawned_unbegun.insert(task);
-        }
         self.split(meta, "after-spawn");
     }
 
@@ -1246,32 +833,6 @@ impl GraphBuilder {
         };
         let seg = self.new_segment(meta, Some(task), "task", Vec::new());
         self.tasks[task as usize].first_seg = Some(seg);
-        if self.stream.is_some() {
-            self.stream.as_mut().unwrap().spawned_unbegun.remove(&task);
-            // eager spawn and dependence in-edges (batch defers these to
-            // finalize): the first segment is brand new, so adding them
-            // now keeps epoch reachability equal to the final graph
-            if let Some(c) = self.tasks[task as usize].create_seg {
-                self.edge(c, seg);
-            }
-            let preds = self.tasks[task as usize].dep_preds.clone();
-            for p in preds {
-                if self.stream_task_complete(p) {
-                    let (pl, pf) = {
-                        let pt = &self.tasks[p as usize];
-                        (pt.last_seg, pt.fulfill_seg)
-                    };
-                    if let Some(pl) = pl {
-                        self.edge(pl, seg);
-                    }
-                    if let Some(pf) = pf {
-                        self.edge(pf, seg);
-                    }
-                } else {
-                    self.stream.as_mut().unwrap().pending_deps.push((p, task));
-                }
-            }
-        }
         self.stack(meta.tid).push(ExecCtx {
             task,
             cur_seg: seg,
@@ -1299,7 +860,6 @@ impl GraphBuilder {
                 done = Some(c.cur_seg);
             }
         }
-        self.stream_resolve_task(task);
         if let Some(s) = done {
             self.close_segment(s);
         }
@@ -1333,9 +893,6 @@ impl GraphBuilder {
         if let Some(t) = self.tasks.get_mut(task as usize) {
             t.fulfill_seg = Some(fulfill_seg);
         }
-        if (task as usize) < self.tasks.len() {
-            self.stream_resolve_task(task as TaskId);
-        }
     }
 
     pub fn taskwait(&mut self, meta: &ThreadMeta) {
@@ -1344,7 +901,7 @@ impl GraphBuilder {
         let children = self.tasks[task as usize].children.clone();
         let (_, new) = self.split(meta, "after-taskwait");
         for ch in children {
-            self.join_task_to(ch, new);
+            self.last_to_seg.push((ch, new));
         }
     }
 
@@ -1366,7 +923,7 @@ impl GraphBuilder {
         let parent = self.taskgroups[gid as usize].parent;
         let (_, new) = self.split(meta, "after-taskgroup");
         for m in members {
-            self.join_task_to(m, new);
+            self.last_to_seg.push((m, new));
             // descendants of members also joined the group at creation
             self.collect_descendants(m, new);
         }
@@ -1376,7 +933,7 @@ impl GraphBuilder {
     fn collect_descendants(&mut self, task: TaskId, join: SegId) {
         let children = self.tasks[task as usize].children.clone();
         for ch in children {
-            self.join_task_to(ch, join);
+            self.last_to_seg.push((ch, join));
             self.collect_descendants(ch, join);
         }
     }
@@ -1410,7 +967,7 @@ impl GraphBuilder {
         self.close_segment(cur);
         // the barrier completes every task generated in the region so far
         for t in self.regions[r].tasks_created.clone() {
-            self.join_task_to(t, node);
+            self.last_to_seg.push((t, node));
         }
         self.regions[r].barrier_arrived += 1;
         if self.regions[r].barrier_arrived >= self.regions[r].team {
@@ -1484,11 +1041,7 @@ impl GraphBuilder {
         self.finalize_with_stats().0
     }
 
-    /// [`Self::finalize`], also returning memory and retirement
-    /// statistics. In streaming mode this additionally emits one final
-    /// epoch over the completed edge list — the frontier is empty, so
-    /// every remaining closed segment retires — and drops the epoch
-    /// sink, letting a [`crate::stream::Pipeline`] finish.
+    /// [`Self::finalize`], also returning the build's memory statistics.
     pub fn finalize_with_stats(mut self) -> (SegmentGraph, GraphMemStats) {
         // drain every context's pending accesses (bulk-ingestion mode)
         for stack in &mut self.ctx {
@@ -1536,27 +1089,10 @@ impl GraphBuilder {
         self.edges.extend(extra);
         self.edges.sort_unstable();
         self.edges.dedup();
-        // final retirement epoch: nothing can race with the future now
-        if let Some(st) = self.stream.as_mut() {
-            st.pending_joins.clear();
-            st.pending_deps.clear();
-            st.spawned_unbegun.clear();
-            let remaining = st.closed_unretired.clone();
-            if !remaining.is_empty() {
-                self.emit_epoch(remaining);
-            }
-        }
         let stats = GraphMemStats {
-            peak_live_segments: self.peak_live_segments,
-            peak_tool_bytes: self.peak_bytes,
-            epochs: self.stream.as_ref().map_or(0, |st| st.epoch_seq),
-            retired_segments: self.stream.as_ref().map_or(0, |st| st.retired_count),
-            throttle_waits: self.stream.as_ref().map_or(0, |st| st.throttle_waits),
-            late_root_ctxs: self.stream.as_ref().map_or(0, |st| st.late_roots),
+            peak_live_segments: self.segments.iter().filter(|s| !s.sync).count() as u64,
+            peak_tool_bytes: self.closed_bytes,
         };
-        // drop the sink before returning: a bounded-channel pipeline
-        // needs all senders gone to see end-of-stream
-        drop(self.stream.take());
         let g = SegmentGraph { segments: self.segments, tasks: self.tasks, edges: self.edges };
         debug_assert!(g.validate().is_empty(), "{:?}", g.validate());
         (g, stats)

@@ -54,7 +54,6 @@ pub mod itree;
 pub mod metrics;
 pub mod reach;
 pub mod report;
-pub mod stream;
 pub mod suppressions;
 pub mod tool;
 
@@ -77,7 +76,7 @@ pub struct TaskgrindConfig {
     pub record: RecordOptions,
     /// Suppression toggles for the analysis pass.
     pub suppress: SuppressOptions,
-    /// Host threads for the sweep and streaming analysis; 0 = auto
+    /// Host threads for the sweep; 0 = auto
     /// (`std::thread::available_parallelism`).
     pub analysis_threads: usize,
     /// Use the sweep-based candidate generator (address-indexed pair
@@ -85,15 +84,13 @@ pub struct TaskgrindConfig {
     /// paper's sequential Algorithm 1, which the differential tests
     /// compare against.
     pub sweep: bool,
-    /// Streaming segment retirement: analyze online, per retirement
-    /// epoch, on a background pool, freeing each segment's interval
-    /// trees as soon as the happens-before frontier proves it can no
-    /// longer race ([`graph::GraphBuilder::maybe_retire`]). Bounded
-    /// memory, bit-identical verdicts; `false` is the batch reference.
+    /// Unread: analysis always runs once, after recording. Kept only
+    /// because `tgbench` sets this field.
+    #[doc(hidden)]
     pub streaming: bool,
-    /// Streaming backpressure: when more than this many closed segments
-    /// are resident, block the guest until the analysis pool drains
-    /// (0 = unlimited).
+    /// Unread, like `streaming`. Kept only because `tgbench` sets this
+    /// field.
+    #[doc(hidden)]
     pub max_live_segments: usize,
     /// Valgrind-style report suppressions (see [`suppressions`]).
     pub suppressions: suppressions::Suppressions,
@@ -164,22 +161,16 @@ pub struct TaskgrindResult {
     /// Dispatch-loop telemetry from the recording VM (chain hits,
     /// probes, evictions — see [`grindcore::VmStats`]).
     pub dispatch: grindcore::VmStats,
-    /// Which pair-generation engine the analysis ran ("sweep",
-    /// "all-pairs", or "streaming").
+    /// Which pair-generation engine the analysis ran ("sweep" or
+    /// "all-pairs").
     pub analysis_engine: &'static str,
     /// Host threads the analysis actually used (after resolving 0=auto).
     pub analysis_threads_used: usize,
-    /// High-water count of segments with resident interval trees
-    /// (batch never retires, so its peak equals its total).
+    /// Segments with resident interval trees at finalize: every real
+    /// segment, since analysis runs after recording.
     pub peak_live_segments: u64,
-    /// High-water bytes of closed interval trees + pending bulk buffers.
+    /// Bytes of the interval trees resident at finalize.
     pub peak_tool_bytes: u64,
-    /// Retirement epochs the streaming engine emitted (0 in batch).
-    pub analysis_epochs: u64,
-    /// Segments retired before finalize (0 in batch).
-    pub retired_segments: u64,
-    /// Times the `max_live_segments` backpressure blocked the guest.
-    pub throttle_waits: u64,
     /// Counters from the confirmation replay pass (`None` unless
     /// [`TaskgrindConfig::confirm`] was set).
     pub confirm: Option<confirm::ConfirmStats>,
@@ -227,15 +218,6 @@ pub fn check_module(module: &Module, args: &[&str], cfg: &TaskgrindConfig) -> Ta
     let static_facts = record.static_facts.clone().filter(|_| record.static_filter);
     let tool = TaskgrindTool::new(record);
     let state = tool.state();
-    let threads = analysis::resolve_threads(cfg.analysis_threads);
-    // the streaming pipeline must exist before the first event: closed
-    // segments detach their trees from the very first segment on
-    let mut pipeline: Option<stream::Pipeline> = None;
-    if cfg.streaming {
-        let p = stream::Pipeline::new(threads, cfg.suppress);
-        state.borrow_mut().builder.enable_streaming(Box::new(p.sink()), cfg.max_live_segments);
-        pipeline = Some(p);
-    }
     let mut vm = Vm::new(module.clone(), Box::new(tool), cfg.vm.clone());
     if let Some(cache) = &cfg.code_cache {
         vm.set_code_cache(cache.clone());
@@ -247,6 +229,8 @@ pub fn check_module(module: &Module, args: &[&str], cfg: &TaskgrindConfig) -> Ta
         for t in 0..cfg.vm.nthreads.max(1) {
             trace::name_track(PID_GUEST, t as u32, &format!("guest thread {t}"));
         }
+        // the closed-bytes counter's track keeps the name it has always
+        // had, so existing traces and tooling still find it
         trace::name_track(PID_GUEST, TID_RETIRE, "segment retirement");
     }
 
@@ -265,24 +249,19 @@ pub fn check_module(module: &Module, args: &[&str], cfg: &TaskgrindConfig) -> Ta
     let module_arc = rec.module.take().unwrap_or_else(|| Arc::new(module.clone()));
 
     let t1 = Instant::now();
-    // finalize consumes the builder — and with it the pipeline's sink,
-    // so `finish` below sees end-of-stream once the final epoch drains
     let builder = std::mem::take(&mut rec.builder);
     let (graph, mem_stats) = {
         let _sp = tg_obs::trace::host_span("finalize graph");
         builder.finalize_with_stats()
     };
+    let threads = analysis::resolve_threads(cfg.analysis_threads);
     let analysis = {
         let _sp = tg_obs::trace::host_span("analysis");
-        if let Some(p) = pipeline {
-            p.finish()
+        let reach = Reachability::compute(&graph);
+        if cfg.sweep {
+            analysis::run_sweep(&graph, &reach, &cfg.suppress, threads)
         } else {
-            let reach = Reachability::compute(&graph);
-            if cfg.sweep {
-                analysis::run_sweep(&graph, &reach, &cfg.suppress, threads)
-            } else {
-                analysis::run(&graph, &reach, &cfg.suppress)
-            }
+            analysis::run(&graph, &reach, &cfg.suppress)
         }
     };
     let reports = {
@@ -334,20 +313,11 @@ pub fn check_module(module: &Module, args: &[&str], cfg: &TaskgrindConfig) -> Ta
         sites_instrumented: rec.sites_instrumented,
         static_facts,
         dispatch: run_dispatch,
-        analysis_engine: if cfg.streaming {
-            "streaming"
-        } else if cfg.sweep {
-            "sweep"
-        } else {
-            "all-pairs"
-        },
+        analysis_engine: if cfg.sweep { "sweep" } else { "all-pairs" },
         // The all-pairs reference is sequential.
-        analysis_threads_used: if cfg.streaming || cfg.sweep { threads } else { 1 },
+        analysis_threads_used: if cfg.sweep { threads } else { 1 },
         peak_live_segments: mem_stats.peak_live_segments,
         peak_tool_bytes: mem_stats.peak_tool_bytes,
-        analysis_epochs: mem_stats.epochs,
-        retired_segments: mem_stats.retired_segments,
-        throttle_waits: mem_stats.throttle_waits,
         confirm: confirm_stats,
     }
 }
@@ -391,35 +361,6 @@ int main(void) {
     return 0;
 }
 "#;
-
-    #[test]
-    fn streaming_engine_matches_batch() {
-        let m = guest_rt::build_single("test.c", RACY_TASKS).expect("compiles");
-        let base = TaskgrindConfig {
-            vm: VmConfig { nthreads: 2, ..Default::default() },
-            ..Default::default()
-        };
-        let batch = check_module(&m, &[], &base);
-        for threads in [1usize, 4] {
-            let streamed = check_module(
-                &m,
-                &[],
-                &TaskgrindConfig { streaming: true, analysis_threads: threads, ..base.clone() },
-            );
-            assert_eq!(streamed.analysis.candidates, batch.analysis.candidates);
-            assert_eq!(streamed.analysis.raw_ranges, batch.analysis.raw_ranges);
-            assert_eq!(streamed.render_all(), batch.render_all());
-            assert_eq!(streamed.analysis_engine, "streaming");
-            assert!(streamed.retired_segments > 0, "streaming must retire segments");
-            assert!(streamed.analysis_epochs > 0);
-            assert!(
-                streamed.peak_live_segments <= batch.peak_live_segments,
-                "streaming peak {} > batch {}",
-                streamed.peak_live_segments,
-                batch.peak_live_segments
-            );
-        }
-    }
 
     #[test]
     fn detects_racy_tasks_multithreaded() {

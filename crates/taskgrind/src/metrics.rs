@@ -3,9 +3,7 @@
 //!
 //! One source of truth: every counter the CLI prints is read back out of
 //! the registry, so the human-readable summary and the `--metrics-json`
-//! dump can never disagree. This also merges the two historically
-//! separate `== analysis:` lines (PR 3's engine/pairs line and PR 4's
-//! streaming line) into a single block.
+//! dump can never disagree.
 
 use crate::TaskgrindResult;
 use tg_obs::Registry;
@@ -34,9 +32,8 @@ pub fn publish(r: &TaskgrindResult, reg: &mut Registry) {
     reg.set_u64("analysis.suppressed_stack", r.analysis.suppressed_stack);
     reg.set_u64("analysis.suppressed_static", r.analysis.suppressed_static);
 
-    reg.set_u64("stream.epochs", r.analysis_epochs);
-    reg.set_u64("stream.retired_segments", r.retired_segments);
-    reg.set_u64("stream.throttle_waits", r.throttle_waits);
+    // `stream.` is a historical prefix: tgbench reads
+    // `stream.peak_tool_bytes` by this name.
     reg.set_u64("stream.peak_live_segments", r.peak_live_segments);
     reg.set_u64("stream.peak_tool_bytes", r.peak_tool_bytes);
 
@@ -81,15 +78,12 @@ pub fn render_summary(reg: &Registry) -> String {
         reg.u64("vm.instrs"),
     ));
     out.push_str(&format!(
-        "== analysis: engine {} | {} thread(s) | {} candidate pair(s), {} unordered | {} raw range(s) | {} epoch(s), {} retired, {} throttle wait(s) | peak {} live segment(s), {} high-water byte(s) | {:.3}s\n",
+        "== analysis: engine {} | {} thread(s) | {} candidate pair(s), {} unordered | {} raw range(s) | peak {} live segment(s), {} high-water byte(s) | {:.3}s\n",
         reg.str("analysis.engine"),
         reg.u64("analysis.threads"),
         reg.u64("analysis.pairs_checked"),
         reg.u64("analysis.unordered_pairs"),
         reg.u64("analysis.raw_ranges"),
-        reg.u64("stream.epochs"),
-        reg.u64("stream.retired_segments"),
-        reg.u64("stream.throttle_waits"),
         reg.u64("stream.peak_live_segments"),
         reg.u64("stream.peak_tool_bytes"),
         reg.f64("taskgrind.analysis_secs"),
@@ -182,7 +176,7 @@ int main(void) {
         assert_eq!(s.matches("== analysis:").count(), 1, "{s}");
         assert!(s.contains(&format!("engine {}", r.analysis_engine)), "{s}");
         assert!(s.contains(&format!("{} candidate pair(s)", r.analysis.pairs_checked)), "{s}");
-        assert!(s.contains(&format!("{} epoch(s)", r.analysis_epochs)), "{s}");
+        assert!(s.contains(&format!("{} high-water byte(s)", r.peak_tool_bytes)), "{s}");
         assert!(
             s.contains(&format!("{} segments, {} instrs", r.graph.n_nodes(), r.run.metrics.instrs)),
             "{s}"
@@ -193,7 +187,7 @@ int main(void) {
             "taskgrind.reports",
             "analysis.pairs_checked",
             "analysis.unordered_pairs",
-            "stream.epochs",
+            "stream.peak_live_segments",
             "stream.peak_tool_bytes",
             "filter.sites_pruned",
             "dispatch.chain_hits",

@@ -23,23 +23,14 @@ impl Reachability {
     /// node mutually "ordered", which is conservative but flagged in
     /// debug builds.
     pub fn compute(g: &SegmentGraph) -> Reachability {
-        Reachability::compute_edges(g.n_nodes(), &g.edges)
-    }
-
-    /// Compute the closure from a bare edge list over `n` nodes.
-    /// The streaming engine uses this on per-epoch edge snapshots, where
-    /// no `SegmentGraph` exists yet; duplicate edges are harmless.
-    pub fn compute_edges(n: usize, edges: &[(SegId, SegId)]) -> Reachability {
+        let n = g.n_nodes();
         let words = n.div_ceil(64);
         let mut bits = vec![0u64; n * words];
-        let mut succ: Vec<Vec<SegId>> = vec![Vec::new(); n];
-        for &(a, b) in edges {
-            succ[a as usize].push(b);
-        }
+        let succ = g.successors();
 
         // Kahn topological order.
         let mut indeg = vec![0u32; n];
-        for &(_, b) in edges {
+        for &(_, b) in &g.edges {
             indeg[b as usize] += 1;
         }
         let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();

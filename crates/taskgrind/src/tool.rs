@@ -15,7 +15,7 @@ use crate::graph::{DepKind, GraphBuilder, ThreadMeta};
 use crate::report::{self, AllocBlock, FuncTable};
 use grindcore::creq;
 use grindcore::tool::{
-    instrument_mem_accesses_filtered, pattern_matches, BlockMeta, FnReplacement, SyncKind, Tool,
+    instrument_mem_accesses_filtered, pattern_matches, BlockMeta, FnReplacement, Tool,
 };
 use grindcore::{Tid, VmCore};
 use std::cell::RefCell;
@@ -284,17 +284,6 @@ impl Tool for TaskgrindTool {
             _ => 0,
         };
         st.builder.record_access_masked(&meta, addr, size, write, mask);
-    }
-
-    fn sync_point(&mut self, _core: &mut VmCore, _tid: Tid, kind: SyncKind, _seq: u64) {
-        // segment-closing sync events are the retirement epochs of the
-        // streaming engine (no-op in batch mode); also sample the
-        // tool-structure high-water mark for both engines
-        if kind.closes_segments() {
-            let mut st = self.state.borrow_mut();
-            st.builder.note_peak();
-            st.builder.maybe_retire();
-        }
     }
 
     fn client_request(&mut self, core: &mut VmCore, tid: Tid, code: u64, args: [u64; 5]) -> u64 {

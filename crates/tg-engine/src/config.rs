@@ -47,20 +47,6 @@ pub const FLAGS: &[FlagSpec] = &[
         effect: "static lockset/lock-order findings + statically-proven sweep suppression",
     },
     FlagSpec {
-        knob: "streaming",
-        flag: "`--streaming`",
-        default: "off",
-        subsystem: "analysis",
-        effect: "online bounded-memory segment retirement; off = batch analysis",
-    },
-    FlagSpec {
-        knob: "max_live_segments",
-        flag: "`--max-live-segments=N`",
-        default: "0 (off)",
-        subsystem: "analysis",
-        effect: "streaming backpressure: block the guest above N resident closed segments",
-    },
-    FlagSpec {
         knob: "trace_out",
         flag: "`--trace-out=FILE`",
         default: "off",
@@ -125,9 +111,13 @@ pub struct EngineConfig {
     pub static_filter: bool,
     /// Static lockset/lock-order pass + statically-proven suppression.
     pub static_concurrency: bool,
-    /// Online bounded-memory segment retirement.
+    /// Unread: analysis always runs once, after recording. Kept only
+    /// because `tgbench` reads this field.
+    #[doc(hidden)]
     pub streaming: bool,
-    /// Streaming backpressure bound (0 = off).
+    /// Unread, like `streaming`. Kept only because `tgbench` reads this
+    /// field.
+    #[doc(hidden)]
     pub max_live_segments: usize,
     /// Write a Chrome-trace JSON timeline here (`--trace-out`).
     pub trace_out: Option<String>,
@@ -166,8 +156,6 @@ impl EngineConfig {
             ("code_cache", self.code_cache.clone().unwrap_or_else(|| "off".into())),
             ("static_filter", onoff(self.static_filter)),
             ("static_concurrency", onoff(self.static_concurrency)),
-            ("streaming", onoff(self.streaming)),
-            ("max_live_segments", self.max_live_segments.to_string()),
             ("trace_out", self.trace_out.clone().unwrap_or_else(|| "off".into())),
             ("metrics_json", self.metrics_json.clone().unwrap_or_else(|| "off".into())),
             ("self_profile", onoff(self.self_profile)),
@@ -199,8 +187,6 @@ impl EngineConfig {
         reg.set_str("engine.code_cache", self.code_cache.as_deref().unwrap_or("off"));
         reg.set_bool("engine.static_filter", self.static_filter);
         reg.set_bool("engine.static_concurrency", self.static_concurrency);
-        reg.set_bool("engine.streaming", self.streaming);
-        reg.set_u64("engine.max_live_segments", self.max_live_segments as u64);
         reg.set_bool("engine.self_profile", self.self_profile);
     }
 }
@@ -237,11 +223,12 @@ mod tests {
         assert_ne!(fp, nofilter.translation_fingerprint(&[]), "static_filter must be keyed");
         let noconc = EngineConfig { static_concurrency: false, ..EngineConfig::default() };
         assert_ne!(fp, noconc.translation_fingerprint(&[]), "static_concurrency must be keyed");
-        let streaming = EngineConfig { streaming: true, ..EngineConfig::default() };
+        let observed =
+            EngineConfig { metrics_json: Some("m.json".into()), ..EngineConfig::default() };
         assert_eq!(
             fp,
-            streaming.translation_fingerprint(&[]),
-            "analysis-side knobs must not invalidate cached code"
+            observed.translation_fingerprint(&[]),
+            "observability knobs must not invalidate cached code"
         );
         assert_ne!(fp, base.translation_fingerprint(&["tool=archer".into()]));
         assert_ne!(

@@ -6,8 +6,7 @@
 //! [`grindcore::CompilePool`]. The pool's `sync_channel` bound *is* the
 //! admission-control rule: when the queue is full, `try_send` hands the
 //! job back and the client receives a structured `queue_full` error
-//! instead of unbounded latency — the same backpressure contract the
-//! streaming engine already uses.
+//! instead of unbounded latency.
 //!
 //! Protocol (one request per connection, newline-terminated JSON):
 //!
@@ -242,9 +241,7 @@ fn parse_request(line: &str, defaults: &EngineConfig) -> Result<Op, String> {
             }
             "static_filter" => req.engine.static_filter = need_bool(key, value)?,
             "static_concurrency" => req.engine.static_concurrency = need_bool(key, value)?,
-            "streaming" => req.engine.streaming = need_bool(key, value)?,
             "self_profile" => req.engine.self_profile = need_bool(key, value)?,
-            "max_live_segments" => req.engine.max_live_segments = need_u64(key, value)? as usize,
             "code_cache" => req.engine.code_cache = Some(need_str(key, value)?),
             "no_code_cache" => {
                 if need_bool(key, value)? {
@@ -515,13 +512,13 @@ mod tests {
         let r = parse_request(r#"{"op":"run","tool":"taskgrind"}"#, &eng);
         assert!(r.is_err(), "a program is required");
         let r = parse_request(
-            r#"{"op":"run","source":{"name":"a.c","text":"int main(void){return 0;}"},"threads":2,"streaming":true}"#,
+            r#"{"op":"run","source":{"name":"a.c","text":"int main(void){return 0;}"},"threads":2,"static_filter":false}"#,
             &eng,
         );
         match r {
             Ok(Op::Run(req)) => {
                 assert_eq!(req.threads, 2);
-                assert!(req.engine.streaming);
+                assert!(!req.engine.static_filter);
                 assert!(req.engine.trace_out.is_none(), "trace stays daemon-owned");
             }
             _ => panic!("well-formed run request must parse"),

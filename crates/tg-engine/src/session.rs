@@ -667,10 +667,9 @@ impl Session {
                     };
                     record.static_facts = Some(fo.facts);
                 }
-                // 0 means one analysis thread per core. Each thread is an
-                // OS thread (streaming) or a shard (sweep): more than the
-                // host's cores buys nothing, and a huge request would
-                // exhaust the host.
+                // 0 means one analysis thread per core. Each thread is a
+                // sweep shard: more than the host's cores buys nothing,
+                // and a huge request would exhaust the host.
                 let cores = resolve_threads(0);
                 let analysis_threads = match req.analysis_threads {
                     0 => cores,
@@ -696,11 +695,10 @@ impl Session {
                     },
                     analysis_threads,
                     sweep: true,
-                    streaming: eng.streaming,
-                    max_live_segments: eng.max_live_segments,
                     suppressions: req.suppressions.clone(),
                     confirm: req.confirm_races,
                     confirm_budget: req.confirm_budget,
+                    ..TaskgrindConfig::default()
                 };
                 let r = check_module(&module, &guest_args, &cfg);
                 let dot = if req.want_dot { Some(r.graph.to_dot()) } else { None };

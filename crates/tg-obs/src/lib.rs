@@ -15,7 +15,7 @@
 //! 2. **Span tracer** ([`trace`]): a global ring-buffer event sink recording
 //!    begin/end spans, instants, and counter samples over the pipeline
 //!    phases (lift, instrument, compile, dispatch slices, tool callbacks,
-//!    sweep epochs, streaming retirement/backpressure) plus a *guest* track
+//!    graph finalize, analysis, report) plus a *guest* track
 //!    mirroring the task-segment timeline. Exported as Chrome-trace JSON
 //!    loadable in Perfetto (`--trace-out`). When tracing has not been
 //!    enabled every hook is a single relaxed atomic load and a branch.

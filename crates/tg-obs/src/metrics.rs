@@ -1,7 +1,7 @@
 //! A flat registry of named, typed metrics.
 //!
 //! Names are dot-prefixed by subsystem (`vm.instrs`, `dispatch.chain_hits`,
-//! `analysis.pairs_checked`, `stream.epochs`, `filter.sites_pruned`, ...).
+//! `analysis.pairs_checked`, `filter.sites_pruned`, ...).
 //! Insertion order is preserved so rendered output is stable, and `set` on
 //! an existing name overwrites in place. The registry is a *snapshot*
 //! container: subsystems publish their final counters into it at report
@@ -168,15 +168,18 @@ mod tests {
         r.set_u64("vm.instrs", 10);
         r.set_str("analysis.engine", "sweep");
         r.set_u64("vm.instrs", 42);
-        r.set_bool("engine.streaming", true);
+        r.set_bool("engine.static_filter", true);
         r.set_f64("analysis.secs", 0.5);
         assert_eq!(r.u64("vm.instrs"), 42);
         assert_eq!(r.str("analysis.engine"), "sweep");
-        assert!(r.bool("engine.streaming"));
+        assert!(r.bool("engine.static_filter"));
         assert_eq!(r.f64("analysis.secs"), 0.5);
         assert_eq!(r.u64("missing"), 0);
         let names: Vec<&str> = r.iter().map(|(n, _)| n).collect();
-        assert_eq!(names, ["vm.instrs", "analysis.engine", "engine.streaming", "analysis.secs"]);
+        assert_eq!(
+            names,
+            ["vm.instrs", "analysis.engine", "engine.static_filter", "analysis.secs"]
+        );
     }
 
     #[test]

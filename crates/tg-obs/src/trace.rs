@@ -7,17 +7,18 @@
 //! one predictable branch. When enabled, events go into a bounded
 //! `VecDeque` ring (oldest events are dropped on overflow) guarded by a
 //! mutex; the hooked phases are coarse (translations, scheduler slices,
-//! tool callbacks, epochs), never per-instruction or per-memory-access.
+//! tool callbacks, analysis phases), never per-instruction or per-memory-access.
 //!
 //! Two tracks are modelled as Chrome-trace *processes*:
 //!
 //! * [`PID_HOST`] — the DBI engine itself: translation sub-phases
 //!   (lift/instrument/compile/fuse), dispatch slices, tool callbacks,
-//!   analysis epochs, report generation.
+//!   graph finalize, analysis, report generation.
 //! * [`PID_GUEST`] — the guest's task-segment timeline: one Chrome *thread*
 //!   per guest thread carrying begin/end spans for parallel regions,
 //!   implicit tasks and explicit tasks, instants for create/spawn/
-//!   taskwait/barrier, and a dedicated retirement track.
+//!   taskwait/barrier, and a dedicated track for the closed-segment byte
+//!   counter.
 //!
 //! Export ([`export_chrome_json`]) merges, sorts by timestamp, repairs
 //! truncated span nesting (unmatched `E` events at the start of a ring
@@ -37,7 +38,8 @@ use std::time::Instant;
 pub const PID_HOST: u32 = 1;
 /// Chrome-trace process id for the guest task-segment timeline.
 pub const PID_GUEST: u32 = 2;
-/// Synthetic guest-side thread id carrying epoch-retirement instants.
+/// Synthetic guest-side thread id carrying the closed-segment byte
+/// counter (`closed_bytes`).
 pub const TID_RETIRE: u32 = 999;
 /// Synthetic guest-side thread id carrying confirm-replay instants
 /// (snapshots, adversarial attempts, verdicts).

@@ -86,7 +86,7 @@ pub struct Cfg {
 impl Cfg {
     /// Index of the function covering `addr`, if any.
     pub fn func_at(&self, addr: u64) -> Option<usize> {
-        self.funcs.iter().position(|f| f.contains(addr))
+        func_index(&self.funcs, addr)
     }
 
     /// `live[i]`: function `i` may run, i.e. it is not in
@@ -272,12 +272,20 @@ fn build_func(module: &Module, name: &str, lo: u64, hi: u64) -> FuncCfg {
     FuncCfg { name: name.to_string(), lo, hi, blocks }
 }
 
+/// Index of the function in `funcs` covering `addr`, by binary search.
+/// [`recover`] sorts functions by entry address and clips each at the
+/// next entry, so their ranges are disjoint and at most the last
+/// function starting at or below `addr` can cover it.
+fn func_index(funcs: &[FuncCfg], addr: u64) -> Option<usize> {
+    let i = funcs.partition_point(|f| f.lo <= addr).checked_sub(1)?;
+    funcs[i].contains(addr).then_some(i)
+}
+
 fn compute_unreachable(funcs: &[FuncCfg], address_taken: &BTreeSet<u64>, entry: u64) -> Vec<usize> {
-    let idx_of = |addr: u64| funcs.iter().position(|f| f.contains(addr));
     let mut seen = vec![false; funcs.len()];
     let mut queue = VecDeque::new();
     let push = |addr: u64, seen: &mut Vec<bool>, queue: &mut VecDeque<usize>| {
-        if let Some(i) = idx_of(addr) {
+        if let Some(i) = func_index(funcs, addr) {
             if !seen[i] {
                 seen[i] = true;
                 queue.push_back(i);
@@ -296,4 +304,34 @@ fn compute_unreachable(funcs: &[FuncCfg], address_taken: &BTreeSet<u64>, entry: 
         }
     }
     (0..funcs.len()).filter(|&i| !seen[i]).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The binary search answers exactly like a scan over every function,
+    /// on every code pc (and one past the end) of a guest linked with the
+    /// runtime, where dozens of functions sit back to back.
+    #[test]
+    fn func_at_agrees_with_a_linear_scan() {
+        let src = r#"
+int main(void) {
+    int x = 0;
+    #pragma omp parallel
+    x = 1;
+    return x;
+}
+"#;
+        let m = guest_rt::build_single("scan.c", src).expect("compiles");
+        let cfg = recover(&m);
+        assert!(cfg.funcs.len() > 10, "the runtime links in many functions");
+        let mut pc = m.code_base;
+        while pc <= m.code_end() {
+            let scan = cfg.funcs.iter().position(|f| f.contains(pc));
+            assert_eq!(cfg.func_at(pc), scan, "pc {pc:#x}");
+            pc += INST_SIZE;
+        }
+        assert_eq!(cfg.func_at(0), None);
+    }
 }

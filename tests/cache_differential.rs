@@ -2,10 +2,10 @@
 //! block installed from disk instead of compiled — must be invisible in
 //! every verdict-bearing output. Candidate list, raw-range and
 //! suppression counters, recorded accesses, and rendered report text
-//! must be bit-identical to a cache-less reference across streaming ×
-//! static-concurrency, plus the chaining-off case (where the cache is
-//! deliberately inert: the reference engine executes IR, which the
-//! cache does not store).
+//! must be bit-identical to a cache-less reference with the static
+//! concurrency pass on and off, plus the chaining-off case (where the
+//! cache is deliberately inert: the reference engine executes IR, which
+//! the cache does not store).
 //!
 //! `sites_pruned` / `sites_instrumented` are deliberately NOT compared:
 //! they count instrumentation work, and skipping instrumentation is the
@@ -45,12 +45,10 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 /// One run configuration; the cache fingerprint mirrors the CLI's rule:
 /// knobs that shape translated code (here: `static_concurrency`, which
-/// selects which facts are stored) key the cache, analysis-side knobs
-/// (streaming) share it.
+/// selects which facts are stored) key the cache.
 #[derive(Clone, Copy)]
 struct Cfg {
     chaining: bool,
-    streaming: bool,
     concurrency: bool,
     threads: u64,
 }
@@ -71,7 +69,6 @@ fn run(
         record: RecordOptions { static_concurrency: c.concurrency, ..Default::default() },
         suppress: SuppressOptions { static_proof: c.concurrency, ..Default::default() },
         analysis_threads: 2,
-        streaming: c.streaming,
         code_cache: cache.map(|rc| CodeCacheHandle::new(rc.clone())),
         ..Default::default()
     };
@@ -124,8 +121,8 @@ fn hit_rate(r: &TaskgrindResult) -> f64 {
 #[test]
 fn warm_runs_preserve_table1_verdicts() {
     let combos = [
-        Cfg { chaining: true, streaming: false, concurrency: true, threads: 2 },
-        Cfg { chaining: true, streaming: true, concurrency: false, threads: 2 },
+        Cfg { chaining: true, concurrency: true, threads: 2 },
+        Cfg { chaining: true, concurrency: false, threads: 2 },
     ];
     let mut any_candidates = false;
     for p in corpus() {
@@ -140,10 +137,7 @@ fn warm_runs_preserve_table1_verdicts() {
 
             let cache = open_cache(&dir, &m, c);
             let cold = run(&m, &[], c, Some(&cache));
-            let ctx = format!(
-                "{} (streaming={}, concurrency={}) cold",
-                p.name, c.streaming, c.concurrency
-            );
+            let ctx = format!("{} (concurrency={}) cold", p.name, c.concurrency);
             assert_identical(&reference, &cold, &ctx);
             assert_summary_shape(&cold, true, &ctx);
             assert_eq!(cold.run.metrics.cache.hits, 0, "{ctx}: first run finds empty cache");
@@ -151,10 +145,7 @@ fn warm_runs_preserve_table1_verdicts() {
 
             let cache = open_cache(&dir, &m, c);
             let warm = run(&m, &[], c, Some(&cache));
-            let ctx = format!(
-                "{} (streaming={}, concurrency={}) warm",
-                p.name, c.streaming, c.concurrency
-            );
+            let ctx = format!("{} (concurrency={}) warm", p.name, c.concurrency);
             assert_identical(&reference, &warm, &ctx);
             assert_summary_shape(&warm, true, &ctx);
             assert!(warm.run.metrics.cache.hits > 0, "{ctx}: warm run must hit");
@@ -170,28 +161,6 @@ fn warm_runs_preserve_table1_verdicts() {
     assert!(any_candidates, "the corpus must exercise non-empty candidate sets");
 }
 
-/// Streaming and batch runs share one cache file: the analysis engine
-/// is not part of the key (it does not shape translated code), so a
-/// batch-populated cache warms a streaming run and vice versa.
-#[test]
-fn analysis_engines_share_the_cache() {
-    let p = corpus().into_iter().find(|p| guest_rt::build_single(p.name, p.source).is_ok());
-    let p = p.expect("corpus has buildable entries");
-    let m = guest_rt::build_single(p.name, p.source).unwrap();
-    let dir = temp_dir("share");
-    let batch = Cfg { chaining: true, streaming: false, concurrency: true, threads: 2 };
-    let streaming = Cfg { streaming: true, ..batch };
-
-    let reference = run(&m, &[], streaming, None);
-    let cache = open_cache(&dir, &m, batch);
-    run(&m, &[], batch, Some(&cache));
-    let cache = open_cache(&dir, &m, streaming);
-    let warm = run(&m, &[], streaming, Some(&cache));
-    assert_identical(&reference, &warm, "batch-warmed streaming run");
-    assert!(warm.run.metrics.cache.hits > 0, "cross-engine warm run must hit");
-    let _ = fs::remove_dir_all(&dir);
-}
-
 /// With chaining off the reference engine executes IR, which the cache
 /// does not store: the *block* path must stay completely inert (no
 /// hits, no misses) and change nothing. Facts still ride the cache —
@@ -202,7 +171,7 @@ fn cache_is_inert_without_chaining() {
     let p = p.expect("corpus has buildable entries");
     let m = guest_rt::build_single(p.name, p.source).unwrap();
     let dir = temp_dir("nochain");
-    let c = Cfg { chaining: false, streaming: false, concurrency: true, threads: 2 };
+    let c = Cfg { chaining: false, concurrency: true, threads: 2 };
 
     let reference = run(&m, &[], c, None);
     let cache = open_cache(&dir, &m, c);
@@ -232,7 +201,7 @@ fn lulesh_warm_run_skips_compilations_and_matches() {
         LuleshParams { s: 4, tel: 2, tnl: 2, iters: 2, progress: false, racy: false, threads: 2 };
     let args: Vec<String> = params.args();
     let args: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
-    let c = Cfg { chaining: true, streaming: false, concurrency: true, threads: params.threads };
+    let c = Cfg { chaining: true, concurrency: true, threads: params.threads };
     let dir = temp_dir("lulesh");
 
     let reference = run(&m, &args, c, None);
@@ -269,7 +238,7 @@ fn static_warm_precompile_feeds_a_first_run() {
     let p = p.expect("corpus has buildable entries");
     let m = guest_rt::build_single(p.name, p.source).unwrap();
     let dir = temp_dir("warmcmd");
-    let c = Cfg { chaining: true, streaming: false, concurrency: true, threads: 2 };
+    let c = Cfg { chaining: true, concurrency: true, threads: 2 };
 
     let reference = run(&m, &[], c, None);
     {

@@ -66,11 +66,10 @@ int main(void) {
 }
 "#;
 
-fn run(name: &str, src: &str, streaming: bool) -> taskgrind::TaskgrindResult {
+fn run(name: &str, src: &str) -> taskgrind::TaskgrindResult {
     let m = guest_rt::build_single(name, src).expect("compiles");
     let cfg = TaskgrindConfig {
         vm: grindcore::VmConfig { nthreads: 2, ..Default::default() },
-        streaming,
         ..Default::default()
     };
     check_module(&m, &[], &cfg)
@@ -81,21 +80,20 @@ fn run(name: &str, src: &str, streaming: bool) -> taskgrind::TaskgrindResult {
 #[test]
 fn tracing_is_invisible_to_verdicts() {
     let _g = lock();
-    for (name, src, streaming) in [
-        ("racy_tasks.c", RACY_TASKS, false),
-        ("racy_tasks.c", RACY_TASKS, true),
-        ("ordered_deps.c", ORDERED_DEPS, false),
-        ("critical_loop.c", CRITICAL_LOOP, false),
+    for (name, src) in [
+        ("racy_tasks.c", RACY_TASKS),
+        ("ordered_deps.c", ORDERED_DEPS),
+        ("critical_loop.c", CRITICAL_LOOP),
     ] {
         tg_obs::trace::shutdown();
-        let plain = run(name, src, streaming);
+        let plain = run(name, src);
 
         tg_obs::trace::init_default();
-        let traced = run(name, src, streaming);
+        let traced = run(name, src);
         let trace = tg_obs::trace::export_chrome_json();
         tg_obs::trace::shutdown();
 
-        let ctx = format!("{name} streaming={streaming}");
+        let ctx = name;
         assert_eq!(plain.render_all(), traced.render_all(), "{ctx}: report text");
         assert_eq!(plain.n_reports(), traced.n_reports(), "{ctx}: report count");
         assert_eq!(plain.analysis.candidates, traced.analysis.candidates, "{ctx}: candidates");
@@ -113,7 +111,7 @@ fn traced_run_exports_host_and_guest_tracks() {
     let _g = lock();
     tg_obs::trace::shutdown();
     tg_obs::trace::init_default();
-    let r = run("racy_tasks.c", RACY_TASKS, true);
+    let r = run("racy_tasks.c", RACY_TASKS);
     assert!(r.n_reports() > 0, "the workload must report races");
     let trace = tg_obs::trace::export_chrome_json();
     tg_obs::trace::shutdown();
@@ -133,12 +131,9 @@ fn traced_run_exports_host_and_guest_tracks() {
         "missing guest task spans: {:?}",
         s.names
     );
-    // The streaming engine stamps epoch instants on the retirement track.
-    assert!(
-        s.names.iter().any(|n| n.starts_with("epoch ")),
-        "missing retirement epochs: {:?}",
-        s.names
-    );
+    // Closing segments sample the bytes of their interval trees.
+    assert!(s.counters > 0, "no counter samples: {s:?}");
+    assert!(s.names.contains("closed_bytes"), "missing closed_bytes counter: {:?}", s.names);
 }
 
 /// A traced `tgrind warm` fans its ahead-of-time compile across the
@@ -185,7 +180,7 @@ fn traced_async_compile_run_names_worker_tracks() {
 fn disabled_tracing_buffers_nothing() {
     let _g = lock();
     tg_obs::trace::shutdown();
-    let _ = run("ordered_deps.c", ORDERED_DEPS, false);
+    let _ = run("ordered_deps.c", ORDERED_DEPS);
     assert!(!tg_obs::trace::enabled());
     assert_eq!(tg_obs::trace::buffered(), 0);
     let trace = tg_obs::trace::export_chrome_json();

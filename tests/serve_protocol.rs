@@ -376,6 +376,9 @@ fn per_job_globals_and_unknown_fields_are_rejected() {
         ("{\"op\":\"run\",\"program\":\"p.c\",\"sweep\":false}", "unknown request field"),
         ("{\"op\":\"run\",\"program\":\"p.c\",\"bulk\":false}", "unknown request field"),
         ("{\"op\":\"run\",\"program\":\"p.c\",\"fuse\":true}", "unknown request field"),
+        // Analysis always runs once, after recording.
+        ("{\"op\":\"run\",\"program\":\"p.c\",\"streaming\":true}", "unknown request field"),
+        ("{\"op\":\"run\",\"program\":\"p.c\",\"max_live_segments\":4}", "unknown request field"),
         // Not a per-job knob: an absurd worker count must be refused,
         // not allocated.
         (

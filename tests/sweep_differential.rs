@@ -1,9 +1,8 @@
 //! Differential tests for the tool-side hot-path rewrites: the
 //! sweep-based candidate generator (reference: the all-pairs loop,
-//! `TaskgrindConfig::sweep = false`), bulk access ingestion (reference:
-//! one interval-tree insert per access, `RecordOptions::bulk_ingest =
-//! false`), and the streaming segment-retirement engine (`--streaming`;
-//! reference: the batch pipeline). All of them must be invisible in
+//! `TaskgrindConfig::sweep = false`) and bulk access ingestion
+//! (reference: one interval-tree insert per access,
+//! `RecordOptions::bulk_ingest = false`). Both must be invisible in
 //! every verdict-bearing output: candidate list, raw-range and
 //! suppression counters, and the rendered report text must be
 //! bit-identical across the Table I corpus and mini-LULESH. Each
@@ -13,8 +12,7 @@
 //!
 //! `pairs_checked` / `unordered_pairs` are deliberately NOT compared:
 //! they are work metrics of the pair generator (the sweep's whole point
-//! is to check fewer pairs; the streaming engine re-examines live
-//! context segments across epochs), not verdicts.
+//! is to check fewer pairs), not verdicts.
 
 use taskgrind::tool::RecordOptions;
 use taskgrind::{check_module, TaskgrindConfig, TaskgrindResult};
@@ -28,20 +26,16 @@ struct Engine {
     label: &'static str,
     sweep: bool,
     bulk: bool,
-    streaming: bool,
     threads: usize,
 }
 
-const REFERENCE: Engine =
-    Engine { label: "reference", sweep: false, bulk: false, streaming: false, threads: 1 };
+const REFERENCE: Engine = Engine { label: "reference", sweep: false, bulk: false, threads: 1 };
 
 const ENGINES: &[Engine] = &[
     Engine { label: "sweep+bulk t1", sweep: true, bulk: true, ..REFERENCE },
-    Engine { label: "sweep+bulk t4", sweep: true, bulk: true, threads: 4, ..REFERENCE },
+    Engine { label: "sweep+bulk t4", sweep: true, bulk: true, threads: 4 },
     Engine { label: "sweep only", sweep: true, threads: 2, ..REFERENCE },
     Engine { label: "bulk only", bulk: true, ..REFERENCE },
-    Engine { label: "streaming t1", sweep: true, bulk: true, streaming: true, threads: 1 },
-    Engine { label: "streaming t4", sweep: true, bulk: true, streaming: true, threads: 4 },
 ];
 
 fn run(m: &tga::module::Module, args: &[&str], nt: u64, e: Engine) -> TaskgrindResult {
@@ -50,7 +44,6 @@ fn run(m: &tga::module::Module, args: &[&str], nt: u64, e: Engine) -> TaskgrindR
         record: RecordOptions { bulk_ingest: e.bulk, ..Default::default() },
         analysis_threads: e.threads,
         sweep: e.sweep,
-        streaming: e.streaming,
         ..Default::default()
     };
     check_module(m, args, &cfg)
@@ -68,15 +61,14 @@ fn assert_identical(a: &TaskgrindResult, b: &TaskgrindResult, ctx: &str) {
     assert_eq!(a.accesses_recorded, b.accesses_recorded, "{ctx}: accesses recorded");
     assert_eq!(a.n_reports(), b.n_reports(), "{ctx}: report count");
     assert_eq!(a.render_all(), b.render_all(), "{ctx}: report text");
-    // The registry-rendered summary block must have the merged shape for
-    // every engine: exactly one `== analysis:` line (the historical
-    // engine/pairs and streaming lines are one block now) and four `==`
-    // lines total.
+    // The registry-rendered summary block must have the same shape for
+    // every engine: exactly one `== analysis:` line and four `==` lines
+    // total.
     for r in [a, b] {
         let mut reg = tg_obs::Registry::new();
         taskgrind::metrics::publish(r, &mut reg);
         let s = taskgrind::metrics::render_summary(&reg);
-        assert_eq!(s.matches("== analysis:").count(), 1, "{ctx}: merged analysis line\n{s}");
+        assert_eq!(s.matches("== analysis:").count(), 1, "{ctx}: one analysis line\n{s}");
         assert_eq!(s.matches("== ").count(), 4, "{ctx}: summary line count\n{s}");
         assert!(
             s.contains(&format!("engine {}", r.analysis_engine)),
@@ -85,8 +77,7 @@ fn assert_identical(a: &TaskgrindResult, b: &TaskgrindResult, ctx: &str) {
     }
 }
 
-/// Sweep, bulk ingestion and streaming retirement preserve every
-/// Table I verdict and counter.
+/// Sweep and bulk ingestion preserve every Table I verdict and counter.
 #[test]
 fn sweep_and_bulk_preserve_table1_verdicts() {
     let mut any_candidates = false;
@@ -112,9 +103,7 @@ fn sweep_and_bulk_preserve_table1_verdicts() {
 }
 
 /// Same contract on mini-LULESH — the many-segment workload the sweep
-/// and streaming engines exist for, with deep interval sets feeding
-/// bulk ingestion. Also asserts the streaming engine's reason to exist:
-/// its tool-structure high-water mark stays below the batch engine's.
+/// exists for, with deep interval sets feeding bulk ingestion.
 #[test]
 fn sweep_and_bulk_preserve_lulesh_output() {
     let m = guest_rt::build_single("lulesh.c", LULESH_MC).expect("compiles");
@@ -131,18 +120,6 @@ fn sweep_and_bulk_preserve_lulesh_output() {
         let opt = run(&m, &args, params.threads, e);
         let ctx = format!("lulesh under {}", e.label);
         assert_identical(&reference, &opt, &ctx);
-        if e.streaming {
-            assert!(
-                opt.retired_segments > 0,
-                "{ctx}: streaming must retire segments before finalize"
-            );
-            assert!(
-                opt.peak_tool_bytes < reference.peak_tool_bytes,
-                "{ctx}: streaming high-water {} must stay below batch {}",
-                opt.peak_tool_bytes,
-                reference.peak_tool_bytes,
-            );
-        }
     }
 }
 
@@ -152,7 +129,6 @@ fn run_concurrency(
     m: &tga::module::Module,
     args: &[&str],
     nt: u64,
-    streaming: bool,
     concurrency: bool,
 ) -> TaskgrindResult {
     let cfg = TaskgrindConfig {
@@ -164,7 +140,6 @@ fn run_concurrency(
         },
         analysis_threads: 2,
         sweep: true,
-        streaming,
         ..Default::default()
     };
     check_module(m, args, &cfg)
@@ -174,24 +149,21 @@ fn run_concurrency(
 /// static guard proof only tags accesses that run under a dynamic
 /// critical section, so the locks layer claims every such pair first
 /// and all Table I verdicts, counters, and report text stay
-/// bit-identical with the pass on and off — in batch and streaming
-/// analysis.
+/// bit-identical with the pass on and off.
 #[test]
 fn static_concurrency_is_verdict_invisible_on_table1() {
     for p in corpus() {
         let Ok(m) = guest_rt::build_single(p.name, p.source) else {
             continue;
         };
-        for streaming in [false, true] {
-            let on = run_concurrency(&m, &[], 4, streaming, true);
-            let off = run_concurrency(&m, &[], 4, streaming, false);
-            let ctx = format!("{} (streaming={streaming}) concurrency on vs off", p.name);
-            assert_identical(&on, &off, &ctx);
-            assert_eq!(
-                on.analysis.suppressed_static, 0,
-                "{ctx}: dynamic lock tracking must subsume every static proof"
-            );
-        }
+        let on = run_concurrency(&m, &[], 4, true);
+        let off = run_concurrency(&m, &[], 4, false);
+        let ctx = format!("{} concurrency on vs off", p.name);
+        assert_identical(&on, &off, &ctx);
+        assert_eq!(
+            on.analysis.suppressed_static, 0,
+            "{ctx}: dynamic lock tracking must subsume every static proof"
+        );
     }
 }
 
@@ -203,52 +175,27 @@ fn static_concurrency_is_verdict_invisible_on_lulesh() {
         LuleshParams { s: 4, tel: 2, tnl: 2, iters: 1, progress: false, racy: false, threads: 2 };
     let args: Vec<String> = params.args();
     let args: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
-    for streaming in [false, true] {
-        let on = run_concurrency(&m, &args, params.threads, streaming, true);
-        let off = run_concurrency(&m, &args, params.threads, streaming, false);
-        let ctx = format!("lulesh (streaming={streaming})");
-        assert_identical(&on, &off, &ctx);
-        // the toggle gates only tagging, never pruning: the
-        // instrumented-site counts stay identical too
-        assert_eq!(on.sites_pruned, off.sites_pruned, "{ctx}: sites pruned");
-        assert_eq!(on.sites_instrumented, off.sites_instrumented, "{ctx}: sites kept");
-    }
-}
-
-/// Streaming backpressure: a tiny `max_live_segments` bound must not
-/// change any verdict, only add throttle waits.
-#[test]
-fn streaming_backpressure_preserves_verdicts() {
-    let m = guest_rt::build_single("lulesh.c", LULESH_MC).expect("compiles");
-    let params =
-        LuleshParams { s: 4, tel: 2, tnl: 2, iters: 1, progress: false, racy: false, threads: 2 };
-    let args: Vec<String> = params.args();
-    let args: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
-    let reference = run(&m, &args, params.threads, REFERENCE);
-    let cfg = TaskgrindConfig {
-        vm: grindcore::VmConfig { nthreads: params.threads, ..Default::default() },
-        analysis_threads: 2,
-        streaming: true,
-        max_live_segments: 4,
-        ..Default::default()
-    };
-    let throttled = check_module(&m, &args, &cfg);
-    assert_identical(&reference, &throttled, "lulesh under streaming max-live=4");
+    let on = run_concurrency(&m, &args, params.threads, true);
+    let off = run_concurrency(&m, &args, params.threads, false);
+    let ctx = "lulesh concurrency on vs off";
+    assert_identical(&on, &off, ctx);
+    // the toggle gates only tagging, never pruning: the instrumented-site
+    // counts stay identical too
+    assert_eq!(on.sites_pruned, off.sites_pruned, "{ctx}: sites pruned");
+    assert_eq!(on.sites_instrumented, off.sites_instrumented, "{ctx}: sites kept");
 }
 
 mod random_graphs {
-    //! Property test: the streaming engine is verdict-identical to the
-    //! batch sweep on *random task graphs with random sync placement*,
-    //! driving the [`taskgrind::graph::GraphBuilder`] event API directly
-    //! (no guest program), with retirement attempted after every
-    //! segment-closing event — far more epoch boundaries than real
-    //! executions produce.
+    //! Property test: the sweep is verdict-identical to the all-pairs
+    //! reference on *random task graphs with random sync placement* —
+    //! parallel regions, barriers, taskgroups and critical sections on
+    //! two threads — driving the [`taskgrind::graph::GraphBuilder`]
+    //! event API directly (no guest program).
 
     use proptest::prelude::*;
     use taskgrind::analysis::{self, SuppressOptions};
     use taskgrind::graph::{GraphBuilder, ThreadMeta};
     use taskgrind::reach::Reachability;
-    use taskgrind::stream::{InlineSink, Pipeline};
 
     /// One random event. Free-threaded ops run on thread 0 (the only
     /// thread with a root context, as in the real runtimes — worker
@@ -292,7 +239,7 @@ mod random_graphs {
     /// Replay the op list into a builder. Heap addresses are far from
     /// the fake stack/TLS windows so suppression layers stay exercised
     /// but not total.
-    fn replay(b: &mut GraphBuilder, ops: &[Op], retire_hook: &mut dyn FnMut(&mut GraphBuilder)) {
+    fn replay(b: &mut GraphBuilder, ops: &[Op]) {
         let mut pending: Vec<u64> = Vec::new();
         for op in ops {
             match op {
@@ -310,7 +257,6 @@ mod random_graphs {
                         b.task_begin(&m, t);
                         b.record_access(&m, 0x9000 + *addr as u64 * 8, 8, *write);
                         b.task_end(&m, t);
-                        retire_hook(b);
                     }
                 }
                 Op::Access { write, addr } => {
@@ -318,14 +264,12 @@ mod random_graphs {
                 }
                 Op::Taskwait => {
                     b.taskwait(&meta(0));
-                    retire_hook(b);
                 }
                 Op::Critical { addr } => {
                     let m = meta(0);
                     b.critical_enter(&m, 0x40 + *addr as u64);
                     b.record_access(&m, 0x9000 + *addr as u64 * 8, 8, true);
                     b.critical_exit(&m, 0x40 + *addr as u64);
-                    retire_hook(b);
                 }
                 Op::TaskgroupScope => {
                     let m = meta(0);
@@ -336,7 +280,6 @@ mod random_graphs {
                     b.record_access(&m, 0x9100, 8, true);
                     b.task_end(&m, t);
                     b.taskgroup_end(&m);
-                    retire_hook(b);
                 }
                 Op::Region { team } => {
                     let m0 = meta(0);
@@ -346,74 +289,54 @@ mod random_graphs {
                         b.implicit_task_begin(&mt, rid, i as u64);
                         b.record_access(&mt, 0x9200 + i as u64 * 8, 8, true);
                         b.barrier(&mt, rid);
-                        retire_hook(b);
                         b.record_access(&mt, 0x9200 + i as u64 * 8, 8, false);
                         b.implicit_task_end(&mt, rid, i as u64);
-                        retire_hook(b);
                     }
                     b.parallel_end(&m0, rid);
-                    retire_hook(b);
                 }
             }
         }
-        // leave no task unrun: the batch reference joins them at finalize
+        // leave no task unrun
         for t in pending {
             let m = meta(1);
             b.task_begin(&m, t);
             b.record_access(&m, 0x9300, 8, true);
             b.task_end(&m, t);
-            retire_hook(b);
         }
     }
 
-    fn batch_verdicts(ops: &[Op]) -> analysis::AnalysisOutput {
+    /// The sweep on `threads` threads against the all-pairs reference,
+    /// over the graph `ops` builds.
+    fn assert_sweep_matches_all_pairs(ops: &[Op], threads: usize) {
         let mut b = GraphBuilder::new();
-        replay(&mut b, ops, &mut |_| {});
+        replay(&mut b, ops);
         let g = b.finalize();
         let reach = Reachability::compute(&g);
-        analysis::run_sweep(&g, &reach, &SuppressOptions::default(), 1)
-    }
-
-    fn assert_verdicts_match(a: &analysis::AnalysisOutput, b: &analysis::AnalysisOutput) {
-        assert_eq!(a.candidates, b.candidates, "candidates");
-        assert_eq!(a.raw_ranges, b.raw_ranges, "raw_ranges");
-        assert_eq!(a.suppressed_locks, b.suppressed_locks, "locks");
-        assert_eq!(a.suppressed_mutex, b.suppressed_mutex, "mutex");
-        assert_eq!(a.suppressed_tls, b.suppressed_tls, "tls");
-        assert_eq!(a.suppressed_stack, b.suppressed_stack, "stack");
+        let opts = SuppressOptions::default();
+        let want = analysis::run(&g, &reach, &opts);
+        let got = analysis::run_sweep(&g, &reach, &opts, threads);
+        assert_eq!(want.candidates, got.candidates, "candidates");
+        assert_eq!(want.raw_ranges, got.raw_ranges, "raw_ranges");
+        assert_eq!(want.suppressed_locks, got.suppressed_locks, "locks");
+        assert_eq!(want.suppressed_mutex, got.suppressed_mutex, "mutex");
+        assert_eq!(want.suppressed_tls, got.suppressed_tls, "tls");
+        assert_eq!(want.suppressed_stack, got.suppressed_stack, "stack");
+        assert_eq!(want.suppressed_static, got.suppressed_static, "static");
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Streaming == batch on random graphs, analyzed inline
-        /// (deterministic single-thread reference sink).
+        /// The sweep on one thread.
         #[test]
-        fn streaming_matches_batch_inline(ops in prop::collection::vec(op_strategy(), 1..40)) {
-            let batch = batch_verdicts(&ops);
-
-            let (sink, out) = InlineSink::new(SuppressOptions::default());
-            let mut b = GraphBuilder::new();
-            b.enable_streaming(Box::new(sink), 0);
-            replay(&mut b, &ops, &mut |b| b.maybe_retire());
-            let (_, stats) = b.finalize_with_stats();
-            let streamed = InlineSink::take(&out);
-            assert_verdicts_match(&batch, &streamed);
-            prop_assert_eq!(stats.late_root_ctxs, 0, "frontier soundness precondition");
+        fn sweep_matches_all_pairs_one_thread(ops in prop::collection::vec(op_strategy(), 1..40)) {
+            assert_sweep_matches_all_pairs(&ops, 1);
         }
 
-        /// Streaming == batch with the real 4-worker background pool.
+        /// The sweep on four threads, so pair analysis splits across them.
         #[test]
-        fn streaming_matches_batch_pooled(ops in prop::collection::vec(op_strategy(), 1..40)) {
-            let batch = batch_verdicts(&ops);
-
-            let pipeline = Pipeline::new(4, SuppressOptions::default());
-            let mut b = GraphBuilder::new();
-            b.enable_streaming(Box::new(pipeline.sink()), 2);
-            replay(&mut b, &ops, &mut |b| b.maybe_retire());
-            let _ = b.finalize_with_stats();
-            let streamed = pipeline.finish();
-            assert_verdicts_match(&batch, &streamed);
+        fn sweep_matches_all_pairs_four_threads(ops in prop::collection::vec(op_strategy(), 1..40)) {
+            assert_sweep_matches_all_pairs(&ops, 4);
         }
     }
 }
