@@ -1,9 +1,10 @@
 //! E8: the paper's future-work item — "the determinacy race
 //! post-processing analysis is an embarrassingly parallel algorithm,
 //! but it is currently run sequentially". Sequential Algorithm 1 on a
-//! segment graph with many unordered pairs. (The crossbeam fan-out of
-//! the all-pairs loop it was once compared against measured slower and
-//! is gone; the sweep below is the parallel engine.)
+//! segment graph with many unordered pairs. The analysis stays
+//! sequential: a thread fan-out of the all-pairs loop and, later, an
+//! address-sharded sweep both measured no faster than one thread, and
+//! both are gone (EXPERIMENTS E8, E12).
 //!
 //! E12 extends this with the two hot-path rewrites: the sweep-based
 //! candidate generator versus the all-pairs loop (a many-segment
@@ -140,10 +141,6 @@ fn bench_sweep(c: &mut Criterion) {
     });
     g.bench_function("sweep_1", |b| {
         b.iter(|| std::hint::black_box(run_sweep(&graph, &reach, &opts, 1).candidates.len()))
-    });
-    let threads = 4usize;
-    g.bench_function(format!("sweep_{threads}"), |b| {
-        b.iter(|| std::hint::black_box(run_sweep(&graph, &reach, &opts, threads).candidates.len()))
     });
     g.finish();
 }

@@ -31,9 +31,6 @@ pub struct Opts {
     pub lint_json: Option<String>,
     pub cache_blocks: Option<usize>,
     pub no_suppress: bool,
-    /// `--analysis-threads=N` (0 = auto; the engine caps it at the
-    /// host's core count).
-    pub analysis_threads: usize,
     /// `--confirm-races`: replay surviving candidates under adversarial
     /// schedules and annotate reports with confirmed/unconfirmed verdicts.
     pub confirm_races: bool,
@@ -75,8 +72,7 @@ pub fn usage() -> ! {
     eprintln!(
         "              [--random-sched] [--no-ignore-list] [--keep-free] [--no-static-filter]"
     );
-    eprintln!("              [--no-static-concurrency]");
-    eprintln!("              [--cache-blocks=N] [--no-suppress] [--analysis-threads=N]");
+    eprintln!("              [--no-static-concurrency] [--cache-blocks=N] [--no-suppress]");
     eprintln!("              [--confirm-races] [--confirm-budget=N] [--code-cache=DIR]");
     eprintln!("              [--trace-out=FILE] [--metrics-json=FILE] [--self-profile]");
     eprintln!("              [--dot=FILE] [--disasm]");
@@ -108,7 +104,6 @@ pub fn parse_args(args: impl Iterator<Item = String>) -> Opts {
         lint_json: None,
         cache_blocks: None,
         no_suppress: false,
-        analysis_threads: 0,
         confirm_races: false,
         confirm_budget: 16,
         suppressions: None,
@@ -145,8 +140,6 @@ pub fn parse_args(args: impl Iterator<Item = String>) -> Opts {
             o.cache_blocks = Some(v.parse().unwrap_or_else(|_| usage()));
         } else if a == "--no-suppress" {
             o.no_suppress = true;
-        } else if let Some(v) = a.strip_prefix("--analysis-threads=") {
-            o.analysis_threads = v.parse().unwrap_or_else(|_| usage());
         } else if a == "--confirm-races" {
             o.confirm_races = true;
         } else if let Some(v) = a.strip_prefix("--confirm-budget=") {
@@ -260,13 +253,6 @@ mod tests {
         assert!(o.submit);
         assert_eq!(o.program, "p.c");
         assert_eq!(o.threads, 2);
-    }
-
-    #[test]
-    fn analysis_threads_parse() {
-        // 0 means auto; the engine resolves and caps the count.
-        assert_eq!(opts(&["--analysis-threads=0", "p.c"]).analysis_threads, 0);
-        assert_eq!(opts(&["--analysis-threads=3", "p.c"]).analysis_threads, 3);
     }
 
     #[test]

@@ -32,9 +32,6 @@
 //!   --cache-blocks=<n>   translation-cache capacity in superblocks
 //!   --no-suppress        disable all analysis-time suppression
 //!   --suppressions=<f>   Valgrind-style report suppression file
-//!   --analysis-threads=<n>   analysis host threads (default: 0 = auto,
-//!                        std::thread::available_parallelism; larger
-//!                        counts are capped at the host's core count)
 //!   --confirm-races      replay each surviving candidate race under
 //!                        adversarial schedules from a CoW snapshot and
 //!                        annotate reports confirmed/unconfirmed
@@ -129,7 +126,6 @@ fn submit_request(o: &Opts, name: &str, text: &str) -> String {
         ",\"random_sched\":{},\"no_ignore\":{},\"keep_free\":{},\"no_suppress\":{}",
         o.random, o.no_ignore, o.keep_free, o.no_suppress
     ));
-    req.push_str(&format!(",\"analysis_threads\":{}", o.analysis_threads));
     if o.confirm_races {
         req.push_str(&format!(",\"confirm_races\":true,\"confirm_budget\":{}", o.confirm_budget));
     }
@@ -317,13 +313,13 @@ fn main() -> ExitCode {
         keep_free: o.keep_free,
         cache_blocks: o.cache_blocks,
         no_suppress: o.no_suppress,
-        analysis_threads: o.analysis_threads,
         confirm_races: o.confirm_races,
         confirm_budget: o.confirm_budget,
         suppressions,
         want_dot: o.dot.is_some(),
         guest_args: o.guest_args.clone(),
         engine: eng.clone(),
+        ..RunRequest::default()
     };
 
     if o.warm {

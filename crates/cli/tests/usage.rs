@@ -15,6 +15,7 @@ fn retired_engine_switches_are_usage_errors() {
         "--parallel-analysis=2",
         "--streaming",
         "--max-live-segments=4",
+        "--analysis-threads=2",
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_tgrind"))
             .args([flag, "p.c"])

@@ -231,7 +231,6 @@ pub fn measure_taskgrind_suppression(
         vm: vm_cfg(params.threads),
         record: RecordOptions { ignore_list, replace_allocator, ..Default::default() },
         suppress,
-        analysis_threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
         ..Default::default()
     };
     let r = check_module(&m, &args, &cfg);

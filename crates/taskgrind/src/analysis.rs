@@ -26,10 +26,8 @@
 //! sweep over every interesting segment's intervals emits exactly the
 //! pairs whose memory footprints overlap with at least one write
 //! involved — the pairs for which `conflicts` is non-empty — then the
-//! existing reachability + suppression pipeline runs on those. The
-//! sweep parallelizes by address shard; duplicate pairs from intervals
-//! spanning shard boundaries are deduplicated *before* analysis so
-//! suppression counters are never double-counted.
+//! existing reachability + suppression pipeline runs on those. Like
+//! the paper's Algorithm 1 it runs on one thread, after recording.
 
 use crate::graph::{SegId, Segment, SegmentGraph};
 use crate::reach::Reachability;
@@ -242,21 +240,6 @@ fn analyze_pair(
     }
 }
 
-impl AnalysisOutput {
-    /// Fold a per-thread partial into `self`.
-    pub fn absorb(&mut self, p: AnalysisOutput) {
-        self.candidates.extend(p.candidates);
-        self.pairs_checked += p.pairs_checked;
-        self.unordered_pairs += p.unordered_pairs;
-        self.raw_ranges += p.raw_ranges;
-        self.suppressed_locks += p.suppressed_locks;
-        self.suppressed_mutex += p.suppressed_mutex;
-        self.suppressed_tls += p.suppressed_tls;
-        self.suppressed_stack += p.suppressed_stack;
-        self.suppressed_static += p.suppressed_static;
-    }
-}
-
 /// Run Algorithm 1 sequentially.
 pub fn run(g: &SegmentGraph, reach: &Reachability, opts: &SuppressOptions) -> AnalysisOutput {
     let mut out = AnalysisOutput::default();
@@ -275,8 +258,10 @@ pub fn run(g: &SegmentGraph, reach: &Reachability, opts: &SuppressOptions) -> An
     out
 }
 
-/// Resolve a requested analysis thread count: 0 means "auto", i.e.
-/// `std::thread::available_parallelism()`.
+/// Resolve a requested host thread count: 0 means "auto", i.e.
+/// `std::thread::available_parallelism()`. Its one caller in the engine
+/// sizes `tgrind warm`'s compile-worker pool; the analysis itself runs
+/// on one thread.
 pub fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
@@ -294,7 +279,7 @@ struct SweepIv {
     write: bool,
 }
 
-/// Canonical order for the merged candidate list. Both pair generators
+/// Canonical order for the candidate list. Both pair generators
 /// sort with this key before the list reaches report generation, so
 /// all-pairs and sweep render bit-identically.
 fn sort_candidates(v: &mut [Candidate]) {
@@ -320,34 +305,28 @@ fn sweep_pairs(ivs: &[SweepIv], out: &mut HashSet<(SegId, SegId)>) {
     }
 }
 
-/// Below this many flattened intervals the sharding set-up costs more
-/// than the sweep itself; run one shard inline.
-const SHARD_THRESHOLD: usize = 512;
-
 /// Address-indexed candidate generation for every interesting segment's
 /// intervals: a global endpoint sweep emits only segment pairs whose
-/// footprints actually overlap (see `sweep_pairs`). Parallelized by
-/// address shard — shard boundaries are quantiles of the sorted interval
-/// starts, an interval lands in every shard its footprint overlaps
-/// (clipped to the shard's coordinate range), and cross-shard duplicate
-/// pairs are removed *before* the suppression pipeline runs so no
-/// counter is double-counted. The surviving pair list is then split
-/// across the same threads for `analyze_pair`.
+/// footprints actually overlap (see `sweep_pairs`), deduplicated and
+/// sorted, and `analyze_pair` then runs on each unordered one in pair
+/// order.
 ///
 /// `pairs_checked` / `unordered_pairs` are work metrics of *this*
 /// engine (pairs the sweep emitted), not the all-pairs totals; the
 /// verdict-bearing fields — candidates, `raw_ranges`, every
 /// `suppressed_*` counter — are bit-identical to [`run`]'s.
+///
+/// `_threads` is unread: the sweep runs on the caller's thread, which
+/// on every benchmark job was at least as fast as splitting it by
+/// address (EXPERIMENTS E12). Kept only because `tgbench` passes it.
 pub fn run_sweep(
     g: &SegmentGraph,
     reach: &Reachability,
     opts: &SuppressOptions,
-    threads: usize,
+    _threads: usize,
 ) -> AnalysisOutput {
-    let threads = resolve_threads(threads);
-    let ids: Vec<SegId> = interesting_segments(g);
     let mut ivs: Vec<SweepIv> = Vec::new();
-    for &seg in &ids {
+    for seg in interesting_segments(g) {
         let s = &g.segments[seg as usize];
         ivs.extend(s.writes.iter().map(|(lo, hi)| SweepIv { lo, hi, seg, write: true }));
         ivs.extend(s.reads.iter().map(|(lo, hi)| SweepIv { lo, hi, seg, write: false }));
@@ -355,86 +334,17 @@ pub fn run_sweep(
     ivs.sort_unstable_by_key(|iv| (iv.lo, iv.hi, iv.seg, iv.write));
 
     let mut set: HashSet<(SegId, SegId)> = HashSet::new();
-    if threads <= 1 || ivs.len() < SHARD_THRESHOLD {
-        sweep_pairs(&ivs, &mut set);
-    } else {
-        // shard boundaries at quantiles of the sorted interval starts
-        let mut bounds: Vec<u64> = vec![0];
-        for k in 1..threads {
-            bounds.push(ivs[k * ivs.len() / threads].lo);
-        }
-        bounds.push(u64::MAX);
-        bounds.dedup();
-        let nsh = bounds.len() - 1;
-        // route each interval to every shard its footprint overlaps,
-        // clipped to the shard's range; `ivs` is lo-sorted and clipping
-        // takes max(lo, shard_lo), so each shard list stays lo-sorted
-        let mut shards: Vec<Vec<SweepIv>> = vec![Vec::new(); nsh];
-        for iv in &ivs {
-            let first = bounds.partition_point(|&b| b <= iv.lo).saturating_sub(1);
-            for sh in first..nsh {
-                let (slo, shi) = (bounds[sh], bounds[sh + 1]);
-                if iv.lo >= shi {
-                    continue;
-                }
-                if iv.hi <= slo {
-                    break;
-                }
-                shards[sh].push(SweepIv { lo: iv.lo.max(slo), hi: iv.hi.min(shi), ..*iv });
-            }
-        }
-        let mut sets: Vec<HashSet<(SegId, SegId)>> = Vec::new();
-        crossbeam::scope(|scope| {
-            let mut handles = Vec::new();
-            for sh in &shards {
-                handles.push(scope.spawn(move |_| {
-                    let mut s = HashSet::new();
-                    sweep_pairs(sh, &mut s);
-                    s
-                }));
-            }
-            for h in handles {
-                sets.push(h.join().unwrap());
-            }
-        })
-        .unwrap();
-        for s in sets {
-            set.extend(s);
-        }
-    }
+    sweep_pairs(&ivs, &mut set);
     let mut pairs: Vec<(SegId, SegId)> = set.into_iter().collect();
     pairs.sort_unstable();
 
     let mut out = AnalysisOutput { pairs_checked: pairs.len() as u64, ..Default::default() };
-    let unordered: Vec<(SegId, SegId)> =
-        pairs.into_iter().filter(|&(s1, s2)| !reach.ordered(s1, s2)).collect();
-    out.unordered_pairs = unordered.len() as u64;
-    if threads <= 1 || unordered.len() < 2 * threads {
-        for &(s1, s2) in &unordered {
-            analyze_pair(g, opts, s1, s2, &mut out);
+    for (s1, s2) in pairs {
+        if reach.ordered(s1, s2) {
+            continue;
         }
-    } else {
-        let chunk = unordered.len().div_ceil(threads);
-        let mut partials: Vec<AnalysisOutput> = Vec::new();
-        crossbeam::scope(|scope| {
-            let mut handles = Vec::new();
-            for ch in unordered.chunks(chunk) {
-                handles.push(scope.spawn(move |_| {
-                    let mut p = AnalysisOutput::default();
-                    for &(s1, s2) in ch {
-                        analyze_pair(g, opts, s1, s2, &mut p);
-                    }
-                    p
-                }));
-            }
-            for h in handles {
-                partials.push(h.join().unwrap());
-            }
-        })
-        .unwrap();
-        for p in partials {
-            out.absorb(p);
-        }
+        out.unordered_pairs += 1;
+        analyze_pair(g, opts, s1, s2, &mut out);
     }
     sort_candidates(&mut out.candidates);
     out
@@ -813,13 +723,11 @@ mod tests {
         let r = Reachability::compute(&g);
         let seq = run(&g, &r, &SuppressOptions::default());
         assert!(!seq.candidates.is_empty());
-        for threads in [1, 2, 4] {
-            let sw = run_sweep(&g, &r, &SuppressOptions::default(), threads);
-            assert_same_verdicts(&seq, &sw, &format!("threads={threads}"));
-            // the sweep emitted at most the all-pairs count, and every
-            // pair it emitted had a real footprint overlap
-            assert!(sw.pairs_checked <= seq.pairs_checked);
-        }
+        let sw = run_sweep(&g, &r, &SuppressOptions::default(), 1);
+        assert_same_verdicts(&seq, &sw, "wide fork");
+        // the sweep emitted at most the all-pairs count, and every pair
+        // it emitted had a real footprint overlap
+        assert!(sw.pairs_checked <= seq.pairs_checked);
     }
 
     #[test]
@@ -845,16 +753,15 @@ mod tests {
         let r = Reachability::compute(&g);
         let seq = run(&g, &r, &SuppressOptions::default());
         assert!(seq.suppressed_mutex > 0 || seq.suppressed_tls > 0 || seq.suppressed_stack > 0);
-        for threads in [1, 3] {
-            let sw = run_sweep(&g, &r, &SuppressOptions::default(), threads);
-            assert_same_verdicts(&seq, &sw, &format!("threads={threads}"));
-        }
+        let sw = run_sweep(&g, &r, &SuppressOptions::default(), 1);
+        assert_same_verdicts(&seq, &sw, "suppressions active");
     }
 
     #[test]
-    fn sweep_sharding_path_is_exercised() {
-        // enough flattened intervals to cross SHARD_THRESHOLD so the
-        // multi-shard code path actually runs
+    fn sweep_matches_all_pairs_on_many_intervals() {
+        // 40 tasks of 20 intervals each (800 in all): five tasks write
+        // each written slot and all 40 read each read slot, so the
+        // sweep's active list holds up to 40 intervals at once
         let mut b = GraphBuilder::new();
         let m = meta(0);
         for i in 0..40u64 {
@@ -871,14 +778,9 @@ mod tests {
         }
         let g = b.finalize();
         let r = Reachability::compute(&g);
-        let n_ivs: usize =
-            g.segments.iter().filter(|s| !s.sync).map(|s| s.reads.len() + s.writes.len()).sum();
-        assert!(n_ivs >= super::SHARD_THRESHOLD, "test must cross the shard threshold: {n_ivs}");
         let seq = run(&g, &r, &SuppressOptions::default());
-        for threads in [2, 4, 8] {
-            let sw = run_sweep(&g, &r, &SuppressOptions::default(), threads);
-            assert_same_verdicts(&seq, &sw, &format!("threads={threads}"));
-        }
+        let sw = run_sweep(&g, &r, &SuppressOptions::default(), 1);
+        assert_same_verdicts(&seq, &sw, "many intervals");
     }
 
     proptest::proptest! {
@@ -935,16 +837,14 @@ mod tests {
                 },
             ] {
                 let seq = run(&g, &r, &opts);
-                for threads in [1usize, 3] {
-                    let sw = run_sweep(&g, &r, &opts, threads);
-                    proptest::prop_assert_eq!(&seq.candidates, &sw.candidates);
-                    proptest::prop_assert_eq!(seq.raw_ranges, sw.raw_ranges);
-                    proptest::prop_assert_eq!(seq.suppressed_locks, sw.suppressed_locks);
-                    proptest::prop_assert_eq!(seq.suppressed_mutex, sw.suppressed_mutex);
-                    proptest::prop_assert_eq!(seq.suppressed_tls, sw.suppressed_tls);
-                    proptest::prop_assert_eq!(seq.suppressed_stack, sw.suppressed_stack);
-                    proptest::prop_assert_eq!(seq.suppressed_static, sw.suppressed_static);
-                }
+                let sw = run_sweep(&g, &r, &opts, 1);
+                proptest::prop_assert_eq!(&seq.candidates, &sw.candidates);
+                proptest::prop_assert_eq!(seq.raw_ranges, sw.raw_ranges);
+                proptest::prop_assert_eq!(seq.suppressed_locks, sw.suppressed_locks);
+                proptest::prop_assert_eq!(seq.suppressed_mutex, sw.suppressed_mutex);
+                proptest::prop_assert_eq!(seq.suppressed_tls, sw.suppressed_tls);
+                proptest::prop_assert_eq!(seq.suppressed_stack, sw.suppressed_stack);
+                proptest::prop_assert_eq!(seq.suppressed_static, sw.suppressed_static);
             }
         }
     }

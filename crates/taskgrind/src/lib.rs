@@ -76,8 +76,9 @@ pub struct TaskgrindConfig {
     pub record: RecordOptions,
     /// Suppression toggles for the analysis pass.
     pub suppress: SuppressOptions,
-    /// Host threads for the sweep; 0 = auto
-    /// (`std::thread::available_parallelism`).
+    /// Unread: the sweep runs on one thread. Kept only because
+    /// `tgbench` sets this field.
+    #[doc(hidden)]
     pub analysis_threads: usize,
     /// Use the sweep-based candidate generator (address-indexed pair
     /// generation). `false` runs the all-pairs reference loop, the
@@ -164,8 +165,6 @@ pub struct TaskgrindResult {
     /// Which pair-generation engine the analysis ran ("sweep" or
     /// "all-pairs").
     pub analysis_engine: &'static str,
-    /// Host threads the analysis actually used (after resolving 0=auto).
-    pub analysis_threads_used: usize,
     /// Segments with resident interval trees at finalize: every real
     /// segment, since analysis runs after recording.
     pub peak_live_segments: u64,
@@ -254,12 +253,11 @@ pub fn check_module(module: &Module, args: &[&str], cfg: &TaskgrindConfig) -> Ta
         let _sp = tg_obs::trace::host_span("finalize graph");
         builder.finalize_with_stats()
     };
-    let threads = analysis::resolve_threads(cfg.analysis_threads);
     let analysis = {
         let _sp = tg_obs::trace::host_span("analysis");
         let reach = Reachability::compute(&graph);
         if cfg.sweep {
-            analysis::run_sweep(&graph, &reach, &cfg.suppress, threads)
+            analysis::run_sweep(&graph, &reach, &cfg.suppress, 1)
         } else {
             analysis::run(&graph, &reach, &cfg.suppress)
         }
@@ -314,8 +312,6 @@ pub fn check_module(module: &Module, args: &[&str], cfg: &TaskgrindConfig) -> Ta
         static_facts,
         dispatch: run_dispatch,
         analysis_engine: if cfg.sweep { "sweep" } else { "all-pairs" },
-        // The all-pairs reference is sequential.
-        analysis_threads_used: if cfg.sweep { threads } else { 1 },
         peak_live_segments: mem_stats.peak_live_segments,
         peak_tool_bytes: mem_stats.peak_tool_bytes,
         confirm: confirm_stats,

@@ -22,7 +22,6 @@ pub fn publish(r: &TaskgrindResult, reg: &mut Registry) {
     reg.set_u64("taskgrind.tool_bytes", r.tool_bytes);
 
     reg.set_str("analysis.engine", r.analysis_engine);
-    reg.set_u64("analysis.threads", r.analysis_threads_used as u64);
     reg.set_u64("analysis.pairs_checked", r.analysis.pairs_checked);
     reg.set_u64("analysis.unordered_pairs", r.analysis.unordered_pairs);
     reg.set_u64("analysis.raw_ranges", r.analysis.raw_ranges);
@@ -78,9 +77,8 @@ pub fn render_summary(reg: &Registry) -> String {
         reg.u64("vm.instrs"),
     ));
     out.push_str(&format!(
-        "== analysis: engine {} | {} thread(s) | {} candidate pair(s), {} unordered | {} raw range(s) | peak {} live segment(s), {} high-water byte(s) | {:.3}s\n",
+        "== analysis: engine {} | {} candidate pair(s), {} unordered | {} raw range(s) | peak {} live segment(s), {} high-water byte(s) | {:.3}s\n",
         reg.str("analysis.engine"),
-        reg.u64("analysis.threads"),
         reg.u64("analysis.pairs_checked"),
         reg.u64("analysis.unordered_pairs"),
         reg.u64("analysis.raw_ranges"),

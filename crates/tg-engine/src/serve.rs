@@ -228,7 +228,6 @@ fn parse_request(line: &str, defaults: &EngineConfig) -> Result<Op, String> {
             "keep_free" => req.keep_free = need_bool(key, value)?,
             "no_suppress" => req.no_suppress = need_bool(key, value)?,
             "cache_blocks" => req.cache_blocks = Some(need_u64(key, value)? as usize),
-            "analysis_threads" => req.analysis_threads = need_u64(key, value)? as usize,
             "confirm_races" => req.confirm_races = need_bool(key, value)?,
             "confirm_budget" => req.confirm_budget = need_u64(key, value)? as usize,
             "guest_args" => {

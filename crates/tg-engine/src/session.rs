@@ -148,8 +148,9 @@ pub struct RunRequest {
     pub cache_blocks: Option<usize>,
     /// Disable all analysis-time suppression (`--no-suppress`).
     pub no_suppress: bool,
-    /// Analysis host threads (0 = auto). [`Session::run`] caps the
-    /// count at the host's available parallelism.
+    /// Unread: the sweep runs on one thread. Kept only because
+    /// `tgbench` reads this field.
+    #[doc(hidden)]
     pub analysis_threads: usize,
     /// Pre-parsed report suppressions (`--suppressions`).
     pub suppressions: Suppressions,
@@ -667,14 +668,6 @@ impl Session {
                     };
                     record.static_facts = Some(fo.facts);
                 }
-                // 0 means one analysis thread per core. Each thread is a
-                // sweep shard: more than the host's cores buys nothing,
-                // and a huge request would exhaust the host.
-                let cores = resolve_threads(0);
-                let analysis_threads = match req.analysis_threads {
-                    0 => cores,
-                    n => n.min(cores),
-                };
                 let cfg = TaskgrindConfig {
                     vm,
                     record,
@@ -693,7 +686,6 @@ impl Session {
                             ..Default::default()
                         }
                     },
-                    analysis_threads,
                     sweep: true,
                     suppressions: req.suppressions.clone(),
                     confirm: req.confirm_races,

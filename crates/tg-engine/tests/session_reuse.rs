@@ -119,20 +119,3 @@ fn trace_ring_stays_disabled_after_untraced_runs() {
     tg_obs::trace::instant("leak-probe", 0, 1, Vec::new());
     assert_eq!(tg_obs::trace::buffered(), 0);
 }
-
-#[test]
-fn analysis_threads_are_capped_at_the_core_count() {
-    let session = Session::new();
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
-    let default = session.run(&req("racy.c", RACY)).expect("default run");
-    // One shard per requested thread: an unchecked count this large
-    // would exhaust the host.
-    let huge = session
-        .run(&RunRequest { analysis_threads: 1 << 20, ..req("racy.c", RACY) })
-        .expect("huge analysis_threads run");
-    assert_eq!(huge.report, default.report);
-    assert_eq!(huge.exit, default.exit);
-    let threads = huge.registry.u64("analysis.threads");
-    assert!(threads <= cores, "analysis.threads {threads} exceeds {cores} core(s)");
-    assert_eq!(default.registry.u64("analysis.threads"), cores, "0 means one per core");
-}

@@ -1,9 +1,11 @@
 //! Offline stand-in for `crossbeam`.
 //!
-//! Only `crossbeam::scope` is used (fan-out in the parallel race
-//! analysis), and std has had scoped threads since 1.63 — this adapts
-//! `std::thread::scope` to crossbeam's callback signature, where the
-//! spawned closure receives the scope again for nested spawns.
+//! Only `crossbeam::scope` is provided, and std has had scoped threads
+//! since 1.63 — this adapts `std::thread::scope` to crossbeam's
+//! callback signature, where the spawned closure receives the scope
+//! again for nested spawns. Nothing calls it since the race analysis
+//! went back to one thread; `taskgrind` keeps the dependency until a
+//! change to the benchmark can update `tgbench/Cargo.lock` with it.
 
 use std::any::Any;
 

@@ -68,7 +68,6 @@ fn run(
         vm: VmConfig { nthreads: c.threads, chaining: c.chaining, ..Default::default() },
         record: RecordOptions { static_concurrency: c.concurrency, ..Default::default() },
         suppress: SuppressOptions { static_proof: c.concurrency, ..Default::default() },
-        analysis_threads: 2,
         code_cache: cache.map(|rc| CodeCacheHandle::new(rc.clone())),
         ..Default::default()
     };

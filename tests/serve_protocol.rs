@@ -385,6 +385,11 @@ fn per_job_globals_and_unknown_fields_are_rejected() {
             "{\"op\":\"run\",\"program\":\"p.c\",\"compile_threads\":2199023255552}",
             "unknown request field",
         ),
+        // The sweep runs on one thread.
+        (
+            "{\"op\":\"run\",\"program\":\"p.c\",\"analysis_threads\":2199023255552}",
+            "unknown request field",
+        ),
         ("{\"op\":\"run\"}", "missing \\\"program\\\""),
         ("not json", "invalid JSON"),
     ] {

@@ -5,10 +5,10 @@
 //! `RecordOptions::bulk_ingest = false`). Both must be invisible in
 //! every verdict-bearing output: candidate list, raw-range and
 //! suppression counters, and the rendered report text must be
-//! bit-identical across the Table I corpus and mini-LULESH. Each
-//! engine row is compared with the reference once, on the chained
-//! dispatcher; `tests/chaining_differential.rs` owns dispatcher
-//! equivalence.
+//! bit-identical across the Table I corpus, mini-LULESH and three BOTS
+//! programs. Each engine row is compared with the reference once, on
+//! the chained dispatcher; `tests/chaining_differential.rs` owns
+//! dispatcher equivalence.
 //!
 //! `pairs_checked` / `unordered_pairs` are deliberately NOT compared:
 //! they are work metrics of the pair generator (the sweep's whole point
@@ -16,6 +16,7 @@
 
 use taskgrind::tool::RecordOptions;
 use taskgrind::{check_module, TaskgrindConfig, TaskgrindResult};
+use tg_drb::bots::{FIB_MC, NQUEENS_MC, SPARSELU_MC};
 use tg_drb::corpus::{corpus, Suite};
 use tg_lulesh::harness::LuleshParams;
 use tg_lulesh::LULESH_MC;
@@ -26,15 +27,13 @@ struct Engine {
     label: &'static str,
     sweep: bool,
     bulk: bool,
-    threads: usize,
 }
 
-const REFERENCE: Engine = Engine { label: "reference", sweep: false, bulk: false, threads: 1 };
+const REFERENCE: Engine = Engine { label: "reference", sweep: false, bulk: false };
 
 const ENGINES: &[Engine] = &[
-    Engine { label: "sweep+bulk t1", sweep: true, bulk: true, ..REFERENCE },
-    Engine { label: "sweep+bulk t4", sweep: true, bulk: true, threads: 4 },
-    Engine { label: "sweep only", sweep: true, threads: 2, ..REFERENCE },
+    Engine { label: "sweep+bulk", sweep: true, bulk: true },
+    Engine { label: "sweep only", sweep: true, ..REFERENCE },
     Engine { label: "bulk only", bulk: true, ..REFERENCE },
 ];
 
@@ -42,7 +41,6 @@ fn run(m: &tga::module::Module, args: &[&str], nt: u64, e: Engine) -> TaskgrindR
     let cfg = TaskgrindConfig {
         vm: grindcore::VmConfig { nthreads: nt, ..Default::default() },
         record: RecordOptions { bulk_ingest: e.bulk, ..Default::default() },
-        analysis_threads: e.threads,
         sweep: e.sweep,
         ..Default::default()
     };
@@ -123,6 +121,33 @@ fn sweep_and_bulk_preserve_lulesh_output() {
     }
 }
 
+/// Same contract on BOTS at two guest threads, where task churn makes
+/// the sweep, reachability and the stack and lock layers do real work.
+#[test]
+fn sweep_and_bulk_preserve_bots_output() {
+    let (mut raw_ranges, mut suppressed_stack, mut suppressed_locks) = (0, 0, 0);
+    for (name, source, args) in [
+        ("fib.c", FIB_MC, &["10"][..]),
+        ("nqueens.c", NQUEENS_MC, &["6"][..]),
+        ("sparselu.c", SPARSELU_MC, &["-nb", "4", "-racy"][..]),
+    ] {
+        let m = guest_rt::build_single(name, source).expect("compiles");
+        let reference = run(&m, args, 2, REFERENCE);
+        assert!(reference.analysis.unordered_pairs > 0, "{name} must have unordered segments");
+        raw_ranges += reference.analysis.raw_ranges;
+        suppressed_stack += reference.analysis.suppressed_stack;
+        suppressed_locks += reference.analysis.suppressed_locks;
+        for &e in ENGINES {
+            let opt = run(&m, args, 2, e);
+            let ctx = format!("{name} {} under {}", args.join(" "), e.label);
+            assert_identical(&reference, &opt, &ctx);
+        }
+    }
+    assert!(raw_ranges > 0, "BOTS must exercise conflict intersection");
+    assert!(suppressed_stack > 0, "BOTS must exercise the stack layer");
+    assert!(suppressed_locks > 0, "BOTS must exercise the lock layer");
+}
+
 /// Run with the static concurrency pass (guard-mask tagging + the
 /// StaticProof sweep layer) toggled.
 fn run_concurrency(
@@ -138,7 +163,6 @@ fn run_concurrency(
             static_proof: concurrency,
             ..Default::default()
         },
-        analysis_threads: 2,
         sweep: true,
         ..Default::default()
     };
@@ -305,16 +329,16 @@ mod random_graphs {
         }
     }
 
-    /// The sweep on `threads` threads against the all-pairs reference,
-    /// over the graph `ops` builds.
-    fn assert_sweep_matches_all_pairs(ops: &[Op], threads: usize) {
+    /// The sweep against the all-pairs reference, over the graph `ops`
+    /// builds.
+    fn assert_sweep_matches_all_pairs(ops: &[Op]) {
         let mut b = GraphBuilder::new();
         replay(&mut b, ops);
         let g = b.finalize();
         let reach = Reachability::compute(&g);
         let opts = SuppressOptions::default();
         let want = analysis::run(&g, &reach, &opts);
-        let got = analysis::run_sweep(&g, &reach, &opts, threads);
+        let got = analysis::run_sweep(&g, &reach, &opts, 1);
         assert_eq!(want.candidates, got.candidates, "candidates");
         assert_eq!(want.raw_ranges, got.raw_ranges, "raw_ranges");
         assert_eq!(want.suppressed_locks, got.suppressed_locks, "locks");
@@ -327,16 +351,10 @@ mod random_graphs {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The sweep on one thread.
+        /// The sweep, which runs on one thread.
         #[test]
         fn sweep_matches_all_pairs_one_thread(ops in prop::collection::vec(op_strategy(), 1..40)) {
-            assert_sweep_matches_all_pairs(&ops, 1);
-        }
-
-        /// The sweep on four threads, so pair analysis splits across them.
-        #[test]
-        fn sweep_matches_all_pairs_four_threads(ops in prop::collection::vec(op_strategy(), 1..40)) {
-            assert_sweep_matches_all_pairs(&ops, 4);
+            assert_sweep_matches_all_pairs(&ops);
         }
     }
 }
