@@ -239,7 +239,7 @@ pub fn run_romp(module: &Module, args: &[&str], vm_cfg: &VmConfig) -> BaselineRu
         stack: true,
         locks: true,
         mutexinoutset: false,
-        static_proof: false,
+        ..Default::default()
     };
     let out = analysis::run(&graph, &reach, &opts);
     let time_secs = t0.elapsed().as_secs_f64();

@@ -214,7 +214,7 @@ pub fn run_tasksan(module: &Module, args: &[&str], vm_cfg: &VmConfig) -> Baselin
         stack: false,
         locks: true,
         mutexinoutset: false,
-        static_proof: false,
+        ..Default::default()
     };
     let out = analysis::run(&graph, &reach, &opts);
     let time_secs = t0.elapsed().as_secs_f64();

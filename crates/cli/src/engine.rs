@@ -72,8 +72,8 @@ pub fn usage() -> ! {
     eprintln!(
         "              [--random-sched] [--no-ignore-list] [--keep-free] [--no-static-filter]"
     );
-    eprintln!("              [--no-static-concurrency] [--cache-blocks=N] [--no-suppress]");
-    eprintln!("              [--confirm-races] [--confirm-budget=N] [--code-cache=DIR]");
+    eprintln!("              [--cache-blocks=N] [--no-suppress] [--confirm-races]");
+    eprintln!("              [--confirm-budget=N] [--code-cache=DIR]");
     eprintln!("              [--trace-out=FILE] [--metrics-json=FILE] [--self-profile]");
     eprintln!("              [--dot=FILE] [--disasm]");
     eprintln!("              <program.c> [-- args...]");
@@ -132,8 +132,6 @@ pub fn parse_args(args: impl Iterator<Item = String>) -> Opts {
             o.keep_free = true;
         } else if a == "--no-static-filter" {
             o.engine.static_filter = false;
-        } else if a == "--no-static-concurrency" {
-            o.engine.static_concurrency = false;
         } else if let Some(v) = a.strip_prefix("--lint-json=") {
             o.lint_json = Some(v.to_string());
         } else if let Some(v) = a.strip_prefix("--cache-blocks=") {
@@ -213,9 +211,8 @@ mod tests {
     fn engine_flags_parse_into_engine_config() {
         let eng = opts(&["p.c"]).engine;
         assert_eq!(eng.describe(), EngineConfig::default().describe(), "no flag, no change");
-        let eng = opts(&["--no-static-filter", "--no-static-concurrency", "p.c"]).engine;
+        let eng = opts(&["--no-static-filter", "p.c"]).engine;
         assert!(!eng.static_filter);
-        assert!(!eng.static_concurrency);
     }
 
     #[test]

@@ -25,9 +25,6 @@
 //!   --no-ignore-list     record runtime-internal accesses too
 //!   --keep-free          do not replace the allocator (IV-B off)
 //!   --no-static-filter   do not prune instrumentation with static facts
-//!   --no-static-concurrency  disable the static concurrency pass: no
-//!                        lock findings in lint and no statically-proven
-//!                        guard masks in the sweep (verdicts unchanged)
 //!   --lint-json=<file>   (lint mode) dump the lint registry as JSON
 //!   --cache-blocks=<n>   translation-cache capacity in superblocks
 //!   --no-suppress        disable all analysis-time suppression
@@ -130,10 +127,9 @@ fn submit_request(o: &Opts, name: &str, text: &str) -> String {
         req.push_str(&format!(",\"confirm_races\":true,\"confirm_budget\":{}", o.confirm_budget));
     }
     req.push_str(&format!(
-        ",\"static_filter\":{},\"static_concurrency\":{}",
-        eng.static_filter, eng.static_concurrency
+        ",\"static_filter\":{},\"self_profile\":{}",
+        eng.static_filter, eng.self_profile
     ));
-    req.push_str(&format!(",\"self_profile\":{}", eng.self_profile));
     if let Some(n) = o.cache_blocks {
         req.push_str(&format!(",\"cache_blocks\":{n}"));
     }
@@ -269,7 +265,7 @@ fn main() -> ExitCode {
     }
 
     if o.lint {
-        return match session.lint(&program, eng.static_concurrency) {
+        return match session.lint(&program) {
             Ok(out) => {
                 print!("{}", out.report);
                 if let Some(path) = &o.lint_json {

@@ -19,7 +19,7 @@ fn main() {
         stack: false,
         locks: false,
         mutexinoutset: false,
-        static_proof: false,
+        ..Default::default()
     };
 
     println!("suppression ablation on LULESH -s 4 -tel 2 -tnl 2 -i 2 (non-racy: every report is a false positive)");

@@ -40,11 +40,9 @@ pub struct SuppressOptions {
     pub stack: bool,
     pub locks: bool,
     pub mutexinoutset: bool,
-    /// Honor static guard proofs carried on segments
-    /// ([`Segment::guard_mask`]). Sound static proofs are a strict
-    /// subset of what dynamic lock tracking already suppresses, so the
-    /// layer only fires when `locks` is off or dynamic tracking missed
-    /// a critical section.
+    /// Unread: no suppression layer consumes static lock proofs. Kept
+    /// only because `tgbench` sets this field.
+    #[doc(hidden)]
     pub static_proof: bool,
 }
 
@@ -81,8 +79,9 @@ pub struct AnalysisOutput {
     pub suppressed_mutex: u64,
     pub suppressed_tls: u64,
     pub suppressed_stack: u64,
-    /// Ranges killed by a static guard proof
-    /// ([`Suppression::StaticProof`]).
+    /// Always 0: no suppression layer consumes static lock proofs. Kept
+    /// only because `tgbench` reads this field.
+    #[doc(hidden)]
     pub suppressed_static: u64,
 }
 
@@ -107,26 +106,28 @@ fn locks_intersect(a: &[u64], b: &[u64]) -> bool {
 /// statistic.
 ///
 /// Together with the confirmation pass this gives every conflicting
-/// range a four-way evidence story, from strongest exoneration to
+/// range a three-way evidence story, from strongest exoneration to
 /// strongest accusation:
 ///
-/// 1. **Statically proven safe** ([`Suppression::StaticProof`]): the
-///    binary analysis proved a common lock on every path — no dynamic
-///    evidence can override a proof, so the range never reports.
-/// 2. **Dynamically observed safe** ([`Suppression::Mutexinoutset`],
-///    [`Suppression::Tls`], [`Suppression::Stack`]): *this* execution
-///    witnessed a protection or disjointness fact (shared lockset,
-///    thread-local storage, dead stack frame) that the graph alone
-///    cannot express — suppressed, but only as strongly as one run's
-///    observation.
-/// 3. **Reported, confirmed** ([`crate::confirm::Verdict::Confirmed`]):
+/// 1. **Dynamically observed safe** (the lock check in `analyze_pair`,
+///    [`Suppression::Mutexinoutset`], [`Suppression::Tls`],
+///    [`Suppression::Stack`]): *this* execution witnessed a protection
+///    or disjointness fact (shared lockset, thread-local storage, dead
+///    stack frame) that the graph alone cannot express — suppressed,
+///    but only as strongly as one run's observation.
+/// 2. **Reported, confirmed** ([`crate::confirm::Verdict::Confirmed`]):
 ///    the range survived every layer *and* an adversarial replay
 ///    exhibited the flipped order — a concrete witness schedule.
-/// 4. **Reported, unconfirmed**
+/// 3. **Reported, unconfirmed**
 ///    ([`crate::confirm::Verdict::Unconfirmed`]): survived every layer
 ///    but no budgeted replay could flip it — often ad-hoc
 ///    synchronization invisible to the segment graph. Still reported;
-///    the verdict is triage metadata, never a fifth suppression layer.
+///    the verdict is triage metadata, never another suppression layer.
+///
+/// Every layer is dynamic, as in the paper (§IV). Static lock proofs
+/// are not a layer: a sound proof implies a dynamic critical section,
+/// which the lock check already sees, so such a layer could never fire
+/// (DESIGN.md §12).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Suppression {
     /// Both tasks hold a common `mutexinoutset` dependence object (or
@@ -143,11 +144,6 @@ pub enum Suppression {
     /// segments (below its live stack pointer): outlined-task frames
     /// recycled by the callee sequence, not a shared object (§IV-D).
     Stack,
-    /// Every access in both segments was statically proven to execute
-    /// under at least one common lock (the segments' guard masks
-    /// intersect). Checked last, after every dynamic layer, so enabling
-    /// it cannot reshuffle the dynamic suppression counters.
-    StaticProof,
 }
 
 /// Classify one conflicting range against the suppression layers.
@@ -183,13 +179,6 @@ fn suppress_range(
         if local_to(a) && local_to(b) {
             return Some(Suppression::Stack);
         }
-    }
-    // Last on purpose: a sound static proof implies the dynamic lock
-    // layer already caught the pair, so checking after every dynamic
-    // layer keeps their counters byte-identical whether this toggle is
-    // on or off.
-    if opts.static_proof && a.guard_mask & b.guard_mask != 0 {
-        return Some(Suppression::StaticProof);
     }
     None
 }
@@ -235,7 +224,6 @@ fn analyze_pair(
             Some(Suppression::Tls) => out.suppressed_tls += 1,
             Some(Suppression::Stack) => out.suppressed_stack += 1,
             Some(Suppression::Mutexinoutset) => out.suppressed_mutex += 1,
-            Some(Suppression::StaticProof) => out.suppressed_static += 1,
         }
     }
 }
@@ -518,90 +506,6 @@ mod tests {
         assert!(out.suppressed_mutex > 0);
     }
 
-    /// Two tasks racing on one address, every access tagged with a
-    /// common statically-proven guard bit, dynamic lock tracking OFF:
-    /// only the StaticProof layer can (and does) kill the pair.
-    fn static_guarded_pair(mask1: u64, mask2: u64) -> GraphBuilder {
-        let mut b = GraphBuilder::new();
-        let m = meta(0);
-        for mask in [mask1, mask2] {
-            let t = b.task_create(&m, 0, 0x1);
-            b.task_spawn(&m, t);
-            b.task_begin(&m, t);
-            b.record_access_masked(&m, 0xE000, 8, true, mask);
-            b.task_end(&m, t);
-        }
-        b
-    }
-
-    #[test]
-    fn static_proof_suppresses_when_masks_intersect() {
-        let opts = SuppressOptions { locks: false, ..Default::default() };
-        let g = static_guarded_pair(0b01, 0b11).finalize();
-        let r = Reachability::compute(&g);
-        let out = run(&g, &r, &opts);
-        assert!(out.candidates.is_empty(), "{:?}", out.candidates);
-        assert!(out.suppressed_static > 0);
-        // disjoint masks (different proven locks) do NOT suppress
-        let g = static_guarded_pair(0b01, 0b10).finalize();
-        let r = Reachability::compute(&g);
-        let out = run(&g, &r, &opts);
-        assert_eq!(out.candidates.len(), 1);
-        assert_eq!(out.suppressed_static, 0);
-        // one unproven access in a segment zeroes its fold
-        let g = {
-            let mut b = static_guarded_pair(0b01, 0b01);
-            let m = meta(0);
-            let t = b.task_create(&m, 0, 0x1);
-            b.task_spawn(&m, t);
-            b.task_begin(&m, t);
-            b.record_access_masked(&m, 0xE000, 8, true, 0b01);
-            b.record_access(&m, 0xE008, 8, false); // no proof → mask 0
-            b.task_end(&m, t);
-            b.finalize()
-        };
-        let r = Reachability::compute(&g);
-        let out = run(&g, &r, &opts);
-        assert!(
-            out.candidates.iter().any(|c| c.lo == 0xE000),
-            "mixed segment must not be proof-suppressed: {:?}",
-            out.candidates
-        );
-    }
-
-    #[test]
-    fn static_proof_toggle_exposes_the_pair() {
-        let opts = SuppressOptions { locks: false, static_proof: false, ..Default::default() };
-        let g = static_guarded_pair(0b01, 0b01).finalize();
-        let r = Reachability::compute(&g);
-        let out = run(&g, &r, &opts);
-        assert_eq!(out.candidates.len(), 1);
-        assert_eq!(out.suppressed_static, 0);
-    }
-
-    #[test]
-    fn static_proof_checked_after_dynamic_layers() {
-        // the same pair under a *dynamic* critical section AND a static
-        // proof: the locks layer must claim it, leaving the static
-        // counter at zero — this is what keeps verdicts and counters
-        // bit-identical when the concurrency pass is toggled
-        let mut b = GraphBuilder::new();
-        let m = meta(0);
-        for _ in 0..2 {
-            let t = b.task_create(&m, 0, 0x1);
-            b.task_spawn(&m, t);
-            b.task_begin(&m, t);
-            b.critical_enter(&m, 9);
-            b.record_access_masked(&m, 0xE000, 8, true, 0b1);
-            b.critical_exit(&m, 9);
-            b.task_end(&m, t);
-        }
-        let out = analyze(b);
-        assert!(out.candidates.is_empty());
-        assert!(out.suppressed_locks > 0);
-        assert_eq!(out.suppressed_static, 0);
-    }
-
     #[test]
     fn inoutset_members_do_race() {
         let mut b = GraphBuilder::new();
@@ -701,7 +605,6 @@ mod tests {
         assert_eq!(a.suppressed_mutex, b.suppressed_mutex, "{ctx}");
         assert_eq!(a.suppressed_tls, b.suppressed_tls, "{ctx}");
         assert_eq!(a.suppressed_stack, b.suppressed_stack, "{ctx}");
-        assert_eq!(a.suppressed_static, b.suppressed_static, "{ctx}");
     }
 
     #[test]
@@ -833,7 +736,7 @@ mod tests {
                     stack: false,
                     locks: false,
                     mutexinoutset: false,
-                    static_proof: false,
+                    ..Default::default()
                 },
             ] {
                 let seq = run(&g, &r, &opts);
@@ -844,7 +747,6 @@ mod tests {
                 proptest::prop_assert_eq!(seq.suppressed_mutex, sw.suppressed_mutex);
                 proptest::prop_assert_eq!(seq.suppressed_tls, sw.suppressed_tls);
                 proptest::prop_assert_eq!(seq.suppressed_stack, sw.suppressed_stack);
-                proptest::prop_assert_eq!(seq.suppressed_static, sw.suppressed_static);
             }
         }
     }
@@ -867,7 +769,7 @@ mod tests {
             stack: false,
             locks: false,
             mutexinoutset: false,
-            static_proof: false,
+            ..Default::default()
         };
         let out = run(&g, &r, &off);
         assert_eq!(out.candidates.len(), 1, "naive mode reports the FP");

@@ -97,11 +97,6 @@ pub struct Segment {
     /// Critical-section locks held throughout this segment.
     pub locks: Vec<u64>,
     pub region: Option<u32>,
-    /// AND-fold of the static guard masks of every access recorded into
-    /// this segment: bit *i* set means every access was statically
-    /// proven to hold lock *i* of the analysis' lock universe. Starts at
-    /// `!0`; a single access without a static proof zeroes it.
-    pub guard_mask: u64,
     /// Global client-request sequence number current when this segment
     /// opened ([`GraphBuilder::set_seq`]; 0 if the driver never stamps
     /// one). The confirm replay explorer uses it to locate a candidate's
@@ -522,7 +517,6 @@ impl GraphBuilder {
             tls_gen: meta.tls_gen,
             locks,
             region: self.cur_region,
-            guard_mask: !0,
             open_seq: self.cur_seq,
         });
         id
@@ -605,7 +599,6 @@ impl GraphBuilder {
                     tls_gen: meta.tls_gen,
                     locks: Vec::new(),
                     region: None,
-                    guard_mask: !0,
                     open_seq: self.cur_seq,
                 });
                 id
@@ -998,42 +991,21 @@ impl GraphBuilder {
     }
 
     pub fn record_access(&mut self, meta: &ThreadMeta, addr: u64, size: u64, write: bool) {
-        self.record_access_masked(meta, addr, size, write, 0);
-    }
-
-    /// [`Self::record_access`] with a static guard mask attached: bit
-    /// *i* set means static analysis proved lock *i* of its lock
-    /// universe is held across this access. The mask is AND-folded into
-    /// the current segment's [`Segment::guard_mask`]; `0` (the plain
-    /// `record_access` default) marks the access — and therefore the
-    /// whole segment — unproven. Sound in bulk-ingestion mode too: the
-    /// buffer is flushed before every segment split, so buffered
-    /// accesses always land in the segment that was current here.
-    pub fn record_access_masked(
-        &mut self,
-        meta: &ThreadMeta,
-        addr: u64,
-        size: u64,
-        write: bool,
-        mask: u64,
-    ) {
         self.ensure_ctx(meta);
         let bulk = self.bulk;
         let c = self.ctx[meta.tid].last_mut().unwrap();
-        let seg = c.cur_seg;
         if bulk {
             // hot path: append to the context's flat buffer; the
             // interval trees are built in bulk at segment close
             c.buf.push(addr, addr + size, write);
         } else {
-            let s = &mut self.segments[seg as usize];
+            let s = &mut self.segments[c.cur_seg as usize];
             if write {
                 s.writes.insert(addr, addr + size);
             } else {
                 s.reads.insert(addr, addr + size);
             }
         }
-        self.segments[seg as usize].guard_mask &= mask;
     }
 
     /// Resolve deferred edges and produce the final graph.

@@ -187,26 +187,27 @@ impl TaskgrindResult {
     }
 }
 
+/// The static analysis a run asks for. A run reads one fact, `safe_pcs`
+/// (which accesses may skip recording), and the dataflow pass computes
+/// it before the lockset and lock-order passes run; those only feed
+/// `tgrind lint`'s findings, so runs skip them. [`check_module`] and the
+/// engine's session both analyze with these options.
+pub const RUN_ANALYZE_OPTS: tga_analysis::AnalyzeOpts =
+    tga_analysis::AnalyzeOpts { concurrency: false };
+
 /// Run a compiled module under Taskgrind: record, then analyze.
 pub fn check_module(module: &Module, args: &[&str], cfg: &TaskgrindConfig) -> TaskgrindResult {
     let mut record = cfg.record.clone();
     if record.static_filter && record.static_facts.is_none() {
         // The code cache stores the serialized facts next to the
         // compiled blocks; a valid cached copy skips the whole static
-        // analysis (the cache key's config fingerprint covers
-        // `static_concurrency`, so concurrency-on and -off runs never
-        // share facts).
+        // analysis.
         let cached = cfg.code_cache.as_ref().and_then(|c| {
             let bytes = c.borrow_mut().load_facts()?;
             tga_analysis::StaticFacts::from_bytes(&bytes).ok()
         });
         let facts = cached.unwrap_or_else(|| {
-            // `concurrency` only adds lock findings and guard masks on
-            // top of the memory-classification facts — `safe_pcs` (and
-            // with it which accesses get recorded) is identical either
-            // way.
-            let opts = tga_analysis::AnalyzeOpts { concurrency: record.static_concurrency };
-            let facts = tga_analysis::analyze_with(module, &opts);
+            let facts = tga_analysis::analyze_with(module, &RUN_ANALYZE_OPTS);
             if let Some(c) = &cfg.code_cache {
                 c.borrow_mut().store_facts(&facts.to_bytes());
             }

@@ -29,7 +29,6 @@ pub fn publish(r: &TaskgrindResult, reg: &mut Registry) {
     reg.set_u64("analysis.suppressed_mutex", r.analysis.suppressed_mutex);
     reg.set_u64("analysis.suppressed_tls", r.analysis.suppressed_tls);
     reg.set_u64("analysis.suppressed_stack", r.analysis.suppressed_stack);
-    reg.set_u64("analysis.suppressed_static", r.analysis.suppressed_static);
 
     // `stream.` is a historical prefix: tgbench reads
     // `stream.peak_tool_bytes` by this name.
@@ -40,10 +39,6 @@ pub fn publish(r: &TaskgrindResult, reg: &mut Registry) {
     reg.set_u64("filter.sites_pruned", r.sites_pruned);
     reg.set_u64("filter.sites_instrumented", r.sites_instrumented);
     reg.set_u64("filter.accesses_recorded", r.accesses_recorded);
-    reg.set_u64(
-        "filter.guarded_sites",
-        r.static_facts.as_ref().map(|f| f.guarded.len() as u64).unwrap_or(0),
-    );
 
     if let Some(c) = &r.confirm {
         reg.set_bool("confirm.enabled", true);

@@ -84,13 +84,9 @@ pub struct RecordOptions {
     /// instrumentation of accesses proven thread-private or read-only.
     /// `--no-static-filter` on the CLI turns this off.
     pub static_filter: bool,
-    /// Use the static concurrency pass: lock findings in `tgrind lint`
-    /// and statically-proven guard masks on recorded accesses (the
-    /// sweep's [`crate::analysis::Suppression::StaticProof`] layer).
-    /// `--no-static-concurrency` on the CLI turns this off. Independent
-    /// of `static_filter`, which gates only the memory-classification
-    /// pruning — so toggling this never changes which accesses are
-    /// recorded.
+    /// Unread: a run computes its facts with [`crate::RUN_ANALYZE_OPTS`].
+    /// Kept only because `tgbench` sets this field.
+    #[doc(hidden)]
     pub static_concurrency: bool,
     /// Precomputed static facts. When `None` and `static_filter` is on,
     /// [`crate::check_module`] runs the analysis itself.
@@ -274,16 +270,12 @@ impl Tool for TaskgrindTool {
         addr: u64,
         size: u64,
         write: bool,
-        pc: u64,
+        _pc: u64,
     ) {
         let meta = thread_meta(core, tid);
         let mut st = self.state.borrow_mut();
         st.accesses_recorded += 1;
-        let mask = match (&st.opts.static_facts, st.opts.static_concurrency) {
-            (Some(f), true) => f.guard_mask(pc),
-            _ => 0,
-        };
-        st.builder.record_access_masked(&meta, addr, size, write, mask);
+        st.builder.record_access(&meta, addr, size, write);
     }
 
     fn client_request(&mut self, core: &mut VmCore, tid: Tid, code: u64, args: [u64; 5]) -> u64 {

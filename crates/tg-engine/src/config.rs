@@ -40,13 +40,6 @@ pub const FLAGS: &[FlagSpec] = &[
         effect: "prune instrumentation of statically safe accesses (tga-analysis)",
     },
     FlagSpec {
-        knob: "static_concurrency",
-        flag: "`--no-static-concurrency`",
-        default: "on",
-        subsystem: "analysis",
-        effect: "static lockset/lock-order findings + statically-proven sweep suppression",
-    },
-    FlagSpec {
         knob: "trace_out",
         flag: "`--trace-out=FILE`",
         default: "off",
@@ -109,7 +102,9 @@ pub struct EngineConfig {
     pub code_cache: Option<String>,
     /// Prune instrumentation of statically safe accesses.
     pub static_filter: bool,
-    /// Static lockset/lock-order pass + statically-proven suppression.
+    /// Unread: runs never run the lockset pass, and `tgrind lint`
+    /// always does. Kept only because `tgbench` reads this field.
+    #[doc(hidden)]
     pub static_concurrency: bool,
     /// Unread: analysis always runs once, after recording. Kept only
     /// because `tgbench` reads this field.
@@ -155,7 +150,6 @@ impl EngineConfig {
         vec![
             ("code_cache", self.code_cache.clone().unwrap_or_else(|| "off".into())),
             ("static_filter", onoff(self.static_filter)),
-            ("static_concurrency", onoff(self.static_concurrency)),
             ("trace_out", self.trace_out.clone().unwrap_or_else(|| "off".into())),
             ("metrics_json", self.metrics_json.clone().unwrap_or_else(|| "off".into())),
             ("self_profile", onoff(self.self_profile)),
@@ -172,8 +166,8 @@ impl EngineConfig {
     /// replacement settings).
     pub fn translation_fingerprint(&self, extra: &[String]) -> u64 {
         use grindcore::wire::fold64;
-        let mut h = fold64(0, b"tgc-fp-v2");
-        h = fold64(h, &[self.static_filter as u8, self.static_concurrency as u8]);
+        let mut h = fold64(0, b"tgc-fp-v3");
+        h = fold64(h, &[self.static_filter as u8]);
         for part in extra {
             h = fold64(h, part.as_bytes());
             h = fold64(h, &[0xff]); // separator: ["ab"] != ["a","b"]
@@ -186,7 +180,6 @@ impl EngineConfig {
     pub fn publish(&self, reg: &mut tg_obs::Registry) {
         reg.set_str("engine.code_cache", self.code_cache.as_deref().unwrap_or("off"));
         reg.set_bool("engine.static_filter", self.static_filter);
-        reg.set_bool("engine.static_concurrency", self.static_concurrency);
         reg.set_bool("engine.self_profile", self.self_profile);
     }
 }
@@ -221,8 +214,6 @@ mod tests {
         let fp = base.translation_fingerprint(&[]);
         let nofilter = EngineConfig { static_filter: false, ..EngineConfig::default() };
         assert_ne!(fp, nofilter.translation_fingerprint(&[]), "static_filter must be keyed");
-        let noconc = EngineConfig { static_concurrency: false, ..EngineConfig::default() };
-        assert_ne!(fp, noconc.translation_fingerprint(&[]), "static_concurrency must be keyed");
         let observed =
             EngineConfig { metrics_json: Some("m.json".into()), ..EngineConfig::default() };
         assert_eq!(

@@ -239,7 +239,6 @@ fn parse_request(line: &str, defaults: &EngineConfig) -> Result<Op, String> {
                     .ok_or("\"guest_args\" must be an array of strings")?;
             }
             "static_filter" => req.engine.static_filter = need_bool(key, value)?,
-            "static_concurrency" => req.engine.static_concurrency = need_bool(key, value)?,
             "self_profile" => req.engine.self_profile = need_bool(key, value)?,
             "code_cache" => req.engine.code_cache = Some(need_str(key, value)?),
             "no_code_cache" => {
@@ -259,7 +258,7 @@ fn parse_request(line: &str, defaults: &EngineConfig) -> Result<Op, String> {
 
 /// Run one admitted job on a worker thread, streaming status then the
 /// result (or a structured error) on the job's stream.
-fn serve_job(shared: &Shared, worker: usize, job: Job) -> u64 {
+fn serve_job(shared: &Shared, worker: usize, job: Job) {
     send(
         &job.stream,
         &format!(
@@ -288,7 +287,6 @@ fn serve_job(shared: &Shared, worker: usize, job: Job) -> u64 {
             send(&job.stream, &error_line(Some(job.id), error_reason(&e), &e.to_string()));
         }
     }
-    job.id
 }
 
 /// Daemon statistics for `{"op":"ping"}`.
@@ -307,7 +305,7 @@ fn pong(shared: &Shared) -> String {
 /// request line, answer control ops inline, enqueue run jobs.
 fn handle_conn(
     shared: &Arc<Shared>,
-    pool: &CompilePool<Job, u64>,
+    pool: &CompilePool<Job>,
     stream: UnixStream,
     next_id: &mut u64,
 ) {
@@ -376,7 +374,7 @@ impl Server {
             failed: AtomicU64::new(0),
         });
         let pool_shared = shared.clone();
-        let pool: CompilePool<Job, u64> =
+        let pool: CompilePool<Job> =
             CompilePool::new(opts.workers.max(1), opts.queue_cap.max(1), "serve", move |i| {
                 let shared = pool_shared.clone();
                 move |job: Job| serve_job(&shared, i, job)
@@ -500,7 +498,7 @@ mod tests {
             &eng,
         );
         assert!(r.is_err(), "trace_out is daemon-global");
-        for field in ["wat", "chaining", "sweep", "bulk", "fuse"] {
+        for field in ["wat", "chaining", "sweep", "bulk", "fuse", "static_concurrency"] {
             let line =
                 format!(r#"{{"op":"run","source":{{"name":"a.c","text":"x"}},"{field}":true}}"#);
             match parse_request(&line, &eng) {

@@ -16,7 +16,9 @@
 //! * compiled **modules** are memoized by a *source key*, a hash of
 //!   `(source name, source text, tsan)` — compilation is pure;
 //! * **static facts** are memoized by `(source key, concurrency)` —
-//!   `analyze_with` is a pure function of the module and `concurrency`;
+//!   `analyze_with` is a pure function of the module and `concurrency`,
+//!   which runs and warm take from [`taskgrind::RUN_ANALYZE_OPTS`]
+//!   (`false`) and lint sets to `true`;
 //! * **disk code caches** are shared by `(dir, module hash, config
 //!   fingerprint)` — the same key that already isolates incompatible
 //!   configurations on disk. The module hash ([`tg_cache::module_hash`])
@@ -258,56 +260,62 @@ struct FactsOutcome {
 }
 
 /// A thread-safe view of a shared [`DiskCodeCache`], handed to each run
-/// as its private `CodeCache`. Stats are reported as the *delta* since
-/// this view was created, so a run's `cache.*` registry entries reflect
-/// its own hits/misses even when many jobs share the container (the
-/// delta is exact for sequential runs and approximate — an upper bound
-/// including concurrent jobs' traffic — under concurrency).
+/// as its private `CodeCache`. Each call adds the container's stats
+/// delta it caused, taken under the lock the call holds, to the view's
+/// own counters, so a run's `cache.*` registry entries count its own
+/// hits and misses exactly, even while other jobs use the container.
 struct SharedDiskCache {
     inner: Arc<Mutex<DiskCodeCache>>,
-    base: CodeCacheStats,
+    own: CodeCacheStats,
 }
 
 impl SharedDiskCache {
     fn new(inner: Arc<Mutex<DiskCodeCache>>) -> SharedDiskCache {
-        let base = inner.lock().unwrap().stats();
-        SharedDiskCache { inner, base }
+        let enabled = inner.lock().expect("no job panics holding the cache").stats().enabled;
+        SharedDiskCache { inner, own: CodeCacheStats { enabled, ..Default::default() } }
+    }
+
+    /// Run `f` on the container and count the stats it moved as ours.
+    fn with<R>(&mut self, f: impl FnOnce(&mut DiskCodeCache) -> R) -> R {
+        let mut c = self.inner.lock().expect("no job panics holding the cache");
+        let before = c.stats();
+        let r = f(&mut c);
+        let after = c.stats();
+        let own = &mut self.own;
+        own.hits += after.hits - before.hits;
+        own.misses += after.misses - before.misses;
+        own.bytes_loaded += after.bytes_loaded - before.bytes_loaded;
+        own.bytes_stored += after.bytes_stored - before.bytes_stored;
+        own.load_nanos += after.load_nanos - before.load_nanos;
+        own.store_nanos += after.store_nanos - before.store_nanos;
+        own.invalidations += after.invalidations - before.invalidations;
+        r
     }
 }
 
 impl CodeCache for SharedDiskCache {
     fn load(&mut self, pc: u64) -> Option<CachedTranslation> {
-        self.inner.lock().unwrap().load(pc)
+        self.with(|c| c.load(pc))
     }
 
     fn store(&mut self, pc: u64, end: u64, block: &grindcore::flat::FlatBlock) {
-        self.inner.lock().unwrap().store(pc, end, block)
+        self.with(|c| c.store(pc, end, block))
     }
 
     fn invalidate_range(&mut self, lo: u64, hi: u64) {
-        self.inner.lock().unwrap().invalidate_range(lo, hi)
+        self.with(|c| c.invalidate_range(lo, hi))
     }
 
     fn load_facts(&mut self) -> Option<Vec<u8>> {
-        self.inner.lock().unwrap().load_facts()
+        self.with(|c| c.load_facts())
     }
 
     fn store_facts(&mut self, bytes: &[u8]) {
-        self.inner.lock().unwrap().store_facts(bytes)
+        self.with(|c| c.store_facts(bytes))
     }
 
     fn stats(&self) -> CodeCacheStats {
-        let cur = self.inner.lock().unwrap().stats();
-        CodeCacheStats {
-            enabled: cur.enabled,
-            hits: cur.hits.saturating_sub(self.base.hits),
-            misses: cur.misses.saturating_sub(self.base.misses),
-            bytes_loaded: cur.bytes_loaded.saturating_sub(self.base.bytes_loaded),
-            bytes_stored: cur.bytes_stored.saturating_sub(self.base.bytes_stored),
-            load_nanos: cur.load_nanos.saturating_sub(self.base.load_nanos),
-            store_nanos: cur.store_nanos.saturating_sub(self.base.store_nanos),
-            invalidations: cur.invalidations.saturating_sub(self.base.invalidations),
-        }
+        self.own
     }
 }
 
@@ -354,7 +362,6 @@ fn record_options(req: &RunRequest) -> RecordOptions {
         },
         replace_allocator: !req.keep_free,
         static_filter: req.engine.static_filter,
-        static_concurrency: req.engine.static_concurrency,
         ..Default::default()
     }
 }
@@ -444,6 +451,9 @@ impl Session {
     /// cache when one is attached — and on a memo hit over a factless
     /// cache, the memoized copy is persisted so the container stays
     /// complete for future processes). `key` names `module` in the memo.
+    /// Runs and warm pass [`taskgrind::RUN_ANALYZE_OPTS`]'s `concurrency`
+    /// with their cache; lint passes `true` and no cache, so a disk copy
+    /// always holds run facts.
     fn facts_for(
         &self,
         module: &Module,
@@ -649,22 +659,10 @@ impl Session {
                 });
                 let mut record = record_options(req);
                 if record.static_filter && record.static_facts.is_none() {
+                    let (key, conc) = (loaded.source_key, taskgrind::RUN_ANALYZE_OPTS.concurrency);
                     let fo = match &handle {
-                        Some(h) => {
-                            let mut c = h.borrow_mut();
-                            self.facts_for(
-                                &module,
-                                loaded.source_key,
-                                record.static_concurrency,
-                                Some(&mut *c),
-                            )
-                        }
-                        None => self.facts_for(
-                            &module,
-                            loaded.source_key,
-                            record.static_concurrency,
-                            None,
-                        ),
+                        Some(h) => self.facts_for(&module, key, conc, Some(&mut *h.borrow_mut())),
+                        None => self.facts_for(&module, key, conc, None),
                     };
                     record.static_facts = Some(fo.facts);
                 }
@@ -678,13 +676,10 @@ impl Session {
                             stack: false,
                             locks: false,
                             mutexinoutset: false,
-                            static_proof: false,
-                        }
-                    } else {
-                        SuppressOptions {
-                            static_proof: eng.static_concurrency,
                             ..Default::default()
                         }
+                    } else {
+                        SuppressOptions::default()
                     },
                     sweep: true,
                     suppressions: req.suppressions.clone(),
@@ -787,7 +782,8 @@ impl Session {
         let mut record = record;
         let mut facts_stored = false;
         if record.static_filter && record.static_facts.is_none() {
-            let fo = self.facts_for(module, key, record.static_concurrency, Some(cache));
+            let conc = taskgrind::RUN_ANALYZE_OPTS.concurrency;
+            let fo = self.facts_for(module, key, conc, Some(cache));
             facts_stored = fo.stored;
             record.static_facts = Some(fo.facts);
         }
@@ -796,11 +792,12 @@ impl Session {
         stats
     }
 
-    /// Static analysis only (`tgrind lint`): publish the verdict table
-    /// into a fresh registry and return the rendered report.
-    pub fn lint(&self, program: &Program, concurrency: bool) -> Result<LintOutcome, EngineError> {
+    /// Static analysis only (`tgrind lint`): publish the verdict table,
+    /// lock findings included, into a fresh registry and return the
+    /// rendered report.
+    pub fn lint(&self, program: &Program) -> Result<LintOutcome, EngineError> {
         let (loaded, _) = self.module(program, false)?;
-        let fo = self.facts_for(&loaded.module, loaded.source_key, concurrency, None);
+        let fo = self.facts_for(&loaded.module, loaded.source_key, true, None);
         let mut registry = Registry::new();
         crate::lint::publish(&fo.facts, &mut registry);
         Ok(LintOutcome {
@@ -808,5 +805,36 @@ impl Session {
             findings: registry.u64("lint.findings"),
             registry,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Two views of one container, the way two serve jobs share it: each
+    /// counts only the traffic it made, even when the other view was busy
+    /// after it was created.
+    #[test]
+    fn shared_cache_views_count_their_own_traffic() {
+        let dir = std::env::temp_dir().join(format!("tg-shared-view-{}", std::process::id()));
+        let inner = Arc::new(Mutex::new(DiskCodeCache::open(&dir, 1, 1).expect("cache opens")));
+        let mut first = SharedDiskCache::new(inner.clone());
+        let mut second = SharedDiskCache::new(inner.clone());
+        for pc in 0..400u64 {
+            assert!(second.load(pc * 8).is_none());
+        }
+        second.store_facts(b"facts");
+        assert!(first.load(0x1000).is_none());
+        assert_eq!(first.load_facts().as_deref(), Some(&b"facts"[..]));
+
+        let (a, b) = (first.stats(), second.stats());
+        assert!(a.enabled && b.enabled);
+        assert_eq!((a.misses, b.misses), (1, 400));
+        assert_eq!((a.bytes_stored, b.bytes_stored), (0, 5));
+        assert_eq!((a.bytes_loaded, b.bytes_loaded), (5, 0));
+        // the container still sees everyone's traffic
+        assert_eq!(inner.lock().unwrap().stats().misses, 401);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

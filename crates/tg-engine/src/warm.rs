@@ -9,14 +9,15 @@
 //! into its translation cache instead of recompiling them.
 //!
 //! Static-facts resolution lives in the session
-//! ([`crate::Session::warm_module_with`]), which shares one memoized
-//! copy per `(module, concurrency)` across warm, run and lint — this
-//! module only precompiles blocks. `record.static_facts` is expected to
+//! ([`crate::Session::warm_module_with`]), which memoizes one copy per
+//! `(module, concurrency)`: warm and runs share the run facts, lint
+//! keeps its own — this module only precompiles blocks. `record.static_facts` is expected to
 //! be resolved already when the filter is on.
 //!
 //! The compile loop fans out across a [`grindcore::CompilePool`]: each
 //! worker owns a private [`TaskgrindTool`] built *on* the worker thread
-//! (the tool is `!Send`), and results are sorted by pc before they are
+//! (the tool is `!Send`) and pushes its `(pc, block)` results into a
+//! list this module owns, which is sorted by pc before the blocks are
 //! stored so the cache file is byte-identical for any thread count.
 //! Stores go into the in-memory container; the caller flushes the file
 //! exactly once at the end.
@@ -31,7 +32,7 @@
 
 use grindcore::flat::FlatBlock;
 use grindcore::{BlockCode, CodeCache, CompilePool, Translation};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use taskgrind::tool::{RecordOptions, TaskgrindTool};
 use tg_cache::DiskCodeCache;
 use tga::module::Module;
@@ -86,22 +87,28 @@ pub fn warm_module(
 
     let t0 = std::time::Instant::now();
     let module = Arc::new(module.clone());
-    let pool: CompilePool<u64, WarmDone> =
-        CompilePool::new(stats.threads, todo.len(), "warm", move |_i| {
-            let module = module.clone();
-            // The tool is `!Send`; the pool's factory runs on the worker
-            // thread, so each worker owns a private instance.
-            let mut tool = TaskgrindTool::new(record.clone());
-            move |pc: u64| match grindcore::translate(&module, pc, &mut tool, true) {
-                Ok(Translation { code: BlockCode::Flat(flat), end }) => (pc, Some((end, flat))),
-                _ => (pc, None),
-            }
-        });
+    let done: Arc<Mutex<Vec<WarmDone>>> = Arc::default();
+    let out = done.clone();
+    let pool: CompilePool<u64> = CompilePool::new(stats.threads, todo.len(), "warm", move |_i| {
+        let (module, out) = (module.clone(), out.clone());
+        // The tool is `!Send`; the pool's factory runs on the worker
+        // thread, so each worker owns a private instance.
+        let mut tool = TaskgrindTool::new(record.clone());
+        move |pc: u64| {
+            let body = match grindcore::translate(&module, pc, &mut tool, true) {
+                Ok(Translation { code: BlockCode::Flat(flat), end }) => Some((end, flat)),
+                _ => None,
+            };
+            out.lock().expect("no warm worker panics holding the results").push((pc, body));
+        }
+    });
     // The queue is sized to hold every job, so these sends cannot fail.
     for pc in &todo {
         pool.try_send(*pc).expect("warm queue sized for all jobs");
     }
-    let mut done = pool.shutdown();
+    drop(pool); // waits for every queued block
+    let mut done =
+        std::mem::take(&mut *done.lock().expect("no warm worker panics holding the results"));
     // Store in pc order so the cache file is identical for any thread
     // count or completion interleaving.
     done.sort_unstable_by_key(|(pc, _)| *pc);

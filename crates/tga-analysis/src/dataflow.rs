@@ -104,7 +104,7 @@ pub struct FnFacts {
 }
 
 /// A classified global range (read-only or init-only).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RoRange {
     /// Symbol name.
     pub name: String,

@@ -19,10 +19,10 @@
 //! lock-order graph with cycle detection ([`lockorder`]). These feed
 //! three lint finding kinds (potential deadlocks, double locks, lock
 //! leaks) and a *guard map* — access sites provably executed with a
-//! known lock held, tagged so the sweep can suppress pairs that share a
-//! statically proven common lock. The same facts power the `lint` CLI
-//! subcommand, which prints CFG statistics and the static findings with
-//! debug-info locations.
+//! known lock held — that only the `lint` CLI subcommand reports: a
+//! Taskgrind run skips the concurrency pass ([`AnalyzeOpts`]). `lint`
+//! prints CFG statistics and the static findings with debug-info
+//! locations.
 
 #![warn(missing_docs)]
 
@@ -150,7 +150,10 @@ impl std::fmt::Display for Finding {
 pub struct AnalyzeOpts {
     /// Run the static concurrency pass (locksets, lock-order graph,
     /// guard map). When off, only the memory-classification facts are
-    /// produced — lock findings and guarded-site tags are empty.
+    /// produced — lock findings and guarded-site tags are empty, and
+    /// every other fact is the same as with the pass on. Taskgrind runs
+    /// pass `false` (they read only `safe_pcs`); `tgrind lint` passes
+    /// `true`.
     pub concurrency: bool,
 }
 
@@ -203,15 +206,6 @@ impl StaticFacts {
     /// are always recorded, and atomics are never in `safe_pcs`.
     pub fn is_safe_access(&self, pc: u64, _write: bool) -> bool {
         self.safe_pcs.contains(&pc)
-    }
-
-    /// Statically proven guard mask of the access at `pc` (0 when no
-    /// lock is proven held there).
-    pub fn guard_mask(&self, pc: u64) -> u64 {
-        match self.guarded.binary_search_by_key(&pc, |&(p, _)| p) {
-            Ok(i) => self.guarded[i].1,
-            Err(_) => 0,
-        }
     }
 
     /// Human-readable lint report.
@@ -409,7 +403,7 @@ pub fn analyze_with(module: &Module, opts: &AnalyzeOpts) -> StaticFacts {
 }
 
 /// Run the full static pipeline with default options (concurrency pass
-/// included).
+/// included), as `tgrind lint` does.
 pub fn analyze(module: &Module) -> StaticFacts {
     analyze_with(module, &AnalyzeOpts::default())
 }

@@ -2,10 +2,10 @@
 //! block installed from disk instead of compiled — must be invisible in
 //! every verdict-bearing output. Candidate list, raw-range and
 //! suppression counters, recorded accesses, and rendered report text
-//! must be bit-identical to a cache-less reference with the static
-//! concurrency pass on and off, plus the chaining-off case (where the
-//! cache is deliberately inert: the reference engine executes IR, which
-//! the cache does not store).
+//! must be bit-identical to a cache-less reference, on the chained
+//! engine and in the chaining-off case (where the cache is deliberately
+//! inert: the reference engine executes IR, which the cache does not
+//! store).
 //!
 //! `sites_pruned` / `sites_instrumented` are deliberately NOT compared:
 //! they count instrumentation work, and skipping instrumentation is the
@@ -23,7 +23,6 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use grindcore::{CodeCacheHandle, ExecMode, Vm, VmConfig};
-use taskgrind::analysis::SuppressOptions;
 use taskgrind::tool::RecordOptions;
 use taskgrind::{check_module, TaskgrindConfig, TaskgrindResult};
 use tg_cache::{module_hash, DiskCodeCache};
@@ -43,19 +42,16 @@ fn temp_dir(tag: &str) -> PathBuf {
     d
 }
 
-/// One run configuration; the cache fingerprint mirrors the CLI's rule:
-/// knobs that shape translated code (here: `static_concurrency`, which
-/// selects which facts are stored) key the cache.
+/// One run configuration. Every run here shares one translation
+/// configuration, so every cache opens under one config fingerprint.
 #[derive(Clone, Copy)]
 struct Cfg {
     chaining: bool,
-    concurrency: bool,
     threads: u64,
 }
 
-fn open_cache(dir: &Path, m: &tga::module::Module, c: Cfg) -> Rc<RefCell<DiskCodeCache>> {
-    let fp = c.concurrency as u64;
-    Rc::new(RefCell::new(DiskCodeCache::open(dir, module_hash(m), fp).expect("cache opens")))
+fn open_cache(dir: &Path, m: &tga::module::Module) -> Rc<RefCell<DiskCodeCache>> {
+    Rc::new(RefCell::new(DiskCodeCache::open(dir, module_hash(m), 0).expect("cache opens")))
 }
 
 fn run(
@@ -66,8 +62,6 @@ fn run(
 ) -> TaskgrindResult {
     let cfg = TaskgrindConfig {
         vm: VmConfig { nthreads: c.threads, chaining: c.chaining, ..Default::default() },
-        record: RecordOptions { static_concurrency: c.concurrency, ..Default::default() },
-        suppress: SuppressOptions { static_proof: c.concurrency, ..Default::default() },
         code_cache: cache.map(|rc| CodeCacheHandle::new(rc.clone())),
         ..Default::default()
     };
@@ -86,7 +80,6 @@ fn assert_identical(a: &TaskgrindResult, b: &TaskgrindResult, ctx: &str) {
     assert_eq!(a.analysis.suppressed_mutex, b.analysis.suppressed_mutex, "{ctx}: mutex");
     assert_eq!(a.analysis.suppressed_tls, b.analysis.suppressed_tls, "{ctx}: tls");
     assert_eq!(a.analysis.suppressed_stack, b.analysis.suppressed_stack, "{ctx}: stack");
-    assert_eq!(a.analysis.suppressed_static, b.analysis.suppressed_static, "{ctx}: static");
     assert_eq!(a.accesses_recorded, b.accesses_recorded, "{ctx}: accesses recorded");
     assert_eq!(a.run.metrics.instrs, b.run.metrics.instrs, "{ctx}: guest instrs");
     assert_eq!(
@@ -119,43 +112,38 @@ fn hit_rate(r: &TaskgrindResult) -> f64 {
 /// must serve ≥90% of its translations from disk.
 #[test]
 fn warm_runs_preserve_table1_verdicts() {
-    let combos = [
-        Cfg { chaining: true, concurrency: true, threads: 2 },
-        Cfg { chaining: true, concurrency: false, threads: 2 },
-    ];
+    let c = Cfg { chaining: true, threads: 2 };
     let mut any_candidates = false;
     for p in corpus() {
         let Ok(m) = guest_rt::build_single(p.name, p.source) else {
             continue; // ncs entries stay ncs either way
         };
-        for c in combos {
-            let dir = temp_dir("corpus");
-            let reference = run(&m, &[], c, None);
-            any_candidates |= !reference.analysis.candidates.is_empty();
-            assert_summary_shape(&reference, false, p.name);
+        let dir = temp_dir("corpus");
+        let reference = run(&m, &[], c, None);
+        any_candidates |= !reference.analysis.candidates.is_empty();
+        assert_summary_shape(&reference, false, p.name);
 
-            let cache = open_cache(&dir, &m, c);
-            let cold = run(&m, &[], c, Some(&cache));
-            let ctx = format!("{} (concurrency={}) cold", p.name, c.concurrency);
-            assert_identical(&reference, &cold, &ctx);
-            assert_summary_shape(&cold, true, &ctx);
-            assert_eq!(cold.run.metrics.cache.hits, 0, "{ctx}: first run finds empty cache");
-            assert!(cold.run.metrics.cache.bytes_stored > 0, "{ctx}: cold run populates");
+        let cache = open_cache(&dir, &m);
+        let cold = run(&m, &[], c, Some(&cache));
+        let ctx = format!("{} cold", p.name);
+        assert_identical(&reference, &cold, &ctx);
+        assert_summary_shape(&cold, true, &ctx);
+        assert_eq!(cold.run.metrics.cache.hits, 0, "{ctx}: first run finds empty cache");
+        assert!(cold.run.metrics.cache.bytes_stored > 0, "{ctx}: cold run populates");
 
-            let cache = open_cache(&dir, &m, c);
-            let warm = run(&m, &[], c, Some(&cache));
-            let ctx = format!("{} (concurrency={}) warm", p.name, c.concurrency);
-            assert_identical(&reference, &warm, &ctx);
-            assert_summary_shape(&warm, true, &ctx);
-            assert!(warm.run.metrics.cache.hits > 0, "{ctx}: warm run must hit");
-            assert!(
-                hit_rate(&warm) >= 0.9,
-                "{ctx}: hit rate {:.3} below 0.9 ({:?})",
-                hit_rate(&warm),
-                warm.run.metrics.cache
-            );
-            let _ = fs::remove_dir_all(&dir);
-        }
+        let cache = open_cache(&dir, &m);
+        let warm = run(&m, &[], c, Some(&cache));
+        let ctx = format!("{} warm", p.name);
+        assert_identical(&reference, &warm, &ctx);
+        assert_summary_shape(&warm, true, &ctx);
+        assert!(warm.run.metrics.cache.hits > 0, "{ctx}: warm run must hit");
+        assert!(
+            hit_rate(&warm) >= 0.9,
+            "{ctx}: hit rate {:.3} below 0.9 ({:?})",
+            hit_rate(&warm),
+            warm.run.metrics.cache
+        );
+        let _ = fs::remove_dir_all(&dir);
     }
     assert!(any_candidates, "the corpus must exercise non-empty candidate sets");
 }
@@ -170,17 +158,17 @@ fn cache_is_inert_without_chaining() {
     let p = p.expect("corpus has buildable entries");
     let m = guest_rt::build_single(p.name, p.source).unwrap();
     let dir = temp_dir("nochain");
-    let c = Cfg { chaining: false, concurrency: true, threads: 2 };
+    let c = Cfg { chaining: false, threads: 2 };
 
     let reference = run(&m, &[], c, None);
-    let cache = open_cache(&dir, &m, c);
+    let cache = open_cache(&dir, &m);
     let cached = run(&m, &[], c, Some(&cache));
     assert_identical(&reference, &cached, "no-chaining cached run");
     let stats = cached.run.metrics.cache;
     assert_eq!((stats.hits, stats.misses, stats.bytes_loaded), (0, 0, 0), "{stats:?}");
     // ... but the statically computed facts are still cached (analysis
     // is engine-independent) and reused by a second no-chaining run
-    let cache = open_cache(&dir, &m, c);
+    let cache = open_cache(&dir, &m);
     assert!(cache.borrow().has_facts(), "facts persist even without chaining");
     let warm = run(&m, &[], c, Some(&cache));
     assert_identical(&reference, &warm, "no-chaining facts-warmed run");
@@ -200,17 +188,17 @@ fn lulesh_warm_run_skips_compilations_and_matches() {
         LuleshParams { s: 4, tel: 2, tnl: 2, iters: 2, progress: false, racy: false, threads: 2 };
     let args: Vec<String> = params.args();
     let args: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
-    let c = Cfg { chaining: true, concurrency: true, threads: params.threads };
+    let c = Cfg { chaining: true, threads: params.threads };
     let dir = temp_dir("lulesh");
 
     let reference = run(&m, &args, c, None);
-    let cache = open_cache(&dir, &m, c);
+    let cache = open_cache(&dir, &m);
     let cold = run(&m, &args, c, Some(&cache));
     assert_identical(&reference, &cold, "lulesh cold");
     let cold_translations = cold.run.metrics.translations;
     assert!(cold_translations > 0);
 
-    let cache = open_cache(&dir, &m, c);
+    let cache = open_cache(&dir, &m);
     let warm = run(&m, &args, c, Some(&cache));
     assert_identical(&reference, &warm, "lulesh warm");
     assert!(
@@ -237,18 +225,17 @@ fn static_warm_precompile_feeds_a_first_run() {
     let p = p.expect("corpus has buildable entries");
     let m = guest_rt::build_single(p.name, p.source).unwrap();
     let dir = temp_dir("warmcmd");
-    let c = Cfg { chaining: true, concurrency: true, threads: 2 };
+    let c = Cfg { chaining: true, threads: 2 };
 
     let reference = run(&m, &[], c, None);
     {
-        let cache = open_cache(&dir, &m, c);
-        let record = RecordOptions { static_concurrency: c.concurrency, ..Default::default() };
+        let cache = open_cache(&dir, &m);
         // Warm through the compile pool (2 workers): the cached run
         // below then doubles as a parallel-warm differential.
         let stats = tg_engine::Session::new().warm_module_with(
             &m,
             module_hash(&m),
-            record,
+            RecordOptions::default(),
             &mut cache.borrow_mut(),
             2,
         );
@@ -256,7 +243,7 @@ fn static_warm_precompile_feeds_a_first_run() {
         assert!(stats.facts_stored, "warm computes and stores the static facts");
         cache.borrow_mut().flush().expect("flush");
     }
-    let cache = open_cache(&dir, &m, c);
+    let cache = open_cache(&dir, &m);
     let first = run(&m, &[], c, Some(&cache));
     assert_identical(&reference, &first, "statically warmed first run");
     assert!(

@@ -390,6 +390,11 @@ fn per_job_globals_and_unknown_fields_are_rejected() {
             "{\"op\":\"run\",\"program\":\"p.c\",\"analysis_threads\":2199023255552}",
             "unknown request field",
         ),
+        // Runs never run the lockset pass; only `tgrind lint` does.
+        (
+            "{\"op\":\"run\",\"program\":\"p.c\",\"static_concurrency\":true}",
+            "unknown request field",
+        ),
         ("{\"op\":\"run\"}", "missing \\\"program\\\""),
         ("not json", "invalid JSON"),
     ] {

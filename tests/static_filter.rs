@@ -101,13 +101,38 @@ fn run_path_guests() -> Vec<(&'static str, &'static str)> {
     v
 }
 
-/// What the recording run reads from the static facts: for every
-/// load, store and atomic in a function Taskgrind instruments (outside
-/// the default ignore-list) and that can run (reachable from the entry
-/// point or an address-taken function, the assumption spawn
+/// A run analyzes without the lockset and lock-order passes
+/// (`taskgrind::RUN_ANALYZE_OPTS`). That is sound only while the pass
+/// changes no fact a run or the filter's statistics read: on every
+/// benchmark guest, the facts with and without it agree on everything
+/// but the lock facts.
+#[test]
+fn concurrency_pass_changes_no_run_fact() {
+    let on = tga_analysis::AnalyzeOpts { concurrency: true };
+    let mut guarded = 0;
+    for (name, source) in run_path_guests() {
+        let Ok(m) = guest_rt::build_single(name, source) else {
+            continue;
+        };
+        let run = tga_analysis::analyze_with(&m, &taskgrind::RUN_ANALYZE_OPTS);
+        let full = tga_analysis::analyze_with(&m, &on);
+        assert_eq!(run.safe_pcs, full.safe_pcs, "{name}: safe_pcs");
+        assert_eq!(run.ro, full.ro, "{name}: read-only globals");
+        assert_eq!(run.init_only, full.init_only, "{name}: init-only globals");
+        assert_eq!(run.access_pcs, full.access_pcs, "{name}: access pcs");
+        assert!(run.guarded.is_empty() && run.lock_universe.is_empty(), "{name}: no lock facts");
+        guarded += full.guarded.len();
+    }
+    assert!(guarded > 0, "some benchmark guest must have guarded sites for this to test");
+}
+
+/// What the recording run reads from the static facts it computes: for
+/// every load, store and atomic in a function Taskgrind instruments
+/// (outside the default ignore-list) and that can run (reachable from
+/// the entry point or an address-taken function, the assumption spawn
 /// reachability already makes), whether the site may skip recording
-/// (`s`) and the lock ids behind its guard mask. One line per function,
-/// the site named by its instruction index from the function's entry.
+/// (`s`). One line per function, the site named by its instruction
+/// index from the function's entry.
 fn render_run_path_facts() -> String {
     use std::fmt::Write as _;
     use tga::module::SymKind;
@@ -119,7 +144,7 @@ fn render_run_path_facts() -> String {
             let _ = writeln!(out, "{name}: does-not-compile");
             continue;
         };
-        let facts = tga_analysis::analyze(&m);
+        let facts = tga_analysis::analyze_with(&m, &taskgrind::RUN_ANALYZE_OPTS);
         let cfg = tga_analysis::cfg::recover(&m);
         let dead: Vec<u64> = cfg.unreachable.iter().map(|&i| cfg.funcs[i].lo).collect();
         let mut funcs: Vec<_> = m
@@ -145,14 +170,6 @@ fn render_run_path_facts() -> String {
                 let _ = write!(out, " {}", (pc - f.addr) / INST_SIZE);
                 if facts.is_safe_access(pc, write) {
                     out.push('s');
-                }
-                let mask = facts.guard_mask(pc);
-                if mask != 0 {
-                    let locks: Vec<String> = (0..64)
-                        .filter(|b| mask & (1u64 << b) != 0)
-                        .map(|b| format!("{:#x}", facts.lock_universe[b]))
-                        .collect();
-                    let _ = write!(out, "[{}]", locks.join(","));
                 }
                 pc += INST_SIZE;
             }

@@ -55,7 +55,6 @@ fn assert_identical(a: &TaskgrindResult, b: &TaskgrindResult, ctx: &str) {
     assert_eq!(a.analysis.suppressed_mutex, b.analysis.suppressed_mutex, "{ctx}: mutex");
     assert_eq!(a.analysis.suppressed_tls, b.analysis.suppressed_tls, "{ctx}: tls");
     assert_eq!(a.analysis.suppressed_stack, b.analysis.suppressed_stack, "{ctx}: stack");
-    assert_eq!(a.analysis.suppressed_static, b.analysis.suppressed_static, "{ctx}: static");
     assert_eq!(a.accesses_recorded, b.accesses_recorded, "{ctx}: accesses recorded");
     assert_eq!(a.n_reports(), b.n_reports(), "{ctx}: report count");
     assert_eq!(a.render_all(), b.render_all(), "{ctx}: report text");
@@ -146,67 +145,6 @@ fn sweep_and_bulk_preserve_bots_output() {
     assert!(raw_ranges > 0, "BOTS must exercise conflict intersection");
     assert!(suppressed_stack > 0, "BOTS must exercise the stack layer");
     assert!(suppressed_locks > 0, "BOTS must exercise the lock layer");
-}
-
-/// Run with the static concurrency pass (guard-mask tagging + the
-/// StaticProof sweep layer) toggled.
-fn run_concurrency(
-    m: &tga::module::Module,
-    args: &[&str],
-    nt: u64,
-    concurrency: bool,
-) -> TaskgrindResult {
-    let cfg = TaskgrindConfig {
-        vm: grindcore::VmConfig { nthreads: nt, ..Default::default() },
-        record: RecordOptions { static_concurrency: concurrency, ..Default::default() },
-        suppress: taskgrind::analysis::SuppressOptions {
-            static_proof: concurrency,
-            ..Default::default()
-        },
-        sweep: true,
-        ..Default::default()
-    };
-    check_module(m, args, &cfg)
-}
-
-/// The static concurrency pass must be *verdict-invisible*: a sound
-/// static guard proof only tags accesses that run under a dynamic
-/// critical section, so the locks layer claims every such pair first
-/// and all Table I verdicts, counters, and report text stay
-/// bit-identical with the pass on and off.
-#[test]
-fn static_concurrency_is_verdict_invisible_on_table1() {
-    for p in corpus() {
-        let Ok(m) = guest_rt::build_single(p.name, p.source) else {
-            continue;
-        };
-        let on = run_concurrency(&m, &[], 4, true);
-        let off = run_concurrency(&m, &[], 4, false);
-        let ctx = format!("{} concurrency on vs off", p.name);
-        assert_identical(&on, &off, &ctx);
-        assert_eq!(
-            on.analysis.suppressed_static, 0,
-            "{ctx}: dynamic lock tracking must subsume every static proof"
-        );
-    }
-}
-
-/// Same on mini-LULESH.
-#[test]
-fn static_concurrency_is_verdict_invisible_on_lulesh() {
-    let m = guest_rt::build_single("lulesh.c", LULESH_MC).expect("compiles");
-    let params =
-        LuleshParams { s: 4, tel: 2, tnl: 2, iters: 1, progress: false, racy: false, threads: 2 };
-    let args: Vec<String> = params.args();
-    let args: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
-    let on = run_concurrency(&m, &args, params.threads, true);
-    let off = run_concurrency(&m, &args, params.threads, false);
-    let ctx = "lulesh concurrency on vs off";
-    assert_identical(&on, &off, ctx);
-    // the toggle gates only tagging, never pruning: the instrumented-site
-    // counts stay identical too
-    assert_eq!(on.sites_pruned, off.sites_pruned, "{ctx}: sites pruned");
-    assert_eq!(on.sites_instrumented, off.sites_instrumented, "{ctx}: sites kept");
 }
 
 mod random_graphs {
@@ -345,7 +283,6 @@ mod random_graphs {
         assert_eq!(want.suppressed_mutex, got.suppressed_mutex, "mutex");
         assert_eq!(want.suppressed_tls, got.suppressed_tls, "tls");
         assert_eq!(want.suppressed_stack, got.suppressed_stack, "stack");
-        assert_eq!(want.suppressed_static, got.suppressed_static, "static");
     }
 
     proptest! {
