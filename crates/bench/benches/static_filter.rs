@@ -59,9 +59,13 @@ fn bench_static_filter(c: &mut Criterion) {
     g.bench_function("lulesh_s10/filter_off", |b| {
         b.iter(|| std::hint::black_box(run_once(&m, &args, false, None).accesses_recorded))
     });
-    // Cost of the analysis itself, for the amortization argument.
+    // Cost of the analysis itself, for the amortization argument: the
+    // one a run computes, without the lockset pass only lint needs.
     g.bench_function("analyze_only", |b| {
-        b.iter(|| std::hint::black_box(tga_analysis::analyze(&m).safe_pcs.len()))
+        b.iter(|| {
+            let facts = tga_analysis::analyze_with(&m, &taskgrind::RUN_ANALYZE_OPTS);
+            std::hint::black_box(facts.safe_pcs.len())
+        })
     });
     g.finish();
 }

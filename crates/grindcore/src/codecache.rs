@@ -77,6 +77,12 @@ pub trait CodeCache {
         None
     }
 
+    /// Whether [`CodeCache::load_facts`] would return facts, without
+    /// copying them out or counting them as loaded.
+    fn has_facts(&self) -> bool {
+        false
+    }
+
     /// Store serialized static-analysis facts alongside the code.
     fn store_facts(&mut self, _bytes: &[u8]) {}
 

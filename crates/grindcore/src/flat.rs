@@ -583,15 +583,53 @@ fn operand(consts: &mut Vec<u64>, a: &Atom) -> u16 {
     }
 }
 
+/// A block lowered statement by statement, before fusion.
+struct Lowered {
+    base: u64,
+    ops: Vec<FOp>,
+    consts: Vec<u64>,
+    side: Vec<FSide>,
+    exits: Vec<FExit>,
+    n_ics: usize,
+    jumpkind: JumpKind,
+    n_temps: u16,
+    next: u16,
+    instrs: u16,
+}
+
 /// Compile an instrumented superblock into its flat form.
 ///
 /// Panics if the block needs more than [`MAX_TEMPS`] temps or
 /// constants, or more than `u16::MAX` instructions, inline caches, side
 /// entries or exits; a lifted superblock needs a few hundred at most.
 pub fn compile(ir: &IrBlock) -> FlatBlock {
-    let mut ops = Vec::with_capacity(ir.stmts.len());
-    let mut consts = Vec::new();
-    let mut side = Vec::new();
+    let mut l = lower(ir);
+    {
+        let _s = tg_obs::trace::host_span("fuse");
+        let uses = use_counts(&l.ops, &l.side, l.next, l.n_temps);
+        fuse(&mut l.ops, &mut l.consts, &uses);
+    }
+    finish(l)
+}
+
+/// [`compile`] with the fusion it used to run: pairwise passes to a
+/// fixpoint, recounting temp reads before each pass. Kept only as the
+/// oracle that tests hold the one-pass [`compile`] to, block for block.
+#[doc(hidden)]
+pub fn compile_fixpoint(ir: &IrBlock) -> FlatBlock {
+    let mut l = lower(ir);
+    l.ops = fuse_fixpoint(std::mem::take(&mut l.ops), &mut l.consts, &l.side, l.next, l.n_temps);
+    finish(l)
+}
+
+/// Lower every statement to unfused ops, side entries and exits. The
+/// op, constant and side vectors are sized from the statement count,
+/// which bounds each, so none regrows; a lifted block has at most one
+/// side exit.
+fn lower(ir: &IrBlock) -> Lowered {
+    let n = ir.stmts.len();
+    let (mut ops, mut consts, mut side) =
+        (Vec::with_capacity(n), Vec::with_capacity(n), Vec::with_capacity(n));
     let mut exits = Vec::new();
     let mut n_ics = 0usize;
     let n_temps = narrow(ir.n_temps as usize, MAX_TEMPS + 1, "temps");
@@ -708,21 +746,33 @@ pub fn compile(ir: &IrBlock) -> FlatBlock {
     }
 
     let next = operand(&mut consts, &ir.next);
-    let ops = {
-        let _s = tg_obs::trace::host_span("fuse");
-        fuse(ops, &mut consts, &side, next, n_temps)
-    };
-    let mut block = FlatBlock {
+    Lowered {
         base: ir.base,
-        ops: ops.into_boxed_slice(),
-        consts: consts.into_boxed_slice(),
-        ics: (0..n_ics).map(|_| PageIc::new()).collect(),
-        exits: exits.into_boxed_slice(),
-        side: side.into_boxed_slice(),
+        ops,
+        consts,
+        side,
+        exits,
+        n_ics,
         jumpkind: ir.jumpkind,
         n_temps,
         next,
-        instrs_total: instrs,
+        instrs,
+    }
+}
+
+/// Box the fused tables into a block and derive its temp-zeroing flag.
+fn finish(l: Lowered) -> FlatBlock {
+    let mut block = FlatBlock {
+        base: l.base,
+        ops: l.ops.into_boxed_slice(),
+        consts: l.consts.into_boxed_slice(),
+        ics: (0..l.n_ics).map(|_| PageIc::new()).collect(),
+        exits: l.exits.into_boxed_slice(),
+        side: l.side.into_boxed_slice(),
+        jumpkind: l.jumpkind,
+        n_temps: l.n_temps,
+        next: l.next,
+        instrs_total: l.instrs,
         zero_temps: false,
     };
     block.zero_temps = block.reads_undefined_temp();
@@ -752,117 +802,60 @@ fn use_counts(ops: &[FOp], side: &[FSide], next: u16, n_temps: u16) -> Vec<u32> 
     uses
 }
 
-/// Peephole fusion over adjacent op pairs, to fixpoint. A pair fuses
-/// when the first op writes only a temp whose sole reader (block-wide)
-/// is the second op; the merged op performs both effects at the second
-/// op's position, which is sound because nothing sits between them and
-/// the absorbed op had no effect beyond the dropped temp. Dirty calls,
-/// exits, traps and atomics are never absorbed, so every observable
-/// point keeps its exact pc/instruction accounting.
-fn fuse(
+/// Peephole fusion in one left-to-right pass. An op fuses with the op
+/// before it when that op writes only a temp whose sole reader
+/// (block-wide) is this op; the merged op performs both effects at the
+/// second op's position, which is sound because nothing sits between
+/// them and the absorbed op had no effect beyond the dropped temp. The
+/// kept ops form a stack, so each merged op is retried against the one
+/// now before it. Dirty calls, exits, traps and atomics are never
+/// absorbed, so every observable point keeps its exact pc/instruction
+/// accounting.
+///
+/// `uses` holds the read counts of the unfused ops, and they stay exact
+/// throughout: a fusion drops temp `t` together with its one read, and
+/// the merged op reads everything else both ops read, so no surviving
+/// temp gains or loses a reader. So the pass needs no recount, unlike
+/// [`fuse_fixpoint`], which recounts before every pass until a pass
+/// fuses nothing; `tests/fusion_oracle.rs` holds the two to the same
+/// blocks (DESIGN §7).
+fn fuse(ops: &mut Vec<FOp>, consts: &mut Vec<u64>, uses: &[u32]) {
+    let once = |t: u16| uses[t as usize] == 1;
+    let mut kept = 0;
+    for i in 0..ops.len() {
+        let mut op = ops[i];
+        while kept > 0 {
+            let Some(f) = fuse_pair(ops[kept - 1], op, &once, consts) else { break };
+            op = f;
+            kept -= 1;
+        }
+        ops[kept] = op;
+        kept += 1;
+    }
+    ops.truncate(kept);
+}
+
+/// The fusion the one-pass [`fuse`] replaced: non-overlapping adjacent
+/// pairs, left to right, with the read counts recomputed before each
+/// pass, until a pass changes nothing. Only [`compile_fixpoint`], the
+/// test oracle, runs it.
+fn fuse_fixpoint(
     mut ops: Vec<FOp>,
     consts: &mut Vec<u64>,
     side: &[FSide],
     next: u16,
     n_temps: u16,
 ) -> Vec<FOp> {
-    // Constant 0, for folding `Get` (an addressing mode with zero
-    // displacement) into the reg+offset load/store forms.
-    let zero = |consts: &mut Vec<u64>| intern(consts, 0);
     loop {
         let uses = use_counts(&ops, side, next, n_temps);
-        // `dst` is only fusable if the next op is its one reader.
         let once = |t: u16| uses[t as usize] == 1;
-        let tm = |t: u16| t | TMP_BIT;
         let mut out: Vec<FOp> = Vec::with_capacity(ops.len());
         let mut changed = false;
         let mut i = 0;
         while i < ops.len() {
-            let fused = if i + 1 < ops.len() {
-                match (ops[i], ops[i + 1]) {
-                    (FOp::Get { dst, reg }, b) if once(dst) => match b {
-                        FOp::Mov { dst: d2, src } if src == tm(dst) => {
-                            Some(FOp::Get { dst: d2, reg })
-                        }
-                        FOp::Put { reg: rd, src } if src == tm(dst) => {
-                            Some(FOp::MovRR { rd, rs: reg })
-                        }
-                        FOp::Bin { dst: d2, op, a, b } if a == tm(dst) && b & TMP_BIT == 0 => {
-                            Some(FOp::BinRI { dst: d2, op, rs: reg, c: b })
-                        }
-                        FOp::Bin { dst: d2, op, a, b } if b == tm(dst) && a != tm(dst) => {
-                            Some(FOp::BinTR { dst: d2, op, a, rb: reg })
-                        }
-                        FOp::BinTR { dst: d2, op, a, rb } if a == tm(dst) => {
-                            Some(FOp::BinRR { dst: d2, op, ra: reg, rb })
-                        }
-                        FOp::Ld8 { dst: d2, addr, ic } if addr == tm(dst) => {
-                            Some(FOp::LdRO { dst: d2, rs: reg, c: zero(consts), ic })
-                        }
-                        FOp::LdP { rd, addr, ic } if addr == tm(dst) => {
-                            Some(FOp::LdRP { rd, rs: reg, c: zero(consts), ic })
-                        }
-                        FOp::St8 { addr, val, ic } if val == tm(dst) && addr != tm(dst) => {
-                            Some(FOp::StV { addr, vr: reg, ic })
-                        }
-                        FOp::St8 { addr, val, ic } if addr == tm(dst) && val != tm(dst) => {
-                            Some(FOp::StRV { rs: reg, c: zero(consts), val, ic })
-                        }
-                        FOp::StV { addr, vr, ic } if addr == tm(dst) => {
-                            Some(FOp::StRR { rs: reg, c: zero(consts), vr, ic })
-                        }
-                        _ => None,
-                    },
-                    (FOp::Mov { dst, src }, FOp::Put { reg: rd, src: s2 })
-                        if once(dst) && s2 == tm(dst) =>
-                    {
-                        Some(FOp::Put { reg: rd, src })
-                    }
-                    (FOp::BinRI { dst, op, rs, c }, b) if once(dst) => match b {
-                        FOp::Put { reg: rd, src } if src == tm(dst) => {
-                            Some(FOp::BinRIP { rd, op, rs, c })
-                        }
-                        FOp::Ld8 { dst: d2, addr, ic }
-                            if addr == tm(dst) && matches!(op, BinOp::Add) =>
-                        {
-                            Some(FOp::LdRO { dst: d2, rs, c, ic })
-                        }
-                        FOp::LdP { rd, addr, ic }
-                            if addr == tm(dst) && matches!(op, BinOp::Add) =>
-                        {
-                            Some(FOp::LdRP { rd, rs, c, ic })
-                        }
-                        FOp::St8 { addr, val, ic }
-                            if addr == tm(dst) && val != tm(dst) && matches!(op, BinOp::Add) =>
-                        {
-                            Some(FOp::StRV { rs, c, val, ic })
-                        }
-                        FOp::StV { addr, vr, ic }
-                            if addr == tm(dst) && matches!(op, BinOp::Add) =>
-                        {
-                            Some(FOp::StRR { rs, c, vr, ic })
-                        }
-                        _ => None,
-                    },
-                    (FOp::BinRR { dst, op, ra, rb }, FOp::Put { reg: rd, src })
-                        if once(dst) && src == tm(dst) =>
-                    {
-                        Some(FOp::BinRRP { rd, op, ra, rb })
-                    }
-                    (FOp::LdRO { dst, rs, c, ic }, FOp::Put { reg: rd, src })
-                        if once(dst) && src == tm(dst) =>
-                    {
-                        Some(FOp::LdRP { rd, rs, c, ic })
-                    }
-                    (FOp::Ld8 { dst, addr, ic }, FOp::Put { reg: rd, src })
-                        if once(dst) && src == tm(dst) =>
-                    {
-                        Some(FOp::LdP { rd, addr, ic })
-                    }
-                    _ => None,
-                }
-            } else {
-                None
+            let fused = match ops.get(i + 1) {
+                Some(&b) => fuse_pair(ops[i], b, &once, consts),
+                None => None,
             };
             match fused {
                 Some(f) => {
@@ -880,6 +873,82 @@ fn fuse(
         if !changed {
             return ops;
         }
+    }
+}
+
+/// The fusion rules: the one op performing adjacent ops `a` then `b`,
+/// if `a` writes only a temp whose sole reader (`once`) is `b` and the
+/// pair has a fused form.
+fn fuse_pair(a: FOp, b: FOp, once: &impl Fn(u16) -> bool, consts: &mut Vec<u64>) -> Option<FOp> {
+    // Constant 0, for folding `Get` (an addressing mode with zero
+    // displacement) into the reg+offset load/store forms.
+    let zero = |consts: &mut Vec<u64>| intern(consts, 0);
+    let tm = |t: u16| t | TMP_BIT;
+    match (a, b) {
+        (FOp::Get { dst, reg }, b) if once(dst) => match b {
+            FOp::Mov { dst: d2, src } if src == tm(dst) => Some(FOp::Get { dst: d2, reg }),
+            FOp::Put { reg: rd, src } if src == tm(dst) => Some(FOp::MovRR { rd, rs: reg }),
+            FOp::Bin { dst: d2, op, a, b } if a == tm(dst) && b & TMP_BIT == 0 => {
+                Some(FOp::BinRI { dst: d2, op, rs: reg, c: b })
+            }
+            FOp::Bin { dst: d2, op, a, b } if b == tm(dst) && a != tm(dst) => {
+                Some(FOp::BinTR { dst: d2, op, a, rb: reg })
+            }
+            FOp::BinTR { dst: d2, op, a, rb } if a == tm(dst) => {
+                Some(FOp::BinRR { dst: d2, op, ra: reg, rb })
+            }
+            FOp::Ld8 { dst: d2, addr, ic } if addr == tm(dst) => {
+                Some(FOp::LdRO { dst: d2, rs: reg, c: zero(consts), ic })
+            }
+            FOp::LdP { rd, addr, ic } if addr == tm(dst) => {
+                Some(FOp::LdRP { rd, rs: reg, c: zero(consts), ic })
+            }
+            FOp::St8 { addr, val, ic } if val == tm(dst) && addr != tm(dst) => {
+                Some(FOp::StV { addr, vr: reg, ic })
+            }
+            FOp::St8 { addr, val, ic } if addr == tm(dst) && val != tm(dst) => {
+                Some(FOp::StRV { rs: reg, c: zero(consts), val, ic })
+            }
+            FOp::StV { addr, vr, ic } if addr == tm(dst) => {
+                Some(FOp::StRR { rs: reg, c: zero(consts), vr, ic })
+            }
+            _ => None,
+        },
+        (FOp::Mov { dst, src }, FOp::Put { reg: rd, src: s2 }) if once(dst) && s2 == tm(dst) => {
+            Some(FOp::Put { reg: rd, src })
+        }
+        (FOp::BinRI { dst, op, rs, c }, b) if once(dst) => match b {
+            FOp::Put { reg: rd, src } if src == tm(dst) => Some(FOp::BinRIP { rd, op, rs, c }),
+            FOp::Ld8 { dst: d2, addr, ic } if addr == tm(dst) && matches!(op, BinOp::Add) => {
+                Some(FOp::LdRO { dst: d2, rs, c, ic })
+            }
+            FOp::LdP { rd, addr, ic } if addr == tm(dst) && matches!(op, BinOp::Add) => {
+                Some(FOp::LdRP { rd, rs, c, ic })
+            }
+            FOp::St8 { addr, val, ic }
+                if addr == tm(dst) && val != tm(dst) && matches!(op, BinOp::Add) =>
+            {
+                Some(FOp::StRV { rs, c, val, ic })
+            }
+            FOp::StV { addr, vr, ic } if addr == tm(dst) && matches!(op, BinOp::Add) => {
+                Some(FOp::StRR { rs, c, vr, ic })
+            }
+            _ => None,
+        },
+        (FOp::BinRR { dst, op, ra, rb }, FOp::Put { reg: rd, src })
+            if once(dst) && src == tm(dst) =>
+        {
+            Some(FOp::BinRRP { rd, op, ra, rb })
+        }
+        (FOp::LdRO { dst, rs, c, ic }, FOp::Put { reg: rd, src })
+            if once(dst) && src == tm(dst) =>
+        {
+            Some(FOp::LdRP { rd, rs, c, ic })
+        }
+        (FOp::Ld8 { dst, addr, ic }, FOp::Put { reg: rd, src }) if once(dst) && src == tm(dst) => {
+            Some(FOp::LdP { rd, addr, ic })
+        }
+        _ => None,
     }
 }
 
@@ -959,8 +1028,8 @@ mod tests {
     #[test]
     fn fusion_collapses_lifted_load_to_one_op() {
         // The lifter's `ld rd, off(fp)` shape: Get/Add/Load/Put with
-        // every intermediate read exactly once. Fixpoint fusion must
-        // collapse the whole chain to a single `LdRP`.
+        // every intermediate read exactly once. Fusion must collapse the
+        // whole chain to a single `LdRP`.
         let mut b = IrBlock::new(0x1000);
         b.n_temps = 3;
         b.stmts.push(Stmt::IMark { addr: 0x1000, len: 16 });

@@ -268,9 +268,33 @@ impl<'m> Lifter<'m> {
     }
 }
 
-/// Lift the superblock starting at `base`.
+/// Most statements [`Lifter::lift_inst`] emits for one `op`: a `sys` or
+/// `clreq` emits its `IMark`, six argument `Get`s, the call and a `Put`;
+/// any other instruction at most six (a `cas`: `IMark`, three `Get`s,
+/// the `Cas` and a `Put`).
+fn max_stmts(op: Op) -> usize {
+    if matches!(op, Op::Sys | Op::Clreq) {
+        9
+    } else {
+        6
+    }
+}
+
+/// Lift the superblock starting at `base`. A first scan over its
+/// instructions sizes the statement vector, so lifting never regrows it.
 pub fn lift_superblock(module: &tga::module::Module, base: u64) -> Result<IrBlock, LiftError> {
-    let mut l = Lifter { module, block: IrBlock::new(base) };
+    let mut max = 0;
+    let mut pc = base;
+    for _ in 0..MAX_BLOCK_INSTS {
+        let Some(inst) = module.fetch(pc) else { break };
+        max += max_stmts(inst.op);
+        pc += INST_SIZE;
+        if inst.op.ends_block() {
+            break;
+        }
+    }
+    let block = IrBlock { stmts: Vec::with_capacity(max), ..IrBlock::new(base) };
+    let mut l = Lifter { module, block };
     let mut pc = base;
     for i in 0..MAX_BLOCK_INSTS {
         let inst = l.module.fetch(pc).ok_or_else(|| LiftError {
@@ -284,10 +308,12 @@ pub fn lift_superblock(module: &tga::module::Module, base: u64) -> Result<IrBloc
         let ended = l.lift_inst(&inst, pc);
         pc += INST_SIZE;
         if ended {
+            debug_assert!(l.block.stmts.len() <= max, "max_stmts undercounts");
             return Ok(l.block);
         }
     }
     // Length cap: fall through to the next instruction.
+    debug_assert!(l.block.stmts.len() <= max, "max_stmts undercounts");
     l.block.next = Atom::imm(pc);
     l.block.jumpkind = JumpKind::Boring;
     Ok(l.block)

@@ -20,8 +20,8 @@ use crate::tool::{pattern_matches, BlockMeta, Tool};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
-use tga::module::{Module, SymKind};
+use std::sync::{Arc, OnceLock};
+use tga::module::{FuncTable, Module, SymKind};
 use tga::{reg, Op, INST_SIZE};
 use vex_ir::{eval_binop, eval_unop, Atom, DirtyCall, IrBlock, JumpKind, Rhs, Stmt, Ty};
 
@@ -334,6 +334,9 @@ pub struct VmCore {
     pub(crate) futex: HashMap<u64, VecDeque<Tid>>,
     pub(crate) exit_code: Option<i64>,
     heap_start: u64,
+    /// The module's function table, built on first use: a `none` run,
+    /// which never translates, never pays for it.
+    funcs: OnceLock<FuncTable>,
 }
 
 impl VmCore {
@@ -360,6 +363,7 @@ impl VmCore {
             futex: HashMap::new(),
             exit_code: None,
             heap_start,
+            funcs: OnceLock::new(),
         };
         let entry = core.module.entry;
         core.spawn_thread(entry, 0);
@@ -467,11 +471,17 @@ impl VmCore {
         std::iter::once(t.pc).chain(t.shadow_stack.iter().rev().copied())
     }
 
+    /// The module's function table ([`Module::find_func`] by binary
+    /// search).
+    pub fn funcs(&self) -> &FuncTable {
+        self.funcs.get_or_init(|| FuncTable::new(&self.module))
+    }
+
     /// "func (file:line)" for an address, best effort.
     pub fn symbolize(&self, addr: u64) -> String {
         let func = self
-            .module
-            .find_func(addr)
+            .funcs()
+            .find(&self.module, addr)
             .map(|s| s.name.clone())
             .unwrap_or_else(|| "???".to_string());
         match self.module.line_for(addr) {
@@ -517,12 +527,14 @@ pub struct Translation {
 }
 
 /// Translate the superblock at `pc`: lift, `tool` instrumentation and,
-/// when `compile`, the flat compile, which replaces the IR. The dispatch
-/// slow path and `tgrind warm`'s ahead-of-time precompiler both call
-/// this, so a block compiled ahead of time is byte-identical to the one
-/// a cold run produces at the same pc.
+/// when `compile`, the flat compile, which replaces the IR. `funcs` is
+/// `module`'s function table, which names the block's function for the
+/// tool. The dispatch slow path and `tgrind warm`'s ahead-of-time
+/// precompiler both call this, so a block compiled ahead of time is
+/// byte-identical to the one a cold run produces at the same pc.
 pub fn translate(
     module: &Module,
+    funcs: &FuncTable,
     pc: u64,
     tool: &mut dyn Tool,
     compile: bool,
@@ -531,7 +543,7 @@ pub fn translate(
         let _s = tg_obs::trace::host_span("lift");
         lift_superblock(module, pc)?
     };
-    let meta = BlockMeta { base: pc, fn_symbol: module.find_func(pc).map(|s| s.name.clone()) };
+    let meta = BlockMeta { base: pc, fn_symbol: funcs.find(module, pc).map(|s| s.name.clone()) };
     let ir = {
         let _s = tg_obs::trace::host_span("instrument");
         tool.instrument(block, &meta)
@@ -938,7 +950,8 @@ impl Vm {
         } else {
             tg_obs::trace::SpanGuard::inactive()
         };
-        let t = translate(&self.core.module, pc, &mut *self.tool, self.core.config.chaining)
+        let core = &self.core;
+        let t = translate(&core.module, core.funcs(), pc, &mut *self.tool, core.config.chaining)
             .map_err(|e| VmError { tid: 0, pc, msg: e.to_string() })?;
         if let (Some(cache), BlockCode::Flat(fb)) = (&self.code_cache, &t.code) {
             cache.borrow_mut().store(pc, t.end, fb);

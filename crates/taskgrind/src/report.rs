@@ -20,7 +20,7 @@ use crate::graph::{SegId, SegmentGraph};
 use grindcore::tool::pattern_matches;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use tga::module::{Module, SymKind};
+use tga::module::{FuncTable, Module};
 
 /// A heap block recorded by the allocator replacement.
 #[derive(Clone, Debug)]
@@ -32,58 +32,24 @@ pub struct AllocBlock {
     pub alloc_pc: Option<u64>,
 }
 
-/// A module's function ranges, each matched against an ignore list
-/// once: the answer [`Module::find_func`] plus an ignore-pattern match
-/// would give for an address, looked up by binary search.
-pub struct FuncTable {
-    /// Disjoint `[lo, hi)` ranges sorted by `lo`, each with whether its
-    /// function is outside the ignore list.
-    ranges: Vec<(u64, u64, bool)>,
-}
-
-impl FuncTable {
-    /// Classify the functions of `module` against `ignore`.
-    pub fn new(module: &Module, ignore: &[String]) -> FuncTable {
-        // `find_func`'s answer can only change where a function starts
-        // or ends, so one lookup per piece between those cuts holds for
-        // the whole piece.
-        let mut cuts: Vec<u64> = module
-            .symbols
-            .iter()
-            .filter(|s| s.kind == SymKind::Func)
-            .flat_map(|s| [s.addr, s.addr + s.size])
-            .collect();
-        cuts.sort_unstable();
-        cuts.dedup();
-        let ranges = cuts
-            .windows(2)
-            .filter_map(|w| {
-                let f = module.find_func(w[0])?;
-                Some((w[0], w[1], !ignore.iter().any(|p| pattern_matches(p, &f.name))))
-            })
-            .collect();
-        FuncTable { ranges }
-    }
-
-    /// `None` when no function covers `pc`, else whether the function
-    /// covering it is outside the ignore list.
-    pub fn is_user(&self, pc: u64) -> Option<bool> {
-        let idx = self.ranges.partition_point(|r| r.0 <= pc);
-        let &(_, hi, user) = self.ranges.get(idx.checked_sub(1)?)?;
-        (pc < hi).then_some(user)
-    }
+/// `module`'s function table `funcs` with each function matched against
+/// `ignore` once. For a pc it answers `None` when no function covers it,
+/// else whether the covering function is outside the ignore list: what
+/// [`Module::find_func`] plus an ignore-pattern match would give.
+pub fn user_funcs(funcs: &FuncTable, module: &Module, ignore: &[String]) -> FuncTable<bool> {
+    funcs.classify(module, |f| !ignore.iter().any(|p| pattern_matches(p, &f.name)))
 }
 
 /// The allocation site among the allocator's callers' `frames`
 /// (innermost first, the allocator's own entry already dropped): the
-/// first frame in a function outside the ignore list that has line
-/// info, which skips the runtime frames.
+/// first frame in a function outside the ignore list (`user`, from
+/// [`user_funcs`]) that has line info, which skips the runtime frames.
 pub fn alloc_site(
     module: &Module,
-    funcs: &FuncTable,
+    user: &FuncTable<bool>,
     mut frames: impl Iterator<Item = u64>,
 ) -> Option<u64> {
-    frames.find(|&pc| funcs.is_user(pc) == Some(true) && module.line_at(pc).is_some())
+    frames.find(|&pc| user.get(pc) == Some(true) && module.line_at(pc).is_some())
 }
 
 /// Locate the block containing `addr` among blocks sorted by base.
@@ -348,6 +314,7 @@ mod tests {
 
     #[test]
     fn func_table_answers_like_find_func_on_overlapping_symbols() {
+        use tga::module::SymKind;
         let func = |name: &str, addr, size| tga::module::Symbol {
             name: name.into(),
             addr,
@@ -367,13 +334,13 @@ mod tests {
             ..Module::new()
         };
         let ignore = vec!["__kmp*".to_string()];
-        let table = FuncTable::new(&m, &ignore);
+        let table = user_funcs(&FuncTable::new(&m), &m, &ignore);
         for pc in 0xf0..0x420 {
             let want = m.find_func(pc).map(|f| !ignore.iter().any(|p| pattern_matches(p, &f.name)));
-            assert_eq!(table.is_user(pc), want, "at {pc:#x}");
+            assert_eq!(table.get(pc), want, "at {pc:#x}");
         }
-        assert_eq!(table.is_user(0x150), Some(true));
-        assert_eq!(table.is_user(0x305), Some(false));
-        assert_eq!(table.is_user(0x260), None);
+        assert_eq!(table.get(0x150), Some(true));
+        assert_eq!(table.get(0x305), Some(false));
+        assert_eq!(table.get(0x260), None);
     }
 }

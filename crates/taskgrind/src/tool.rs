@@ -12,7 +12,7 @@
 //!   mechanism and §III-C's report support, as the paper describes.
 
 use crate::graph::{DepKind, GraphBuilder, ThreadMeta};
-use crate::report::{self, AllocBlock, FuncTable};
+use crate::report::{self, AllocBlock};
 use grindcore::creq;
 use grindcore::tool::{
     instrument_mem_accesses_filtered, pattern_matches, BlockMeta, FnReplacement, Tool,
@@ -128,9 +128,9 @@ pub struct Recording {
     pub sites_pruned: u64,
     /// Access sites that did receive a callback.
     pub sites_instrumented: u64,
-    /// The module's functions against the ignore list, built at the
-    /// first allocation.
-    funcs: Option<FuncTable>,
+    /// The module's functions against the ignore list
+    /// ([`report::user_funcs`]), built at the first allocation.
+    user_funcs: Option<tga::module::FuncTable<bool>>,
     opts: RecordOptions,
 }
 
@@ -164,7 +164,7 @@ impl TaskgrindTool {
                 blocks_instrumented: 0,
                 sites_pruned: 0,
                 sites_instrumented: 0,
-                funcs: None,
+                user_funcs: None,
                 opts,
             })),
         }
@@ -386,12 +386,12 @@ impl Tool for TaskgrindTool {
                 let base = core.alloc_raw(size);
                 let mut st = self.state.borrow_mut();
                 let st = &mut *st;
-                let funcs = st
-                    .funcs
-                    .get_or_insert_with(|| FuncTable::new(&core.module, &st.opts.ignore_list));
+                let user = st.user_funcs.get_or_insert_with(|| {
+                    report::user_funcs(core.funcs(), &core.module, &st.opts.ignore_list)
+                });
                 // Frame 0 is the replaced allocator's own entry; the walk
                 // starts at its caller.
-                let alloc_pc = report::alloc_site(&core.module, funcs, core.frames(tid).skip(1));
+                let alloc_pc = report::alloc_site(&core.module, user, core.frames(tid).skip(1));
                 st.blocks.push(AllocBlock { base, size, alloc_pc });
                 base
             }

@@ -268,11 +268,6 @@ impl DiskCodeCache {
         self.entries.is_empty()
     }
 
-    /// True when serialized static facts are cached.
-    pub fn has_facts(&self) -> bool {
-        self.facts.is_some()
-    }
-
     /// The container file this cache reads and writes.
     pub fn path(&self) -> &Path {
         &self.path
@@ -369,6 +364,10 @@ impl CodeCache for DiskCodeCache {
             self.stats.bytes_loaded += f.len() as u64;
         }
         f
+    }
+
+    fn has_facts(&self) -> bool {
+        self.facts.is_some()
     }
 
     fn store_facts(&mut self, bytes: &[u8]) {

@@ -310,6 +310,10 @@ impl CodeCache for SharedDiskCache {
         self.with(|c| c.load_facts())
     }
 
+    fn has_facts(&self) -> bool {
+        self.inner.lock().expect("no job panics holding the cache").has_facts()
+    }
+
     fn store_facts(&mut self, bytes: &[u8]) {
         self.with(|c| c.store_facts(bytes))
     }
@@ -465,7 +469,7 @@ impl Session {
         if let Some(f) = self.facts.lock().unwrap().get(&key).cloned() {
             let mut stored = false;
             if let Some(c) = cache.as_deref_mut() {
-                if c.load_facts().is_none() {
+                if !c.has_facts() {
                     c.store_facts(&f.to_bytes());
                     stored = true;
                 }

@@ -87,15 +87,16 @@ pub fn warm_module(
 
     let t0 = std::time::Instant::now();
     let module = Arc::new(module.clone());
+    let funcs = Arc::new(tga::module::FuncTable::new(&module));
     let done: Arc<Mutex<Vec<WarmDone>>> = Arc::default();
     let out = done.clone();
     let pool: CompilePool<u64> = CompilePool::new(stats.threads, todo.len(), "warm", move |_i| {
-        let (module, out) = (module.clone(), out.clone());
+        let (module, funcs, out) = (module.clone(), funcs.clone(), out.clone());
         // The tool is `!Send`; the pool's factory runs on the worker
         // thread, so each worker owns a private instance.
         let mut tool = TaskgrindTool::new(record.clone());
         move |pc: u64| {
-            let body = match grindcore::translate(&module, pc, &mut tool, true) {
+            let body = match grindcore::translate(&module, &funcs, pc, &mut tool, true) {
                 Ok(Translation { code: BlockCode::Flat(flat), end }) => Some((end, flat)),
                 _ => None,
             };

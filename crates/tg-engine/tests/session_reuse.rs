@@ -119,3 +119,36 @@ fn trace_ring_stays_disabled_after_untraced_runs() {
     tg_obs::trace::instant("leak-probe", 0, 1, Vec::new());
     assert_eq!(tg_obs::trace::buffered(), 0);
 }
+
+/// A warm job in a session that memoized its facts reads only its
+/// blocks from the code cache: checking that the container already holds
+/// the facts copies nothing. A fresh session on the same directory has
+/// no memo, so it loads the facts too and counts them.
+#[test]
+fn warm_job_loads_only_its_blocks() {
+    let dir = std::env::temp_dir().join(format!("tg-warm-loads-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut request = req("racy.c", RACY);
+    request.engine.code_cache = Some(dir.to_string_lossy().into_owned());
+
+    let session = Session::new();
+    let cold = session.run(&request).expect("cold run");
+    assert_eq!(cold.registry.u64("cache.bytes_loaded"), 0);
+    let warm = session.run(&request).expect("warm run");
+    let fresh = Session::new().run(&request).expect("run in a fresh session");
+
+    let (loaded, _) = session.module(&request.program, false).expect("module lookup");
+    let facts = tga_analysis::analyze_with(&loaded.module, &taskgrind::RUN_ANALYZE_OPTS);
+    let (warm_bytes, fresh_bytes) =
+        (warm.registry.u64("cache.bytes_loaded"), fresh.registry.u64("cache.bytes_loaded"));
+    assert!(warm.registry.u64("cache.hits") > 0, "the warm job runs from the cache");
+    assert_eq!(warm.registry.u64("cache.hits"), fresh.registry.u64("cache.hits"));
+    assert!(warm_bytes > 0);
+    assert_eq!(
+        fresh_bytes - warm_bytes,
+        facts.to_bytes().len() as u64,
+        "only the fresh session loads the facts"
+    );
+    assert_eq!((warm.report, warm.stdout), (fresh.report, fresh.stdout));
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -177,34 +177,37 @@ pub fn recover(module: &Module) -> Cfg {
 
 fn build_func(module: &Module, name: &str, lo: u64, hi: u64) -> FuncCfg {
     // Pass 1: leaders = function entry, branch targets inside the
-    // function, and the instruction after every block terminator.
-    let mut leaders: BTreeSet<u64> = BTreeSet::new();
-    leaders.insert(lo);
+    // function, and the instruction after every block terminator, sorted.
+    let mut leaders: Vec<u64> = vec![lo];
     let mut pc = lo;
     while pc < hi {
         if let Some(inst) = module.fetch(pc) {
             if inst.op.ends_block() {
                 if pc + INST_SIZE < hi {
-                    leaders.insert(pc + INST_SIZE);
+                    leaders.push(pc + INST_SIZE);
                 }
                 if let Some(t) = direct_target(&inst) {
                     // `jal ra` targets another function; everything else
                     // with an in-range target splits a block here.
                     let is_call = inst.op == Op::Jal && inst.rd == reg::RA;
                     if !is_call && t >= lo && t < hi {
-                        leaders.insert(t);
+                        leaders.push(t);
                     }
                 }
             }
         }
         pc += INST_SIZE;
     }
+    leaders.sort_unstable();
+    leaders.dedup();
 
-    // Pass 2: walk each leader forward to its terminator and record
-    // successor/call edges.
+    // Pass 2: walk each leader forward to its terminator, or to the next
+    // leader it reaches, and record successor/call edges.
     let mut blocks = BTreeMap::new();
-    let leader_list: Vec<u64> = leaders.iter().copied().collect();
-    for &start in &leader_list {
+    for (k, &start) in leaders.iter().enumerate() {
+        // The leaders after this one, passed over as the walk moves on:
+        // its first is the next one the walk can still reach.
+        let mut later = leaders[k + 1..].iter().copied().peekable();
         let end;
         let mut succs = Vec::new();
         let mut calls = Vec::new();
@@ -257,7 +260,8 @@ fn build_func(module: &Module, name: &str, lo: u64, hi: u64) -> FuncCfg {
                 }
                 break;
             }
-            if next >= hi || leaders.contains(&next) {
+            while later.next_if(|&l| l < next).is_some() {}
+            if next >= hi || later.peek() == Some(&next) {
                 end = next;
                 if next < hi {
                     succs.push(next); // fallthrough into the next block

@@ -200,8 +200,12 @@ struct GlobalAcc {
 }
 
 impl GlobalAcc {
+    /// The data symbol covering `addr`. [`data_symbols`] sorts them by
+    /// `lo` and clips each at the next one's start, so they are disjoint
+    /// and only the last one starting at or below `addr` can cover it.
     fn sym_of(&self, addr: u64) -> Option<usize> {
-        self.data_syms.iter().position(|s| addr >= s.lo && addr < s.hi)
+        let i = self.data_syms.partition_point(|s| s.lo <= addr).checked_sub(1)?;
+        (addr < self.data_syms[i].hi).then_some(i)
     }
 
     fn addr_escape(&mut self, addr: u64) {
@@ -267,7 +271,9 @@ struct BlockState {
 }
 
 impl BlockState {
-    fn new(n_temps: u32, seed_params: bool) -> BlockState {
+    /// The registers at a leader: `zero`, `sp` and `fp` known, and the
+    /// argument registers the function's parameters when `seed_params`.
+    fn entry_regs(seed_params: bool) -> [AbsVal; NUM_REGS] {
         let mut regs = [Other; NUM_REGS];
         regs[reg::ZERO as usize] = Const(0);
         regs[reg::SP as usize] = Stack { base: BaseReg::Sp, off: 0, via_sp: false };
@@ -277,7 +283,7 @@ impl BlockState {
                 regs[(reg::A0 + i) as usize] = Param(i);
             }
         }
-        BlockState { tmps: vec![Other; n_temps as usize], regs, mem: Vec::new() }
+        regs
     }
 
     fn slot(&self, k: Slot) -> Option<AbsVal> {
@@ -362,8 +368,8 @@ struct FnCode<'a> {
     /// function, so a trusted reload is always preceded by its spill).
     entry_block_end: u64,
     /// Leaders with exactly one intra-procedural predecessor edge —
-    /// the only continuations a call may seed with bridged slots.
-    single_pred: BTreeSet<u64>,
+    /// the only continuations a call may seed with bridged slots. Sorted.
+    single_pred: Vec<u64>,
 }
 
 impl<'a> FnCode<'a> {
@@ -395,18 +401,18 @@ impl<'a> FnCode<'a> {
                 Context { leader, blocks, lift_failed }
             })
             .collect();
-        let mut preds: BTreeMap<u64, u32> = BTreeMap::new();
-        for b in f.blocks.values() {
-            for &s in &b.succs {
-                *preds.entry(s).or_insert(0) += 1;
-            }
-        }
+        // One entry per predecessor edge: a run of length one is a
+        // leader with a single predecessor.
+        let mut succs: Vec<u64> = f.blocks.values().flat_map(|b| b.succs.iter().copied()).collect();
+        succs.sort_unstable();
+        let single_pred =
+            succs.chunk_by(|a, b| a == b).filter(|run| run.len() == 1).map(|run| run[0]).collect();
         FnCode {
             f,
             fi,
             contexts,
             entry_block_end: f.blocks.get(&f.lo).map(|b| b.end).unwrap_or(f.lo),
-            single_pred: preds.into_iter().filter(|&(_, n)| n == 1).map(|(s, _)| s).collect(),
+            single_pred,
         }
     }
 }
@@ -552,7 +558,7 @@ impl Interp<'_> {
         let cont = self.cur_pc + INST_SIZE;
         if cont <= self.code.f.lo
             || cont >= self.code.f.hi
-            || !self.code.single_pred.contains(&cont)
+            || self.code.single_pred.binary_search(&cont).is_err()
         {
             return;
         }
@@ -1121,27 +1127,24 @@ fn interp_function(
 ) -> bool {
     let mut bridge: BridgeMap = BTreeMap::new();
     let mut all_lifted = true;
+    // One state for every block: its temporaries and tracked slots keep
+    // their buffers from block to block.
+    let mut st = BlockState { tmps: Vec::new(), regs: [Other; NUM_REGS], mem: Vec::new() };
     for ctx in &code.contexts {
         // One context per leader — continued across lifter caps that
         // split a straight-line run, carrying registers and tracked
         // slots; only the per-block temporaries reset.
-        let mut carry: Option<BlockState> = None;
+        let mut carry = false;
         for lifted in &ctx.blocks {
-            let n_temps = lifted.ir.n_temps;
-            let st = match carry.take() {
-                Some(prev) => BlockState {
-                    tmps: vec![Other; n_temps as usize],
-                    regs: prev.regs,
-                    mem: prev.mem,
-                },
-                None => {
-                    let mut st = BlockState::new(n_temps, ctx.leader == code.f.lo);
-                    if let Some(entries) = bridge.get(&ctx.leader) {
-                        st.mem = entries.clone();
-                    }
-                    st
+            st.tmps.clear();
+            st.tmps.resize(lifted.ir.n_temps as usize, Other);
+            if !carry {
+                st.regs = BlockState::entry_regs(ctx.leader == code.f.lo);
+                st.mem.clear();
+                if let Some(entries) = bridge.get(&ctx.leader) {
+                    st.mem.extend_from_slice(entries);
                 }
-            };
+            }
             let mut interp = Interp {
                 st,
                 facts,
@@ -1156,9 +1159,8 @@ fn interp_function(
                 bridge_out: &mut bridge,
             };
             interp.run(lifted);
-            if lifted.chains {
-                carry = Some(interp.st);
-            }
+            st = interp.st;
+            carry = lifted.chains;
         }
         if ctx.lift_failed {
             facts.poisoned = true;
@@ -1262,15 +1264,10 @@ pub fn run(module: &Module, cfg: &Cfg) -> Dataflow {
     // Init-only globals: written, but every write site sits in a block
     // that provably runs before the first thread spawn, and the address
     // never escapes — so no access can race with the writes.
-    let mut block_of: BTreeMap<u64, (u64, usize, u64)> = BTreeMap::new();
-    for (fi, f) in cfg.funcs.iter().enumerate() {
-        for b in f.blocks.values() {
-            block_of.insert(b.start, (b.end, fi, b.start));
-        }
-    }
     let locate = |pc: u64| -> Option<(usize, u64)> {
-        let (_, &(end, fi, start)) = block_of.range(..=pc).next_back()?;
-        (pc < end).then_some((fi, start))
+        let fi = cfg.func_at(pc)?;
+        let (&start, b) = cfg.funcs[fi].blocks.range(..=pc).next_back()?;
+        (pc < b.end).then_some((fi, start))
     };
     let mut writes_by_sym: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
     for &(si, pc) in &glob.write_sites {

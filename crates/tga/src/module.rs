@@ -150,7 +150,9 @@ impl Module {
         self.lines.sort_by_key(|l| l.addr);
     }
 
-    /// The function symbol covering `addr`, if any.
+    /// The function symbol covering `addr`, if any: the first in table
+    /// order. A linear scan; [`FuncTable`] gives the same answer by
+    /// binary search.
     pub fn find_func(&self, addr: u64) -> Option<&Symbol> {
         self.symbols
             .iter()
@@ -338,6 +340,89 @@ fn get_str(buf: &mut &[u8]) -> Result<String, String> {
     String::from_utf8(get_bytes(buf)?).map_err(|_| "bad utf-8 in module string".into())
 }
 
+/// [`Module::find_func`]'s answers for one module, looked up by binary
+/// search: disjoint `[lo, hi)` pieces sorted by `lo`, each carrying a
+/// payload for the function `find_func` answers there. [`FuncTable::new`]
+/// carries that function's index in [`Module::symbols`];
+/// [`FuncTable::classify`] swaps it for a per-function verdict.
+#[derive(Debug)]
+pub struct FuncTable<T = u32> {
+    pieces: Vec<(u64, u64, T)>,
+}
+
+impl FuncTable {
+    /// Build the table of `module`. `find_func`'s answer can change only
+    /// where a function starts or ends, and between two such cuts it is
+    /// the first symbol in table order covering the piece, so one sweep
+    /// over the cuts with the covering symbols in a set finds every
+    /// answer. Zero-size symbols cover nothing, and neither does a
+    /// symbol whose end overflows.
+    pub fn new(module: &Module) -> FuncTable {
+        let ranges: Vec<(u64, u64, u32)> = module
+            .symbols
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.kind == SymKind::Func)
+            .filter_map(|(i, s)| {
+                let hi = s.addr.checked_add(s.size)?;
+                (hi > s.addr).then_some((s.addr, hi, i as u32))
+            })
+            .collect();
+        let mut starts: Vec<(u64, u32)> = ranges.iter().map(|&(lo, _, i)| (lo, i)).collect();
+        let mut ends: Vec<(u64, u32)> = ranges.iter().map(|&(_, hi, i)| (hi, i)).collect();
+        starts.sort_unstable();
+        ends.sort_unstable();
+        let mut cuts: Vec<u64> = starts.iter().chain(&ends).map(|&(a, _)| a).collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+        let mut covering = std::collections::BTreeSet::new();
+        let (mut s, mut e) = (starts.iter().peekable(), ends.iter().peekable());
+        let mut pieces: Vec<(u64, u64, u32)> = Vec::with_capacity(ranges.len());
+        for w in cuts.windows(2) {
+            while let Some(&(_, i)) = e.next_if(|&&(hi, _)| hi <= w[0]) {
+                covering.remove(&i);
+            }
+            while let Some(&(_, i)) = s.next_if(|&&(lo, _)| lo <= w[0]) {
+                covering.insert(i);
+            }
+            let Some(&i) = covering.first() else { continue };
+            match pieces.last_mut() {
+                Some(last) if last.1 == w[0] && last.2 == i => last.1 = w[1],
+                _ => pieces.push((w[0], w[1], i)),
+            }
+        }
+        FuncTable { pieces }
+    }
+
+    /// The function symbol covering `addr`: exactly
+    /// `module.find_func(addr)` for the module the table was built from.
+    pub fn find<'m>(&self, module: &'m Module, addr: u64) -> Option<&'m Symbol> {
+        module.symbols.get(self.get(addr)? as usize)
+    }
+
+    /// The same pieces, each carrying `verdict` of its function instead
+    /// of the function's symbol index. `module` must be the one the table
+    /// was built from.
+    pub fn classify<U: Copy>(
+        &self,
+        module: &Module,
+        mut verdict: impl FnMut(&Symbol) -> U,
+    ) -> FuncTable<U> {
+        let pieces =
+            self.pieces.iter().map(|&(lo, hi, i)| (lo, hi, verdict(&module.symbols[i as usize])));
+        FuncTable { pieces: pieces.collect() }
+    }
+}
+
+impl<T: Copy> FuncTable<T> {
+    /// The payload of the function covering `addr`, if any.
+    pub fn get(&self, addr: u64) -> Option<T> {
+        let idx = self.pieces.partition_point(|p| p.0 <= addr);
+        let &(_, hi, v) = self.pieces.get(idx.checked_sub(1)?)?;
+        (addr < hi).then_some(v)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,6 +490,43 @@ mod tests {
         assert_eq!(m.find_symbol(m.data_base + 2).unwrap().name, "g");
         assert!(m.symbol_by_name("main").is_some());
         assert!(m.symbol_by_name("nope").is_none());
+    }
+
+    /// On a module whose function symbols nest, overlap, repeat, have no
+    /// size or end at the top of the address space, the table answers
+    /// like `find_func` everywhere.
+    #[test]
+    fn func_table_agrees_with_find_func_on_odd_symbols() {
+        let func =
+            |name: &str, addr, size| Symbol { name: name.into(), addr, size, kind: SymKind::Func };
+        let m = Module {
+            symbols: vec![
+                func("outer", 0x100, 0x100),
+                func("inner", 0x140, 0x40),
+                func("tail", 0x1c0, 0x80),
+                func("twin", 0x1c0, 0x80),
+                func("empty", 0x300, 0),
+                func("after_empty", 0x300, 0x10),
+                Symbol { name: "data".into(), addr: 0x320, size: 0x10, kind: SymKind::Data },
+                func("late_inner", 0x108, 0x8),
+                func("top", u64::MAX - 0x10, 0x10),
+            ],
+            ..Module::new()
+        };
+        let table = FuncTable::new(&m);
+        let probes = (0xf0..0x340).chain(u64::MAX - 0x20..=u64::MAX);
+        for pc in probes {
+            let want = m.find_func(pc).map(|s| &s.name);
+            assert_eq!(table.find(&m, pc).map(|s| &s.name), want, "at {pc:#x}");
+        }
+        assert_eq!(table.find(&m, 0x150).unwrap().name, "outer");
+        assert_eq!(table.find(&m, 0x210).unwrap().name, "tail");
+        assert_eq!(table.find(&m, 0x305).unwrap().name, "after_empty");
+        assert_eq!(table.find(&m, 0x325), None, "data symbols are not functions");
+        let named_t = table.classify(&m, |s| s.name.starts_with('t'));
+        assert_eq!(named_t.get(0x200), Some(true));
+        assert_eq!(named_t.get(0x150), Some(false));
+        assert_eq!(named_t.get(0x260), None);
     }
 
     #[test]

@@ -122,7 +122,7 @@ fn alloc_site_reports_match_golden() {
 /// `find_func` scan plus an ignore-pattern match.
 #[test]
 fn function_table_agrees_with_find_func() {
-    use taskgrind::report::FuncTable;
+    use tga::module::FuncTable;
     let guests = [
         ("sparselu.c", tg_drb::bots::SPARSELU_MC),
         ("lulesh.c", tg_lulesh::LULESH_MC),
@@ -131,16 +131,41 @@ fn function_table_agrees_with_find_func() {
     for (name, source) in guests {
         let m = guest_rt::build_single(name, source).expect("compiles");
         for ignore in [taskgrind::tool::default_ignore_list(), Vec::new()] {
-            let table = FuncTable::new(&m, &ignore);
+            let table = taskgrind::report::user_funcs(&FuncTable::new(&m), &m, &ignore);
             let mut pc = m.code_base;
             while pc <= m.code_end() {
                 let want = m
                     .find_func(pc)
                     .map(|f| !ignore.iter().any(|p| grindcore::tool::pattern_matches(p, &f.name)));
-                assert_eq!(table.is_user(pc), want, "{name} at {pc:#x}");
+                assert_eq!(table.get(pc), want, "{name} at {pc:#x}");
                 pc += tga::INST_SIZE;
             }
         }
+    }
+}
+
+/// The module function table the VM names translated blocks with finds,
+/// on every code address of runtime-linked guests and one past the end,
+/// the very symbol a `find_func` scan finds.
+#[test]
+fn module_function_table_finds_what_find_func_finds() {
+    use tga::module::FuncTable;
+    for (name, source) in
+        [("sparselu.c", tg_drb::bots::SPARSELU_MC), ("lulesh.c", tg_lulesh::LULESH_MC)]
+    {
+        let m = guest_rt::build_single(name, source).expect("compiles");
+        let table = FuncTable::new(&m);
+        assert!(m.symbols.len() > 50, "{name}: the runtime links in many functions");
+        let mut pc = m.code_base;
+        while pc <= m.code_end() {
+            let (got, want) = (table.find(&m, pc), m.find_func(pc));
+            assert!(
+                got.map(std::ptr::from_ref) == want.map(std::ptr::from_ref),
+                "{name} at {pc:#x}"
+            );
+            pc += tga::INST_SIZE;
+        }
+        assert!(table.find(&m, m.code_end()).is_none(), "{name}: one past the end");
     }
 }
 

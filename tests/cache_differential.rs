@@ -22,7 +22,7 @@ use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use grindcore::{CodeCacheHandle, ExecMode, Vm, VmConfig};
+use grindcore::{CodeCache, CodeCacheHandle, ExecMode, Vm, VmConfig};
 use taskgrind::tool::RecordOptions;
 use taskgrind::{check_module, TaskgrindConfig, TaskgrindResult};
 use tg_cache::{module_hash, DiskCodeCache};

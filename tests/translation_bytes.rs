@@ -116,10 +116,11 @@ fn charged_translation_bytes_match_what_the_cache_holds() {
 
     let mut cache = TransCache::new(VmConfig::default().cache_blocks);
     let mut tool = TaskgrindTool::new(record);
+    let funcs = tga::module::FuncTable::new(&m);
     let before = LIVE.load(Ordering::Relaxed);
     let mut charged = 0u64;
     for &pc in &pcs {
-        let t = grindcore::translate(&m, pc, &mut tool, true).expect("recorded pcs lift");
+        let t = grindcore::translate(&m, &funcs, pc, &mut tool, true).expect("recorded pcs lift");
         let (_, bytes, _) = cache.insert(t.code, t.end);
         charged += bytes;
     }
