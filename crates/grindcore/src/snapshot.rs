@@ -107,6 +107,16 @@ impl VmCore {
     pub fn exited(&self) -> Option<i64> {
         self.exit_code
     }
+
+    /// End the run at the next slice boundary (at once when called from
+    /// a [`ScheduleDirector`]) without faking a guest exit: the run's
+    /// [`crate::vm::RunResult`] has no exit code, no deadlock and no
+    /// error. For a director that has learned all it wanted from a
+    /// replay. A restore does not undo it: it is a host decision, not
+    /// guest state.
+    pub fn stop_run(&mut self) {
+        self.stop_requested = true;
+    }
 }
 
 /// A scheduling hook consulted by the dispatch loop at every slice
@@ -120,7 +130,8 @@ impl VmCore {
 /// is blocked: a director may rescue such a run by restoring an
 /// earlier snapshot (which clears the exit / re-runs the blocked
 /// region). If the exit code is still set when the callback returns,
-/// the run ends.
+/// the run ends; so does a run the callback stopped with
+/// [`VmCore::stop_run`].
 ///
 /// With no director installed, the dispatch loop is bit-identical to a
 /// director that always returns `None`.
@@ -224,6 +235,32 @@ mod tests {
         let p = plain.run(ExecMode::Dbi, &[]);
         assert_eq!(r.stdout, p.stdout);
         assert_eq!(r.metrics.instrs, p.metrics.instrs);
+    }
+
+    /// A director that stops the run at its second boundary, after the
+    /// first slice.
+    struct StopAfterOneSlice(u32);
+
+    impl ScheduleDirector for StopAfterOneSlice {
+        fn boundary(&mut self, core: &mut VmCore, _current: Tid) -> Option<Tid> {
+            self.0 += 1;
+            if self.0 == 2 {
+                core.stop_run();
+            }
+            None
+        }
+    }
+
+    #[test]
+    fn director_can_stop_a_run_without_an_exit() {
+        let mut vm = Vm::new(build(), Box::new(NulTool), VmConfig::default());
+        vm.set_director(Box::new(StopAfterOneSlice(0)));
+        let r = vm.run(ExecMode::Dbi, &[]);
+        assert!(r.ok(), "{:?}", r.error);
+        assert_eq!(r.exit_code, None, "a stop is not an exit");
+        assert_eq!(r.metrics.switches, 1, "one slice ran");
+        let full = Vm::new(build(), Box::new(NulTool), VmConfig::default()).run(ExecMode::Dbi, &[]);
+        assert!(r.metrics.instrs > 0 && r.metrics.instrs < full.metrics.instrs);
     }
 
     #[test]

@@ -333,6 +333,9 @@ pub struct VmCore {
     pub(crate) rng: StdRng,
     pub(crate) futex: HashMap<u64, VecDeque<Tid>>,
     pub(crate) exit_code: Option<i64>,
+    /// Set by [`VmCore::stop_run`]: the run ends at the next slice
+    /// boundary.
+    pub(crate) stop_requested: bool,
     heap_start: u64,
     /// The module's function table, built on first use: a `none` run,
     /// which never translates, never pays for it.
@@ -362,6 +365,7 @@ impl VmCore {
             rng: StdRng::seed_from_u64(config.seed),
             futex: HashMap::new(),
             exit_code: None,
+            stop_requested: false,
             heap_start,
             funcs: OnceLock::new(),
         };
@@ -649,7 +653,7 @@ impl Vm {
                 Some(d) => d.boundary(&mut self.core, current),
                 None => None,
             };
-            if self.core.exit_code.is_some() {
+            if self.core.exit_code.is_some() || self.core.stop_requested {
                 break;
             }
             let forced = forced.filter(|&t| {

@@ -37,7 +37,10 @@
 //!    the pair is [`Verdict::Unconfirmed`] — evidence of a real
 //!    ordering, not proof.
 //! 4. After the verdict, restore once more and resume following, so
-//!    later candidates trigger in recorded order.
+//!    later candidates trigger in recorded order. After the last pair's
+//!    verdict (replayed or out of budget) the replay ends there
+//!    ([`grindcore::VmCore::stop_run`]): nothing reads the rest of the
+//!    run.
 //!
 //! Candidates whose segments share a thread, or that involve synthetic
 //! sync segments, are not replayed (thread-level steering cannot flip
@@ -135,8 +138,6 @@ enum Mode {
     Follow,
     /// Driving an adversarial schedule for `cur_pair`.
     Attempt,
-    /// All pairs resolved; run out the rest of the program untracked.
-    Done,
 }
 
 struct Saved {
@@ -211,8 +212,10 @@ impl Ctl {
         self.tried_for_pair = 0;
         if self.budget == 0 {
             // Out of budget before the first attempt: verdict without
-            // perturbing anything, keep following forward.
+            // perturbing anything, keep following forward unless that
+            // was the last pair.
             self.record_verdict(None);
+            self.stop_after_last_verdict(core);
             return None;
         }
         self.start_strategy(core)
@@ -324,14 +327,21 @@ impl Ctl {
     ) -> Option<grindcore::Tid> {
         self.record_verdict(confirmed);
         self.restore(core);
-        if self.head >= self.pairs.len() {
-            // Nothing left to trigger: drop the journal and run out.
-            core.discard_snapshot();
-            self.mode = Mode::Done;
-        } else {
-            self.mode = Mode::Follow;
+        self.mode = Mode::Follow;
+        if self.stop_after_last_verdict(core) {
+            return None;
         }
         self.resume_pick(core)
+    }
+
+    /// After a verdict: if it was the last pair's, end the replay here,
+    /// since nothing reads the rest of the run. Returns whether it did.
+    fn stop_after_last_verdict(&self, core: &mut VmCore) -> bool {
+        let last = self.head >= self.pairs.len();
+        if last {
+            core.stop_run();
+        }
+        last
     }
 }
 
@@ -469,7 +479,6 @@ impl grindcore::ScheduleDirector for ReplayDirector {
         let ctl = &mut *ctl;
         ctl.stats.peak_pages = ctl.stats.peak_pages.max(core.snapshot_pages());
         match ctl.mode {
-            Mode::Done => None,
             Mode::Follow => {
                 if ctl.saved.is_none() {
                     // The very first boundary, before any slice ran:
@@ -502,10 +511,23 @@ pub fn confirm_candidates(
     graph: &SegmentGraph,
     candidates: &[Candidate],
 ) -> (Vec<Option<Verdict>>, ConfirmStats) {
+    let (verdicts, stats, _) = replay_candidates(module, args, cfg, graph, candidates);
+    (verdicts, stats)
+}
+
+/// [`confirm_candidates`], also returning the replay VM's run (`None`
+/// when no pair was replayable).
+fn replay_candidates(
+    module: &Module,
+    args: &[&str],
+    cfg: &TaskgrindConfig,
+    graph: &SegmentGraph,
+    candidates: &[Candidate],
+) -> (Vec<Option<Verdict>>, ConfirmStats, Option<grindcore::RunResult>) {
     let mut verdicts: Vec<Option<Verdict>> = vec![None; candidates.len()];
     let mut stats = ConfirmStats { candidates: candidates.len() as u64, ..Default::default() };
     if candidates.is_empty() {
-        return (verdicts, stats);
+        return (verdicts, stats, None);
     }
 
     // Group candidates by segment pair; split off unreplayable pairs.
@@ -547,7 +569,7 @@ pub fn confirm_candidates(
         }
     }
     if replayable.is_empty() {
-        return (verdicts, stats);
+        return (verdicts, stats, None);
     }
 
     let mut pairs: Vec<Pair> = replayable.into_values().collect();
@@ -620,5 +642,64 @@ pub fn confirm_candidates(
     }
     let resolved = stats.confirmed + stats.unconfirmed;
     stats.unconfirmed += stats.pairs.saturating_sub(resolved);
-    (verdicts, stats)
+    (verdicts, stats, Some(run))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{check_module, TaskgrindConfig};
+    use grindcore::VmConfig;
+
+    /// One flippable race in a parallel region, then a long serial loop
+    /// and a print that nothing in the replay needs.
+    const RACE_THEN_LOOP: &str = r#"
+int x;
+int main(void) {
+    #pragma omp parallel num_threads(2)
+    {
+        x = x + 1;
+    }
+    long s = 0;
+    for (long i = 0; i < 100000; i++) {
+        s = s + i;
+    }
+    printf("%ld\n", s);
+    return 0;
+}
+"#;
+
+    #[test]
+    fn replay_stops_at_its_last_verdict() {
+        let m = guest_rt::build_single("race_then_loop.c", RACE_THEN_LOOP).expect("compiles");
+        let cfg = TaskgrindConfig {
+            vm: VmConfig { nthreads: 2, ..Default::default() },
+            ..Default::default()
+        };
+        let r = check_module(&m, &[], &cfg);
+        assert!(r.run.ok(), "{:?}", r.run.error);
+        assert_eq!(r.run.stdout_str(), "4999950000\n");
+        let candidates = &r.analysis.candidates;
+        assert!(!candidates.is_empty(), "the parallel writes must be candidates");
+
+        // the default budget replays the pair; none gives its verdict
+        // without a replay
+        for budget in [cfg.confirm_budget, 0] {
+            let cfg = TaskgrindConfig { confirm_budget: budget, ..cfg.clone() };
+            let (verdicts, stats, run) = replay_candidates(&m, &[], &cfg, &r.graph, candidates);
+            let run = run.expect("the race is replayable");
+            assert!(verdicts.iter().all(Option::is_some), "{verdicts:?}");
+            assert_eq!(stats.confirmed > 0, budget > 0, "{stats:?}");
+            // stopped, not exited: no exit code, no error, and neither
+            // the loop nor the print ran
+            assert!(run.ok() && run.exit_code.is_none(), "{:?} {:?}", run.exit_code, run.error);
+            assert!(run.stdout.is_empty(), "{}", run.stdout_str());
+            assert!(
+                run.metrics.instrs + 100_000 < r.run.metrics.instrs,
+                "budget {budget}: the replay retired {} instructions, the recording {}",
+                run.metrics.instrs,
+                r.run.metrics.instrs
+            );
+        }
+    }
 }

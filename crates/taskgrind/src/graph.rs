@@ -251,13 +251,13 @@ impl SegmentGraph {
 const PUSH_WINDOW: usize = 4;
 
 /// Append-only access buffer for the bulk-ingestion path: flat
-/// `(lo, hi)` interval triples (split by direction) appended straight
-/// from the access callback, drained into the segment's interval trees
-/// when the segment closes. A small window over the last
-/// [`PUSH_WINDOW`] appended intervals absorbs dense sequential and
-/// strided accesses in place — also when a loop sweeps several arrays
-/// at once — so a tight sweep costs a few compares and an extend per
-/// access instead of a `BTreeMap` insert.
+/// `(lo, hi)` intervals (split by direction) appended straight from the
+/// access callback and handed to the segment's interval sets when the
+/// segment closes, where each buffer is sorted and coalesced in place
+/// and kept as the set. A small window over the last [`PUSH_WINDOW`]
+/// appended intervals absorbs dense sequential and strided accesses in
+/// place — also when a loop sweeps several arrays at once — so a tight
+/// sweep costs a few compares and an extend per access.
 #[derive(Default)]
 struct AccessBuf {
     reads: Vec<(u64, u64)>,
@@ -305,7 +305,7 @@ impl AccessBuf {
     }
 }
 
-/// Drain a context's access buffer into its current segment's trees.
+/// Drain a context's access buffer into its current segment's sets.
 fn flush_buf(segments: &mut [Segment], c: &mut ExecCtx) {
     if c.buf.is_empty() {
         return;
@@ -375,13 +375,13 @@ struct DepEntry {
 
 /// Memory statistics of one graph build, returned by
 /// [`GraphBuilder::finalize_with_stats`]. Analysis runs after recording,
-/// so every segment's interval trees stay resident until finalize: each
+/// so every segment's interval sets stay resident until finalize: each
 /// peak is the build's total.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GraphMemStats {
-    /// Real (non-sync) segments, each holding its interval trees.
+    /// Real (non-sync) segments, each holding its interval sets.
     pub peak_live_segments: u64,
-    /// Bytes of the closed segments' interval trees.
+    /// Heap bytes of the closed segments' interval sets, as allocated.
     pub peak_tool_bytes: u64,
 }
 
@@ -417,7 +417,7 @@ pub struct GraphBuilder {
     /// close (default). `false` is the per-access reference path
     /// (`RecordOptions::bulk_ingest`).
     bulk: bool,
-    /// Bytes of closed segments' interval trees.
+    /// Heap bytes of closed segments' interval sets.
     closed_bytes: u64,
 }
 
@@ -647,7 +647,7 @@ impl GraphBuilder {
     }
 
     /// A segment will receive no further accesses: account its
-    /// interval trees in the closed-segment bytes. Callers invoke this
+    /// interval sets in the closed-segment bytes. Callers invoke this
     /// *after* the owning context's `cur_seg` moved on (or the context
     /// popped).
     fn close_segment(&mut self, seg: SegId) {
@@ -996,7 +996,7 @@ impl GraphBuilder {
         let c = self.ctx[meta.tid].last_mut().unwrap();
         if bulk {
             // hot path: append to the context's flat buffer; the
-            // interval trees are built in bulk at segment close
+            // interval sets are built in bulk at segment close
             c.buf.push(addr, addr + size, write);
         } else {
             let s = &mut self.segments[c.cur_seg as usize];
@@ -1520,7 +1520,7 @@ mod tests {
         /// multi-array sweeps — where an older buffer entry keeps
         /// growing until it overlaps a newer one — plus scattered,
         /// backward and repeated accesses across task and critical
-        /// boundaries, every segment's trees and raw access counts
+        /// boundaries, every segment's sets and raw access counts
         /// equal the per-access reference path's.
         #[test]
         fn push_window_matches_per_access_path(

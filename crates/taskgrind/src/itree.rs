@@ -1,22 +1,30 @@
-//! Per-segment access interval trees (paper §III-B, Fig. 3).
+//! Per-segment access interval sets (paper §III-B, Fig. 3).
 //!
-//! Each segment carries two interval trees — one for reads, one for
-//! writes. Dense memory accesses accumulate compactly: inserting an
-//! interval merges it with any overlapping or adjacent intervals, so a
-//! segment that sweeps an array stores one interval, not one entry per
-//! element. All operations are `O(log n)` in the number of stored
-//! disjoint intervals (the tree is a balanced ordered tree keyed by
-//! interval start).
+//! Each segment carries two interval sets — one for reads, one for
+//! writes. Dense memory accesses accumulate compactly: overlapping or
+//! adjacent intervals merge, so a segment that sweeps an array stores
+//! one interval, not one entry per element.
+//!
+//! A set is one sorted array of disjoint, non-adjacent intervals, held
+//! at exact length. Recording appends raw accesses to a per-context
+//! buffer and hands it over when the segment closes
+//! ([`IntervalTree::bulk_extend`]): the buffer is sorted and coalesced
+//! in place and its allocation becomes the set, shrunk to fit, so a set
+//! costs 16 bytes per interval. Queries binary-search. Nothing asks a
+//! set anything while its segment is still recording, so nothing needs
+//! an ordered tree: per-access [`IntervalTree::insert`] is `O(n)` and
+//! serves only the per-access oracle (`RecordOptions::bulk_ingest =
+//! false`) and tests.
 //!
 //! Intervals are half-open byte ranges `[lo, hi)`.
 
-use std::collections::BTreeMap;
-
-/// A set of disjoint half-open intervals with merge-on-insert.
+/// A set of disjoint half-open intervals with merge-on-insert. (The
+/// name predates the sorted array.)
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct IntervalTree {
-    /// start → end (end exclusive); invariant: disjoint, non-adjacent.
-    map: BTreeMap<u64, u64>,
+    /// Sorted by start; invariant: non-degenerate, disjoint and
+    /// non-adjacent.
+    ivs: Vec<(u64, u64)>,
     /// Total number of raw insertions (accesses recorded).
     inserts: u64,
 }
@@ -28,11 +36,11 @@ impl IntervalTree {
 
     /// Number of disjoint intervals stored.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.ivs.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.ivs.is_empty()
     }
 
     /// Raw accesses recorded (before merging).
@@ -42,34 +50,43 @@ impl IntervalTree {
 
     /// Total bytes covered.
     pub fn covered_bytes(&self) -> u64 {
-        self.map.iter().map(|(lo, hi)| hi - lo).sum()
+        self.ivs.iter().map(|(lo, hi)| hi - lo).sum()
     }
 
-    /// Approximate host memory held by this tree, for Table II's memory
-    /// accounting.
+    /// Heap bytes this set holds: its array's allocation, for Table II's
+    /// memory accounting. After a drain the array is exact-length, so
+    /// this is 16 bytes per interval.
     pub fn heap_bytes(&self) -> u64 {
-        // BTreeMap node overhead approximation: 2 u64 per entry + node
-        // headers; 32 bytes/entry is a fair estimate.
-        self.map.len() as u64 * 32
+        (self.ivs.capacity() * std::mem::size_of::<(u64, u64)>()) as u64
     }
 
     /// Insert `[lo, hi)`, merging with overlapping or adjacent intervals.
+    /// `O(n)`: the per-access reference path, not the recording path.
     pub fn insert(&mut self, lo: u64, hi: u64) {
         if lo >= hi {
             return;
         }
         self.inserts += 1;
-        self.merge_in(lo, hi);
+        // [first, last) are the stored intervals that touch [lo, hi)
+        let first = self.ivs.partition_point(|&(_, h)| h < lo);
+        let last = self.ivs.partition_point(|&(l, _)| l <= hi);
+        if first == last {
+            self.ivs.insert(first, (lo, hi));
+            return;
+        }
+        self.ivs[first] = (lo.min(self.ivs[first].0), hi.max(self.ivs[last - 1].1));
+        self.ivs.drain(first + 1..last);
     }
 
     /// Bulk-load a batch of raw intervals recorded elsewhere (the
-    /// append-only access buffers of the bulk-ingestion path): one sort,
-    /// one linear coalesce, and — when the tree is still empty, the
-    /// common case for a segment drained exactly once at close — a
-    /// direct sorted build of the underlying map instead of `len(events)`
-    /// log-tree inserts. `raw_accesses` is the number of original
-    /// accesses the batch represents (the buffer may have absorbed dense
-    /// runs inline), credited to [`Self::accesses`].
+    /// append-only access buffers of the bulk-ingestion path). The batch
+    /// is sorted and coalesced in place; into an empty set — the common
+    /// case, a segment drained exactly once at close — its allocation
+    /// becomes the set, shrunk to fit. A later batch merges with the
+    /// stored intervals in one pass into a new exact-length array.
+    /// `raw_accesses` is the number of original accesses the batch
+    /// represents (the buffer may have absorbed dense runs inline),
+    /// credited to [`Self::accesses`].
     pub fn bulk_extend(&mut self, mut events: Vec<(u64, u64)>, raw_accesses: u64) {
         self.inserts += raw_accesses;
         events.retain(|&(lo, hi)| lo < hi);
@@ -77,47 +94,18 @@ impl IntervalTree {
             return;
         }
         events.sort_unstable();
-        let mut coalesced: Vec<(u64, u64)> = Vec::with_capacity(events.len());
-        for (lo, hi) in events {
-            match coalesced.last_mut() {
-                // overlapping or adjacent: extend in place
-                Some((_, phi)) if lo <= *phi => *phi = (*phi).max(hi),
-                _ => coalesced.push((lo, hi)),
-            }
-        }
-        if self.map.is_empty() {
-            self.map = coalesced.into_iter().collect();
+        coalesce(&mut events);
+        if self.ivs.is_empty() {
+            events.shrink_to_fit();
+            self.ivs = events;
         } else {
-            for (lo, hi) in coalesced {
-                self.merge_in(lo, hi);
-            }
+            self.ivs = merge(&self.ivs, &events);
         }
     }
 
-    /// Merge `[lo, hi)` into the map without touching the access count.
-    fn merge_in(&mut self, lo: u64, hi: u64) {
-        let mut new_lo = lo;
-        let mut new_hi = hi;
-        // Absorb a predecessor that touches [lo, hi).
-        if let Some((&plo, &phi)) = self.map.range(..=lo).next_back() {
-            if phi >= lo {
-                if phi >= hi {
-                    return; // fully contained
-                }
-                new_lo = plo;
-                new_hi = new_hi.max(phi);
-                self.map.remove(&plo);
-            }
-        }
-        // Absorb successors that start within or adjacent to the range.
-        while let Some((&slo, &shi)) = self.map.range(new_lo..).next() {
-            if slo > new_hi {
-                break;
-            }
-            new_hi = new_hi.max(shi);
-            self.map.remove(&slo);
-        }
-        self.map.insert(new_lo, new_hi);
+    /// Index of the first stored interval that ends after `addr`.
+    fn first_ending_after(&self, addr: u64) -> usize {
+        self.ivs.partition_point(|&(_, hi)| hi <= addr)
     }
 
     /// Does any stored interval overlap `[lo, hi)`?
@@ -125,70 +113,75 @@ impl IntervalTree {
         if lo >= hi {
             return false;
         }
-        if let Some((_, &phi)) = self.map.range(..=lo).next_back() {
-            if phi > lo {
-                return true;
-            }
-        }
-        self.map.range(lo..hi).next().is_some()
+        self.ivs.get(self.first_ending_after(lo)).is_some_and(|&(l, _)| l < hi)
     }
 
-    /// Does the tree contain the byte at `addr`?
+    /// Does the set contain the byte at `addr`?
     pub fn contains(&self, addr: u64) -> bool {
         self.overlaps(addr, addr + 1)
     }
 
     /// Iterate the disjoint intervals in order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.map.iter().map(|(&lo, &hi)| (lo, hi))
+        self.ivs.iter().copied()
     }
 
-    /// Intersect with another tree, yielding every overlapping byte
-    /// range. This is the core of Algorithm 1's
+    /// Intersect with another set, yielding every overlapping byte
+    /// range in ascending order. This is the core of Algorithm 1's
     /// `s1.w ∩ (s2.r ∪ s2.w)` test. Runs in
-    /// `O(min(n,m) · log(max(n,m)))` by probing the smaller tree's
-    /// intervals against the larger.
+    /// `O(min(n,m) · log(max(n,m)) + k)` by binary-searching each of
+    /// the smaller set's intervals in the larger.
     pub fn intersect(&self, other: &IntervalTree) -> Vec<(u64, u64)> {
         let (small, big) = if self.len() <= other.len() { (self, other) } else { (other, self) };
         let mut out = Vec::new();
-        for (lo, hi) in small.iter() {
-            // predecessor that may reach into [lo, hi)
-            if let Some((&plo, &phi)) = big.map.range(..=lo).next_back() {
-                if phi > lo {
-                    out.push((lo.max(plo), hi.min(phi)));
-                }
-            }
-            for (&slo, &shi) in
-                big.map.range((std::ops::Bound::Excluded(lo), std::ops::Bound::Excluded(hi)))
-            {
-                out.push((slo, hi.min(shi)));
+        for &(lo, hi) in &small.ivs {
+            let first = big.first_ending_after(lo);
+            for &(blo, bhi) in big.ivs[first..].iter().take_while(|&&(blo, _)| blo < hi) {
+                out.push((lo.max(blo), hi.min(bhi)));
             }
         }
-        out.sort_unstable();
-        out.dedup();
         out
     }
 
-    /// True if any byte overlaps between the two trees (early-exit form).
+    /// True if any byte overlaps between the two sets (early-exit form).
     pub fn intersects(&self, other: &IntervalTree) -> bool {
         let (small, big) = if self.len() <= other.len() { (self, other) } else { (other, self) };
-        for (lo, hi) in small.iter() {
-            if big.overlaps(lo, hi) {
-                return true;
-            }
-        }
-        false
+        small.iter().any(|(lo, hi)| big.overlaps(lo, hi))
     }
+}
 
-    /// Union of two trees (used to form `s2.r ∪ s2.w` without mutating).
-    pub fn union(&self, other: &IntervalTree) -> IntervalTree {
-        let (mut out, rest) =
-            if self.len() >= other.len() { (self.clone(), other) } else { (other.clone(), self) };
-        for (lo, hi) in rest.iter() {
-            out.insert(lo, hi);
+/// Merge each interval of the sorted `v` into its predecessor when they
+/// overlap or touch, in place.
+fn coalesce(v: &mut Vec<(u64, u64)>) {
+    v.dedup_by(|next, kept| {
+        let touches = next.0 <= kept.1;
+        if touches {
+            kept.1 = kept.1.max(next.1);
         }
-        out
+        touches
+    });
+}
+
+/// Merge two coalesced sorted arrays in one pass into an exact-length
+/// coalesced array.
+fn merge(a: &[(u64, u64)], b: &[(u64, u64)]) -> Vec<(u64, u64)> {
+    let mut out: Vec<(u64, u64)> = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() || j < b.len() {
+        let next = if j == b.len() || (i < a.len() && a[i] <= b[j]) {
+            i += 1;
+            a[i - 1]
+        } else {
+            j += 1;
+            b[j - 1]
+        };
+        match out.last_mut() {
+            Some((_, hi)) if next.0 <= *hi => *hi = (*hi).max(next.1),
+            _ => out.push(next),
+        }
     }
+    out.shrink_to_fit();
+    out
 }
 
 /// A naive interval set (sorted scan) with identical semantics — the
@@ -218,7 +211,7 @@ impl NaiveIntervalSet {
         self.items.iter().any(|&(lo, hi)| other.overlaps(lo, hi))
     }
 
-    /// Normalized disjoint intervals (for comparison with the tree).
+    /// Normalized disjoint intervals (for comparison with the set).
     pub fn normalized(&self) -> Vec<(u64, u64)> {
         let mut v = self.items.clone();
         v.sort_unstable();
@@ -315,16 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn union_covers_both() {
-        let mut a = IntervalTree::new();
-        a.insert(0, 4);
-        let mut b = IntervalTree::new();
-        b.insert(8, 12);
-        let u = a.union(&b);
-        assert!(u.contains(0) && u.contains(9) && !u.contains(5));
-    }
-
-    #[test]
     fn bulk_extend_matches_insert_loop() {
         let events = vec![(40u64, 48u64), (0, 8), (8, 16), (100, 108), (4, 20), (99, 100)];
         let mut bulk = IntervalTree::new();
@@ -335,7 +318,7 @@ mod tests {
         }
         assert_eq!(bulk, reference);
         assert_eq!(bulk.accesses(), reference.accesses());
-        // extending a non-empty tree goes through the merge path
+        // extending a non-empty set goes through the merge path
         bulk.bulk_extend(vec![(16, 40), (200, 204)], 2);
         reference.insert(16, 40);
         reference.insert(200, 204);
@@ -349,6 +332,26 @@ mod tests {
         assert!(t.is_empty());
         t.bulk_extend(vec![(5, 5), (9, 3)], 0);
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn drained_set_holds_exactly_its_intervals() {
+        // the drain keeps the buffer's allocation, shrunk to the
+        // coalesced length: 16 bytes per interval, whatever the batch
+        // size was
+        let mut buf = Vec::with_capacity(64);
+        buf.extend([(40u64, 48u64), (0, 8), (8, 16), (100, 108)]);
+        let mut t = IntervalTree::new();
+        t.bulk_extend(buf, 4);
+        assert_eq!(t.iter().collect::<Vec<_>>(), vec![(0, 16), (40, 48), (100, 108)]);
+        assert_eq!(t.heap_bytes(), 3 * 16);
+        // a second drain merges into a new exact-length array
+        t.bulk_extend(vec![(200, 208), (16, 40), (300, 300)], 3);
+        assert_eq!(t.iter().collect::<Vec<_>>(), vec![(0, 48), (100, 108), (200, 208)]);
+        assert_eq!(t.heap_bytes(), 3 * 16);
+        assert_eq!(t.accesses(), 7);
+        assert_invariants(&t);
+        assert_eq!(IntervalTree::new().heap_bytes(), 0);
     }
 
     /// The structural invariant every mutation must preserve: intervals
@@ -378,13 +381,13 @@ mod tests {
 
     #[test]
     fn bulk_extend_single_interval() {
-        // both build paths: direct sorted build (empty tree) ...
+        // both build paths: the batch becomes the set (empty set) ...
         let mut t = IntervalTree::new();
         t.bulk_extend(vec![(64, 72)], 1);
         assert_eq!(t.iter().collect::<Vec<_>>(), vec![(64, 72)]);
         assert_eq!(t.accesses(), 1);
         assert_invariants(&t);
-        // ... and the merge path (non-empty tree), bridging the gap
+        // ... and the merge path (non-empty set), bridging the gap
         t.bulk_extend(vec![(72, 80)], 1);
         assert_eq!(t.iter().collect::<Vec<_>>(), vec![(64, 80)]);
         assert_eq!(t.accesses(), 2);
@@ -413,7 +416,7 @@ mod tests {
         assert_eq!(t.iter().collect::<Vec<_>>(), vec![(0, 24)]);
         assert_eq!(t.covered_bytes(), 24);
         assert_invariants(&t);
-        // a second adjacent batch extends the same interval via merge_in
+        // a second adjacent batch extends the same interval via the merge
         t.bulk_extend(vec![(24, 32)], 1);
         assert_eq!(t.iter().collect::<Vec<_>>(), vec![(0, 32)]);
         assert_invariants(&t);

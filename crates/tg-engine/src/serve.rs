@@ -25,6 +25,11 @@
 //! returns daemon statistics; `{"op":"shutdown"}` stops the daemon
 //! after in-flight jobs finish.
 //!
+//! A job that panics is answered with reason `internal_error` and
+//! counted in the `ping` reply's `panics`; its worker catches the
+//! unwind and takes the next job, and the [`Session`] recovers its
+//! locks from the poisoning, so later jobs run as usual.
+//!
 //! Per-job knobs are a whitelist of the CLI's run flags, each
 //! overriding one field of the daemon's baseline [`EngineConfig`].
 //! `trace_out`/`metrics_json` are deliberately *not* per-job: they are
@@ -37,6 +42,7 @@ use crate::session::{EngineError, Program, RunOutcome, RunRequest, Session};
 use grindcore::CompilePool;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -63,15 +69,22 @@ impl Default for ServeOptions {
     }
 }
 
+/// How a worker runs a job: [`Session::run`], or a stand-in in tests.
+type RunFn = fn(&Session, &RunRequest) -> Result<RunOutcome, EngineError>;
+
 /// Daemon-wide shared state.
 struct Shared {
     session: Session,
     engine: EngineConfig,
+    run: RunFn,
     stop: AtomicBool,
     submitted: AtomicU64,
     completed: AtomicU64,
     rejected: AtomicU64,
+    /// Jobs answered with an error line, panicked ones included.
     failed: AtomicU64,
+    /// Jobs that panicked (answered `internal_error`).
+    panics: AtomicU64,
 }
 
 /// One admitted analysis job. The stream is shared with the acceptor
@@ -257,7 +270,8 @@ fn parse_request(line: &str, defaults: &EngineConfig) -> Result<Op, String> {
 }
 
 /// Run one admitted job on a worker thread, streaming status then the
-/// result (or a structured error) on the job's stream.
+/// result (or a structured error) on the job's stream. A panic in the
+/// job is caught here, so the worker survives it.
 fn serve_job(shared: &Shared, worker: usize, job: Job) {
     send(
         &job.stream,
@@ -266,25 +280,41 @@ fn serve_job(shared: &Shared, worker: usize, job: Job) {
             job.id
         ),
     );
-    let tsan = matches!(job.req.tool.as_str(), "archer" | "tasksan");
-    if let Ok((loaded, memoized)) = shared.session.module(&job.req.program, tsan) {
-        let h = loaded.content_hash();
-        send(
-            &job.stream,
-            &format!(
-                "{{\"type\":\"status\",\"job\":{},\"state\":\"loaded\",\"module_hash\":\"{h:016x}\",\"memoized\":{memoized}}}",
-                job.id
-            ),
-        );
-    }
-    match shared.session.run(&job.req) {
-        Ok(outcome) => {
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        let tsan = matches!(job.req.tool.as_str(), "archer" | "tasksan");
+        if let Ok((loaded, memoized)) = shared.session.module(&job.req.program, tsan) {
+            let h = loaded.content_hash();
+            send(
+                &job.stream,
+                &format!(
+                    "{{\"type\":\"status\",\"job\":{},\"state\":\"loaded\",\"module_hash\":\"{h:016x}\",\"memoized\":{memoized}}}",
+                    job.id
+                ),
+            );
+        }
+        (shared.run)(&shared.session, &job.req)
+    }));
+    match run {
+        Ok(Ok(outcome)) => {
             shared.completed.fetch_add(1, Ordering::Relaxed);
             send(&job.stream, &result_line(job.id, &job.req.tool, &outcome));
         }
-        Err(e) => {
+        Ok(Err(e)) => {
             shared.failed.fetch_add(1, Ordering::Relaxed);
             send(&job.stream, &error_line(Some(job.id), error_reason(&e), &e.to_string()));
+        }
+        Err(payload) => {
+            shared.failed.fetch_add(1, Ordering::Relaxed);
+            shared.panics.fetch_add(1, Ordering::Relaxed);
+            let what = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string panic payload");
+            send(
+                &job.stream,
+                &error_line(Some(job.id), "internal_error", &format!("job panicked: {what}")),
+            );
         }
     }
 }
@@ -292,11 +322,12 @@ fn serve_job(shared: &Shared, worker: usize, job: Job) {
 /// Daemon statistics for `{"op":"ping"}`.
 fn pong(shared: &Shared) -> String {
     format!(
-        "{{\"type\":\"pong\",\"submitted\":{},\"completed\":{},\"rejected\":{},\"failed\":{},\"runs\":{}}}",
+        "{{\"type\":\"pong\",\"submitted\":{},\"completed\":{},\"rejected\":{},\"failed\":{},\"panics\":{},\"runs\":{}}}",
         shared.submitted.load(Ordering::Relaxed),
         shared.completed.load(Ordering::Relaxed),
         shared.rejected.load(Ordering::Relaxed),
         shared.failed.load(Ordering::Relaxed),
+        shared.panics.load(Ordering::Relaxed),
         shared.session.runs_completed(),
     )
 }
@@ -362,16 +393,23 @@ impl Server {
     /// Bind `path` (replacing any stale socket file) and start the
     /// acceptor + `opts.workers` analysis workers.
     pub fn start(path: &Path, opts: ServeOptions) -> std::io::Result<Server> {
+        Server::start_with(path, opts, Session::run)
+    }
+
+    /// [`Server::start`] with workers that run each job through `run`.
+    fn start_with(path: &Path, opts: ServeOptions, run: RunFn) -> std::io::Result<Server> {
         let _ = std::fs::remove_file(path);
         let listener = UnixListener::bind(path)?;
         let shared = Arc::new(Shared {
             session: Session::new(),
             engine: opts.engine.clone(),
+            run,
             stop: AtomicBool::new(false),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             failed: AtomicU64::new(0),
+            panics: AtomicU64::new(0),
         });
         let pool_shared = shared.clone();
         let pool: CompilePool<Job> =
@@ -541,6 +579,64 @@ mod tests {
             &eng,
         );
         assert!(r.is_err(), "confirm_races must be a boolean");
+    }
+
+    /// Runs each job, then panics on the first one while it holds every
+    /// session lock and its disk cache's lock.
+    fn panic_after_first_run(s: &Session, req: &RunRequest) -> Result<RunOutcome, EngineError> {
+        static PANICKED: AtomicBool = AtomicBool::new(false);
+        let out = s.run(req);
+        if !PANICKED.swap(true, Ordering::SeqCst) {
+            s.panic_holding_locks();
+        }
+        out
+    }
+
+    #[test]
+    fn a_panicking_job_keeps_its_worker_and_fails_no_later_job() {
+        let dir = std::env::temp_dir().join(format!("tg-serve-panic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let sock = dir.join("serve.sock");
+        let cache = dir.join("cache");
+        // one worker: a worker lost to the panic would leave the second
+        // job queued forever (the client read times out)
+        let opts = ServeOptions { workers: 1, queue_cap: 2, engine: EngineConfig::default() };
+        let server = Server::start_with(&sock, opts, panic_after_first_run).unwrap();
+        let ask = |line: &str| {
+            let mut c = Client::connect(&sock).unwrap();
+            c.stream.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
+            c.send(line).unwrap();
+            let mut out = Vec::new();
+            while let Some(l) = c.recv().unwrap() {
+                out.push(l);
+            }
+            out
+        };
+        let src = "int x;\nint main(void) {\n#pragma omp parallel\n{ x = x + 1; }\nreturn 0;\n}\n";
+        let run = format!(
+            r#"{{"op":"run","source":{{"name":"race.c","text":"{}"}},"threads":2,"code_cache":"{}"}}"#,
+            escape(src),
+            escape(&cache.to_string_lossy())
+        );
+
+        let first = ask(&run);
+        let last = first.last().expect("an answer");
+        assert!(last.contains(r#""type":"error","job":1,"reason":"internal_error""#), "{first:?}");
+        assert!(last.contains("job panicked: injected panic"), "{last}");
+        assert!(server.shared.session.any_lock_poisoned(), "the panic poisoned the session");
+
+        let second = ask(&run);
+        let last = second.last().expect("an answer");
+        assert!(last.starts_with(r#"{"type":"result","job":2"#), "{second:?}");
+        assert!(last.contains(r#""exit":1"#) && last.contains(r#""reports":1"#), "{last}");
+
+        let pong = ask(r#"{"op":"ping"}"#);
+        for field in [r#""completed":1"#, r#""failed":1"#, r#""panics":1"#] {
+            assert!(pong[0].contains(field), "{field} in {}", pong[0]);
+        }
+        server.stop();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -39,7 +39,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use taskgrind::analysis::{resolve_threads, SuppressOptions};
 use taskgrind::suppressions::Suppressions;
 use taskgrind::tool::RecordOptions;
@@ -259,6 +259,15 @@ struct FactsOutcome {
     stored: bool,
 }
 
+/// Lock `m` even if a job panicked while holding it: the serve daemon
+/// survives job panics, so a poisoned lock must not fail the jobs after
+/// one. Every mutex here guards a memo map or a disk cache, and both
+/// change by whole entries (an insert, a removal, a replaced facts blob),
+/// so a panic leaves them as consistent as a finished job does.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A thread-safe view of a shared [`DiskCodeCache`], handed to each run
 /// as its private `CodeCache`. Each call adds the container's stats
 /// delta it caused, taken under the lock the call holds, to the view's
@@ -271,13 +280,13 @@ struct SharedDiskCache {
 
 impl SharedDiskCache {
     fn new(inner: Arc<Mutex<DiskCodeCache>>) -> SharedDiskCache {
-        let enabled = inner.lock().expect("no job panics holding the cache").stats().enabled;
+        let enabled = lock(&inner).stats().enabled;
         SharedDiskCache { inner, own: CodeCacheStats { enabled, ..Default::default() } }
     }
 
     /// Run `f` on the container and count the stats it moved as ours.
     fn with<R>(&mut self, f: impl FnOnce(&mut DiskCodeCache) -> R) -> R {
-        let mut c = self.inner.lock().expect("no job panics holding the cache");
+        let mut c = lock(&self.inner);
         let before = c.stats();
         let r = f(&mut c);
         let after = c.stats();
@@ -311,7 +320,7 @@ impl CodeCache for SharedDiskCache {
     }
 
     fn has_facts(&self) -> bool {
-        self.inner.lock().expect("no job panics holding the cache").has_facts()
+        lock(&self.inner).has_facts()
     }
 
     fn store_facts(&mut self, bytes: &[u8]) {
@@ -435,7 +444,7 @@ impl Session {
         let mut h = fold64(0, name.as_bytes());
         h = fold64(h, text.as_bytes());
         h = fold64(h, &[tsan as u8]);
-        if let Some(m) = self.modules.lock().unwrap().get(&h) {
+        if let Some(m) = lock(&self.modules).get(&h) {
             return Ok((m.clone(), true));
         }
         let file = SourceFile::new(name, text);
@@ -446,7 +455,7 @@ impl Session {
         };
         let module = Arc::new(r.map_err(|e| EngineError::Build(e.to_string()))?);
         let m = Arc::new(LoadedModule { module, source_key: h, content_hash: OnceLock::new() });
-        self.modules.lock().unwrap().insert(h, m.clone());
+        lock(&self.modules).insert(h, m.clone());
         Ok((m, false))
     }
 
@@ -466,7 +475,7 @@ impl Session {
         mut cache: Option<&mut dyn CodeCache>,
     ) -> FactsOutcome {
         let key = (key, concurrency);
-        if let Some(f) = self.facts.lock().unwrap().get(&key).cloned() {
+        if let Some(f) = lock(&self.facts).get(&key).cloned() {
             let mut stored = false;
             if let Some(c) = cache.as_deref_mut() {
                 if !c.has_facts() {
@@ -479,7 +488,7 @@ impl Session {
         if let Some(c) = cache.as_deref_mut() {
             if let Some(f) = c.load_facts().and_then(|bytes| StaticFacts::from_bytes(&bytes).ok()) {
                 let f = Arc::new(f);
-                self.facts.lock().unwrap().insert(key, f.clone());
+                lock(&self.facts).insert(key, f.clone());
                 return FactsOutcome { facts: f, stored: false };
             }
         }
@@ -491,7 +500,7 @@ impl Session {
             stored = true;
         }
         let f = Arc::new(f);
-        self.facts.lock().unwrap().insert(key, f.clone());
+        lock(&self.facts).insert(key, f.clone());
         FactsOutcome { facts: f, stored }
     }
 
@@ -512,7 +521,7 @@ impl Session {
         ];
         let fp = req.engine.translation_fingerprint(&parts);
         let key = (dir.to_string(), module_hash, fp);
-        let mut map = self.caches.lock().unwrap();
+        let mut map = lock(&self.caches);
         if let Some(c) = map.get(&key) {
             return Ok(c.clone());
         }
@@ -700,7 +709,7 @@ impl Session {
                 let mut summary = taskgrind::metrics::render_summary(&registry);
                 summary.push_str(&render_profile(&registry));
                 if let Some(arc) = &shared {
-                    let mut cache = arc.lock().unwrap();
+                    let mut cache = lock(arc);
                     if let Err(e) = cache.flush() {
                         warnings.push(format!(
                             "tgrind: cannot write code cache {}: {e}",
@@ -751,7 +760,7 @@ impl Session {
         let shared = self
             .shared_cache(&dir, loaded.content_hash(), req)
             .map_err(|e| EngineError::CacheOpen { dir: dir.clone(), message: e })?;
-        let mut cache = shared.lock().unwrap();
+        let mut cache = lock(&shared);
         let stats = self.warm_module_with(
             &loaded.module,
             loaded.source_key,
@@ -809,6 +818,28 @@ impl Session {
             findings: registry.u64("lint.findings"),
             registry,
         })
+    }
+}
+
+#[cfg(test)]
+impl Session {
+    /// Panic while holding every session lock and every open disk
+    /// cache's lock, leaving them poisoned the way a job that panics
+    /// inside one would.
+    pub(crate) fn panic_holding_locks(&self) -> ! {
+        let _modules = lock(&self.modules);
+        let _facts = lock(&self.facts);
+        let caches = lock(&self.caches);
+        let _held: Vec<_> = caches.values().map(|c| lock(c)).collect();
+        panic!("injected panic holding every session lock");
+    }
+
+    /// Whether any session lock is poisoned.
+    pub(crate) fn any_lock_poisoned(&self) -> bool {
+        self.modules.is_poisoned()
+            || self.facts.is_poisoned()
+            || self.caches.is_poisoned()
+            || lock(&self.caches).values().any(|c| c.is_poisoned())
     }
 }
 
