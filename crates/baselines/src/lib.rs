@@ -4,8 +4,8 @@
 //! | tool | model | runs as | characteristic weaknesses reproduced |
 //! |---|---|---|---|
 //! | [`archer`] | vector-clock happens-before over compile-time (`__tsan_*`) instrumentation | Fast mode, TSan build | thread-centric: tasks serialized onto one thread are implicitly ordered (false negatives; 0 reports single-threaded); blind to non-instrumented (runtime) code |
-//! | [`tasksan`] | segment-graph detector (TaskSanitizer) | Fast mode, TSan build | Clang-8-era feature gaps ("ncs"), no taskgroup edges, ignores undeferred/included flags, no stack/TLS suppression, no allocator replacement |
-//! | [`romp`] | per-address access history over binary instrumentation | DBI mode | OpenMP-only, global (non-sibling-scoped) dependence matching, no mutexinoutset exclusion, address-only reports, crashes on threadprivate writes from explicit tasks |
+//! | [`tasksan`] | segment-graph detector (TaskSanitizer) | Fast mode, TSan build | Clang-8-era feature gaps ("ncs"), no taskgroup edges, no detach, ignores undeferred/included flags, no stack/TLS suppression, no allocator replacement |
+//! | [`romp`] | per-address access history over binary instrumentation | DBI mode | OpenMP-only, global (non-sibling-scoped) dependence matching, no mutexinoutset exclusion, no detach, ignores `tg_set_deferrable`, address-only reports, crashes on threadprivate writes from explicit tasks |
 //!
 //! Each runner returns a [`BaselineRun`] with the same shape as
 //! Taskgrind's result so the Table I/II harnesses treat all tools

@@ -11,6 +11,12 @@
 //!   non-sibling dependences (FN on DRB173);
 //! * **no mutexinoutset exclusion** (FP on DRB135);
 //! * **undeferred/included tasks not modelled** (FP on DRB122);
+//! * **no detach**: `TASK_FULFILL` is dropped before the shared
+//!   segment-graph builder sees it, so a fulfilled completion event
+//!   orders nothing (FP on `x003-detach-fulfilled` at 4 threads);
+//! * **ignores `tg_set_deferrable`** (the §V-B annotation): tasks the
+//!   runtime serializes on one thread stay ordered (FN on TMB 1001 and
+//!   1004 at 1 thread);
 //! * **poor error reports**: raw addresses only (Listing 5), no debug
 //!   information;
 //! * **fragile thread-local handling**: a threadprivate write from an
@@ -25,7 +31,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Instant;
 use taskgrind::analysis::{self, SuppressOptions};
-use taskgrind::graph::{DepKind, GraphBuilder, ThreadMeta};
+use taskgrind::graph::{GraphBuilder, ThreadMeta};
 use taskgrind::reach::Reachability;
 use taskgrind::tool::default_ignore_list;
 use tga::module::Module;
@@ -61,19 +67,6 @@ impl RompTool {
 impl Default for RompTool {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-fn thread_meta(core: &VmCore, tid: Tid) -> ThreadMeta {
-    let t = &core.threads[tid];
-    ThreadMeta {
-        tid,
-        sp: t.reg(tga::reg::SP),
-        stack_low: t.stack_low,
-        stack_high: t.stack_high,
-        tls_base: t.tls_base,
-        tls_size: t.tls_size,
-        tls_gen: t.tls_gen,
     }
 }
 
@@ -129,77 +122,18 @@ impl Tool for RompTool {
             st.segv = true;
             return;
         }
-        let meta = thread_meta(core, tid);
+        let meta = ThreadMeta::of(core, tid);
         st.builder.record_access(&meta, addr, size, write);
     }
 
     fn client_request(&mut self, core: &mut VmCore, tid: Tid, code: u64, args: [u64; 5]) -> u64 {
-        let meta = thread_meta(core, tid);
-        let mut st = self.state.borrow_mut();
-        if st.segv {
-            // keep the runtime functional (ids must still be handed out)
-            if code == creq::TASK_CREATE {
-                return st.builder.task_create(&meta, args[0], args[1]);
-            }
+        // no detach: a fulfilled event orders nothing (`USER_DEFERRABLE`,
+        // which the builder never applies, is ignored too)
+        if code == creq::TASK_FULFILL {
+            return 0;
         }
-        let b = &mut st.builder;
-        match code {
-            creq::PARALLEL_BEGIN => b.parallel_begin(&meta, args[0]),
-            creq::PARALLEL_END => {
-                b.parallel_end(&meta, args[0]);
-                0
-            }
-            creq::IMPLICIT_TASK_BEGIN => {
-                b.implicit_task_begin(&meta, args[0], args[1]);
-                0
-            }
-            creq::IMPLICIT_TASK_END => {
-                b.implicit_task_end(&meta, args[0], args[1]);
-                0
-            }
-            creq::TASK_CREATE => b.task_create(&meta, args[0], args[1]),
-            creq::TASK_DEP => {
-                b.task_dep(args[0], args[1], args[2], DepKind::from_u64(args[3]));
-                0
-            }
-            creq::TASK_SPAWN => {
-                b.task_spawn(&meta, args[0]);
-                0
-            }
-            creq::TASK_BEGIN => {
-                b.task_begin(&meta, args[0]);
-                0
-            }
-            creq::TASK_END => {
-                b.task_end(&meta, args[0]);
-                0
-            }
-            creq::TASKWAIT => {
-                b.taskwait(&meta);
-                0
-            }
-            creq::TASKGROUP_BEGIN => {
-                b.taskgroup_begin(&meta);
-                0
-            }
-            creq::TASKGROUP_END => {
-                b.taskgroup_end(&meta);
-                0
-            }
-            creq::BARRIER => {
-                b.barrier(&meta, args[0]);
-                0
-            }
-            creq::CRITICAL_ENTER => {
-                b.critical_enter(&meta, args[0]);
-                0
-            }
-            creq::CRITICAL_EXIT => {
-                b.critical_exit(&meta, args[0]);
-                0
-            }
-            _ => 0,
-        }
+        let meta = ThreadMeta::of(core, tid);
+        self.state.borrow_mut().builder.client_request(&meta, code, args)
     }
 
     fn tool_bytes(&self) -> u64 {

@@ -12,7 +12,15 @@
 //!   [`SUPPORTED_FEATURES`] first — its Clang 8 front end rejects
 //!   taskloop, threadprivate, mergeable, and OpenMP-4.5/5.0 dependence
 //!   types;
-//! * **no taskgroup edges** (FP on DRB107);
+//! * **three runtime events ignored**:
+//!   - taskgroups (`TASKGROUP_BEGIN`/`TASKGROUP_END`, dropped before the
+//!     shared segment-graph builder sees them): no taskgroup edges (FP
+//!     on DRB107);
+//!   - `TASK_FULFILL` (dropped the same way): no detach, so a fulfilled
+//!     event orders nothing;
+//!   - `tg_set_deferrable` (`USER_DEFERRABLE`, which the builder never
+//!     applies): the flags the annotation strips are stripped anyway
+//!     (next item);
 //! * **undeferred/included tasks not modelled** (FP on DRB122): the
 //!   builder strips the inline flags, so runtime-serialized tasks look
 //!   concurrent;
@@ -28,7 +36,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Instant;
 use taskgrind::analysis::{self, SuppressOptions};
-use taskgrind::graph::{DepKind, GraphBuilder, ThreadMeta};
+use taskgrind::graph::{GraphBuilder, ThreadMeta};
 use taskgrind::reach::Reachability;
 use tga::module::Module;
 
@@ -88,19 +96,6 @@ impl Default for TaskSanTool {
     }
 }
 
-fn thread_meta(core: &VmCore, tid: Tid) -> ThreadMeta {
-    let t = &core.threads[tid];
-    ThreadMeta {
-        tid,
-        sp: t.reg(tga::reg::SP),
-        stack_low: t.stack_low,
-        stack_high: t.stack_high,
-        tls_base: t.tls_base,
-        tls_size: t.tls_size,
-        tls_gen: t.tls_gen,
-    }
-}
-
 impl Tool for TaskSanTool {
     fn name(&self) -> &'static str {
         "tasksanitizer"
@@ -126,7 +121,7 @@ impl Tool for TaskSanTool {
             R_FREE => return 0,
             _ => {}
         }
-        let meta = thread_meta(core, tid);
+        let meta = ThreadMeta::of(core, tid);
         let write = matches!(id, R_WRITE8 | R_WRITE1);
         let size = if matches!(id, R_READ1 | R_WRITE1) { 1 } else { 8 };
         self.state.borrow_mut().builder.record_access(&meta, args[0], size, write);
@@ -134,59 +129,14 @@ impl Tool for TaskSanTool {
     }
 
     fn client_request(&mut self, core: &mut VmCore, tid: Tid, code: u64, args: [u64; 5]) -> u64 {
-        let meta = thread_meta(core, tid);
-        let mut st = self.state.borrow_mut();
-        let b = &mut st.builder;
         match code {
-            creq::PARALLEL_BEGIN => b.parallel_begin(&meta, args[0]),
-            creq::PARALLEL_END => {
-                b.parallel_end(&meta, args[0]);
-                0
+            // no detach, and taskgroup is NOT understood: no join edges
+            // (FP on DRB107); `USER_DEFERRABLE` never reaches the graph
+            creq::TASK_FULFILL | creq::TASKGROUP_BEGIN | creq::TASKGROUP_END => 0,
+            _ => {
+                let meta = ThreadMeta::of(core, tid);
+                self.state.borrow_mut().builder.client_request(&meta, code, args)
             }
-            creq::IMPLICIT_TASK_BEGIN => {
-                b.implicit_task_begin(&meta, args[0], args[1]);
-                0
-            }
-            creq::IMPLICIT_TASK_END => {
-                b.implicit_task_end(&meta, args[0], args[1]);
-                0
-            }
-            creq::TASK_CREATE => b.task_create(&meta, args[0], args[1]),
-            creq::TASK_DEP => {
-                b.task_dep(args[0], args[1], args[2], DepKind::from_u64(args[3]));
-                0
-            }
-            creq::TASK_SPAWN => {
-                b.task_spawn(&meta, args[0]);
-                0
-            }
-            creq::TASK_BEGIN => {
-                b.task_begin(&meta, args[0]);
-                0
-            }
-            creq::TASK_END => {
-                b.task_end(&meta, args[0]);
-                0
-            }
-            creq::TASKWAIT => {
-                b.taskwait(&meta);
-                0
-            }
-            // taskgroup is NOT understood: no join edges (FP on DRB107)
-            creq::TASKGROUP_BEGIN | creq::TASKGROUP_END => 0,
-            creq::BARRIER => {
-                b.barrier(&meta, args[0]);
-                0
-            }
-            creq::CRITICAL_ENTER => {
-                b.critical_enter(&meta, args[0]);
-                0
-            }
-            creq::CRITICAL_EXIT => {
-                b.critical_exit(&meta, args[0]);
-                0
-            }
-            _ => 0,
         }
     }
 

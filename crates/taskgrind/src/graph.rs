@@ -8,7 +8,10 @@
 //!
 //! [`GraphBuilder`] consumes the client-request events the guest
 //! runtime emits (the OMPT-tool of Fig. 2) and produces the final
-//! [`SegmentGraph`]:
+//! [`SegmentGraph`]. It is the one decoder of the client-request ABI:
+//! Taskgrind and the segment-graph baselines (ROMP, TaskSanitizer) hand
+//! each runtime event to [`GraphBuilder::client_request`], after dropping
+//! the events they do not model. The events shape the graph as follows:
 //!
 //! * task creation **splits** the creator's segment — code after the
 //!   spawn is concurrent with the child until a taskwait/taskgroup/
@@ -26,8 +29,8 @@
 //!   consumed by suppression, not by reachability.
 
 use crate::itree::IntervalTree;
-use grindcore::creq::task_flags;
-use grindcore::Tid;
+use grindcore::creq::{self, task_flags};
+use grindcore::{Tid, VmCore};
 use std::collections::HashMap;
 
 pub type SegId = u32;
@@ -73,6 +76,24 @@ pub struct ThreadMeta {
     pub tls_gen: u64,
 }
 
+impl ThreadMeta {
+    /// VM thread `tid`'s stack pointer, stack bounds and TLS record, as
+    /// they stand now.
+    #[inline]
+    pub fn of(core: &VmCore, tid: Tid) -> ThreadMeta {
+        let t = &core.threads[tid];
+        ThreadMeta {
+            tid,
+            sp: t.reg(tga::reg::SP),
+            stack_low: t.stack_low,
+            stack_high: t.stack_high,
+            tls_base: t.tls_base,
+            tls_size: t.tls_size,
+            tls_gen: t.tls_gen,
+        }
+    }
+}
+
 /// One segment.
 #[derive(Clone, Debug)]
 pub struct Segment {
@@ -96,7 +117,6 @@ pub struct Segment {
     pub tls_gen: u64,
     /// Critical-section locks held throughout this segment.
     pub locks: Vec<u64>,
-    pub region: Option<u32>,
     /// Global client-request sequence number current when this segment
     /// opened ([`GraphBuilder::set_seq`]; 0 if the driver never stamps
     /// one). The confirm replay explorer uses it to locate a candidate's
@@ -155,11 +175,31 @@ impl SegmentGraph {
         adj
     }
 
-    /// Approximate host bytes held by the graph (Table II accounting).
-    pub fn heap_bytes(&self) -> u64 {
-        self.segments.iter().map(|s| s.bytes()).sum::<u64>()
-            + self.tasks.len() as u64 * 160
-            + self.edges.len() as u64 * 8
+    /// Kahn's topological order of the nodes, given the graph's
+    /// [`Self::successors`]. Nodes on a cycle, and every node after one,
+    /// never reach in-degree 0, so a cyclic graph's order is shorter than
+    /// the graph.
+    pub(crate) fn topo_order(&self, succ: &[Vec<SegId>]) -> Vec<usize> {
+        let n = self.segments.len();
+        let mut indeg = vec![0u32; n];
+        for &(_, b) in &self.edges {
+            if (b as usize) < n {
+                indeg[b as usize] += 1;
+            }
+        }
+        let mut order: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+        let mut qi = 0;
+        while qi < order.len() {
+            let u = order[qi];
+            qi += 1;
+            for &v in &succ[u] {
+                indeg[v as usize] -= 1;
+                if indeg[v as usize] == 0 {
+                    order.push(v as usize);
+                }
+            }
+        }
+        order
     }
 
     /// Structural validation: edges in range, acyclic, task segment
@@ -176,28 +216,7 @@ impl SegmentGraph {
                 errs.push(format!("self edge on segment {a}"));
             }
         }
-        // Kahn: a cycle leaves nodes unprocessed
-        let succ = self.successors();
-        let mut indeg = vec![0u32; self.segments.len()];
-        for &(_, b) in &self.edges {
-            if (b as usize) < indeg.len() {
-                indeg[b as usize] += 1;
-            }
-        }
-        let mut queue: Vec<usize> = (0..self.segments.len()).filter(|&i| indeg[i] == 0).collect();
-        let mut seen = 0usize;
-        let mut qi = 0;
-        while qi < queue.len() {
-            let u = queue[qi];
-            qi += 1;
-            seen += 1;
-            for &v in &succ[u] {
-                indeg[v as usize] -= 1;
-                if indeg[v as usize] == 0 {
-                    queue.push(v as usize);
-                }
-            }
-        }
+        let seen = self.topo_order(&self.successors()).len();
         if seen != self.segments.len() {
             errs.push(format!(
                 "graph has a cycle: {seen}/{} nodes in topological order",
@@ -344,6 +363,12 @@ struct ExecCtx {
     base_sp: u64,
     /// Pending accesses of `cur_seg` (bulk-ingestion mode only).
     buf: AccessBuf,
+}
+
+impl ExecCtx {
+    fn new(task: TaskId, cur_seg: SegId, group: Option<u32>, base_sp: u64) -> ExecCtx {
+        ExecCtx { task, cur_seg, locks: Vec::new(), group, base_sp, buf: AccessBuf::default() }
+    }
 }
 
 struct TaskgroupState {
@@ -516,7 +541,6 @@ impl GraphBuilder {
             tls_size: meta.tls_size,
             tls_gen: meta.tls_gen,
             locks,
-            region: self.cur_region,
             open_seq: self.cur_seq,
         });
         id
@@ -566,52 +590,10 @@ impl GraphBuilder {
     /// user code outside an implicit task).
     fn ensure_ctx(&mut self, meta: &ThreadMeta) {
         if self.stack(meta.tid).is_empty() {
-            let task = self.tasks.len() as TaskId;
-            self.tasks.push(TaskNode {
-                id: task,
-                flags: 0,
-                fn_addr: 0,
-                parent: None,
-                create_seg: None,
-                first_seg: None,
-                last_seg: None,
-                children: Vec::new(),
-                dep_preds: Vec::new(),
-                mutex_objs: Vec::new(),
-                fulfill_seg: None,
-                implicit: true,
-            });
-            let seg = {
-                let id = self.segments.len() as SegId;
-                self.segments.push(Segment {
-                    id,
-                    task: Some(task),
-                    thread: meta.tid,
-                    sync: false,
-                    kind: "root",
-                    reads: IntervalTree::new(),
-                    writes: IntervalTree::new(),
-                    start_sp: meta.sp,
-                    stack_low: meta.stack_low,
-                    stack_high: meta.stack_high,
-                    tls_base: meta.tls_base,
-                    tls_size: meta.tls_size,
-                    tls_gen: meta.tls_gen,
-                    locks: Vec::new(),
-                    region: None,
-                    open_seq: self.cur_seq,
-                });
-                id
-            };
+            let task = self.new_task(0, 0, None, true);
+            let seg = self.new_segment(meta, Some(task), "root", Vec::new());
             self.tasks[task as usize].first_seg = Some(seg);
-            self.ctx[meta.tid].push(ExecCtx {
-                task,
-                cur_seg: seg,
-                locks: Vec::new(),
-                group: None,
-                base_sp: meta.sp,
-                buf: AccessBuf::default(),
-            });
+            self.ctx[meta.tid].push(ExecCtx::new(task, seg, None, meta.sp));
         }
     }
 
@@ -646,6 +628,16 @@ impl GraphBuilder {
         (old, new)
     }
 
+    /// End the thread's top context: its current segment becomes its
+    /// task's last and closes. Returns that segment.
+    fn pop_ctx(&mut self, tid: Tid) -> Option<SegId> {
+        let mut c = self.ctx.get_mut(tid)?.pop()?;
+        flush_buf(&mut self.segments, &mut c);
+        self.tasks[c.task as usize].last_seg = Some(c.cur_seg);
+        self.close_segment(c.cur_seg);
+        Some(c.cur_seg)
+    }
+
     /// A segment will receive no further accesses: account its
     /// interval sets in the closed-segment bytes. Callers invoke this
     /// *after* the owning context's `cur_seg` moved on (or the context
@@ -668,8 +660,36 @@ impl GraphBuilder {
 
     // ---- events ----
 
+    /// Apply one client request of the runtime (`grindcore::creq`): every
+    /// event the segment graph models, from `PARALLEL_BEGIN` to
+    /// `CRITICAL_EXIT`. Returns the id the runtime keeps for
+    /// `PARALLEL_BEGIN` (region) and `TASK_CREATE` (task), and 0 for every
+    /// other code. `USER_DEFERRABLE` is not applied here: whether to honour
+    /// the annotation is the tool's choice ([`Self::set_user_deferrable`]).
+    pub fn client_request(&mut self, meta: &ThreadMeta, code: u64, args: [u64; 5]) -> u64 {
+        match code {
+            creq::PARALLEL_BEGIN => return self.parallel_begin(meta, args[0]),
+            creq::PARALLEL_END => self.parallel_end(meta, args[0]),
+            creq::IMPLICIT_TASK_BEGIN => self.implicit_task_begin(meta, args[0], args[1]),
+            creq::IMPLICIT_TASK_END => self.implicit_task_end(meta, args[0], args[1]),
+            creq::TASK_CREATE => return self.task_create(meta, args[0], args[1]),
+            creq::TASK_DEP => self.task_dep(args[0], args[1], args[2], DepKind::from_u64(args[3])),
+            creq::TASK_SPAWN => self.task_spawn(meta, args[0]),
+            creq::TASK_BEGIN => self.task_begin(meta, args[0]),
+            creq::TASK_END => self.task_end(meta, args[0]),
+            creq::TASK_FULFILL => self.task_fulfill(meta, args[0]),
+            creq::TASKWAIT => self.taskwait(meta),
+            creq::TASKGROUP_BEGIN => self.taskgroup_begin(meta),
+            creq::TASKGROUP_END => self.taskgroup_end(meta),
+            creq::BARRIER => self.barrier(meta, args[0]),
+            creq::CRITICAL_ENTER => self.critical_enter(meta, args[0]),
+            creq::CRITICAL_EXIT => self.critical_exit(meta, args[0]),
+            _ => {}
+        }
+        0
+    }
+
     pub fn parallel_begin(&mut self, meta: &ThreadMeta, nthreads: u64) -> u64 {
-        self.ensure_ctx(meta);
         let master_seg = self.top(meta).cur_seg;
         let begin = self.new_segment(meta, None, "region-begin", Vec::new());
         let end = self.new_segment(meta, None, "region-end", Vec::new());
@@ -708,36 +728,17 @@ impl GraphBuilder {
         let seg = self.new_segment(meta, Some(task), "implicit", Vec::new());
         self.tasks[task as usize].first_seg = Some(seg);
         self.edge(begin, seg);
-        self.stack(meta.tid).push(ExecCtx {
-            task,
-            cur_seg: seg,
-            locks: Vec::new(),
-            group: None,
-            base_sp: meta.sp,
-            buf: AccessBuf::default(),
-        });
+        self.stack(meta.tid).push(ExecCtx::new(task, seg, None, meta.sp));
     }
 
     pub fn implicit_task_end(&mut self, meta: &ThreadMeta, region: u64, _index: u64) {
         let end_node = self.regions.get(region as usize).map(|r| r.end_node);
-        let mut done: Option<SegId> = None;
-        if let Some(stack) = self.ctx.get_mut(meta.tid) {
-            if let Some(mut c) = stack.pop() {
-                flush_buf(&mut self.segments, &mut c);
-                self.tasks[c.task as usize].last_seg = Some(c.cur_seg);
-                if let Some(end) = end_node {
-                    self.edge(c.cur_seg, end);
-                }
-                done = Some(c.cur_seg);
-            }
-        }
-        if let Some(s) = done {
-            self.close_segment(s);
+        if let (Some(last), Some(end)) = (self.pop_ctx(meta.tid), end_node) {
+            self.edge(last, end);
         }
     }
 
     pub fn task_create(&mut self, meta: &ThreadMeta, flags: u64, fn_addr: u64) -> u64 {
-        self.ensure_ctx(meta);
         let flags = if self.user_deferrable {
             flags & !(task_flags::UNDEFERRED | task_flags::INCLUDED)
         } else if self.ignore_undeferred {
@@ -746,7 +747,7 @@ impl GraphBuilder {
             flags
         };
         let (parent, group) = {
-            let c = self.ctx[meta.tid].last_mut().unwrap();
+            let c = self.top(meta);
             (c.task, c.group)
         };
         let task = self.new_task(flags, fn_addr, Some(parent), false);
@@ -819,43 +820,17 @@ impl GraphBuilder {
 
     pub fn task_begin(&mut self, meta: &ThreadMeta, task: u64) {
         let task = task as TaskId;
-        let group = {
-            // executing task inherits its creator's taskgroup (descendant
-            // tasks extend the group)
-            self.task_group_of(task)
-        };
         let seg = self.new_segment(meta, Some(task), "task", Vec::new());
         self.tasks[task as usize].first_seg = Some(seg);
-        self.stack(meta.tid).push(ExecCtx {
-            task,
-            cur_seg: seg,
-            locks: Vec::new(),
-            group,
-            base_sp: meta.sp,
-            buf: AccessBuf::default(),
-        });
-    }
-
-    fn task_group_of(&self, _task: TaskId) -> Option<u32> {
         // group membership is recorded at creation; execution context
         // group is only used for *new* tasks created inside this task,
         // which inherit through this value.
-        None
+        self.stack(meta.tid).push(ExecCtx::new(task, seg, None, meta.sp));
     }
 
     pub fn task_end(&mut self, meta: &ThreadMeta, task: u64) {
         let task = task as TaskId;
-        let mut done: Option<SegId> = None;
-        if let Some(stack) = self.ctx.get_mut(meta.tid) {
-            if let Some(mut c) = stack.pop() {
-                flush_buf(&mut self.segments, &mut c);
-                self.tasks[c.task as usize].last_seg = Some(c.cur_seg);
-                done = Some(c.cur_seg);
-            }
-        }
-        if let Some(s) = done {
-            self.close_segment(s);
-        }
+        self.pop_ctx(meta.tid);
         // Inline (undeferred/included) execution orders the parent's
         // continuation after the child.
         let flags = self.tasks[task as usize].flags;
@@ -881,7 +856,6 @@ impl GraphBuilder {
     /// happens-before everything joining on the task. The fulfiller's
     /// segment splits so only its pre-fulfill accesses are ordered.
     pub fn task_fulfill(&mut self, meta: &ThreadMeta, task: u64) {
-        self.ensure_ctx(meta);
         let (fulfill_seg, _) = self.split(meta, "after-fulfill");
         if let Some(t) = self.tasks.get_mut(task as usize) {
             t.fulfill_seg = Some(fulfill_seg);
@@ -889,7 +863,6 @@ impl GraphBuilder {
     }
 
     pub fn taskwait(&mut self, meta: &ThreadMeta) {
-        self.ensure_ctx(meta);
         let task = self.top(meta).task;
         let children = self.tasks[task as usize].children.clone();
         let (_, new) = self.split(meta, "after-taskwait");
@@ -899,7 +872,6 @@ impl GraphBuilder {
     }
 
     pub fn taskgroup_begin(&mut self, meta: &ThreadMeta) {
-        self.ensure_ctx(meta);
         let parent = self.top(meta).group;
         let gid = self.taskgroups.len() as u32;
         self.taskgroups.push(TaskgroupState { members: Vec::new(), parent });
@@ -907,7 +879,6 @@ impl GraphBuilder {
     }
 
     pub fn taskgroup_end(&mut self, meta: &ThreadMeta) {
-        self.ensure_ctx(meta);
         let Some(gid) = self.top(meta).group else {
             self.split(meta, "after-taskgroup");
             return;
@@ -970,22 +941,11 @@ impl GraphBuilder {
     }
 
     pub fn critical_enter(&mut self, meta: &ThreadMeta, lock: u64) {
-        self.ensure_ctx(meta);
-        self.flush_top(meta.tid);
         insert_sorted(&mut self.top(meta).locks, lock);
-        let locks = self.top(meta).locks.clone();
-        let task = self.top(meta).task;
-        let old = self.top(meta).cur_seg;
-        let base_sp = self.top(meta).base_sp;
-        let meta = &ThreadMeta { sp: base_sp, ..*meta };
-        let new = self.new_segment(meta, Some(task), "critical", locks);
-        self.edge(old, new);
-        self.top(meta).cur_seg = new;
-        self.close_segment(old);
+        self.split(meta, "critical");
     }
 
     pub fn critical_exit(&mut self, meta: &ThreadMeta, lock: u64) {
-        self.ensure_ctx(meta);
         self.top(meta).locks.retain(|&l| l != lock);
         self.split(meta, "after-critical");
     }
@@ -1408,6 +1368,27 @@ mod tests {
         assert!(dot.starts_with("digraph"));
         assert!(dot.contains("->"));
         assert!(dot.contains("task"));
+    }
+
+    #[test]
+    fn topo_order_comes_up_short_on_a_cycle() {
+        let mut b = GraphBuilder::new();
+        let m = meta(0);
+        let t = spawn_task(&mut b, &m, 0x100);
+        b.task_begin(&m, t);
+        b.task_end(&m, t);
+        b.taskwait(&m);
+        let mut g = b.finalize();
+        let order = g.topo_order(&g.successors());
+        assert_eq!(order.len(), g.n_nodes());
+        let rank: HashMap<usize, usize> = order.iter().enumerate().map(|(i, &u)| (u, i)).collect();
+        assert!(g.edges.iter().all(|&(a, b)| rank[&(a as usize)] < rank[&(b as usize)]));
+        assert!(g.validate().is_empty());
+
+        let last = g.n_nodes() as SegId - 1;
+        g.edges.push((last, 0));
+        assert!(g.topo_order(&g.successors()).len() < g.n_nodes());
+        assert!(g.validate().iter().any(|e| e.contains("cycle")), "{:?}", g.validate());
     }
 
     /// One event of the push-window property test.

@@ -13,40 +13,21 @@ pub struct Reachability {
     n: usize,
     words: usize,
     /// Row-major bitsets: `bits[i*words..(i+1)*words]` = nodes reachable
-    /// from node `i` (excluding `i` itself unless on a cycle).
+    /// from node `i` (never `i` itself).
     bits: Vec<u64>,
 }
 
 impl Reachability {
     /// Compute the closure. The graph must be a DAG (event-ordered
-    /// construction guarantees it); cycles would make every involved
-    /// node mutually "ordered", which is conservative but flagged in
-    /// debug builds.
+    /// construction guarantees it, and debug builds assert it): a node
+    /// on a cycle is missing from the topological order, so its row
+    /// stays empty: it reaches nothing.
     pub fn compute(g: &SegmentGraph) -> Reachability {
         let n = g.n_nodes();
         let words = n.div_ceil(64);
         let mut bits = vec![0u64; n * words];
         let succ = g.successors();
-
-        // Kahn topological order.
-        let mut indeg = vec![0u32; n];
-        for &(_, b) in &g.edges {
-            indeg[b as usize] += 1;
-        }
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        let mut topo = Vec::with_capacity(n);
-        let mut qi = 0;
-        while qi < queue.len() {
-            let u = queue[qi];
-            qi += 1;
-            topo.push(u);
-            for &v in &succ[u] {
-                indeg[v as usize] -= 1;
-                if indeg[v as usize] == 0 {
-                    queue.push(v as usize);
-                }
-            }
-        }
+        let topo = g.topo_order(&succ);
         debug_assert_eq!(topo.len(), n, "segment graph must be acyclic");
 
         // Propagate in reverse topological order.

@@ -11,7 +11,7 @@
 //!   once when the block is allocated; `free` becomes a no-op — §IV-B's
 //!   mechanism and §III-C's report support, as the paper describes.
 
-use crate::graph::{DepKind, GraphBuilder, ThreadMeta};
+use crate::graph::{GraphBuilder, ThreadMeta};
 use crate::report::{self, AllocBlock};
 use grindcore::creq;
 use grindcore::tool::{
@@ -218,19 +218,6 @@ fn trace_guest_creq(tid: Tid, code: u64, args: [u64; 5]) {
     }
 }
 
-fn thread_meta(core: &VmCore, tid: Tid) -> ThreadMeta {
-    let t = &core.threads[tid];
-    ThreadMeta {
-        tid,
-        sp: t.reg(tga::reg::SP),
-        stack_low: t.stack_low,
-        stack_high: t.stack_high,
-        tls_base: t.tls_base,
-        tls_size: t.tls_size,
-        tls_gen: t.tls_gen,
-    }
-}
-
 impl Tool for TaskgrindTool {
     fn name(&self) -> &'static str {
         "taskgrind"
@@ -272,14 +259,14 @@ impl Tool for TaskgrindTool {
         write: bool,
         _pc: u64,
     ) {
-        let meta = thread_meta(core, tid);
+        let meta = ThreadMeta::of(core, tid);
         let mut st = self.state.borrow_mut();
         st.accesses_recorded += 1;
         st.builder.record_access(&meta, addr, size, write);
     }
 
     fn client_request(&mut self, core: &mut VmCore, tid: Tid, code: u64, args: [u64; 5]) -> u64 {
-        let meta = thread_meta(core, tid);
+        let meta = ThreadMeta::of(core, tid);
         let mut st = self.state.borrow_mut();
         if st.module.is_none() {
             st.module = Some(core.module.clone());
@@ -292,71 +279,11 @@ impl Tool for TaskgrindTool {
         if tg_obs::trace::enabled() {
             trace_guest_creq(tid, code, args);
         }
-        match code {
-            creq::PARALLEL_BEGIN => b.parallel_begin(&meta, args[0]),
-            creq::PARALLEL_END => {
-                b.parallel_end(&meta, args[0]);
-                0
-            }
-            creq::IMPLICIT_TASK_BEGIN => {
-                b.implicit_task_begin(&meta, args[0], args[1]);
-                0
-            }
-            creq::IMPLICIT_TASK_END => {
-                b.implicit_task_end(&meta, args[0], args[1]);
-                0
-            }
-            creq::TASK_CREATE => b.task_create(&meta, args[0], args[1]),
-            creq::TASK_DEP => {
-                b.task_dep(args[0], args[1], args[2], DepKind::from_u64(args[3]));
-                0
-            }
-            creq::TASK_BEGIN => {
-                b.task_begin(&meta, args[0]);
-                0
-            }
-            creq::TASK_END => {
-                b.task_end(&meta, args[0]);
-                0
-            }
-            creq::TASK_SPAWN => {
-                b.task_spawn(&meta, args[0]);
-                0
-            }
-            creq::TASK_FULFILL => {
-                b.task_fulfill(&meta, args[0]);
-                0
-            }
-            creq::TASKWAIT => {
-                b.taskwait(&meta);
-                0
-            }
-            creq::TASKGROUP_BEGIN => {
-                b.taskgroup_begin(&meta);
-                0
-            }
-            creq::TASKGROUP_END => {
-                b.taskgroup_end(&meta);
-                0
-            }
-            creq::BARRIER => {
-                b.barrier(&meta, args[0]);
-                0
-            }
-            creq::CRITICAL_ENTER => {
-                b.critical_enter(&meta, args[0]);
-                0
-            }
-            creq::CRITICAL_EXIT => {
-                b.critical_exit(&meta, args[0]);
-                0
-            }
-            creq::USER_DEFERRABLE => {
-                b.set_user_deferrable(args[0] != 0);
-                0
-            }
-            _ => 0,
+        if code == creq::USER_DEFERRABLE {
+            b.set_user_deferrable(args[0] != 0);
+            return 0;
         }
+        b.client_request(&meta, code, args)
     }
 
     fn replacements(&self) -> Vec<FnReplacement> {
