@@ -77,11 +77,7 @@ impl Tool for RompTool {
 
     fn instrument(&mut self, block: IrBlock, meta: &BlockMeta) -> IrBlock {
         let st = self.state.borrow();
-        let skip = meta
-            .fn_symbol
-            .as_deref()
-            .map(|n| st.ignore.iter().any(|p| pattern_matches(p, n)))
-            .unwrap_or(false);
+        let skip = meta.fn_symbol.is_some_and(|n| st.ignore.iter().any(|p| pattern_matches(p, n)));
         drop(st);
         if skip {
             block

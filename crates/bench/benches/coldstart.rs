@@ -7,9 +7,13 @@
 //!   nothing), translated again cold with Taskgrind's filtered
 //!   instrumentation, so lifting, instrumentation and the flat compile
 //!   are all timed.
-//! * `analyze_with(&RUN_ANALYZE_OPTS)` per guest, the static analysis a
-//!   run computes, with its two phases split out: CFG recovery and the
-//!   dataflow pass.
+//! * `analyze_with(&RUN_ANALYZE_OPTS)` per guest, the whole-module
+//!   static analysis a run falls back to and its oracle, with its two
+//!   phases split out: CFG recovery and the dataflow pass.
+//! * `taskgrind::run_facts` per guest, the static analysis a run
+//!   computes: the summary's decode and fingerprint check, then CFG
+//!   recovery and the dataflow over the functions the summary does not
+//!   cover.
 //!
 //! Each sample covers every guest once; `TG_BENCH_SAMPLES` sets the
 //! count (default 31). The last line printed is a JSON object with the
@@ -24,7 +28,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use taskgrind::tool::{RecordOptions, TaskgrindTool};
-use taskgrind::{check_module, TaskgrindConfig, RUN_ANALYZE_OPTS};
+use taskgrind::{check_module, run_facts, TaskgrindConfig, RUN_ANALYZE_OPTS};
 use tga::module::{FuncTable, Module};
 
 /// A code cache that serves nothing and records the pc of every block
@@ -64,7 +68,8 @@ fn guests() -> Vec<Guest> {
     programs
         .filter_map(|p| guest_rt::build_single(p.name, p.source).ok())
         .map(|module| {
-            let facts = tga_analysis::analyze_with(&module, &RUN_ANALYZE_OPTS);
+            let facts = run_facts(&module, &RecordOptions::default());
+            assert_eq!(facts.scope, tga_analysis::FactsScope::Run, "every corpus guest");
             let record =
                 RecordOptions { static_facts: Some(Arc::new(facts)), ..Default::default() };
             let recorder = Rc::new(RefCell::new(Recorder::default()));
@@ -115,6 +120,11 @@ fn analyze_all(guests: &[Guest]) -> usize {
         .sum()
 }
 
+fn run_facts_all(guests: &[Guest]) -> usize {
+    let record = RecordOptions::default();
+    guests.iter().map(|g| run_facts(&g.module, &record).safe_pcs.len()).sum()
+}
+
 fn recover_all(guests: &[Guest]) -> usize {
     guests.iter().map(|g| tga_analysis::cfg::recover(&g.module).stats.blocks).sum()
 }
@@ -142,6 +152,9 @@ fn main() {
     let analyze = median_of(samples, || {
         analyze_all(&guests);
     });
+    let run = median_of(samples, || {
+        run_facts_all(&guests);
+    });
     let recover = median_of(samples, || {
         recover_all(&guests);
     });
@@ -151,14 +164,17 @@ fn main() {
     let per = |d: Duration, units: usize, scale: f64| d.as_secs_f64() * scale / units as f64;
     println!("coldstart/translate     {:>8.3} µs per superblock", per(translate, blocks, 1e6));
     println!("coldstart/analyze_with  {:>8.4} ms per guest", per(analyze, n, 1e3));
+    println!("coldstart/run_facts     {:>8.4} ms per guest", per(run, n, 1e3));
     println!("coldstart/cfg_recover   {:>8.4} ms per guest", per(recover, n, 1e3));
     println!("coldstart/dataflow      {:>8.4} ms per guest", per(dataflow, n, 1e3));
     println!(
         "{{\"guests\":{n},\"superblocks\":{blocks},\"samples\":{samples},\
          \"translate_us_per_superblock\":{:.3},\"analyze_with_ms_per_guest\":{:.4},\
+         \"run_facts_ms_per_guest\":{:.4},\
          \"cfg_recover_ms_per_guest\":{:.4},\"dataflow_ms_per_guest\":{:.4}}}",
         per(translate, blocks, 1e6),
         per(analyze, n, 1e3),
+        per(run, n, 1e3),
         per(recover, n, 1e3),
         per(dataflow, n, 1e3),
     );

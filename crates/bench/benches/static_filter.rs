@@ -63,7 +63,7 @@ fn bench_static_filter(c: &mut Criterion) {
     // one a run computes, without the lockset pass only lint needs.
     g.bench_function("analyze_only", |b| {
         b.iter(|| {
-            let facts = tga_analysis::analyze_with(&m, &taskgrind::RUN_ANALYZE_OPTS);
+            let facts = taskgrind::run_facts(&m, &RecordOptions::default());
             std::hint::black_box(facts.safe_pcs.len())
         })
     });

@@ -17,13 +17,26 @@
 use crate::vm::{Tid, VmCore};
 use vex_ir::{Atom, DirtyCall, IrBlock, Rhs, Stmt};
 
-/// Information about a block being instrumented.
-#[derive(Clone, Debug)]
-pub struct BlockMeta {
+/// Information about a block being instrumented, borrowed from the
+/// module.
+#[derive(Clone, Copy, Debug)]
+pub struct BlockMeta<'m> {
     /// Guest address of the block's first instruction.
     pub base: u64,
     /// Name of the enclosing function symbol, if known.
-    pub fn_symbol: Option<String>,
+    pub fn_symbol: Option<&'m str>,
+    /// Index of that symbol in the module's symbol table: a stable key
+    /// for a tool that decides something once per function.
+    pub fn_index: Option<u32>,
+}
+
+impl<'m> BlockMeta<'m> {
+    /// The block at `pc` of `module`, whose function table is `funcs`.
+    pub fn at(module: &'m tga::module::Module, funcs: &tga::module::FuncTable, pc: u64) -> Self {
+        let fn_index = funcs.get(pc);
+        let fn_symbol = fn_index.map(|i| module.symbols[i as usize].name.as_str());
+        BlockMeta { base: pc, fn_symbol, fn_index }
+    }
 }
 
 /// A request to replace a guest function with a host callback.

@@ -547,7 +547,7 @@ pub fn translate(
         let _s = tg_obs::trace::host_span("lift");
         lift_superblock(module, pc)?
     };
-    let meta = BlockMeta { base: pc, fn_symbol: funcs.find(module, pc).map(|s| s.name.clone()) };
+    let meta = BlockMeta::at(module, funcs, pc);
     let ir = {
         let _s = tg_obs::trace::host_span("instrument");
         tool.instrument(block, &meta)

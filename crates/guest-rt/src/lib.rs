@@ -21,6 +21,12 @@ pub const LIBC_MC: &str = include_str!("../sources/libc.mc");
 pub const LIBOMP_MC: &str = include_str!("../sources/libomp.mc");
 /// Source text of the guest Cilk shims.
 pub const LIBCILK_MC: &str = include_str!("../sources/libcilk.mc");
+/// The runtime's static-analysis summary: one line per runtime function
+/// a default Taskgrind run leaves uninstrumented, so a run reads its
+/// effects here instead of analyzing it (`tga_analysis::runsum`).
+/// Generated from [`build_runtime_only`]; a test regenerates it and
+/// requires equal bytes, so an edit to `sources/*.mc` must re-bless it.
+pub const RUNTIME_SUMMARY: &str = include_str!("../sources/runtime.summary");
 
 /// The runtime translation units, never TSan-instrumented — runtime
 /// code is "non-instrumented code ... which source may not be visible
@@ -54,6 +60,14 @@ pub fn build_program_tsan(user: &[SourceFile]) -> Result<Module, CompileError> {
 /// Convenience: compile a single-file program from source text.
 pub fn build_single(name: &str, text: &str) -> Result<Module, CompileError> {
     build_program(&[SourceFile::new(name, text)])
+}
+
+/// The runtime alone, linked with a `main` that returns 0: the build
+/// [`RUNTIME_SUMMARY`] is generated from. The runtime is laid out first
+/// in every build, so its functions sit at the same entries in every
+/// program.
+pub fn build_runtime_only() -> Result<Module, CompileError> {
+    build_single("runtime-only.c", "int main(void) { return 0; }")
 }
 
 #[cfg(test)]

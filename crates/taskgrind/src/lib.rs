@@ -170,6 +170,10 @@ pub struct TaskgrindResult {
     pub peak_live_segments: u64,
     /// Bytes of the interval trees resident at finalize.
     pub peak_tool_bytes: u64,
+    /// Bytes the happens-before closure held while the analysis ran
+    /// ([`Reachability::heap_bytes`]): n × ⌈n/64⌉ words for n graph
+    /// nodes. Not part of `peak_tool_bytes`.
+    pub reach_bytes: u64,
     /// Counters from the confirmation replay pass (`None` unless
     /// [`TaskgrindConfig::confirm`] was set).
     pub confirm: Option<confirm::ConfirmStats>,
@@ -187,13 +191,29 @@ impl TaskgrindResult {
     }
 }
 
-/// The static analysis a run asks for. A run reads one fact, `safe_pcs`
-/// (which accesses may skip recording), and the dataflow pass computes
-/// it before the lockset and lock-order passes run; those only feed
-/// `tgrind lint`'s findings, so runs skip them. [`check_module`] and the
-/// engine's session both analyze with these options.
+/// The options of a run's static analysis. A run reads one fact,
+/// `safe_pcs` (which accesses may skip recording), and the dataflow pass
+/// computes it before the lockset and lock-order passes run; those only
+/// feed `tgrind lint`'s findings, so runs skip them.
+/// `analyze_with(module, &RUN_ANALYZE_OPTS)` is the whole-module
+/// analysis [`run_facts`] falls back to, and the oracle its run-path
+/// facts are tested against.
 pub const RUN_ANALYZE_OPTS: tga_analysis::AnalyzeOpts =
     tga_analysis::AnalyzeOpts { concurrency: false };
+
+/// The static facts a run with `record` reads. The guest runtime's
+/// functions that the run leaves uninstrumented are read from the
+/// committed runtime summary ([`guest_rt::RUNTIME_SUMMARY`]) and only
+/// the rest is analyzed (`tga_analysis::runsum`). When the summary does
+/// not apply (the run instruments a summarized function, as
+/// `--no-ignore-list` does, or the module's runtime differs from it)
+/// the whole module is analyzed with [`RUN_ANALYZE_OPTS`]. The facts'
+/// `scope` says which. [`check_module`], the engine's session and
+/// `tgrind warm` all compute a run's facts here.
+pub fn run_facts(module: &Module, record: &RecordOptions) -> tga_analysis::StaticFacts {
+    let instruments = |name: &str| record.instruments(name);
+    tga_analysis::runsum::analyze_run(module, guest_rt::RUNTIME_SUMMARY, &instruments)
+}
 
 /// Run a compiled module under Taskgrind: record, then analyze.
 pub fn check_module(module: &Module, args: &[&str], cfg: &TaskgrindConfig) -> TaskgrindResult {
@@ -207,7 +227,7 @@ pub fn check_module(module: &Module, args: &[&str], cfg: &TaskgrindConfig) -> Ta
             tga_analysis::StaticFacts::from_bytes(&bytes).ok()
         });
         let facts = cached.unwrap_or_else(|| {
-            let facts = tga_analysis::analyze_with(module, &RUN_ANALYZE_OPTS);
+            let facts = run_facts(module, &record);
             if let Some(c) = &cfg.code_cache {
                 c.borrow_mut().store_facts(&facts.to_bytes());
             }
@@ -254,14 +274,15 @@ pub fn check_module(module: &Module, args: &[&str], cfg: &TaskgrindConfig) -> Ta
         let _sp = tg_obs::trace::host_span("finalize graph");
         builder.finalize_with_stats()
     };
-    let analysis = {
+    let (analysis, reach_bytes) = {
         let _sp = tg_obs::trace::host_span("analysis");
         let reach = Reachability::compute(&graph);
-        if cfg.sweep {
+        let out = if cfg.sweep {
             analysis::run_sweep(&graph, &reach, &cfg.suppress, 1)
         } else {
             analysis::run(&graph, &reach, &cfg.suppress)
-        }
+        };
+        (out, reach.heap_bytes())
     };
     let reports = {
         let _sp = tg_obs::trace::host_span("report");
@@ -315,6 +336,7 @@ pub fn check_module(module: &Module, args: &[&str], cfg: &TaskgrindConfig) -> Ta
         analysis_engine: if cfg.sweep { "sweep" } else { "all-pairs" },
         peak_live_segments: mem_stats.peak_live_segments,
         peak_tool_bytes: mem_stats.peak_tool_bytes,
+        reach_bytes,
         confirm: confirm_stats,
     }
 }

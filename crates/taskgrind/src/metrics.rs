@@ -10,7 +10,10 @@ use tg_obs::Registry;
 
 /// Publish every counter of `r` (plus the VM execution metrics) into
 /// `reg` under the `taskgrind.*`, `analysis.*`, `stream.*`, `filter.*`,
-/// `vm.*` and `dispatch.*` namespaces.
+/// `vm.*` and `dispatch.*` namespaces. `filter.facts_scope` names where
+/// the run's static facts came from: `run` (the run-path analysis over
+/// the runtime summary), `module` (the whole-module analysis it falls
+/// back to) or `none` (filter off).
 pub fn publish(r: &TaskgrindResult, reg: &mut Registry) {
     reg.set_u64("taskgrind.reports", r.n_reports() as u64);
     reg.set_u64("taskgrind.suppressed_reports", r.suppressed_reports.len() as u64);
@@ -20,6 +23,7 @@ pub fn publish(r: &TaskgrindResult, reg: &mut Registry) {
     reg.set_f64("taskgrind.recording_secs", r.recording_secs);
     reg.set_f64("taskgrind.analysis_secs", r.analysis_secs);
     reg.set_u64("taskgrind.tool_bytes", r.tool_bytes);
+    reg.set_u64("taskgrind.reach_bytes", r.reach_bytes);
 
     reg.set_str("analysis.engine", r.analysis_engine);
     reg.set_u64("analysis.pairs_checked", r.analysis.pairs_checked);
@@ -36,6 +40,8 @@ pub fn publish(r: &TaskgrindResult, reg: &mut Registry) {
     reg.set_u64("stream.peak_tool_bytes", r.peak_tool_bytes);
 
     reg.set_bool("filter.enabled", r.static_facts.is_some());
+    let scope = r.static_facts.as_ref().map_or("none", |f| f.scope.name());
+    reg.set_str("filter.facts_scope", scope);
     reg.set_u64("filter.sites_pruned", r.sites_pruned);
     reg.set_u64("filter.sites_instrumented", r.sites_instrumented);
     reg.set_u64("filter.accesses_recorded", r.accesses_recorded);
@@ -183,6 +189,8 @@ int main(void) {
             "stream.peak_live_segments",
             "stream.peak_tool_bytes",
             "filter.sites_pruned",
+            "filter.facts_scope",
+            "taskgrind.reach_bytes",
             "dispatch.chain_hits",
             "vm.instrs",
         ] {

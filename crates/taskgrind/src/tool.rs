@@ -84,7 +84,7 @@ pub struct RecordOptions {
     /// instrumentation of accesses proven thread-private or read-only.
     /// `--no-static-filter` on the CLI turns this off.
     pub static_filter: bool,
-    /// Unread: a run computes its facts with [`crate::RUN_ANALYZE_OPTS`].
+    /// Unread: a run computes its facts with [`crate::run_facts`].
     /// Kept only because `tgbench` sets this field.
     #[doc(hidden)]
     pub static_concurrency: bool,
@@ -96,6 +96,20 @@ pub struct RecordOptions {
     /// `false` is the per-access reference path the differential tests
     /// compare against.
     pub bulk_ingest: bool,
+}
+
+impl RecordOptions {
+    /// Does a run with these options record the accesses of function
+    /// `name`? With an instrument-list, iff a pattern of it matches;
+    /// otherwise iff no ignore-list pattern does. The tool's per-block
+    /// decision and the run-path analysis's scope ([`crate::run_facts`])
+    /// both ask this, so they cannot disagree.
+    pub fn instruments(&self, name: &str) -> bool {
+        if !self.instrument_list.is_empty() {
+            return self.instrument_list.iter().any(|p| pattern_matches(p, name));
+        }
+        !self.ignore_list.iter().any(|p| pattern_matches(p, name))
+    }
 }
 
 impl Default for RecordOptions {
@@ -131,6 +145,9 @@ pub struct Recording {
     /// The module's functions against the ignore list
     /// ([`report::user_funcs`]), built at the first allocation.
     user_funcs: Option<tga::module::FuncTable<bool>>,
+    /// [`RecordOptions::instruments`] per function, by symbol index,
+    /// decided at the function's first translated block.
+    verdicts: Vec<Option<bool>>,
     opts: RecordOptions,
 }
 
@@ -165,6 +182,7 @@ impl TaskgrindTool {
                 sites_pruned: 0,
                 sites_instrumented: 0,
                 user_funcs: None,
+                verdicts: Vec::new(),
                 opts,
             })),
         }
@@ -175,13 +193,17 @@ impl TaskgrindTool {
         self.state.clone()
     }
 
-    fn should_instrument(&self, sym: Option<&str>) -> bool {
-        let st = self.state.borrow();
-        let Some(name) = sym else { return true };
-        if !st.opts.instrument_list.is_empty() {
-            return st.opts.instrument_list.iter().any(|p| pattern_matches(p, name));
+    /// Does the run record the block `meta` describes? A block outside
+    /// every function is recorded (no false negatives); otherwise its
+    /// function's verdict, decided once.
+    fn should_instrument(&self, meta: &BlockMeta) -> bool {
+        let (Some(i), Some(name)) = (meta.fn_index, meta.fn_symbol) else { return true };
+        let st = &mut *self.state.borrow_mut();
+        let i = i as usize;
+        if st.verdicts.len() <= i {
+            st.verdicts.resize(i + 1, None);
         }
-        !st.opts.ignore_list.iter().any(|p| pattern_matches(p, name))
+        *st.verdicts[i].get_or_insert_with(|| st.opts.instruments(name))
     }
 }
 
@@ -224,7 +246,7 @@ impl Tool for TaskgrindTool {
     }
 
     fn instrument(&mut self, block: IrBlock, meta: &BlockMeta) -> IrBlock {
-        if self.should_instrument(meta.fn_symbol.as_deref()) {
+        if self.should_instrument(meta) {
             let mut st = self.state.borrow_mut();
             st.blocks_instrumented += 1;
             let facts = if st.opts.static_filter { st.opts.static_facts.clone() } else { None };
@@ -359,19 +381,31 @@ mod tests {
 
     #[test]
     fn instrument_list_overrides_ignore_list() {
-        let tool = TaskgrindTool::new(RecordOptions {
-            instrument_list: vec!["main*".into()],
-            ..Default::default()
-        });
-        assert!(tool.should_instrument(Some("main")));
-        assert!(tool.should_instrument(Some("main._omp_task.2")));
-        assert!(!tool.should_instrument(Some("other_fn")));
-        assert!(!tool.should_instrument(Some("__kmp_barrier")));
+        let opts = RecordOptions { instrument_list: vec!["main*".into()], ..Default::default() };
+        assert!(opts.instruments("main"));
+        assert!(opts.instruments("main._omp_task.2"));
+        assert!(!opts.instruments("other_fn"));
+        assert!(!opts.instruments("__kmp_barrier"));
+    }
+
+    fn meta(fn_index: Option<u32>, fn_symbol: Option<&str>) -> BlockMeta<'_> {
+        BlockMeta { base: 0x1_0000, fn_symbol, fn_index }
     }
 
     #[test]
     fn unknown_symbols_are_instrumented() {
         let tool = TaskgrindTool::new(RecordOptions::default());
-        assert!(tool.should_instrument(None), "no symbol info ⇒ instrument (no false negatives)");
+        assert!(tool.should_instrument(&meta(None, None)), "no symbol ⇒ instrument");
+    }
+
+    /// The verdict is the options' and is decided per function: a later
+    /// block of the same function reuses it.
+    #[test]
+    fn verdicts_follow_the_options_per_function() {
+        let tool = TaskgrindTool::new(RecordOptions::default());
+        assert!(tool.should_instrument(&meta(Some(3), Some("main"))));
+        assert!(!tool.should_instrument(&meta(Some(1), Some("__kmp_barrier"))));
+        assert!(tool.should_instrument(&meta(Some(3), Some("main"))));
+        assert_eq!(tool.state.borrow().verdicts, [None, Some(false), None, Some(true)]);
     }
 }

@@ -15,10 +15,16 @@
 //! Sharing is keyed so it can never change verdicts:
 //! * compiled **modules** are memoized by a *source key*, a hash of
 //!   `(source name, source text, tsan)` — compilation is pure;
-//! * **static facts** are memoized by `(source key, concurrency)` —
-//!   `analyze_with` is a pure function of the module and `concurrency`,
-//!   which runs and warm take from [`taskgrind::RUN_ANALYZE_OPTS`]
-//!   (`false`) and lint sets to `true`;
+//! * **static facts** are memoized by `(source key, scope key)`. A
+//!   run's and warm's facts ([`taskgrind::run_facts`]) are a pure
+//!   function of the module and the run's ignore and instrument lists,
+//!   which decide the functions the run-path analysis reads from the
+//!   runtime summary, so their scope key is a hash of those lists; a
+//!   default run and a `--no-ignore-list` run never share facts. Lint's
+//!   whole-module facts with the concurrency pass have a key of their
+//!   own. Keying by `concurrency` alone would hand a `--no-ignore-list`
+//!   run the default run's run-path facts, which leave the runtime
+//!   unclassified;
 //! * **disk code caches** are shared by `(dir, module hash, config
 //!   fingerprint)` — the same key that already isolates incompatible
 //!   configurations on disk. The module hash ([`tg_cache::module_hash`])
@@ -379,6 +385,25 @@ fn record_options(req: &RunRequest) -> RecordOptions {
     }
 }
 
+/// Key of memoized static facts: the module's source key, and the
+/// facts' scope key — lint's (`None`), or a run's from [`scope_key`].
+type FactsKey = (u64, Option<u64>);
+
+/// The scope key of a run's facts in the session memo: a hash of its
+/// ignore and instrument lists, which decide the functions
+/// [`taskgrind::run_facts`] reads from the runtime summary.
+fn scope_key(record: &RecordOptions) -> u64 {
+    use grindcore::wire::fold64;
+    let mut h = fold64(0, b"run");
+    for list in [&record.ignore_list, &record.instrument_list] {
+        for p in list {
+            h = fold64(fold64(h, p.as_bytes()), &[0]);
+        }
+        h = fold64(h, &[1]);
+    }
+    h
+}
+
 /// Key of one shared disk-cache handle: `(dir, module hash, config
 /// fingerprint)`.
 type CacheKey = (String, u64, u64);
@@ -407,8 +432,8 @@ impl LoadedModule {
 pub struct Session {
     /// Compiled modules by source key.
     modules: Mutex<HashMap<u64, Arc<LoadedModule>>>,
-    /// Static facts by `(source key, concurrency)`.
-    facts: Mutex<HashMap<(u64, bool), Arc<StaticFacts>>>,
+    /// Static facts by [`FactsKey`].
+    facts: Mutex<HashMap<FactsKey, Arc<StaticFacts>>>,
     /// Open disk caches by [`CacheKey`].
     caches: Mutex<HashMap<CacheKey, Arc<Mutex<DiskCodeCache>>>>,
     runs: AtomicU64,
@@ -464,17 +489,19 @@ impl Session {
     /// cache when one is attached — and on a memo hit over a factless
     /// cache, the memoized copy is persisted so the container stays
     /// complete for future processes). `key` names `module` in the memo.
-    /// Runs and warm pass [`taskgrind::RUN_ANALYZE_OPTS`]'s `concurrency`
-    /// with their cache; lint passes `true` and no cache, so a disk copy
-    /// always holds run facts.
+    /// Runs and warm pass their recording options and their cache, and
+    /// get [`taskgrind::run_facts`]; lint passes `None` and no cache, and
+    /// gets the whole-module analysis with the concurrency pass. A disk
+    /// container's configuration fingerprint includes the ignore-list
+    /// toggle, so its copy always holds facts of the run's own scope.
     fn facts_for(
         &self,
         module: &Module,
         key: u64,
-        concurrency: bool,
+        record: Option<&RecordOptions>,
         mut cache: Option<&mut dyn CodeCache>,
     ) -> FactsOutcome {
-        let key = (key, concurrency);
+        let key = (key, record.map(scope_key));
         if let Some(f) = lock(&self.facts).get(&key).cloned() {
             let mut stored = false;
             if let Some(c) = cache.as_deref_mut() {
@@ -492,8 +519,10 @@ impl Session {
                 return FactsOutcome { facts: f, stored: false };
             }
         }
-        let opts = tga_analysis::AnalyzeOpts { concurrency };
-        let f = tga_analysis::analyze_with(module, &opts);
+        let f = match record {
+            Some(record) => taskgrind::run_facts(module, record),
+            None => tga_analysis::analyze_with(module, &tga_analysis::AnalyzeOpts::default()),
+        };
         let mut stored = false;
         if let Some(c) = cache {
             c.store_facts(&f.to_bytes());
@@ -672,10 +701,10 @@ impl Session {
                 });
                 let mut record = record_options(req);
                 if record.static_filter && record.static_facts.is_none() {
-                    let (key, conc) = (loaded.source_key, taskgrind::RUN_ANALYZE_OPTS.concurrency);
+                    let (key, rec) = (loaded.source_key, Some(&record));
                     let fo = match &handle {
-                        Some(h) => self.facts_for(&module, key, conc, Some(&mut *h.borrow_mut())),
-                        None => self.facts_for(&module, key, conc, None),
+                        Some(h) => self.facts_for(&module, key, rec, Some(&mut *h.borrow_mut())),
+                        None => self.facts_for(&module, key, rec, None),
                     };
                     record.static_facts = Some(fo.facts);
                 }
@@ -795,8 +824,7 @@ impl Session {
         let mut record = record;
         let mut facts_stored = false;
         if record.static_filter && record.static_facts.is_none() {
-            let conc = taskgrind::RUN_ANALYZE_OPTS.concurrency;
-            let fo = self.facts_for(module, key, conc, Some(cache));
+            let fo = self.facts_for(module, key, Some(&record), Some(cache));
             facts_stored = fo.stored;
             record.static_facts = Some(fo.facts);
         }
@@ -810,7 +838,7 @@ impl Session {
     /// rendered report.
     pub fn lint(&self, program: &Program) -> Result<LintOutcome, EngineError> {
         let (loaded, _) = self.module(program, false)?;
-        let fo = self.facts_for(&loaded.module, loaded.source_key, true, None);
+        let fo = self.facts_for(&loaded.module, loaded.source_key, None, None);
         let mut registry = Registry::new();
         crate::lint::publish(&fo.facts, &mut registry);
         Ok(LintOutcome {

@@ -138,7 +138,8 @@ fn warm_job_loads_only_its_blocks() {
     let fresh = Session::new().run(&request).expect("run in a fresh session");
 
     let (loaded, _) = session.module(&request.program, false).expect("module lookup");
-    let facts = tga_analysis::analyze_with(&loaded.module, &taskgrind::RUN_ANALYZE_OPTS);
+    let record = taskgrind::tool::RecordOptions::default();
+    let facts = taskgrind::run_facts(&loaded.module, &record);
     let (warm_bytes, fresh_bytes) =
         (warm.registry.u64("cache.bytes_loaded"), fresh.registry.u64("cache.bytes_loaded"));
     assert!(warm.registry.u64("cache.hits") > 0, "the warm job runs from the cache");

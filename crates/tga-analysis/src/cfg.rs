@@ -127,18 +127,36 @@ pub fn block_starts(module: &Module) -> Vec<u64> {
 
 /// Recover the CFG of every `Func` symbol in the module.
 pub fn recover(module: &Module) -> Cfg {
+    recover_scoped(module, &[])
+}
+
+/// [`recover`] without the blocks of the functions whose entries
+/// `summarized` lists (sorted). Such a function keeps its name and
+/// range, so calls into it resolve, but its callers read its effects
+/// from a summary instead of its code. It is never listed unreachable,
+/// and the walk that finds the unreachable functions does not follow
+/// its calls: that walk is exact when summarized code calls only
+/// summarized functions, which [`crate::runsum`] guarantees.
+pub fn recover_scoped(module: &Module, summarized: &[u64]) -> Cfg {
     let mut fsyms: Vec<_> = module.symbols.iter().filter(|s| s.kind == SymKind::Func).collect();
     fsyms.sort_by_key(|s| s.addr);
 
     let code_end = module.code_end();
     let mut funcs = Vec::with_capacity(fsyms.len());
+    let mut is_summarized = Vec::with_capacity(fsyms.len());
     for (i, sym) in fsyms.iter().enumerate() {
         let next = fsyms.get(i + 1).map(|s| s.addr).unwrap_or(code_end);
         let hi = if sym.size > 0 { (sym.addr + sym.size).min(next) } else { next };
         if sym.addr >= hi {
             continue; // zero-sized or overlapping symbol
         }
-        funcs.push(build_func(module, &sym.name, sym.addr, hi));
+        let skip = summarized.binary_search(&sym.addr).is_ok();
+        funcs.push(if skip {
+            FuncCfg { name: sym.name.clone(), lo: sym.addr, hi, blocks: BTreeMap::new() }
+        } else {
+            build_func(module, &sym.name, sym.addr, hi)
+        });
+        is_summarized.push(skip);
     }
 
     // Address-taken functions: any `li` immediate that names a function
@@ -156,7 +174,8 @@ pub fn recover(module: &Module) -> Cfg {
         pc += INST_SIZE;
     }
 
-    let unreachable = compute_unreachable(&funcs, &address_taken, module.entry);
+    let mut unreachable = compute_unreachable(&funcs, &address_taken, module.entry);
+    unreachable.retain(|&i| !is_summarized[i]);
 
     let mut stats = CfgStats {
         functions: funcs.len(),

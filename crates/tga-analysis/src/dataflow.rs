@@ -50,11 +50,11 @@
 //! addresses.
 
 use crate::cfg::{Cfg, FuncCfg};
-use crate::summaries::{self, FnSummary, Summaries};
+use crate::summaries::{self, FnSummary, SpawnFact, Summaries};
 use grindcore::lift::{lift_superblock, MAX_BLOCK_INSTS};
 use std::collections::{BTreeMap, BTreeSet};
 use tga::module::{Module, SymKind};
-use tga::{reg, INST_SIZE, NUM_REGS};
+use tga::{reg, Op, INST_SIZE, NUM_REGS};
 use vex_ir::{Atom, BinOp, IrBlock, JumpKind, Rhs, Stmt, UnOp};
 
 /// Which stack anchor an abstract offset is relative to.
@@ -1170,11 +1170,31 @@ fn interp_function(
     all_lifted
 }
 
+/// The effects of a function that [`run_scoped`] reads from a summary
+/// instead of interpreting its code.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Summarized {
+    /// Its parameter effects, as its callers read them.
+    pub summary: FnSummary,
+    /// Whether it may spawn a thread.
+    pub spawn: SpawnFact,
+}
+
 /// Run the dataflow passes over every lifted context of every live
 /// function, bottom-up over the call graph. A dead function gets no
 /// facts, summary, access records or global effects: no live code calls
 /// it, so no summary of it is ever read.
 pub fn run(module: &Module, cfg: &Cfg) -> Dataflow {
+    run_scoped(module, cfg, &[])
+}
+
+/// [`run`], reading each function that `summarized` names (parallel to
+/// `cfg.funcs`, or empty) from its summary instead of interpreting it.
+/// Such a function records no accesses and gets no facts. The analysis
+/// does not see its writes, so every data symbol its code names by a
+/// `li` immediate counts as address-escaped: no access to it is
+/// classified safe.
+pub fn run_scoped(module: &Module, cfg: &Cfg, summarized: &[Option<Summarized>]) -> Dataflow {
     let mut glob = GlobalAcc {
         data_syms: data_symbols(module),
         written: BTreeSet::new(),
@@ -1191,8 +1211,19 @@ pub fn run(module: &Module, cfg: &Cfg) -> Dataflow {
     };
     let mut fn_facts: Vec<FnFacts> = vec![FnFacts::default(); cfg.funcs.len()];
     let cg = summaries::call_graph(cfg);
-    let spawn = summaries::spawn_reachability(module, cfg, &cg);
+    let fixed: Vec<Option<SpawnFact>> = summarized.iter().map(|s| s.map(|s| s.spawn)).collect();
+    let spawn = summaries::spawn_reachability(module, cfg, &cg, &fixed);
     let mut sums = Summaries::new(cfg);
+    for (fi, s) in summarized.iter().enumerate() {
+        let Some(s) = s else { continue };
+        sums.set(fi, s.summary);
+        let f = &cfg.funcs[fi];
+        for inst in module.code_slice(f.lo, f.hi) {
+            if inst.op == Op::Li && glob.in_data(inst.imm as u64) {
+                glob.addr_escape(inst.imm as u64);
+            }
+        }
+    }
     let no_trust: BTreeMap<i64, u8> = BTreeMap::new();
     let live = cfg.live();
 
@@ -1200,6 +1231,9 @@ pub fn run(module: &Module, cfg: &Cfg) -> Dataflow {
     // one another.
     for scc in cg.sccs.iter().filter(|scc| live[scc[0]]) {
         for &fi in scc {
+            if summarized.get(fi).is_some_and(Option::is_some) {
+                continue;
+            }
             let code = FnCode::new(module, cfg, fi);
             let f = code.f;
             // Phase 1 (muted probe): conservative local facts that gate

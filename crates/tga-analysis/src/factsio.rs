@@ -17,7 +17,7 @@ use grindcore::wire::{Dec, Enc, WireError, WireResult};
 
 use crate::cfg::CfgStats;
 use crate::dataflow::RoRange;
-use crate::{Finding, FindingKind, StaticFacts};
+use crate::{FactsScope, Finding, FindingKind, StaticFacts};
 
 fn enc_kind(e: &mut Enc, k: &FindingKind) {
     match k {
@@ -140,6 +140,10 @@ pub fn facts_to_bytes(facts: &StaticFacts) -> Vec<u8> {
     for &l in &facts.lock_universe {
         e.u64(l);
     }
+    e.u8(match facts.scope {
+        FactsScope::Module => 0,
+        FactsScope::Run => 1,
+    });
     e.into_inner()
 }
 
@@ -181,8 +185,23 @@ pub fn facts_from_bytes(bytes: &[u8]) -> WireResult<StaticFacts> {
     for _ in 0..n_locks {
         lock_universe.push(d.u64("lock id")?);
     }
+    let scope = match d.u8("facts scope")? {
+        0 => FactsScope::Module,
+        1 => FactsScope::Run,
+        _ => return Err(WireError { what: "facts scope" }),
+    };
     if !d.is_empty() {
         return Err(WireError { what: "trailing bytes after facts" });
     }
-    Ok(StaticFacts { stats, safe_pcs, ro, init_only, findings, access_pcs, guarded, lock_universe })
+    Ok(StaticFacts {
+        scope,
+        stats,
+        safe_pcs,
+        ro,
+        init_only,
+        findings,
+        access_pcs,
+        guarded,
+        lock_universe,
+    })
 }

@@ -34,6 +34,7 @@ pub mod dataflow;
 pub mod factsio;
 pub mod lockorder;
 pub mod lockset;
+pub mod runsum;
 pub mod summaries;
 
 pub use cfg::{Cfg, CfgStats};
@@ -163,10 +164,35 @@ impl Default for AnalyzeOpts {
     }
 }
 
+/// Which functions a [`StaticFacts`] table's dataflow interpreted.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum FactsScope {
+    /// Every live function of the module ([`analyze_with`]).
+    Module,
+    /// Every function but the guest runtime's summarized ones, whose
+    /// effects came from the runtime summary ([`runsum::analyze_run`]).
+    /// The facts answer like the module's on every pc of a function the
+    /// run instruments; the other fields cover the interpreted
+    /// functions only.
+    Run,
+}
+
+impl FactsScope {
+    /// The name `--metrics-json` prints (`filter.facts_scope`).
+    pub fn name(self) -> &'static str {
+        match self {
+            FactsScope::Module => "module",
+            FactsScope::Run => "run",
+        }
+    }
+}
+
 /// The exported verdict table: everything Taskgrind's instrumentation
 /// filter and the `lint` subcommand need.
 #[derive(Clone, Debug)]
 pub struct StaticFacts {
+    /// Which functions the dataflow interpreted.
+    pub scope: FactsScope,
     /// CFG recovery statistics.
     pub stats: CfgStats,
     /// Guest pcs of loads/stores proven thread-private, read-only or
@@ -277,7 +303,18 @@ fn fmt_lock(module: &Module, id: u64) -> String {
 pub fn analyze_with(module: &Module, opts: &AnalyzeOpts) -> StaticFacts {
     let cfg = cfg::recover(module);
     let df = dataflow::run(module, &cfg);
+    facts_of(module, &cfg, df, opts, FactsScope::Module)
+}
 
+/// The verdict table of one dataflow run over `cfg`: its findings, and
+/// the concurrency pass's when `opts` asks for it.
+fn facts_of(
+    module: &Module,
+    cfg: &Cfg,
+    df: dataflow::Dataflow,
+    opts: &AnalyzeOpts,
+    scope: FactsScope,
+) -> StaticFacts {
     let loc = |addr: u64| module.line_for(addr).map(|l| l.to_string());
     let mut findings = Vec::new();
     for &i in &cfg.unreachable {
@@ -331,8 +368,8 @@ pub fn analyze_with(module: &Module, opts: &AnalyzeOpts) -> StaticFacts {
     let mut guarded: Vec<(u64, u64)> = Vec::new();
     let mut lock_universe: Vec<u64> = Vec::new();
     if opts.concurrency {
-        let cg = summaries::call_graph(&cfg);
-        let lf = lockset::analyze(&cfg, &cg, &df.call_args);
+        let cg = summaries::call_graph(cfg);
+        let lf = lockset::analyze(cfg, &cg, &df.call_args);
         lock_universe = lf.universe.iter().copied().take(64).collect();
         let bit_of = |l: u64| lock_universe.iter().position(|&u| u == l);
         for (start, end, held) in &lf.held_ranges {
@@ -391,6 +428,7 @@ pub fn analyze_with(module: &Module, opts: &AnalyzeOpts) -> StaticFacts {
     findings.sort_by_key(|f| f.addr);
 
     StaticFacts {
+        scope,
         stats: cfg.stats,
         safe_pcs: df.safe_pcs,
         ro: df.ro,

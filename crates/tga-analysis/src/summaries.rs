@@ -229,8 +229,91 @@ fn spawns_directly(module: &Module, lo: u64, hi: u64) -> bool {
     false
 }
 
+/// A function's `may_spawn` as a summary records it. Whether a function
+/// with an indirect call may spawn depends on the program: it does iff
+/// some address-taken function may, and a program's outlined functions
+/// are address-taken. So a summarized function's fact is one of three,
+/// and [`spawn_reachability`] resolves it per program.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SpawnFact {
+    /// Never executes `THREAD_CREATE`.
+    Never,
+    /// May execute it in every program.
+    Always,
+    /// May execute it iff some address-taken function of the program may.
+    IfTakenSpawns,
+}
+
+impl SpawnFact {
+    /// The fact's `may_spawn` in a program where some address-taken
+    /// function may spawn (`any_taken`) or none may.
+    pub fn resolve(self, any_taken: bool) -> bool {
+        match self {
+            SpawnFact::Never => false,
+            SpawnFact::Always => true,
+            SpawnFact::IfTakenSpawns => any_taken,
+        }
+    }
+}
+
+/// `may_spawn` per function, the least fixpoint of the call graph, and
+/// whether some address-taken function may spawn. `fixed[f]` (empty, or
+/// parallel to `cfg.funcs`) replaces function `f`'s code by its
+/// summarized fact. `assume_taken_spawns` makes every unresolved callee
+/// spawn, as in a program whose outlined code spawns.
+pub fn may_spawn(
+    module: &Module,
+    cfg: &Cfg,
+    cg: &CallGraph,
+    fixed: &[Option<SpawnFact>],
+    assume_taken_spawns: bool,
+) -> (Vec<bool>, bool) {
+    let n = cfg.funcs.len();
+    let fixed_of = |f: usize| fixed.get(f).copied().flatten();
+
+    // Direct spawn scan, then transitive closure over call edges.
+    // Indirect calls may reach any address-taken function, so a
+    // function with an unresolved callee spawns if any address-taken
+    // function does; iterate to a fixpoint (monotone, bounded).
+    let mut may_spawn: Vec<bool> = (0..n)
+        .map(|f| match fixed_of(f) {
+            Some(fact) => fact.resolve(assume_taken_spawns),
+            None => spawns_directly(module, cfg.funcs[f].lo, cfg.funcs[f].hi),
+        })
+        .collect();
+    let taken_idx: Vec<usize> = cfg.address_taken.iter().filter_map(|&a| cfg.func_at(a)).collect();
+    let any_taken =
+        |may_spawn: &[bool]| assume_taken_spawns || taken_idx.iter().any(|&i| may_spawn[i]);
+    loop {
+        let mut changed = false;
+        let any_taken = any_taken(&may_spawn);
+        for f in 0..n {
+            if may_spawn[f] {
+                continue;
+            }
+            let spawns = match fixed_of(f) {
+                Some(fact) => fact.resolve(any_taken),
+                None => {
+                    cg.callees[f].iter().any(|&c| may_spawn[c])
+                        || (cg.has_unknown_callee[f] && any_taken)
+                }
+            };
+            if spawns {
+                may_spawn[f] = true;
+                changed = true;
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    let any_taken_spawns = any_taken(&may_spawn);
+    (may_spawn, any_taken_spawns)
+}
+
 /// Compute spawn reachability: which functions may create threads, and
-/// which blocks may run after a thread exists.
+/// which blocks may run after a thread exists. `fixed` is as for
+/// [`may_spawn`].
 ///
 /// The block-level `post_spawn` set is a forward closure over three
 /// seed kinds: entry blocks of address-taken functions (outlined task
@@ -240,35 +323,14 @@ fn spawns_directly(module: &Module, lo: u64, hi: u64) -> bool {
 /// blocks whose terminating call may transitively spawn. Membership
 /// propagates along intra-procedural successor edges and into the
 /// entry block of every function called from a post-spawn block.
-pub fn spawn_reachability(module: &Module, cfg: &Cfg, cg: &CallGraph) -> SpawnFacts {
-    let n = cfg.funcs.len();
-
-    // Direct spawn scan, then transitive closure over call edges.
-    // Indirect calls may reach any address-taken function, so a
-    // function with an unresolved callee spawns if any address-taken
-    // function does; iterate to a fixpoint (monotone, bounded).
-    let direct: Vec<bool> = cfg.funcs.iter().map(|f| spawns_directly(module, f.lo, f.hi)).collect();
+pub fn spawn_reachability(
+    module: &Module,
+    cfg: &Cfg,
+    cg: &CallGraph,
+    fixed: &[Option<SpawnFact>],
+) -> SpawnFacts {
+    let (may_spawn, any_taken_spawns) = may_spawn(module, cfg, cg, fixed, false);
     let taken_idx: Vec<usize> = cfg.address_taken.iter().filter_map(|&a| cfg.func_at(a)).collect();
-    let mut may_spawn = direct.clone();
-    loop {
-        let mut changed = false;
-        let any_taken = taken_idx.iter().any(|&i| may_spawn[i]);
-        for f in 0..n {
-            if may_spawn[f] {
-                continue;
-            }
-            let via_call = cg.callees[f].iter().any(|&c| may_spawn[c]);
-            let via_indirect = cg.has_unknown_callee[f] && any_taken;
-            if via_call || via_indirect {
-                may_spawn[f] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    let any_taken_spawns = taken_idx.iter().any(|&i| may_spawn[i]);
 
     // Seed the post-spawn block set.
     let mut post: BTreeSet<(usize, u64)> = BTreeSet::new();

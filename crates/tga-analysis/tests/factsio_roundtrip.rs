@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 use proptest::prelude::*;
 use tga_analysis::cfg::CfgStats;
 use tga_analysis::dataflow::RoRange;
-use tga_analysis::{Finding, FindingKind, StaticFacts};
+use tga_analysis::{FactsScope, Finding, FindingKind, StaticFacts};
 
 /// Identifier-ish strings, including empty and non-ASCII-letter bytes
 /// mapped into the lowercase range.
@@ -60,11 +60,12 @@ fn facts() -> impl Strategy<Value = StaticFacts> {
         prop::collection::vec(finding(), 0..8),
         any::<u16>(),
         prop::collection::vec((any::<u64>(), any::<u64>()), 0..8),
-        prop::collection::vec(any::<u64>(), 0..8),
+        (prop::collection::vec(any::<u64>(), 0..8), any::<bool>()),
     )
         .prop_map(
-            |(s, safe_pcs, ro, init_only, findings, access_pcs, guarded, lock_universe)| {
+            |(s, safe_pcs, ro, init_only, findings, access_pcs, guarded, (lock_universe, run))| {
                 StaticFacts {
+                    scope: if run { FactsScope::Run } else { FactsScope::Module },
                     stats: CfgStats {
                         functions: s.0,
                         blocks: s.1,

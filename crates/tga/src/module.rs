@@ -144,6 +144,15 @@ impl Module {
         self.code.get(idx).copied()
     }
 
+    /// The instructions at addresses in `[lo, hi)`, clipped to the text
+    /// section.
+    pub fn code_slice(&self, lo: u64, hi: u64) -> &[Inst] {
+        let idx =
+            |a: u64| (a.saturating_sub(self.code_base) / INST_SIZE).min(self.code.len() as u64);
+        let (a, b) = (idx(lo) as usize, idx(hi) as usize);
+        &self.code[a..b.max(a)]
+    }
+
     /// Sort the symbol and line tables; call once after construction.
     pub fn finalize(&mut self) {
         self.symbols.sort_by_key(|s| s.addr);

@@ -117,8 +117,7 @@ fn one_pass_fusion_matches_the_fixpoint_on_every_benchmark_block() {
         let mut taskgrind = TaskgrindTool::new(record);
         for &pc in &pcs {
             let Ok(lifted) = lift_superblock(&m, pc) else { continue };
-            let meta =
-                BlockMeta { base: pc, fn_symbol: funcs.find(&m, pc).map(|s| s.name.clone()) };
+            let meta = BlockMeta::at(&m, &funcs, pc);
             let instrumented = [
                 ("taskgrind", taskgrind.instrument(lifted.clone(), &meta)),
                 ("all accesses", instrument_mem_accesses(lifted.clone())),

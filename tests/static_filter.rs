@@ -126,13 +126,13 @@ fn concurrency_pass_changes_no_run_fact() {
     assert!(guarded > 0, "some benchmark guest must have guarded sites for this to test");
 }
 
-/// What the recording run reads from the static facts it computes: for
-/// every load, store and atomic in a function Taskgrind instruments
-/// (outside the default ignore-list) and that can run (reachable from
-/// the entry point or an address-taken function, the assumption spawn
-/// reachability already makes), whether the site may skip recording
-/// (`s`). One line per function, the site named by its instruction
-/// index from the function's entry.
+/// What the recording run reads from the static facts it computes
+/// ([`taskgrind::run_facts`]): for every load, store and atomic in a
+/// function Taskgrind instruments (outside the default ignore-list) and
+/// that can run (reachable from the entry point or an address-taken
+/// function, the assumption spawn reachability already makes), whether
+/// the site may skip recording (`s`). One line per function, the site
+/// named by its instruction index from the function's entry.
 fn render_run_path_facts() -> String {
     use std::fmt::Write as _;
     use tga::module::SymKind;
@@ -144,7 +144,7 @@ fn render_run_path_facts() -> String {
             let _ = writeln!(out, "{name}: does-not-compile");
             continue;
         };
-        let facts = tga_analysis::analyze_with(&m, &taskgrind::RUN_ANALYZE_OPTS);
+        let facts = taskgrind::run_facts(&m, &RecordOptions::default());
         let cfg = tga_analysis::cfg::recover(&m);
         let dead: Vec<u64> = cfg.unreachable.iter().map(|&i| cfg.funcs[i].lo).collect();
         let mut funcs: Vec<_> = m
@@ -198,4 +198,217 @@ fn run_path_facts_match_golden() {
         "run-path static facts drifted from tests/golden/run_path_facts.golden; \
          if intentional, bless with UPDATE_GOLDEN=1 cargo test --test static_filter"
     );
+}
+
+/// Every guest pc a run with `record` may translate into an
+/// instrumented superblock: the VM instruments the superblock at `pc`
+/// when no function covers `pc` or `record` instruments the covering
+/// one, and the superblock runs on to its first block end, past its
+/// function's end if the function's last instruction falls through.
+fn instrumented_pcs(m: &tga::module::Module, record: &RecordOptions) -> Vec<u64> {
+    use vex_ir::Stmt;
+    let funcs = tga::module::FuncTable::new(m);
+    let mut pcs = Vec::new();
+    for pc in m.code_range().step_by(tga::INST_SIZE as usize) {
+        if funcs.find(m, pc).is_some_and(|f| !record.instruments(&f.name)) {
+            continue;
+        }
+        let Ok(block) = grindcore::lift::lift_superblock(m, pc) else { continue };
+        pcs.extend(block.stmts.iter().filter_map(|s| match s {
+            Stmt::IMark { addr, .. } => Some(*addr),
+            _ => None,
+        }));
+    }
+    pcs.sort_unstable();
+    pcs.dedup();
+    pcs
+}
+
+/// The first pc on which two tables of facts disagree, among `pcs`.
+fn first_disagreement(
+    pcs: &[u64],
+    a: &tga_analysis::StaticFacts,
+    b: &tga_analysis::StaticFacts,
+) -> Option<u64> {
+    pcs.iter().copied().find(|&pc| a.is_safe_access(pc, false) != b.is_safe_access(pc, false))
+}
+
+/// The run-path analysis, which reads the guest runtime from its
+/// committed summary, answers exactly like the whole-module analysis
+/// (`analyze_with(&RUN_ANALYZE_OPTS)`, its oracle) on every pc a default
+/// run may instrument, on every benchmark guest. And every benchmark
+/// guest takes the run path, so a summary that stopped matching the
+/// runtime could not silently cost the runs their gain.
+#[test]
+fn run_path_facts_match_the_whole_module_on_instrumented_pcs() {
+    let record = RecordOptions::default();
+    let mut compared = 0;
+    for (name, source) in run_path_guests() {
+        let Ok(m) = guest_rt::build_single(name, source) else {
+            continue;
+        };
+        let run = taskgrind::run_facts(&m, &record);
+        assert_eq!(run.scope, tga_analysis::FactsScope::Run, "{name}: took the whole-module path");
+        let whole = tga_analysis::analyze_with(&m, &taskgrind::RUN_ANALYZE_OPTS);
+        let pcs = instrumented_pcs(&m, &record);
+        assert_eq!(first_disagreement(&pcs, &run, &whole), None, "{name}");
+        compared += pcs.len();
+    }
+    assert!(compared > 10_000, "the differential covers the guests' code ({compared} pcs)");
+}
+
+/// A guest whose parallel region opens a nested one: its outlined
+/// function is address-taken and may spawn, which no benchmark guest
+/// has. Then every runtime function with an indirect call may spawn
+/// (`SpawnFact::IfTakenSpawns`), so the write after `taskwait` below
+/// runs after a spawn, and `g` is not init-only. Without the nested
+/// region it is. The run path re-solves the spawn facts per program, so
+/// it must answer like the whole module on both.
+#[test]
+fn nested_parallel_spawn_facts_compose_exactly() {
+    const NESTED: &str = r#"
+long g;
+long h;
+int main(void) {
+    #pragma omp taskwait
+    g = 1;
+    #pragma omp parallel num_threads(2)
+    {
+        #pragma omp parallel num_threads(2)
+        { h = g; }
+    }
+    return (int) g;
+}
+"#;
+    let flat = NESTED.replacen("#pragma omp parallel num_threads(2)\n        {", "{", 1);
+    let record = RecordOptions::default();
+    let mut init_only = Vec::new();
+    for (name, source) in [("nested.c", NESTED), ("flat.c", flat.as_str())] {
+        let m = guest_rt::build_single(name, source).expect("compiles");
+        let run = taskgrind::run_facts(&m, &record);
+        let whole = tga_analysis::analyze_with(&m, &taskgrind::RUN_ANALYZE_OPTS);
+        assert_eq!(run.scope, tga_analysis::FactsScope::Run, "{name}");
+        let pcs = instrumented_pcs(&m, &record);
+        assert_eq!(first_disagreement(&pcs, &run, &whole), None, "{name}");
+        let g_init_only = |f: &tga_analysis::StaticFacts| f.init_only.iter().any(|r| r.name == "g");
+        assert_eq!(g_init_only(&run), g_init_only(&whole), "{name}");
+        init_only.push(g_init_only(&whole));
+    }
+    assert_eq!(init_only, [false, true], "only the nested spawn makes `g` post-spawn");
+}
+
+/// A module whose runtime differs from the summary analyzes the whole
+/// module, and so does a run that instruments a summarized function.
+/// Moving a data address the runtime names does not count as a
+/// difference: the fingerprint masks it.
+#[test]
+fn mismatching_runtime_takes_the_whole_module_path() {
+    use tga::Op;
+    let m = guest_rt::build_single("basic.c", "int g; int main(void) { g = 1; return g; }")
+        .expect("compiles");
+    let record = RecordOptions::default();
+    let scope = |m: &tga::module::Module, record: &RecordOptions| {
+        let facts = taskgrind::run_facts(m, record);
+        let whole = tga_analysis::analyze_with(m, &taskgrind::RUN_ANALYZE_OPTS);
+        assert!(facts.safe_pcs.is_subset(&whole.safe_pcs));
+        facts.scope
+    };
+    assert_eq!(scope(&m, &record), tga_analysis::FactsScope::Run);
+
+    let no_ignore = RecordOptions { ignore_list: Vec::new(), ..Default::default() };
+    assert_eq!(scope(&m, &no_ignore), tga_analysis::FactsScope::Module);
+
+    let barrier = m.symbol_by_name("__kmp_barrier").expect("runtime linked in").clone();
+    let first = ((barrier.addr - m.code_base) / tga::INST_SIZE) as usize;
+    let last = first + (barrier.size / tga::INST_SIZE) as usize;
+    let mut edited = m.clone();
+    let at = (first..last).find(|&i| edited.code[i].op == Op::Addi).expect("an addi");
+    edited.code[at].imm += 8;
+    assert_eq!(scope(&edited, &record), tga_analysis::FactsScope::Module);
+
+    let mut moved = m.clone();
+    let at = (first..last)
+        .find(|&i| moved.code[i].op == Op::Li && moved.is_data_addr(moved.code[i].imm as u64))
+        .expect("the barrier names runtime data");
+    moved.code[at].imm += 8;
+    assert_eq!(scope(&moved, &record), tga_analysis::FactsScope::Run);
+}
+
+/// User code may name the runtime's globals (`extern`). The run path
+/// does not see the runtime's writes to them, so it must not classify
+/// an access to one as read-only: every data symbol summarized code
+/// names counts as escaped.
+#[test]
+fn runtime_globals_named_by_user_code_stay_recorded() {
+    const NAMES_RUNTIME_DATA: &str = r#"
+extern long __kmp_team_size;
+long seen;
+int main(void) {
+    #pragma omp parallel num_threads(2)
+    { seen = __kmp_team_size; }
+    return (int) seen;
+}
+"#;
+    let m = guest_rt::build_single("extern.c", NAMES_RUNTIME_DATA).expect("compiles");
+    let record = RecordOptions::default();
+    let run = taskgrind::run_facts(&m, &record);
+    let whole = tga_analysis::analyze_with(&m, &taskgrind::RUN_ANALYZE_OPTS);
+    assert_eq!(run.scope, tga_analysis::FactsScope::Run);
+    assert!(!run.ro.iter().chain(&run.init_only).any(|r| r.name == "__kmp_team_size"));
+    let pcs = instrumented_pcs(&m, &record);
+    assert_eq!(first_disagreement(&pcs, &run, &whole), None);
+}
+
+/// One session, one source: a default run, a `--no-ignore-list` run,
+/// then `lint`. The facts memo is keyed by what decides the facts'
+/// scope, so the later two do not reuse the default run's run-path
+/// facts: each matches a fresh session's output.
+#[test]
+fn session_memo_keeps_run_path_facts_to_default_runs() {
+    use tg_engine::{Program, RunRequest, Session};
+    let program = Program::Source {
+        name: "memo.c".into(),
+        text: r#"
+long *p;
+int main(void) {
+    long x = 0;
+    p = &x;
+    #pragma omp parallel num_threads(2)
+    {
+        #pragma omp single
+        {
+            #pragma omp task
+            x = x + 1;
+            #pragma omp task
+            x = x + 2;
+        }
+    }
+    return (int) x;
+}
+"#
+        .into(),
+    };
+    let default = RunRequest { program: program.clone(), threads: 2, ..RunRequest::default() };
+    let no_ignore = RunRequest { no_ignore: true, ..default.clone() };
+    let shared = Session::new();
+    let view = |o: &tg_engine::RunOutcome| {
+        (
+            o.stdout.clone(),
+            o.report.clone(),
+            o.exit,
+            o.registry.u64("filter.sites_pruned"),
+            o.registry.u64("filter.sites_instrumented"),
+            o.registry.u64("filter.accesses_recorded"),
+            o.registry.str("filter.facts_scope").to_string(),
+        )
+    };
+    let first = view(&shared.run(&default).expect("default run"));
+    let second = view(&shared.run(&no_ignore).expect("no-ignore run"));
+    let lint = shared.lint(&program).expect("lint").report;
+    assert_eq!(first.6, "run");
+    assert_eq!(second.6, "module");
+    assert_eq!(first, view(&Session::new().run(&default).expect("fresh default run")));
+    assert_eq!(second, view(&Session::new().run(&no_ignore).expect("fresh no-ignore run")));
+    assert_eq!(lint, Session::new().lint(&program).expect("fresh lint").report);
+    assert_ne!(first.3, second.3, "the two runs prune different site counts");
 }
