@@ -171,7 +171,7 @@ pub fn run_romp(module: &Module, args: &[&str], vm_cfg: &VmConfig) -> BaselineRu
         mutexinoutset: false,
         ..Default::default()
     };
-    let out = analysis::run(&graph, &reach, &opts);
+    let out = analysis::run_sweep(&graph, &reach, &opts, 1);
     let time_secs = t0.elapsed().as_secs_f64();
 
     // ROMP-style reports: raw addresses, no source info (Listing 5)

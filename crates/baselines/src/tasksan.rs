@@ -166,7 +166,7 @@ pub fn run_tasksan(module: &Module, args: &[&str], vm_cfg: &VmConfig) -> Baselin
         mutexinoutset: false,
         ..Default::default()
     };
-    let out = analysis::run(&graph, &reach, &opts);
+    let out = analysis::run_sweep(&graph, &reach, &opts, 1);
     let time_secs = t0.elapsed().as_secs_f64();
 
     // one report per distinct task-pair

@@ -19,19 +19,21 @@
 //!   a *parent's* frame are deliberately not suppressed — the residual
 //!   false positive the paper reports on TMB stack tests at 4 threads.
 //!
-//! Pair generation comes in two shapes. The reference engine ([`run`])
-//! iterates all O(S²) segment pairs sequentially — faithful to
-//! Algorithm 1 but quadratic even when footprints are disjoint. The
-//! default engine ([`run_sweep`]) is address-indexed: a global endpoint
-//! sweep over every interesting segment's intervals emits exactly the
-//! pairs whose memory footprints overlap with at least one write
-//! involved — the pairs for which `conflicts` is non-empty — then the
-//! existing reachability + suppression pipeline runs on those. Like
-//! the paper's Algorithm 1 it runs on one thread, after recording.
+//! Pair generation comes in two shapes. The default engine
+//! ([`run_sweep`]) is address-indexed: a global endpoint sweep over
+//! every interesting segment's intervals ([`sweep_pairs`]) emits exactly
+//! the pairs whose memory footprints overlap with at least one write
+//! involved — the pairs for which `conflicts` is non-empty — and the
+//! reachability + suppression pipeline runs on those. Taskgrind and
+//! both graph baselines (ROMP, TaskSanitizer) run it. The reference
+//! engine ([`run`]) iterates all O(S²) segment pairs — faithful to
+//! Algorithm 1 but quadratic even when footprints are disjoint, with a
+//! reachability search for every pair; it serves only
+//! `TaskgrindConfig::sweep = false` and tests. Like the paper's
+//! Algorithm 1, both run on one thread, after recording.
 
-use crate::graph::{SegId, Segment, SegmentGraph};
+use crate::graph::{SegId, Segment, SegmentGraph, Successors};
 use crate::reach::Reachability;
-use std::collections::HashSet;
 
 /// Suppression toggles (all on by default, as in the paper's tool).
 #[derive(Clone, Copy, Debug)]
@@ -183,25 +185,25 @@ fn suppress_range(
     None
 }
 
-/// Conflicting byte ranges between two segments:
-/// `w1 ∩ (r2 ∪ w2)  ∪  w2 ∩ r1`.
-fn conflicts(a: &Segment, b: &Segment) -> Vec<(u64, u64)> {
-    let mut out = a.writes.intersect(&b.writes);
-    out.extend(a.writes.intersect(&b.reads));
-    out.extend(b.writes.intersect(&a.reads));
+/// Conflicting byte ranges between two segments,
+/// `w1 ∩ (r2 ∪ w2)  ∪  w2 ∩ r1`, into `out` (cleared first).
+fn conflicts(a: &Segment, b: &Segment, out: &mut Vec<(u64, u64)>) {
+    out.clear();
+    a.writes.intersect_into(&b.writes, out);
+    a.writes.intersect_into(&b.reads, out);
+    b.writes.intersect_into(&a.reads, out);
     out.sort_unstable();
     out.dedup();
-    out
 }
 
 /// Analyze one unordered pair through conflict intersection and the
 /// suppression layers, accumulating into `out`. Both pair generators
-/// land here.
+/// land here, with one `ranges` buffer reused across their pairs.
 fn analyze_pair(
     g: &SegmentGraph,
     opts: &SuppressOptions,
-    s1: SegId,
-    s2: SegId,
+    (s1, s2): (SegId, SegId),
+    ranges: &mut Vec<(u64, u64)>,
     out: &mut AnalysisOutput,
 ) {
     let (a, b) = (&g.segments[s1 as usize], &g.segments[s2 as usize]);
@@ -209,7 +211,7 @@ fn analyze_pair(
     if a.writes.is_empty() && b.writes.is_empty() {
         return;
     }
-    let ranges = conflicts(a, b);
+    conflicts(a, b, ranges);
     if ranges.is_empty() {
         return;
     }
@@ -218,7 +220,7 @@ fn analyze_pair(
         out.suppressed_locks += ranges.len() as u64;
         return;
     }
-    for (lo, hi) in ranges {
+    for &(lo, hi) in ranges.iter() {
         match suppress_range(opts, g, a, b, lo, hi) {
             None => out.candidates.push(Candidate { seg1: s1, seg2: s2, lo, hi }),
             Some(Suppression::Tls) => out.suppressed_tls += 1,
@@ -228,9 +230,13 @@ fn analyze_pair(
     }
 }
 
-/// Run Algorithm 1 sequentially.
+/// Run Algorithm 1 over all O(S²) pairs of interesting segments,
+/// sequentially. Only `TaskgrindConfig::sweep = false` and tests run
+/// it: it asks [`Reachability::ordered`] for every pair, and each
+/// unordered answer costs a search.
 pub fn run(g: &SegmentGraph, reach: &Reachability, opts: &SuppressOptions) -> AnalysisOutput {
     let mut out = AnalysisOutput::default();
+    let mut ranges = Vec::new();
     let ids: Vec<SegId> = interesting_segments(g);
     for (i, &s1) in ids.iter().enumerate() {
         for &s2 in &ids[i + 1..] {
@@ -239,7 +245,7 @@ pub fn run(g: &SegmentGraph, reach: &Reachability, opts: &SuppressOptions) -> An
                 continue;
             }
             out.unordered_pairs += 1;
-            analyze_pair(g, opts, s1, s2, &mut out);
+            analyze_pair(g, opts, (s1, s2), &mut ranges, &mut out);
         }
     }
     sort_candidates(&mut out.candidates);
@@ -269,35 +275,77 @@ struct SweepIv {
 
 /// Canonical order for the candidate list. Both pair generators
 /// sort with this key before the list reaches report generation, so
-/// all-pairs and sweep render bit-identically.
+/// all-pairs and sweep render bit-identically, whatever order they
+/// visit pairs in.
 fn sort_candidates(v: &mut [Candidate]) {
     v.sort_unstable_by_key(|c| (c.seg1, c.seg2, c.lo, c.hi));
 }
 
-/// Sweep a lo-sorted interval list, emitting the segment pairs whose
-/// footprints overlap with at least one write involved — exactly the
-/// pairs for which `conflicts` returns a non-empty range list.
-/// Half-open semantics: intervals touching only at an endpoint do not
-/// pair (`a.hi > iv.lo` is strict), matching `IntervalTree::intersect`.
-fn sweep_pairs(ivs: &[SweepIv], out: &mut HashSet<(SegId, SegId)>) {
-    let mut active: Vec<SweepIv> = Vec::new();
-    for iv in ivs {
-        active.retain(|a| a.hi > iv.lo);
-        for a in &active {
-            if a.seg != iv.seg && (a.write || iv.write) {
-                let p = if a.seg < iv.seg { (a.seg, iv.seg) } else { (iv.seg, a.seg) };
-                out.insert(p);
+/// The segment pairs whose footprints overlap with at least one write
+/// involved — exactly the pairs for which `conflicts` returns a
+/// non-empty range list — each once, lower id first, grouped by the
+/// lower id in ascending order.
+///
+/// A global endpoint sweep visits every interesting segment's intervals
+/// by `lo`, keeping the live writes and the live reads apart: a read
+/// scans only the live writes, and a write scans both. Entries that end
+/// at or before the new `lo` leave during that scan. Half-open
+/// semantics: intervals touching only at an endpoint do not pair
+/// (`a.hi > iv.lo` is strict), matching `IntervalTree::intersect`. A
+/// pair overlapping in several places is emitted once per overlap;
+/// bucketing the emissions on the lower id and stamping each higher id
+/// with its bucket drops the repeats.
+pub fn sweep_pairs(g: &SegmentGraph) -> Vec<(SegId, SegId)> {
+    let mut ivs: Vec<SweepIv> = Vec::new();
+    for seg in interesting_segments(g) {
+        let s = &g.segments[seg as usize];
+        ivs.extend(s.writes.iter().map(|(lo, hi)| SweepIv { lo, hi, seg, write: true }));
+        ivs.extend(s.reads.iter().map(|(lo, hi)| SweepIv { lo, hi, seg, write: false }));
+    }
+    ivs.sort_unstable_by_key(|iv| iv.lo);
+
+    let mut hits: Vec<(SegId, SegId)> = Vec::new();
+    let (mut writes, mut reads): (Vec<SweepIv>, Vec<SweepIv>) = (Vec::new(), Vec::new());
+    for iv in &ivs {
+        let mut scan = |live: &mut Vec<SweepIv>| {
+            live.retain(|a| {
+                if a.hi <= iv.lo {
+                    return false;
+                }
+                if a.seg != iv.seg {
+                    hits.push((a.seg.min(iv.seg), a.seg.max(iv.seg)));
+                }
+                true
+            })
+        };
+        scan(&mut writes);
+        if iv.write {
+            scan(&mut reads);
+            writes.push(*iv);
+        } else {
+            reads.push(*iv);
+        }
+    }
+
+    let n = g.n_nodes();
+    let buckets = Successors::from_edges(n, &hits);
+    drop(hits);
+    let mut stamp = vec![SegId::MAX; n];
+    let mut pairs = Vec::new();
+    for s1 in 0..n {
+        for &s2 in buckets.of(s1) {
+            if stamp[s2 as usize] != s1 as SegId {
+                stamp[s2 as usize] = s1 as SegId;
+                pairs.push((s1 as SegId, s2));
             }
         }
-        active.push(*iv);
     }
+    pairs
 }
 
-/// Address-indexed candidate generation for every interesting segment's
-/// intervals: a global endpoint sweep emits only segment pairs whose
-/// footprints actually overlap (see `sweep_pairs`), deduplicated and
-/// sorted, and `analyze_pair` then runs on each unordered one in pair
-/// order.
+/// Address-indexed candidate generation: `analyze_pair` runs on each
+/// unordered pair [`sweep_pairs`] emits, so reachability is asked only
+/// about segments whose footprints overlap.
 ///
 /// `pairs_checked` / `unordered_pairs` are work metrics of *this*
 /// engine (pairs the sweep emitted), not the all-pairs totals; the
@@ -313,26 +361,15 @@ pub fn run_sweep(
     opts: &SuppressOptions,
     _threads: usize,
 ) -> AnalysisOutput {
-    let mut ivs: Vec<SweepIv> = Vec::new();
-    for seg in interesting_segments(g) {
-        let s = &g.segments[seg as usize];
-        ivs.extend(s.writes.iter().map(|(lo, hi)| SweepIv { lo, hi, seg, write: true }));
-        ivs.extend(s.reads.iter().map(|(lo, hi)| SweepIv { lo, hi, seg, write: false }));
-    }
-    ivs.sort_unstable_by_key(|iv| (iv.lo, iv.hi, iv.seg, iv.write));
-
-    let mut set: HashSet<(SegId, SegId)> = HashSet::new();
-    sweep_pairs(&ivs, &mut set);
-    let mut pairs: Vec<(SegId, SegId)> = set.into_iter().collect();
-    pairs.sort_unstable();
-
+    let pairs = sweep_pairs(g);
     let mut out = AnalysisOutput { pairs_checked: pairs.len() as u64, ..Default::default() };
-    for (s1, s2) in pairs {
-        if reach.ordered(s1, s2) {
+    let mut ranges = Vec::new();
+    for pair in pairs {
+        if reach.ordered(pair.0, pair.1) {
             continue;
         }
         out.unordered_pairs += 1;
-        analyze_pair(g, opts, s1, s2, &mut out);
+        analyze_pair(g, opts, pair, &mut ranges, &mut out);
     }
     sort_candidates(&mut out.candidates);
     out

@@ -161,25 +161,65 @@ pub struct SegmentGraph {
     pub edges: Vec<(SegId, SegId)>,
 }
 
+/// Successor lists in one flat array: node `u`'s successors are
+/// `to[off[u]..off[u + 1]]`. [`SegmentGraph::successors`] builds the
+/// graph's; the analysis sweep buckets its overlapping pairs the same way.
+#[derive(Clone, Debug)]
+pub struct Successors {
+    off: Vec<u32>,
+    to: Vec<SegId>,
+}
+
+impl Successors {
+    /// Bucket `edges` by source over nodes `0..n`. Each node's
+    /// successors keep the order of `edges`, which need not be sorted.
+    pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Successors {
+        // off[u] counts u's edges, then (inclusive prefix sum) marks the
+        // end of u's run; filling from the back moves it to the start
+        let mut off = vec![0u32; n + 1];
+        for &(a, _) in edges {
+            off[a as usize] += 1;
+        }
+        let mut end = 0;
+        for o in &mut off {
+            end += *o;
+            *o = end;
+        }
+        let mut to = vec![0; edges.len()];
+        for &(a, b) in edges.iter().rev() {
+            off[a as usize] -= 1;
+            to[off[a as usize] as usize] = b;
+        }
+        Successors { off, to }
+    }
+
+    /// The successors of node `u`.
+    pub fn of(&self, u: usize) -> &[SegId] {
+        &self.to[self.off[u] as usize..self.off[u + 1] as usize]
+    }
+
+    /// Bytes the two arrays hold.
+    pub fn heap_bytes(&self) -> u64 {
+        ((self.off.capacity() + self.to.capacity()) * std::mem::size_of::<u32>()) as u64
+    }
+}
+
 impl SegmentGraph {
     pub fn n_nodes(&self) -> usize {
         self.segments.len()
     }
 
-    /// Successor adjacency lists.
-    pub fn successors(&self) -> Vec<Vec<SegId>> {
-        let mut adj = vec![Vec::new(); self.segments.len()];
-        for &(a, b) in &self.edges {
-            adj[a as usize].push(b);
-        }
-        adj
+    /// Successor lists in one flat array, with offsets counted from the
+    /// edge list.
+    pub fn successors(&self) -> Successors {
+        Successors::from_edges(self.segments.len(), &self.edges)
     }
 
     /// Kahn's topological order of the nodes, given the graph's
     /// [`Self::successors`]. Nodes on a cycle, and every node after one,
     /// never reach in-degree 0, so a cyclic graph's order is shorter than
     /// the graph.
-    pub(crate) fn topo_order(&self, succ: &[Vec<SegId>]) -> Vec<usize> {
+    pub(crate) fn topo_order(&self, succ: &Successors) -> Vec<usize> {
         let n = self.segments.len();
         let mut indeg = vec![0u32; n];
         for &(_, b) in &self.edges {
@@ -192,7 +232,7 @@ impl SegmentGraph {
         while qi < order.len() {
             let u = order[qi];
             qi += 1;
-            for &v in &succ[u] {
+            for &v in succ.of(u) {
                 indeg[v as usize] -= 1;
                 if indeg[v as usize] == 0 {
                     order.push(v as usize);
@@ -1034,7 +1074,7 @@ impl GraphBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reach::Reachability;
+    use crate::reach::{Closure, Reachability};
 
     fn meta(tid: Tid) -> ThreadMeta {
         ThreadMeta {
@@ -1389,6 +1429,17 @@ mod tests {
         g.edges.push((last, 0));
         assert!(g.topo_order(&g.successors()).len() < g.n_nodes());
         assert!(g.validate().iter().any(|e| e.contains("cycle")), "{:?}", g.validate());
+
+        // A node on the cycle reaches nothing, as its empty closure row
+        // says, and the index agrees with the closure on every pair.
+        let (r, c) = (Reachability::compute(&g), Closure::compute(&g));
+        let n = g.n_nodes() as SegId;
+        assert!((0..n).all(|b| !r.reaches(0, b) && !r.reaches(last, b)));
+        for a in 0..n {
+            for b in 0..n {
+                assert_eq!(r.reaches(a, b), c.reaches(a, b), "{a} -> {b}");
+            }
+        }
     }
 
     /// One event of the push-window property test.

@@ -132,15 +132,21 @@ impl IntervalTree {
     /// `O(min(n,m) · log(max(n,m)) + k)` by binary-searching each of
     /// the smaller set's intervals in the larger.
     pub fn intersect(&self, other: &IntervalTree) -> Vec<(u64, u64)> {
-        let (small, big) = if self.len() <= other.len() { (self, other) } else { (other, self) };
         let mut out = Vec::new();
+        self.intersect_into(other, &mut out);
+        out
+    }
+
+    /// [`Self::intersect`], appending to `out` so that a caller can
+    /// reuse one buffer across many pairs.
+    pub fn intersect_into(&self, other: &IntervalTree, out: &mut Vec<(u64, u64)>) {
+        let (small, big) = if self.len() <= other.len() { (self, other) } else { (other, self) };
         for &(lo, hi) in &small.ivs {
             let first = big.first_ending_after(lo);
             for &(blo, bhi) in big.ivs[first..].iter().take_while(|&&(blo, _)| blo < hi) {
                 out.push((lo.max(blo), hi.min(bhi)));
             }
         }
-        out
     }
 
     /// True if any byte overlaps between the two sets (early-exit form).

@@ -170,9 +170,10 @@ pub struct TaskgrindResult {
     pub peak_live_segments: u64,
     /// Bytes of the interval trees resident at finalize.
     pub peak_tool_bytes: u64,
-    /// Bytes the happens-before closure held while the analysis ran
-    /// ([`Reachability::heap_bytes`]): n × ⌈n/64⌉ words for n graph
-    /// nodes. Not part of `peak_tool_bytes`.
+    /// Bytes the happens-before index held while the analysis ran
+    /// ([`Reachability::heap_bytes`]): 4 × (4n + e + 1) for n graph
+    /// nodes and e edges, search scratch included. Not part of
+    /// `peak_tool_bytes`.
     pub reach_bytes: u64,
     /// Counters from the confirmation replay pass (`None` unless
     /// [`TaskgrindConfig::confirm`] was set).

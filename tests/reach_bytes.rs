@@ -1,9 +1,11 @@
-//! `taskgrind.reach_bytes` is what the happens-before closure holds.
+//! `taskgrind.reach_bytes` is what the happens-before index holds.
 //!
 //! A counting global allocator (std only) tracks live heap bytes. On a
-//! small BOTS run, the published key must equal n × ⌈n/64⌉ × 8 for the
-//! run's n graph nodes, and building the closure again over the run's
-//! graph must leave exactly that many more bytes live.
+//! small BOTS run, the published key must equal 4 × (4n + e + 1) for the
+//! run's n graph nodes and e edges — the flat successor lists, each
+//! node's rank and the search scratch — and building the index again
+//! over the run's graph must leave exactly that many more bytes live.
+//! Answering every pair the sweep asks about must allocate nothing.
 //!
 //! This file holds one test on purpose: a second test running on another
 //! thread would allocate inside the measured window.
@@ -58,7 +60,7 @@ unsafe impl GlobalAlloc for Counting {
 static COUNTING: Counting = Counting;
 
 #[test]
-fn published_reach_bytes_are_what_the_closure_holds() {
+fn published_reach_bytes_are_what_the_index_holds() {
     let m = guest_rt::build_single("fib.c", FIB_MC).expect("compiles");
     let cfg = TaskgrindConfig {
         vm: grindcore::VmConfig { nthreads: 2, ..Default::default() },
@@ -70,14 +72,20 @@ fn published_reach_bytes_are_what_the_closure_holds() {
     taskgrind::metrics::publish(&r, &mut reg);
     let published = reg.u64("taskgrind.reach_bytes");
 
-    let n = r.graph.n_nodes() as u64;
-    assert!(n > 64, "the run builds a graph wider than one word ({n} nodes)");
+    let (n, e) = (r.graph.n_nodes() as u64, r.graph.edges.len() as u64);
+    assert!(n > 64 && e > n, "the run builds a real graph ({n} nodes, {e} edges)");
     assert_eq!(published, r.reach_bytes);
-    assert_eq!(published, n * n.div_ceil(64) * 8, "{n} nodes");
+    assert_eq!(published, 4 * (4 * n + e + 1), "{n} nodes, {e} edges");
 
+    let pairs = taskgrind::analysis::sweep_pairs(&r.graph);
+    assert!(!pairs.is_empty());
     let before = LIVE.load(Ordering::Relaxed);
     let reach = Reachability::compute(&r.graph);
     let held = (LIVE.load(Ordering::Relaxed) - before) as u64;
     assert_eq!(held, reach.heap_bytes());
-    assert_eq!(held, published, "the closure holds what the key publishes");
+    assert_eq!(held, published, "the index holds what the key publishes");
+
+    let ordered = pairs.iter().filter(|&&(a, b)| reach.ordered(a, b)).count();
+    assert!(ordered > 0);
+    assert_eq!(LIVE.load(Ordering::Relaxed) - before, held as usize, "queries allocate nothing");
 }
