@@ -1,7 +1,10 @@
-//! Cold-start bench: the two per-job layers only a Taskgrind run pays,
-//! over the Table I corpus plus the extra corpus (the `corpus_triage`
-//! guests of tgbench).
+//! Cold-start bench: the per-job layers only a Taskgrind run pays, over
+//! the Table I corpus plus the extra corpus (the `corpus_triage` guests
+//! of tgbench).
 //!
+//! * The recording per guest: a Taskgrind VM built and run at 4 threads,
+//!   the layer that translates, with the number of superblocks it
+//!   translates.
 //! * `translate()` per superblock: every block a Taskgrind run of the
 //!   guest translates (its pcs are recorded by a code cache that serves
 //!   nothing), translated again cold with Taskgrind's filtered
@@ -22,7 +25,7 @@
 //! commits.
 
 use grindcore::flat::FlatBlock;
-use grindcore::{CachedTranslation, CodeCache, CodeCacheHandle, CodeCacheStats};
+use grindcore::{CachedTranslation, CodeCache, CodeCacheHandle, CodeCacheStats, ExecMode, Vm};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -54,6 +57,11 @@ impl CodeCache for Recorder {
     }
 }
 
+/// The VM configuration of every recording: the corpus runs at 4 threads.
+fn vm_config() -> grindcore::VmConfig {
+    grindcore::VmConfig { nthreads: 4, ..Default::default() }
+}
+
 /// One corpus guest: its module, run facts, and the pcs a run of it at
 /// 4 threads translates.
 struct Guest {
@@ -74,7 +82,7 @@ fn guests() -> Vec<Guest> {
                 RecordOptions { static_facts: Some(Arc::new(facts)), ..Default::default() };
             let recorder = Rc::new(RefCell::new(Recorder::default()));
             let cfg = TaskgrindConfig {
-                vm: grindcore::VmConfig { nthreads: 4, ..Default::default() },
+                vm: vm_config(),
                 record: record.clone(),
                 code_cache: Some(CodeCacheHandle::new(recorder.clone())),
                 ..Default::default()
@@ -99,6 +107,18 @@ fn median_of(samples: usize, mut f: impl FnMut()) -> Duration {
         .collect();
     t.sort_unstable();
     t[t.len() / 2]
+}
+
+/// Record every guest under Taskgrind; returns the translations made.
+fn record_all(guests: &[Guest]) -> u64 {
+    let mut translations = 0;
+    for g in guests {
+        let tool = TaskgrindTool::new(g.record.clone());
+        let run = Vm::new(g.module.clone(), Box::new(tool), vm_config()).run(ExecMode::Dbi, &[]);
+        assert!(run.error.is_none(), "{:?}", run.error);
+        translations += std::hint::black_box(run).metrics.translations;
+    }
+    translations
 }
 
 fn translate_all(guests: &[Guest]) -> usize {
@@ -142,10 +162,14 @@ fn main() {
     let blocks: usize = guests.iter().map(|g| g.pcs.len()).sum();
     let cfgs: Vec<_> = guests.iter().map(|g| tga_analysis::cfg::recover(&g.module)).collect();
     assert_eq!(translate_all(&guests), blocks, "every recorded pc translates again");
+    assert_eq!(record_all(&guests), blocks as u64, "a recording translates what a run does");
     let n = guests.len();
     println!("{n} corpus guests, {blocks} superblocks translated by their runs");
 
     let samples = std::env::var("TG_BENCH_SAMPLES").ok().and_then(|v| v.parse().ok()).unwrap_or(31);
+    let record = median_of(samples, || {
+        record_all(&guests);
+    });
     let translate = median_of(samples, || {
         translate_all(&guests);
     });
@@ -162,6 +186,8 @@ fn main() {
         dataflow_all(&guests, &cfgs);
     });
     let per = |d: Duration, units: usize, scale: f64| d.as_secs_f64() * scale / units as f64;
+    println!("coldstart/record        {:>8.4} ms per guest", per(record, n, 1e3));
+    println!("coldstart/translations  {:>8.1} per guest", blocks as f64 / n as f64);
     println!("coldstart/translate     {:>8.3} µs per superblock", per(translate, blocks, 1e6));
     println!("coldstart/analyze_with  {:>8.4} ms per guest", per(analyze, n, 1e3));
     println!("coldstart/run_facts     {:>8.4} ms per guest", per(run, n, 1e3));
@@ -169,9 +195,12 @@ fn main() {
     println!("coldstart/dataflow      {:>8.4} ms per guest", per(dataflow, n, 1e3));
     println!(
         "{{\"guests\":{n},\"superblocks\":{blocks},\"samples\":{samples},\
+         \"record_ms_per_guest\":{:.4},\"translations_per_guest\":{:.1},\
          \"translate_us_per_superblock\":{:.3},\"analyze_with_ms_per_guest\":{:.4},\
          \"run_facts_ms_per_guest\":{:.4},\
          \"cfg_recover_ms_per_guest\":{:.4},\"dataflow_ms_per_guest\":{:.4}}}",
+        per(record, n, 1e3),
+        blocks as f64 / n as f64,
         per(translate, blocks, 1e6),
         per(analyze, n, 1e3),
         per(run, n, 1e3),

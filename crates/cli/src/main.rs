@@ -362,9 +362,7 @@ fn main() -> ExitCode {
             }
             eprint!("{}", out.report);
             eprint!("{}", out.summary);
-            if out.metrics_wired {
-                write_observability(eng, &out);
-            }
+            write_observability(eng, &out);
             for w in &out.warnings {
                 eprintln!("{w}");
             }

@@ -1,7 +1,9 @@
 //! Persistent compiled-code cache interface.
 //!
 //! The VM sees the cache as a [`CodeCache`] trait object: on a tcache
-//! miss it asks the cache for an already-compiled [`FlatBlock`]; after a
+//! miss that the cold tier does not take (a block about to be
+//! translated) it asks the cache for an already-compiled [`FlatBlock`];
+//! after a
 //! cold translation it hands the freshly compiled block back for
 //! storage; SMC / `DISCARD_TRANSLATIONS` invalidation is forwarded so
 //! stale entries can be dropped from disk. The concrete on-disk

@@ -22,6 +22,12 @@
 //!   overhead experiments (Table II, Fig. 4) compare against. Client
 //!   requests and replacements still fire there, which is how the
 //!   compile-time-instrumented Archer baseline runs "natively".
+//!
+//! One departure: Valgrind translates every superblock before it runs
+//! it. Under DBI, grindcore runs a block the tool leaves uninstrumented
+//! ([`tool::Tool::instruments`]) in the same instruction interpreter for
+//! its first [`tcache::COLD_RUNS`] executions, and translates it only
+//! if it runs again.
 
 pub mod codecache;
 pub mod compilepool;

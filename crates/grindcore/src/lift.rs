@@ -280,6 +280,21 @@ fn max_stmts(op: Op) -> usize {
     }
 }
 
+/// Does every instruction of the superblock at `base` decode?
+/// [`lift_superblock`] fails exactly when it does not, so the cold tier
+/// runs only blocks that would translate.
+pub fn decodes(module: &tga::module::Module, base: u64) -> bool {
+    let mut pc = base;
+    for _ in 0..MAX_BLOCK_INSTS {
+        let Some(inst) = module.fetch(pc) else { return false };
+        if inst.op.ends_block() {
+            break;
+        }
+        pc += INST_SIZE;
+    }
+    true
+}
+
 /// Lift the superblock starting at `base`. A first scan over its
 /// instructions sizes the statement vector, so lifting never regrows it.
 pub fn lift_superblock(module: &tga::module::Module, base: u64) -> Result<IrBlock, LiftError> {
@@ -415,6 +430,10 @@ mod tests {
         // Running off the end without a terminator is an error too.
         let e = lift_superblock(&m, CODE_BASE).unwrap_err();
         assert!(e.msg.contains("fell off"));
+        assert!(!decodes(&m, 0x3) && !decodes(&m, CODE_BASE));
+        let m = module_from(&("nop\n".repeat(MAX_BLOCK_INSTS) + "halt"));
+        assert!(decodes(&m, CODE_BASE), "the length cap ends the block before the end");
+        assert!(decodes(&m, CODE_BASE + MAX_BLOCK_INSTS as u64 * INST_SIZE));
     }
 
     #[test]

@@ -26,16 +26,18 @@
 //!
 //! Each block keeps exactly one code form ([`BlockCode`]): flat code
 //! under the chained engine, instrumented IR under the tree-walk
-//! reference engine. An insert charges the measured host bytes of that
-//! form plus the entry's own slot, map and link storage, and eviction
-//! releases the same figure, recomputed from the entry's code and link
-//! table rather than stored, so `vm.translation_bytes` is what the
-//! cached translations hold. Two costs stay out of it: the IBTC,
+//! reference engine. The cache also keeps the **cold-tier run counters**:
+//! one per block the tool declined ([`crate::tool::Tool::instruments`]),
+//! counting its runs in the interpreter until it has run [`COLD_RUNS`]
+//! times and is translated.
+//!
+//! [`TransCache::bytes`] is what `vm.translation_bytes` reports: every
+//! resident block's code and link table, plus the slot, generation,
+//! free-list, dispatcher-map and run-counter tables at their allocated
+//! capacity, so the spare room those tables keep while they grow by
+//! doubling is charged too. One cost stays out of it: the IBTC,
 //! `IBTC_ENTRIES` (1,024) entries of 32 B, 32 KiB allocated up front by
-//! every [`TransCache::new`], and the spare capacity of the slot,
-//! generation and map tables, which grow by doubling while each entry is
-//! charged at its element sizes (on the Table II run, 177,096 B charged
-//! against 187,738 B held).
+//! every [`TransCache::new`].
 //!
 //! The cache belongs to one [`crate::vm::Vm`] and is only touched by its
 //! dispatch loop, so it is a plain struct: reads take `&self`, anything
@@ -56,6 +58,13 @@ use vex_ir::IrBlock;
 /// Number of entries in the indirect-branch target cache (power of two).
 const IBTC_ENTRIES: usize = 1024;
 
+/// Executions a block the tool declines runs in the interpreter before
+/// it is translated. On the Table I and extra corpus at 4 threads, 76%
+/// of the guest runtime's blocks run at most 4 times, 87% at most 8 and
+/// 95% at most 16: 8 spares the translation of most such blocks, and a
+/// block that does run hot pays 8 interpreted runs once (DESIGN §7).
+pub const COLD_RUNS: u8 = 8;
+
 /// A validated handle to a cached translation: slot index plus the
 /// generation the slot had when the handle was issued. A handle is live
 /// iff the slot is occupied and the generations match.
@@ -73,9 +82,6 @@ pub struct EvictStats {
     pub evicted: u64,
     /// Chain links (incoming or outgoing) severed.
     pub unchained: u64,
-    /// Measured host bytes released: what the evicted blocks were
-    /// charged on insert.
-    pub bytes: u64,
 }
 
 /// The one code form a cached block keeps.
@@ -115,15 +121,21 @@ impl BlockCode {
     }
 }
 
-/// Host bytes a resident block costs beside its code: its slot, its
-/// generation, its dispatcher-map entry (key, value and one control
-/// byte) and its chain-link table.
-fn entry_bytes(n_links: usize) -> usize {
-    size_of::<Option<CachedBlock>>()
-        + size_of::<u32>()
-        + size_of::<(u64, u32)>()
-        + 1
-        + n_links * size_of::<Option<CacheRef>>()
+/// Heap bytes a `Vec` holds: its capacity, not its length.
+fn vec_bytes<T>(v: &Vec<T>) -> u64 {
+    (v.capacity() * size_of::<T>()) as u64
+}
+
+/// Heap bytes a `HashMap` holds at its capacity. std's table keeps a
+/// power-of-two number of buckets, fills at most 7/8 of them (all but
+/// one below 8), and allocates one entry and one control byte per
+/// bucket plus a 16-byte control tail.
+fn map_bytes<K, V>(m: &HashMap<K, V>) -> u64 {
+    if m.capacity() == 0 {
+        return 0;
+    }
+    let buckets = (m.capacity() + 1).next_power_of_two();
+    (buckets * (size_of::<(K, V)>() + 1) + 16) as u64
 }
 
 struct CachedBlock {
@@ -145,9 +157,17 @@ struct CachedBlock {
 }
 
 impl CachedBlock {
-    /// Host bytes charged on insert and released on eviction.
+    /// Host bytes the block owns: its code and its chain-link table.
     fn bytes(&self) -> u64 {
-        (self.code.bytes() + entry_bytes(self.links.len())) as u64
+        (self.code.bytes() + self.links.len() * size_of::<Option<CacheRef>>()) as u64
+    }
+
+    /// [`CachedBlock::bytes`] plus one element of each table that holds
+    /// the block: its slot, its generation and its dispatcher-map entry
+    /// (key, value and one control byte).
+    fn entry_bytes(&self) -> u64 {
+        let tables = size_of::<Option<CachedBlock>>() + size_of::<u32>() + size_of::<(u64, u32)>();
+        self.bytes() + tables as u64 + 1
     }
 
     /// Does the block cover any byte of `[lo, hi)`?
@@ -187,6 +207,11 @@ pub struct TransCache {
     /// Slot capacity (at least 2, so the clock always has a victim).
     capacity: usize,
     ibtc: Vec<Option<IbtcEntry>>,
+    /// [`CachedBlock::bytes`] summed over the resident blocks.
+    block_bytes: u64,
+    /// Cold-tier runs so far of each block the tool declined, by base pc.
+    /// Kept for the whole run: eviction and discards leave them alone.
+    cold: HashMap<u64, u8>,
 }
 
 impl TransCache {
@@ -201,6 +226,40 @@ impl TransCache {
             hand: 0,
             capacity: capacity.max(2),
             ibtc: vec![None; IBTC_ENTRIES],
+            block_bytes: 0,
+            cold: HashMap::new(),
+        }
+    }
+
+    /// Host bytes the cache holds: every resident block's code and link
+    /// table, plus its slot, generation, free-list, map and run-counter
+    /// tables at their allocated capacity. The IBTC is not counted.
+    pub fn bytes(&self) -> u64 {
+        self.block_bytes
+            + vec_bytes(&self.slots)
+            + vec_bytes(&self.gens)
+            + vec_bytes(&self.free)
+            + map_bytes(&self.map)
+            + map_bytes(&self.cold)
+    }
+
+    /// Should the block at `pc`, which just missed the cache, run in the
+    /// interpreter this time? Yes for the first [`COLD_RUNS`] executions
+    /// of a block `declined` accepts, asked once per block; every call
+    /// that answers yes counts one run. Afterwards, and for every block
+    /// `declined` refused, no: the block is translated.
+    pub fn run_cold(&mut self, pc: u64, declined: impl FnOnce() -> bool) -> bool {
+        match self.cold.get_mut(&pc) {
+            Some(runs) if *runs < COLD_RUNS => {
+                *runs += 1;
+                true
+            }
+            Some(_) => false,
+            None if declined() => {
+                self.cold.insert(pc, 1);
+                true
+            }
+            None => false,
         }
     }
 
@@ -271,9 +330,10 @@ impl TransCache {
     /// Insert a translation whose instructions end before guest byte
     /// `end`, evicting one block if the cache is at capacity. Chain
     /// links start empty and resolve through the runtime chaining
-    /// protocol. Returns the handle, the host bytes the entry holds (its
-    /// code plus its slot, map entry and link table), and what the
-    /// eviction released.
+    /// protocol. Returns the handle, the bytes of the entry at its
+    /// tables' element sizes (its code and link table plus one slot,
+    /// generation and map entry; [`TransCache::bytes`] charges the tables
+    /// at their capacity instead) and what the eviction did.
     pub fn insert(&mut self, code: BlockCode, end: u64) -> (CacheRef, u64, EvictStats) {
         let n_links = code.n_links();
         let mut ev = EvictStats::default();
@@ -294,10 +354,11 @@ impl TransCache {
             preds: Box::new([]),
             referenced: true,
         };
-        let bytes = b.bytes();
+        self.block_bytes += b.bytes();
+        let entry = b.entry_bytes();
         self.slots[slot as usize] = Some(b);
         self.len += 1;
-        (CacheRef { slot, gen: self.gens[slot as usize] }, bytes, ev)
+        (CacheRef { slot, gen: self.gens[slot as usize] }, entry, ev)
     }
 
     /// The whole chain-hit fast path in one pass: follow the link for
@@ -409,8 +470,8 @@ impl TransCache {
         self.gens[slot as usize] = victim.gen.wrapping_add(1);
         self.free.push(slot);
         self.len -= 1;
+        self.block_bytes -= b.bytes();
         ev.evicted += 1;
-        ev.bytes += b.bytes();
         // Incoming links: predecessors must stop jumping here.
         for &(p, exit) in &b.preds {
             if let Some(l) = self.block_mut(p).and_then(|pb| pb.links.get_mut(exit as usize)) {
@@ -502,13 +563,39 @@ mod tests {
     fn each_block_keeps_one_form_and_releases_its_charge() {
         let mut c = TransCache::new(4);
         let flat = Arc::new(crate::flat::compile(&ir(0x1000, 1)));
-        let (f, charged, _) = c.insert(BlockCode::Flat(flat.clone()), 0x1010);
-        assert!(charged as usize > flat.heap_bytes(), "the entry costs more than its code");
+        let (f, entry, _) = c.insert(BlockCode::Flat(flat.clone()), 0x1010);
+        assert!(entry as usize > flat.heap_bytes(), "the entry costs more than its code");
+        assert!(c.bytes() > entry, "the tables are charged at their capacity");
         assert!(c.ir_of(f).is_none(), "a flat block keeps no IR");
         let (i, _, _) = c.insert(block(0x2000, 0), 0x2010);
         assert!(c.ir_of(i).is_some());
         assert!(c.take_flat_for(i, 0x2000).is_none(), "an IR block has no flat form");
-        assert_eq!(c.discard_range(0x1000, 0x1010).bytes, charged);
+        let (held, own) = (c.bytes(), c.block(f).unwrap().bytes());
+        assert_eq!(c.discard_range(0x1000, 0x1010).evicted, 1);
+        // The tables keep their capacity, and the free list now holds one.
+        assert_eq!(c.bytes(), held - own + vec_bytes(&c.free));
+    }
+
+    #[test]
+    fn declined_blocks_run_cold_then_translate() {
+        let mut c = TransCache::new(4);
+        let mut asked = 0;
+        let runs = (0..COLD_RUNS + 2)
+            .filter(|_| {
+                c.run_cold(0x1000, || {
+                    asked += 1;
+                    true
+                })
+            })
+            .count();
+        assert_eq!((runs, asked), (COLD_RUNS as usize, 1), "cold COLD_RUNS times, asked once");
+        assert!(!c.run_cold(0x2000, || false), "an instrumented block translates at once");
+        assert!(!c.run_cold(0x2000, || false));
+        let empty = TransCache::new(4).bytes();
+        assert!(c.bytes() > empty, "the run counters are charged");
+        c.insert(block(0x1000, 0), 0x1010);
+        c.discard_range(0x1000, 0x1010);
+        assert!(!c.run_cold(0x1000, || true), "a discard leaves the counter spent");
     }
 
     #[test]

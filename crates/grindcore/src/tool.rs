@@ -6,7 +6,9 @@
 //! 1. **IR instrumentation**: [`Tool::instrument`] receives each freshly
 //!    lifted superblock and may inject statements — typically
 //!    [`vex_ir::DirtyCall::ToolMem`] callbacks observing loads/stores
-//!    (see [`instrument_mem_accesses`]).
+//!    (see [`instrument_mem_accesses`]). [`Tool::instruments`] tells the
+//!    VM which blocks the tool leaves as lifted, so it can run their
+//!    first executions in its interpreter instead of translating them.
 //! 2. **Client requests**: the guest runtime forwards parallel-model
 //!    events via `clreq`; they arrive at [`Tool::client_request`].
 //! 3. **Function replacement**: [`Tool::replacements`] names guest
@@ -159,10 +161,22 @@ pub trait Tool {
     fn name(&self) -> &'static str;
 
     /// Rewrite a freshly lifted superblock. The result is cached: this
-    /// runs once per translated block, not once per execution — exactly
-    /// Valgrind's cost model.
+    /// runs once per translated block, not once per execution. Valgrind
+    /// translates every block before it runs; grindcore translates a
+    /// block [`Tool::instruments`] declines only once it has run
+    /// [`COLD_RUNS`](crate::tcache::COLD_RUNS) times in the interpreter,
+    /// so for most such blocks this never runs.
     fn instrument(&mut self, block: IrBlock, meta: &BlockMeta) -> IrBlock {
         block
+    }
+
+    /// Does [`Tool::instrument`] change the block `meta` describes?
+    /// Answering `false` promises that it returns that block unchanged
+    /// (debug builds assert it), which lets the chained engine run the
+    /// block's first executions in its interpreter, the cold tier. The
+    /// VM asks once per block, at its first translation-cache miss.
+    fn instruments(&mut self, meta: &BlockMeta) -> bool {
+        true
     }
 
     /// A `ToolMem` dirty call fired: the guest is about to access
@@ -225,12 +239,18 @@ pub trait Tool {
 }
 
 /// The no-op tool ("nulgrind"): pure translation/emulation overhead.
+/// It instruments nothing, so its blocks translate only once they run
+/// hot.
 #[derive(Default)]
 pub struct NulTool;
 
 impl Tool for NulTool {
     fn name(&self) -> &'static str {
         "nulgrind"
+    }
+
+    fn instruments(&mut self, _meta: &BlockMeta) -> bool {
+        false
     }
 }
 

@@ -12,7 +12,7 @@
 //! memory like any other.
 
 use crate::flat::{FOp, FSide, FlatBlock, TMP_BIT};
-use crate::lift::{lift_superblock, LiftError};
+use crate::lift::{decodes, lift_superblock, LiftError, MAX_BLOCK_INSTS};
 use crate::mem::GuestMemory;
 use crate::syscalls;
 use crate::tcache::{BlockCode, CacheRef, TransCache};
@@ -175,6 +175,9 @@ pub struct VmStats {
     pub ibtc_fills: u64,
     /// Translation-cache hash probes (the slow dispatch path).
     pub probes: u64,
+    /// Blocks the cold tier ran in the interpreter: executions of blocks
+    /// the tool declined, before they were translated.
+    pub cold_blocks: u64,
     /// Blocks evicted by the LRU-clock sweep (capacity pressure).
     pub evictions: u64,
     /// Chain links severed by eviction or invalidation.
@@ -191,12 +194,13 @@ pub struct VmStats {
 pub struct Metrics {
     /// Guest instructions executed.
     pub instrs: u64,
-    /// Superblocks executed (DBI mode).
+    /// Superblocks executed (DBI mode), in the cold tier or translated.
     pub blocks: u64,
-    /// Superblocks translated (cache misses).
+    /// Superblocks translated (cache misses past the cold tier).
     pub translations: u64,
-    /// Measured host bytes held by the translation cache: each resident
-    /// block's code plus its slot, map entry and link table.
+    /// Host bytes the translation cache held at the end of the run
+    /// ([`TransCache::bytes`]): resident code and link tables, and its
+    /// tables and cold-tier run counters at their allocated capacity.
     pub translation_bytes: u64,
     /// Scheduler slices granted.
     pub switches: u64,
@@ -230,6 +234,7 @@ impl VmStats {
         reg.set_u64("dispatch.ibtc_hits", self.ibtc_hits);
         reg.set_u64("dispatch.ibtc_fills", self.ibtc_fills);
         reg.set_u64("dispatch.probes", self.probes);
+        reg.set_u64("dispatch.cold_blocks", self.cold_blocks);
         reg.set_u64("dispatch.evictions", self.evictions);
         reg.set_u64("dispatch.unchains", self.unchains);
         reg.set_u64("dispatch.discarded_blocks", self.discarded_blocks);
@@ -548,12 +553,18 @@ pub fn translate(
         lift_superblock(module, pc)?
     };
     let meta = BlockMeta::at(module, funcs, pc);
+    // A declined block may have run in the cold tier, so its translation
+    // must be the lifted block itself.
+    let declined = (cfg!(debug_assertions) && !tool.instruments(&meta)).then(|| block.clone());
     let ir = {
         let _s = tg_obs::trace::host_span("instrument");
         tool.instrument(block, &meta)
     };
     if cfg!(debug_assertions) {
         vex_ir::sanity::assert_sane(&ir, tool.name());
+        if let Some(lifted) = declined {
+            assert!(ir == lifted, "{} declined the block at {pc:#x} but rewrote it", tool.name());
+        }
     }
     let (_, end) = ir.extent();
     let code = if compile {
@@ -572,14 +583,17 @@ pub struct Vm {
     tcache: TransCache,
     redirects: HashMap<u64, u32>,
     tmp_buf: Vec<u64>,
+    /// The operands of the dirty call `exec_flat` is making, reused like
+    /// `tmp_buf`.
+    dirty_args: Vec<u64>,
     yield_requested: bool,
     /// Guest code range, for the self-modifying-code store check.
     code_lo: u64,
     code_hi: u64,
     /// Sampling self-profiler ([`VmConfig::self_profile`]).
     profiler: Option<crate::profile::SelfProfiler>,
-    /// Persistent compiled-code cache, consulted on translation-cache
-    /// misses (chained engine only). See [`crate::codecache`].
+    /// Persistent compiled-code cache, consulted for blocks about to be
+    /// translated (chained engine only). See [`crate::codecache`].
     code_cache: Option<crate::codecache::CodeCacheHandle>,
     /// Replay hook consulted at every slice boundary before the
     /// scheduling policy (see [`crate::snapshot::ScheduleDirector`]).
@@ -608,6 +622,7 @@ impl Vm {
             tool,
             redirects,
             tmp_buf: Vec::new(),
+            dirty_args: Vec::new(),
             yield_requested: false,
             code_lo,
             code_hi,
@@ -689,6 +704,7 @@ impl Vm {
         }
 
         self.core.metrics.guest_footprint = self.core.mem.footprint();
+        self.core.metrics.translation_bytes = self.tcache.bytes();
         if let Some(c) = &self.code_cache {
             self.core.metrics.cache = c.stats();
         }
@@ -728,7 +744,7 @@ impl Vm {
     }
 
     /// The production dispatch loop: superblock chaining over flat
-    /// compiled blocks.
+    /// compiled blocks, with a cold tier in front of the translator.
     ///
     /// The fast path is a *chain hit*: the previous block's taken exit
     /// (or the IBTC, for indirect transfers) already names the successor
@@ -737,6 +753,11 @@ impl Vm {
     /// the redirect check because redirected entry points are never
     /// translated (the redirect probe precedes translation on the slow
     /// path), so no cached block — hence no link target — is one.
+    ///
+    /// On a miss, a block the tool declines runs in the interpreter for
+    /// its first [`COLD_RUNS`](crate::tcache::COLD_RUNS) executions
+    /// ([`Self::exec_cold`]) and is translated on the next. It leaves no
+    /// chainable edge, so the block after it takes the slow path.
     fn run_slice_dbi_chained(&mut self, tid: Tid, slice: u64) -> Result<(), VmError> {
         // Chain state is slice-local: a transfer interrupted by a thread
         // switch re-enters through the slow path, exactly like Valgrind
@@ -787,29 +808,36 @@ impl Vm {
                         pending = Pending::None;
                         continue;
                     }
-                    let cur = self.lookup_or_translate(pc)?;
-                    match pending {
-                        Pending::Link { from, exit } => {
-                            if self.tcache.link(from, exit, cur) {
-                                self.core.metrics.dispatch.chain_links += 1;
+                    pending = match self.lookup_or_translate(pc)? {
+                        None => {
+                            self.exec_cold(tid)?;
+                            Pending::None
+                        }
+                        Some(cur) => {
+                            match pending {
+                                Pending::Link { from, exit } => {
+                                    if self.tcache.link(from, exit, cur) {
+                                        self.core.metrics.dispatch.chain_links += 1;
+                                    }
+                                }
+                                Pending::Ibtc { site } => {
+                                    self.tcache.ibtc_insert(site, pc, cur);
+                                    self.core.metrics.dispatch.ibtc_fills += 1;
+                                }
+                                Pending::None => {}
                             }
+                            // Every block the chained engine caches carries
+                            // its flat form; a miss here would be a cache bug.
+                            let Some(block) = self.tcache.take_flat_for(cur, pc) else {
+                                return Err(VmError {
+                                    tid,
+                                    pc,
+                                    msg: "translation has no flat form".into(),
+                                });
+                            };
+                            self.exec_flat(tid, cur, &block)?
                         }
-                        Pending::Ibtc { site } => {
-                            self.tcache.ibtc_insert(site, pc, cur);
-                            self.core.metrics.dispatch.ibtc_fills += 1;
-                        }
-                        Pending::None => {}
-                    }
-                    // Every block the chained engine caches carries its
-                    // flat form; a miss here would be a cache bug.
-                    let Some(block) = self.tcache.take_flat_for(cur, pc) else {
-                        return Err(VmError {
-                            tid,
-                            pc,
-                            msg: "translation has no flat form".into(),
-                        });
                     };
-                    pending = self.exec_flat(tid, cur, &block)?;
                 }
             }
             if self.yield_requested {
@@ -844,8 +872,9 @@ impl Vm {
                 self.handle_redirect(tid, id);
                 continue;
             }
-            let cur = self.lookup_or_translate(pc)?;
-            let Some(block) = self.tcache.ir_of(cur) else {
+            // Without chaining there is no cold tier: every block translates.
+            let Some(block) = self.lookup_or_translate(pc)?.and_then(|r| self.tcache.ir_of(r))
+            else {
                 return Err(VmError { tid, pc, msg: "translation has no IR form".into() });
             };
             self.exec_block(tid, &block)?;
@@ -878,7 +907,7 @@ impl Vm {
                 self.handle_redirect(tid, id);
                 continue;
             }
-            self.exec_inst(tid)?;
+            self.exec_inst::<false>(tid)?;
             if self.yield_requested {
                 self.yield_requested = false;
                 break;
@@ -932,21 +961,35 @@ impl Vm {
     /// Slow dispatch path: probe the translation cache, translating on
     /// a miss (and possibly evicting to stay within capacity). Under the
     /// chained engine the flat compiled form is produced here too, once
-    /// per translation.
-    fn lookup_or_translate(&mut self, pc: u64) -> Result<CacheRef, VmError> {
+    /// per translation. `None` leaves the block to the cold tier: the
+    /// chained engine does that for the first
+    /// [`COLD_RUNS`](crate::tcache::COLD_RUNS) executions of a block the
+    /// tool declines ([`Tool::instruments`]) and that would translate
+    /// (a block that would not goes on to fail translation here).
+    fn lookup_or_translate(&mut self, pc: u64) -> Result<Option<CacheRef>, VmError> {
         self.core.metrics.dispatch.probes += 1;
         if let Some(r) = self.tcache.lookup(pc) {
-            return Ok(r);
+            return Ok(Some(r));
         }
         // Persistent code cache: a hit installs the previously compiled
         // flat block directly (no lift/instrument/compile). Chain links
         // are never persisted — they re-resolve through the normal
         // runtime chaining protocol. Chained engine only: the reference
-        // engine executes IR, which the cache does not store.
+        // engine executes IR, which the cache does not store. It is
+        // asked only for blocks past the cold tier, the ones a cold run
+        // translates.
         if self.core.config.chaining {
+            let (core, tool) = (&self.core, &mut self.tool);
+            let declined = || {
+                let meta = BlockMeta::at(&core.module, core.funcs(), pc);
+                !tool.instruments(&meta) && decodes(&core.module, pc)
+            };
+            if self.tcache.run_cold(pc, declined) {
+                return Ok(None);
+            }
             let loaded = self.code_cache.as_ref().and_then(|c| c.borrow_mut().load(pc));
             if let Some(ct) = loaded {
-                return Ok(self.install(BlockCode::Flat(Arc::new(ct.flat)), ct.end));
+                return Ok(Some(self.install(BlockCode::Flat(Arc::new(ct.flat)), ct.end)));
             }
         }
         let _translate_span = if tg_obs::trace::enabled() {
@@ -961,17 +1004,16 @@ impl Vm {
             cache.borrow_mut().store(pc, t.end, fb);
         }
         self.core.metrics.translations += 1;
-        Ok(self.install(t.code, t.end))
+        Ok(Some(self.install(t.code, t.end)))
     }
 
-    /// Insert a translation into the tcache and charge the bytes it
-    /// holds, net of whatever the insert evicted.
+    /// Insert a translation into the tcache, counting what the insert
+    /// evicted.
     fn install(&mut self, code: BlockCode, end: u64) -> CacheRef {
-        let (r, bytes, ev) = self.tcache.insert(code, end);
+        let (r, _, ev) = self.tcache.insert(code, end);
         let m = &mut self.core.metrics;
         m.dispatch.evictions += ev.evicted;
         m.dispatch.unchains += ev.unchained;
-        m.translation_bytes = (m.translation_bytes + bytes).saturating_sub(ev.bytes);
         r
     }
 
@@ -985,8 +1027,6 @@ impl Vm {
         let ev = self.tcache.discard_range(lo, hi);
         self.core.metrics.dispatch.discarded_blocks += ev.evicted;
         self.core.metrics.dispatch.unchains += ev.unchained;
-        self.core.metrics.translation_bytes =
-            self.core.metrics.translation_bytes.saturating_sub(ev.bytes);
     }
 
     /// Route a client request: core requests are handled here (and never
@@ -1139,7 +1179,9 @@ impl Vm {
                         unreachable!("checked side entry")
                     };
                     let (call, dst, pc, instrs) = (d.call, d.dst, d.pc, d.instrs);
-                    let vals: Vec<u64> = d.args.iter().map(|&a| fv!(a)).collect();
+                    let mut vals = std::mem::take(&mut self.dirty_args);
+                    vals.clear();
+                    vals.extend(d.args.iter().map(|&a| fv!(a)));
                     self.core.metrics.instrs += (instrs - counted) as u64;
                     counted = instrs;
                     let ret = match call {
@@ -1161,6 +1203,7 @@ impl Vm {
                             self.tool.tool_helper(&mut self.core, tid, id, &vals)
                         }
                     };
+                    self.dirty_args = vals;
                     if let Some(d) = dst {
                         tmps[d as usize] = ret;
                     }
@@ -1458,8 +1501,45 @@ impl Vm {
         }
     }
 
-    /// Execute one instruction directly (Fast mode).
-    fn exec_inst(&mut self, tid: Tid) -> Result<(), VmError> {
+    /// The cold tier: run the superblock at the thread's pc in the
+    /// instruction interpreter. It stops where [`lift_superblock`] would,
+    /// after a block-ending instruction or [`MAX_BLOCK_INSTS`]
+    /// instructions, and counts one block, so slices, schedules and
+    /// counters are those of the translated block. The tool declined the
+    /// block, so its translation would make no tool callback either.
+    ///
+    /// Never inlined: its copy of `exec_inst` stays out of [`Vm::run`],
+    /// into which the Fast-mode loop is inlined, so `none` runs compile
+    /// as they did before the cold tier.
+    #[inline(never)]
+    fn exec_cold(&mut self, tid: Tid) -> Result<(), VmError> {
+        self.core.metrics.blocks += 1;
+        self.core.metrics.dispatch.cold_blocks += 1;
+        let base = self.core.threads[tid].pc;
+        let mut n = 0;
+        while n < MAX_BLOCK_INSTS {
+            // `lookup_or_translate` checked that the whole block decodes.
+            let pc = self.core.threads[tid].pc;
+            let ends = self.core.module.fetch(pc).is_some_and(|i| i.op.ends_block());
+            n += 1;
+            self.exec_inst::<true>(tid)?;
+            if ends {
+                break;
+            }
+        }
+        if let Some(p) = self.profiler.as_mut() {
+            p.note(base, n as u64);
+        }
+        Ok(())
+    }
+
+    /// Execute one instruction directly: Fast mode (`COLD` false) and
+    /// the cold tier (`COLD` true). Two copies, so the Fast-mode loop
+    /// compiles as it does with one caller. The cold tier also does what
+    /// the translated path does and Fast mode does not: a store into the
+    /// code discards the translations it overlaps, and a thread that
+    /// exits in a `sys` still moves its pc past it.
+    fn exec_inst<const COLD: bool>(&mut self, tid: Tid) -> Result<(), VmError> {
         let pc = self.core.threads[tid].pc;
         let inst = self.core.module.fetch(pc).ok_or_else(|| VmError {
             tid,
@@ -1531,8 +1611,20 @@ impl Vm {
                 let v = self.core.mem.read_u8(rs1.wrapping_add(imm as u64)) as u64;
                 wr(&mut self.core, inst.rd, v);
             }
-            St => self.core.mem.write_u64(rs1.wrapping_add(imm as u64), rs2),
-            Sb => self.core.mem.write_u8(rs1.wrapping_add(imm as u64), rs2 as u8),
+            St => {
+                let a = rs1.wrapping_add(imm as u64);
+                self.core.mem.write_u64(a, rs2);
+                if COLD && a < self.code_hi && a.saturating_add(8) > self.code_lo {
+                    self.discard_translations(a, a.saturating_add(8));
+                }
+            }
+            Sb => {
+                let a = rs1.wrapping_add(imm as u64);
+                self.core.mem.write_u8(a, rs2 as u8);
+                if COLD && a < self.code_hi && a.saturating_add(1) > self.code_lo {
+                    self.discard_translations(a, a.saturating_add(1));
+                }
+            }
             Jal => {
                 wr(&mut self.core, inst.rd, next_pc);
                 new_pc = imm as u64;
@@ -1617,7 +1709,7 @@ impl Vm {
             }
             Nop => {}
         }
-        if self.core.threads[tid].status != ThreadStatus::Exited {
+        if COLD || self.core.threads[tid].status != ThreadStatus::Exited {
             self.core.threads[tid].pc = new_pc;
         }
         Ok(())
@@ -2011,6 +2103,135 @@ mod tests {
         let cfg = VmConfig { max_instrs: 10_000, ..Default::default() };
         let res = Vm::new(m, Box::new(NulTool), cfg).run(ExecMode::Fast, &[]);
         assert!(res.error.unwrap().msg.contains("budget"));
+    }
+
+    /// A loop block that runs 19 times between two blocks that run once.
+    const LOOP: &str = "
+        _start:
+            li  t0, 0
+        loop:
+            addi t0, t0, 1
+            li   t1, 20
+            blt  t0, t1, loop
+            li   a0, 0
+            sys  zero, 0
+            halt
+    ";
+
+    fn run_dbi(src: &str, tool: Box<dyn Tool>, chaining: bool) -> RunResult {
+        let cfg = VmConfig { chaining, ..Default::default() };
+        Vm::new(build(src), tool, cfg).run(ExecMode::Dbi, &[])
+    }
+
+    #[test]
+    fn declined_blocks_run_cold_then_translate_once() {
+        let cold = run_dbi(LOOP, Box::new(NulTool), true);
+        let reference = run_dbi(LOOP, Box::new(NulTool), false);
+        assert!(cold.ok(), "{:?}", cold.error);
+        // The two once-run blocks stay cold; the loop body runs cold
+        // COLD_RUNS times and is translated on its next run.
+        let cold_runs = crate::tcache::COLD_RUNS as u64;
+        assert_eq!(cold.metrics.dispatch.cold_blocks, 2 + cold_runs);
+        assert_eq!(cold.metrics.translations, 1);
+        assert_eq!(reference.metrics.translations, 3, "the reference translates every block");
+        assert_eq!(cold.metrics.blocks, 21);
+        assert_eq!(cold.metrics.instrs, reference.metrics.instrs);
+        assert_eq!(cold.metrics.switches, reference.metrics.switches);
+        assert_eq!(cold.metrics.sched_digest, reference.metrics.sched_digest);
+    }
+
+    #[test]
+    fn instrumented_blocks_translate_on_first_run() {
+        let r = run_dbi(LOOP, Box::new(CountTool::default()), true);
+        assert!(r.ok(), "{:?}", r.error);
+        assert_eq!((r.metrics.translations, r.metrics.dispatch.cold_blocks), (3, 0));
+    }
+
+    #[test]
+    fn code_stores_discard_only_translated_blocks() {
+        // The loop runs hot and translates; the block after it, cold,
+        // rewrites a word of the loop and one of `tail`, which has not
+        // run yet. `_start`'s block also covers the loop's code, but it
+        // ran once, in the cold tier, so there is nothing of it to
+        // discard.
+        let src = "
+            _start:
+                li  t0, 0
+            loop:
+                addi t0, t0, 1
+                li   t1, 12
+                blt  t0, t1, loop
+                li   t2, loop
+                ld   t3, 0(t2)
+                st   t3, 0(t2)
+                li   t2, tail
+                ld   t3, 0(t2)
+                st   t3, 0(t2)
+                jal  zero, tail
+            tail:
+                li   a0, 3
+                sys  zero, 0
+                halt
+        ";
+        let cold = run_dbi(src, Box::new(NulTool), true);
+        assert_eq!(cold.exit_code, Some(3), "{:?}", cold.error);
+        assert_eq!(cold.metrics.translations, 1, "only the loop ran hot");
+        assert_eq!(cold.metrics.dispatch.discarded_blocks, 1, "the loop's translation");
+        let translated = run_dbi(src, Box::new(CountTool::default()), true);
+        assert_eq!(translated.exit_code, Some(3));
+        assert_eq!(translated.metrics.dispatch.discarded_blocks, 2, "`_start`'s block too");
+    }
+
+    #[test]
+    fn cold_faults_match_the_translated_path() {
+        let div = "
+            _start:
+                li  t0, 1
+                li  t1, 0
+                div t2, t0, t1
+                halt
+        ";
+        // The block runs off the end of the text section.
+        let fall_off = "_start:\n li t0, 1\n li t1, 2";
+        let bad_jump = "_start:\n li t0, 0x3\n jalr zero, t0, 0\n halt";
+        for src in [div, fall_off, bad_jump] {
+            let cold = run_dbi(src, Box::new(NulTool), true);
+            let translated = run_dbi(src, Box::new(CountTool::default()), true);
+            let reference = run_dbi(src, Box::new(NulTool), false);
+            assert!(cold.error.is_some(), "{src}");
+            for other in [&translated, &reference] {
+                assert_eq!(cold.error, other.error, "{src}");
+                assert_eq!(cold.metrics.instrs, other.metrics.instrs, "{src}");
+                assert_eq!(cold.metrics.blocks, other.metrics.blocks, "{src}");
+            }
+        }
+    }
+
+    /// Instruments every block but claims to instrument none.
+    #[cfg(debug_assertions)]
+    struct Liar;
+
+    #[cfg(debug_assertions)]
+    impl Tool for Liar {
+        fn name(&self) -> &'static str {
+            "liar"
+        }
+
+        fn instruments(&mut self, _meta: &BlockMeta) -> bool {
+            false
+        }
+
+        fn instrument(&mut self, block: IrBlock, _meta: &BlockMeta) -> IrBlock {
+            crate::tool::instrument_mem_accesses(block)
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "liar declined the block at 0x10000 but rewrote it")]
+    fn declining_a_block_and_rewriting_it_is_caught() {
+        let m = build("_start:\n ld t0, 0(sp)\n halt");
+        let _ = translate(&m, &FuncTable::new(&m), CODE_BASE, &mut Liar, true);
     }
 
     #[test]

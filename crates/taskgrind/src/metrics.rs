@@ -95,11 +95,12 @@ pub fn render_summary(reg: &Registry) -> String {
         reg.u64("filter.accesses_recorded"),
     ));
     out.push_str(&format!(
-        "== dispatch: {} chain hit(s) ({} ibtc), {} probe(s), {} translation(s), {} eviction(s), {} discard(s)\n",
+        "== dispatch: {} chain hit(s) ({} ibtc), {} probe(s), {} translation(s), {} cold block(s), {} eviction(s), {} discard(s)\n",
         reg.u64("dispatch.chain_hits"),
         reg.u64("dispatch.ibtc_hits"),
         reg.u64("dispatch.probes"),
         reg.u64("vm.translations"),
+        reg.u64("dispatch.cold_blocks"),
         reg.u64("dispatch.evictions"),
         reg.u64("dispatch.discarded_blocks"),
     ));
@@ -192,6 +193,7 @@ int main(void) {
             "filter.facts_scope",
             "taskgrind.reach_bytes",
             "dispatch.chain_hits",
+            "dispatch.cold_blocks",
             "vm.instrs",
         ] {
             assert!(json.contains(&format!("\"{key}\"")), "metrics json missing {key}");

@@ -5,6 +5,8 @@
 //!   left uninstrumented (or, with an **instrument-list**, only matching
 //!   symbols are instrumented) — §IV-A's mechanism, applied at
 //!   translation time so suppressed code costs nothing per execution.
+//!   The tool declines those blocks ([`Tool::instruments`]), so most of
+//!   them run in grindcore's interpreter and are never translated.
 //! * Client requests from the guest runtime drive the [`GraphBuilder`].
 //! * `malloc`/`calloc` are replaced with a host-side bump allocator that
 //!   never recycles and records each block's allocation site, resolved
@@ -243,6 +245,10 @@ fn trace_guest_creq(tid: Tid, code: u64, args: [u64; 5]) {
 impl Tool for TaskgrindTool {
     fn name(&self) -> &'static str {
         "taskgrind"
+    }
+
+    fn instruments(&mut self, meta: &BlockMeta) -> bool {
+        self.should_instrument(meta)
     }
 
     fn instrument(&mut self, block: IrBlock, meta: &BlockMeta) -> IrBlock {

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use grindcore::flat::{FOp, FSide, FlatBlock, TMP_BIT};
 use grindcore::flatio::{flat_from_bytes, flat_to_bytes};
-use grindcore::tool::NulTool;
+use grindcore::tool::CountTool;
 use grindcore::wire::checksum;
 use grindcore::{CodeCache, CodeCacheHandle, ExecMode, RunResult, Vm, VmConfig};
 use tg_cache::{DiskCodeCache, FORMAT_VERSION};
@@ -227,8 +227,10 @@ fn guest() -> Module {
     m
 }
 
+/// A run under CountTool, which instruments every block, so each block
+/// it runs is translated (or loaded) on its first run.
 fn run(m: &Module, cache: Option<&Rc<RefCell<DiskCodeCache>>>) -> RunResult {
-    let mut vm = Vm::new(m.clone(), Box::new(NulTool), VmConfig::default());
+    let mut vm = Vm::new(m.clone(), Box::new(CountTool::default()), VmConfig::default());
     if let Some(c) = cache {
         vm.set_code_cache(CodeCacheHandle::new(c.clone()));
     }

@@ -211,12 +211,10 @@ pub struct RunOutcome {
     /// The `==` summary block, including the self-profile when enabled
     /// (CLI: stderr).
     pub summary: String,
-    /// The full metrics registry for this run.
+    /// The full metrics registry for this run: the VM's counters and
+    /// the engine configuration under every tool, and Taskgrind's own
+    /// layers under `taskgrind`.
     pub registry: Registry,
-    /// Whether the registry is wired for this tool (`taskgrind` and
-    /// `none`; the baselines publish nothing, matching the one-shot
-    /// CLI, which never wrote observability artifacts for them).
-    pub metrics_wired: bool,
     /// The drained Chrome-trace JSON, when `trace_out` was requested.
     pub trace_json: Option<String>,
     /// The segment graph as Graphviz DOT, when requested.
@@ -628,7 +626,6 @@ impl Session {
                     report: String::new(),
                     summary,
                     registry,
-                    metrics_wired: true,
                     trace_json: self.finish_trace(traced),
                     dot: None,
                     warnings: Vec::new(),
@@ -650,7 +647,7 @@ impl Session {
                     report.push_str(rep);
                     report.push('\n');
                 }
-                let summary = match tool {
+                let mut summary = match tool {
                     "archer" => {
                         format!("== archer: {} report(s) in {:.3}s\n", r.n_reports, r.time_secs)
                     }
@@ -666,14 +663,16 @@ impl Session {
                     ),
                 };
                 let failed = r.n_reports > 0 || (tool == "romp" && r.segv);
-                self.finish_trace(traced);
+                let mut registry = Registry::new();
+                r.run.metrics.publish(&mut registry);
+                eng.publish(&mut registry);
+                summary.push_str(&render_profile(&registry));
                 RunOutcome {
                     stdout: r.run.stdout_str(),
                     report,
                     summary,
-                    registry: Registry::new(),
-                    metrics_wired: false,
-                    trace_json: None,
+                    registry,
+                    trace_json: self.finish_trace(traced),
                     dot: None,
                     warnings: Vec::new(),
                     deadlock: r.run.deadlock,
@@ -755,7 +754,6 @@ impl Session {
                     report,
                     summary,
                     registry,
-                    metrics_wired: true,
                     trace_json: self.finish_trace(traced),
                     dot,
                     warnings,

@@ -274,8 +274,11 @@ int main(void) {
     let dir = temp_dir("smc");
     let key = (module_hash(&m), 0u64);
 
+    // CountTool instruments every block, so `_start`, whose code the
+    // guest overwrites, is translated on its first run.
     let run_vm = |cache: Option<&Rc<RefCell<DiskCodeCache>>>| {
-        let mut vm = Vm::new(m.clone(), Box::new(grindcore::tool::NulTool), VmConfig::default());
+        let tool = grindcore::tool::CountTool::default();
+        let mut vm = Vm::new(m.clone(), Box::new(tool), VmConfig::default());
         if let Some(rc) = cache {
             vm.set_code_cache(CodeCacheHandle::new(rc.clone()));
         }

@@ -10,12 +10,16 @@
 //! This suite owns dispatcher equivalence: every shipping run chains,
 //! and the tree-walk reference engine (`VmConfig::chaining = false`)
 //! exists only as the oracle these tests compare against. The other
-//! differential suites run the chained engine only.
+//! differential suites run the chained engine only. The chained engine
+//! includes the cold tier, which runs the first executions of blocks the
+//! tool declines in the interpreter; the reference engine translates
+//! every block.
 
 use grindcore::tool::{instrument_mem_accesses, BlockMeta, Tool};
 use grindcore::{ExecMode, RunResult, SyncKind, Tid, Vm, VmConfig, VmCore};
 use std::cell::Cell;
 use std::rc::Rc;
+use taskgrind::tool::RecordOptions;
 use taskgrind::{check_module, TaskgrindConfig};
 use tg_drb::corpus::{corpus, Suite};
 use tg_lulesh::harness::LuleshParams;
@@ -34,9 +38,12 @@ fn fold(digest: u64, v: u64) -> u64 {
 /// A tool that digests every memory-access callback, client request and
 /// sync point in order: two runs with equal digests saw the same
 /// accesses by the same threads at the same pcs, and the same runtime
-/// events with the same arguments, in the same order.
+/// events with the same arguments, in the same order. Like Taskgrind, it
+/// declines the blocks of the functions its ignore list names, so the
+/// chained engine runs those in its cold tier.
 struct StreamHashTool {
     digest: Rc<Cell<u64>>,
+    record: RecordOptions,
 }
 
 impl StreamHashTool {
@@ -54,8 +61,16 @@ impl Tool for StreamHashTool {
         "streamhash"
     }
 
-    fn instrument(&mut self, block: IrBlock, _meta: &BlockMeta) -> IrBlock {
-        instrument_mem_accesses(block)
+    fn instruments(&mut self, meta: &BlockMeta) -> bool {
+        meta.fn_symbol.is_none_or(|name| self.record.instruments(name))
+    }
+
+    fn instrument(&mut self, block: IrBlock, meta: &BlockMeta) -> IrBlock {
+        if self.instruments(meta) {
+            instrument_mem_accesses(block)
+        } else {
+            block
+        }
     }
 
     fn mem_access(
@@ -85,7 +100,7 @@ impl Tool for StreamHashTool {
 /// state (registers + pc + status of every thread).
 fn stream_run(m: &tga::module::Module, cfg: VmConfig) -> (RunResult, u64, u64) {
     let digest = Rc::new(Cell::new(0u64));
-    let tool = StreamHashTool { digest: digest.clone() };
+    let tool = StreamHashTool { digest: digest.clone(), record: RecordOptions::default() };
     let mut vm = Vm::new(m.clone(), Box::new(tool), cfg);
     let r = vm.run(ExecMode::Dbi, &[]);
     let mut arch = 0u64;
@@ -103,8 +118,9 @@ fn cfg(nthreads: u64, chaining: bool, cache_blocks: usize) -> VmConfig {
     VmConfig { nthreads, chaining, cache_blocks, ..Default::default() }
 }
 
-/// Chaining and tiny-cache eviction churn must not change a single
-/// architectural or observable bit across the whole Table I corpus.
+/// Chaining, the cold tier and tiny-cache eviction churn must not change
+/// a single architectural or observable bit across the whole Table I
+/// corpus.
 #[test]
 fn chaining_is_invisible_to_the_guest() {
     let mut total_chain_hits = 0u64;
@@ -146,6 +162,19 @@ fn chaining_is_invisible_to_the_guest() {
         assert_eq!(on.metrics.sched_digest, tiny.metrics.sched_digest, "{}: schedule", p.name);
 
         assert_eq!(off.metrics.dispatch.chain_hits, 0, "{}: the reference must not chain", p.name);
+        assert_eq!(
+            off.metrics.dispatch.cold_blocks, 0,
+            "{}: the reference has no cold tier",
+            p.name
+        );
+        assert!(on.metrics.dispatch.cold_blocks > 0, "{}: the runtime ran cold", p.name);
+        assert!(
+            on.metrics.translations < off.metrics.translations,
+            "{}: the cold tier saved no translation ({} vs {})",
+            p.name,
+            on.metrics.translations,
+            off.metrics.translations
+        );
         total_chain_hits += on.metrics.dispatch.chain_hits;
         total_evictions += tiny.metrics.dispatch.evictions;
     }

@@ -4,7 +4,7 @@
 //! then exercise the `DISCARD_TRANSLATIONS` client request and the
 //! self-modifying-code store path directly.
 
-use grindcore::tool::NulTool;
+use grindcore::tool::{CountTool, NulTool};
 use grindcore::{ExecMode, Vm, VmConfig};
 use taskgrind::{check_module, TaskgrindConfig, TaskgrindResult};
 use tg_lulesh::LULESH_MC;
@@ -128,7 +128,10 @@ int main(void) {
 "#;
     let m = guest_rt::build_single("smc.c", src).expect("compiles");
     assert_eq!(m.code_base, 65536, "test assumes the default code base");
-    let r = Vm::new(m, Box::new(NulTool), VmConfig::default()).run(ExecMode::Dbi, &[]);
+    // CountTool instruments every block, so `_start`, whose code the
+    // guest overwrites, is translated on its first run.
+    let tool = Box::new(CountTool::default());
+    let r = Vm::new(m, tool, VmConfig::default()).run(ExecMode::Dbi, &[]);
     assert!(r.ok(), "{:?}", r.error);
     assert_eq!(r.exit_code, Some(7));
     assert!(

@@ -3,11 +3,15 @@
 //!
 //! A counting global allocator (std only) tracks live heap bytes. The
 //! test records every block a mini-LULESH run translates under Taskgrind
-//! instrumentation, translates each again, and inserts it into a fresh
-//! `TransCache` the way the VM does. The bytes the inserts charge must be
-//! within 10% of the live bytes they added, and must equal the run's own
-//! `vm.translation_bytes`. They must also stay at or below 500 bytes per
-//! translation (a block of this run averages about 470), so a change
+//! instrumentation and every block Taskgrind declines, which the cold
+//! tier keeps a run counter for. Into a fresh `TransCache` it counts a
+//! cold run of each declined block, then translates each translated
+//! block again and inserts it, the way the VM does. What the cache then
+//! charges (`TransCache::bytes`, its tables at their capacity) must be
+//! within 10% of the live bytes those steps added, and must equal the
+//! run's own `vm.translation_bytes`. What the inserts return, each entry
+//! at its tables' element sizes, must also stay at or below 500 bytes
+//! per translation (a block of this run averages about 480), so a change
 //! that fattens the flat code or the cache entry fails here.
 //!
 //! This file holds one test on purpose: a second test running on another
@@ -21,11 +25,15 @@ use std::sync::Arc;
 
 use grindcore::flat::FlatBlock;
 use grindcore::tcache::TransCache;
-use grindcore::{CachedTranslation, CodeCache, CodeCacheHandle, CodeCacheStats, VmConfig};
+use grindcore::tool::{BlockMeta, FnReplacement, SyncKind, Tool};
+use grindcore::{
+    CachedTranslation, CodeCache, CodeCacheHandle, CodeCacheStats, ExecMode, Tid, Vm, VmConfig,
+    VmCore,
+};
 use taskgrind::tool::{RecordOptions, TaskgrindTool};
-use taskgrind::{check_module, TaskgrindConfig};
 use tg_lulesh::harness::LuleshParams;
 use tg_lulesh::LULESH_MC;
+use vex_ir::IrBlock;
 
 /// Live heap bytes, as requested by callers (not rounded up to size
 /// classes).
@@ -93,6 +101,71 @@ impl CodeCache for Recorder {
     }
 }
 
+/// Taskgrind, noting the base of every block it declines; every other
+/// hook forwards.
+struct NoteDeclined {
+    tool: TaskgrindTool,
+    declined: Rc<RefCell<Vec<u64>>>,
+}
+
+impl Tool for NoteDeclined {
+    fn name(&self) -> &'static str {
+        self.tool.name()
+    }
+
+    fn instruments(&mut self, meta: &BlockMeta) -> bool {
+        let yes = self.tool.instruments(meta);
+        if !yes {
+            self.declined.borrow_mut().push(meta.base);
+        }
+        yes
+    }
+
+    fn instrument(&mut self, block: IrBlock, meta: &BlockMeta) -> IrBlock {
+        self.tool.instrument(block, meta)
+    }
+
+    fn mem_access(&mut self, core: &mut VmCore, tid: Tid, a: u64, n: u64, w: bool, pc: u64) {
+        self.tool.mem_access(core, tid, a, n, w, pc)
+    }
+
+    fn tool_helper(&mut self, core: &mut VmCore, tid: Tid, id: u32, args: &[u64]) -> u64 {
+        self.tool.tool_helper(core, tid, id, args)
+    }
+
+    fn client_request(&mut self, core: &mut VmCore, tid: Tid, code: u64, args: [u64; 5]) -> u64 {
+        self.tool.client_request(core, tid, code, args)
+    }
+
+    fn sync_point(&mut self, core: &mut VmCore, tid: Tid, kind: SyncKind, seq: u64) {
+        self.tool.sync_point(core, tid, kind, seq)
+    }
+
+    fn replacements(&self) -> Vec<FnReplacement> {
+        self.tool.replacements()
+    }
+
+    fn replaced_call(&mut self, core: &mut VmCore, tid: Tid, id: u32, args: [u64; 8]) -> u64 {
+        self.tool.replaced_call(core, tid, id, args)
+    }
+
+    fn thread_created(&mut self, core: &mut VmCore, parent: Tid, child: Tid) {
+        self.tool.thread_created(core, parent, child)
+    }
+
+    fn thread_exited(&mut self, core: &mut VmCore, tid: Tid) {
+        self.tool.thread_exited(core, tid)
+    }
+
+    fn program_end(&mut self, core: &mut VmCore) {
+        self.tool.program_end(core)
+    }
+
+    fn tool_bytes(&self) -> u64 {
+        self.tool.tool_bytes()
+    }
+}
+
 #[test]
 fn charged_translation_bytes_match_what_the_cache_holds() {
     let m = guest_rt::build_single("lulesh.c", LULESH_MC).expect("mini-LULESH compiles");
@@ -103,35 +176,50 @@ fn charged_translation_bytes_match_what_the_cache_holds() {
     let record = RecordOptions { static_facts: Some(Arc::new(facts)), ..Default::default() };
 
     let recorder = Rc::new(RefCell::new(Recorder::default()));
-    let cfg = TaskgrindConfig {
-        record: record.clone(),
-        code_cache: Some(CodeCacheHandle::new(recorder.clone())),
-        ..Default::default()
-    };
-    let run = check_module(&m, &args, &cfg);
-    assert!(run.run.ok(), "{:?}", run.run.error);
-    assert_eq!(run.run.metrics.dispatch.evictions, 0, "the default cache holds the whole run");
+    let declined = Rc::new(RefCell::new(Vec::new()));
+    let tool =
+        NoteDeclined { tool: TaskgrindTool::new(record.clone()), declined: declined.clone() };
+    // What `check_module` runs under its default configuration.
+    let mut vm = Vm::new(m.clone(), Box::new(tool), VmConfig::default());
+    vm.set_code_cache(CodeCacheHandle::new(recorder.clone()));
+    let run = vm.run(ExecMode::Dbi, &args);
+    drop(vm);
+    assert!(run.ok(), "{:?}", run.error);
+    assert_eq!(run.metrics.dispatch.evictions, 0, "the default cache holds the whole run");
     let pcs = std::mem::take(&mut recorder.borrow_mut().pcs);
-    assert_eq!(pcs.len() as u64, run.run.metrics.translations);
+    assert_eq!(pcs.len() as u64, run.metrics.translations);
+    // Debug builds ask again when a declined block translates.
+    let mut declined = std::mem::take(&mut *declined.borrow_mut());
+    declined.sort_unstable();
+    declined.dedup();
+    assert!(run.metrics.dispatch.cold_blocks > 0 && !declined.is_empty(), "the cold tier ran");
 
     let mut cache = TransCache::new(VmConfig::default().cache_blocks);
     let mut tool = TaskgrindTool::new(record);
     let funcs = tga::module::FuncTable::new(&m);
     let before = LIVE.load(Ordering::Relaxed);
-    let mut charged = 0u64;
+    for &pc in &declined {
+        assert!(cache.run_cold(pc, || true), "a declined block's first run is cold");
+    }
+    let mut entries = 0u64;
     for &pc in &pcs {
         let t = grindcore::translate(&m, &funcs, pc, &mut tool, true).expect("recorded pcs lift");
-        let (_, bytes, _) = cache.insert(t.code, t.end);
-        charged += bytes;
+        entries += cache.insert(t.code, t.end).1;
     }
+    let charged = cache.bytes();
     let held = (LIVE.load(Ordering::Relaxed) - before) as u64;
     drop(cache);
 
-    eprintln!("{} blocks: {charged} bytes charged, {held} bytes held", pcs.len());
-    assert_eq!(charged, run.run.metrics.translation_bytes, "the VM charges the same blocks alike");
+    eprintln!(
+        "{} blocks translated ({entries} bytes in entries), {} declined: \
+         {charged} bytes charged, {held} bytes held",
+        pcs.len(),
+        declined.len()
+    );
+    assert_eq!(charged, run.metrics.translation_bytes, "the VM charges the same blocks alike");
     assert!(
-        charged <= 500 * pcs.len() as u64,
-        "{charged} bytes over {} translations is more than 500 bytes each",
+        entries <= 500 * pcs.len() as u64,
+        "{entries} bytes over {} translations is more than 500 bytes each",
         pcs.len()
     );
     assert!(
